@@ -37,24 +37,17 @@ from .subelliptic_kernel import (
 # record writing
 
 
-def _fmt(v) -> str:
+def _fmt(v, quote: bool = False) -> str:
+    """One field: floats as %.12e; other text quoted as a JSON string if asked."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return f"{v:.12e}"
+        # JSON has no inf or nan literal, so those go out as strings there
+        text = f"{v:.12e}"
+        return json.dumps(text) if quote and not math.isfinite(v) else text
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return str(v)
-
-
-def _fmt_json(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.12e}"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return json.dumps(str(v))
+    return json.dumps(str(v)) if quote else str(v)
 
 
 def write_records(rows, fieldnames, fmt: str, stream) -> None:
@@ -66,7 +59,7 @@ def write_records(rows, fieldnames, fmt: str, stream) -> None:
     elif fmt == "json":
         stream.write("[\n")
         for i, row in enumerate(rows):
-            body = ",".join(f'"{k}":{_fmt_json(row[k])}' for k in fieldnames)
+            body = ",".join(f'"{k}":{_fmt(row[k], quote=True)}' for k in fieldnames)
             stream.write("{" + body + "}" + ("," if i + 1 < len(rows) else "") + "\n")
         stream.write("]\n")
     else:
@@ -178,41 +171,41 @@ ACCEPTANCE_T = [0.5, 1.0, 2.0]
 ACCEPTANCE_R = [0.0, 0.5, 1.0, 2.0]
 ACCEPTANCE_ETA = [0.0, math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0]
 
+_BOTH_FIELDS = ["t", "r", "eta", "p_rep1", "p_rep1_err", "m_used", "u_max_used",
+                "p_rep2", "p_rep2_err", "rel_diff"]
+
 
 # ---------------------------------------------------------------------------
 # pointwise kernel jobs (picklable for the worker pool)
 
 
+def _usable(v: float) -> bool:
+    """A kernel value that can be compared: finite and not underflowed to 0."""
+    return math.isfinite(v) and v != 0.0
+
+
+def _rel_diff(a: float, b: float) -> float:
+    """|a - b| / |b|, or inf when either side is not usable, so it never agrees."""
+    return abs(a - b) / abs(b) if _usable(a) and _usable(b) else math.inf
+
+
 def _point_job(job):
-    t, r, eta, rep, quad_kw, ctrl_kw, path = job
-    quad = QuadratureSpec(**quad_kw)
-    ctrl = SeriesControl(**ctrl_kw)
+    t, r, eta, rep, quad, ctrl, path = job
     row = {"t": t, "r": r, "eta": eta}
-    if rep in ("1", "both"):
-        k1 = heat_kernel_rep1(t, r, eta, quad, ctrl)
-        if rep == "1":
-            row.update(value=k1.value, est_error=k1.est_error,
-                       m_used=k1.m_used, u_max_used=k1.u_max_used)
-            return row
-        row.update(p_rep1=k1.value, p_rep1_err=k1.est_error,
-                   m_used=k1.m_used, u_max_used=k1.u_max_used)
-    if rep in ("2", "both"):
-        k2 = heat_kernel_rep2(t, r, eta, quad, ctrl, path=path)
-        if rep == "2":
-            row.update(value=k2.value, est_error=k2.est_error,
-                       m_used=k2.m_used, u_max_used=k2.u_max_used)
-            return row
-        row.update(p_rep2=k2.value, p_rep2_err=k2.est_error)
-    if rep == "both":
-        denom = abs(row["p_rep2"]) if row["p_rep2"] != 0 else 1.0
-        row["rel_diff"] = abs(row["p_rep1"] - row["p_rep2"]) / denom
+    k1 = heat_kernel_rep1(t, r, eta, quad, ctrl) if rep != "2" else None
+    k2 = heat_kernel_rep2(t, r, eta, quad, ctrl, path=path) if rep != "1" else None
+    if rep != "both":
+        k = k1 if rep == "1" else k2
+        row.update(value=k.value, est_error=k.est_error, m_used=k.m_used, u_max_used=k.u_max_used)
+    else:
+        row.update(p_rep1=k1.value, p_rep1_err=k1.est_error, m_used=k1.m_used,
+                   u_max_used=k1.u_max_used, p_rep2=k2.value, p_rep2_err=k2.est_error,
+                   rel_diff=_rel_diff(k1.value, k2.value))
     return row
 
 
 def _run_points(cfg, points, rep, path="mode_series"):
-    quad_kw = dict(u_max=cfg.options.get("u_max"), n_u=cfg.n_u, n_phi=cfg.n_phi, tol=cfg.tol)
-    ctrl_kw = dict(tol=cfg.series_tol, m_cap=cfg.m_cap, mode="normalized")
-    jobs = [(t, r, eta, rep, quad_kw, ctrl_kw, path) for (t, r, eta) in points]
+    jobs = [(t, r, eta, rep, _quad(cfg), _ctrl(cfg), path) for (t, r, eta) in points]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             return list(pool.map(_point_job, jobs))
@@ -223,6 +216,16 @@ def _grid(cfg):
     return [(t, r, eta) for t in cfg.t for r in cfg.r for eta in cfg.eta]
 
 
+def _checked(row: dict, good: bool) -> dict:
+    """A check record with its pass/fail status."""
+    row["status"] = "pass" if good else "fail"
+    return row
+
+
+def _exit_code(rows) -> int:
+    return 1 if any(row.get("status") == "fail" for row in rows) else 0
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -230,56 +233,52 @@ def _grid(cfg):
 def _cmd_eval(cfg: RunConfig, out):
     rep = cfg.rep
     rows = _run_points(cfg, _grid(cfg), rep, path=cfg.path)
-    if rep == "both":
-        fields = ["t", "r", "eta", "p_rep1", "p_rep1_err", "m_used", "u_max_used",
-                  "p_rep2", "p_rep2_err", "rel_diff"]
-    else:
-        fields = ["t", "r", "eta", "value", "est_error", "m_used", "u_max_used"]
+    fields = _BOTH_FIELDS if rep == "both" else [
+        "t", "r", "eta", "value", "est_error", "m_used", "u_max_used"]
     write_records(rows, fields, cfg.format, out)
-    return 0
+    values = ("p_rep1", "p_rep2") if rep == "both" else ("value",)
+    bad = sum(not _usable(row[k]) for row in rows for k in values)
+    if bad:
+        print(f"{bad} kernel values are zero or not finite", file=sys.stderr)
+    return 1 if bad else 0
 
 
 def _cmd_compare_reps(cfg: RunConfig, out):
     if cfg.what == "reps":
         rows = _run_points(cfg, _grid(cfg), "both", path=cfg.path)
-        fields = ["t", "r", "eta", "p_rep1", "p_rep1_err", "m_used", "u_max_used",
-                  "p_rep2", "p_rep2_err", "rel_diff"]
+        fields = _BOTH_FIELDS
     elif cfg.what == "rep2-paths":
         quad, ctrl = _quad(cfg), _ctrl(cfg)
         rows = []
         for (t, r, eta) in _grid(cfg):
             a = heat_kernel_rep2(t, r, eta, quad, ctrl, path="direct_2d")
             b = heat_kernel_rep2(t, r, eta, quad, ctrl, path="mode_series")
-            denom = abs(b.value) if b.value != 0 else 1.0
             rows.append({"t": t, "r": r, "eta": eta, "direct_2d": a.value,
-                         "mode_series": b.value,
-                         "rel_diff": abs(a.value - b.value) / denom})
+                         "mode_series": b.value, "rel_diff": _rel_diff(a.value, b.value)})
         fields = ["t", "r", "eta", "direct_2d", "mode_series", "rel_diff"]
     else:
         raise ValueError(f"unknown comparison {cfg.what!r}")
     write_records(rows, fields, cfg.format, out)
-    worst = max(row["rel_diff"] for row in rows)
-    print(f"max relative difference = {worst:.6e} (threshold {cfg.threshold:.1e})",
+    diffs = [row["rel_diff"] for row in rows]
+    print(f"max relative difference = {max(diffs):.6e} (threshold {cfg.threshold:.1e})",
           file=sys.stderr)
-    return 0 if worst <= cfg.threshold else 1
+    # written so that a NaN difference fails
+    return 0 if all(d <= cfg.threshold for d in diffs) else 1
 
 
 def _cmd_residual(cfg: RunConfig, out):
     which_list = ["rep1", "rep2"] if cfg.which == "both" else [cfg.which]
     quad, ctrl = _quad(cfg), _ctrl(cfg)
-    rows, ok = [], True
+    rows = []
     for (t, r, eta) in _grid(cfg):
         for which in which_list:
             res, scale = heat_residual(which, t, r, eta, quad, ctrl)
             bound = cfg.rel_tol * scale + cfg.abs_tol
-            good = res <= bound
-            ok = ok and good
-            rows.append({"t": t, "r": r, "eta": eta, "which": which,
-                         "residual": res, "dt_scale": scale, "bound": bound,
-                         "status": "pass" if good else "fail"})
+            rows.append(_checked({"t": t, "r": r, "eta": eta, "which": which, "residual": res,
+                                  "dt_scale": scale, "bound": bound}, res <= bound))
     write_records(rows, ["t", "r", "eta", "which", "residual", "dt_scale", "bound", "status"],
                   cfg.format, out)
-    return 0 if ok else 1
+    return _exit_code(rows)
 
 
 def _cmd_mass(cfg: RunConfig, out):
@@ -314,7 +313,7 @@ def _cmd_mc_check(cfg: RunConfig, out):
     base = SdeConfig(n_paths=cfg.n_paths, dt=cfg.dt, seed=cfg.seed, t_end=times[-1])
     snapshots = simulate_paths(base, snapshot_times=tuple(times[:-1]))
     by_time = {round(s.time, 10): s for s in snapshots}
-    rows, ok = [], True
+    rows = []
     for t in times:
         samples = by_time[round(t, 10)]
         mass = total_mass(t, quad=quad, ctrl=ctrl)
@@ -323,17 +322,15 @@ def _cmd_mc_check(cfg: RunConfig, out):
             analytic = weighted_integral(func, t, quad=quad, ctrl=ctrl,
                                          f_growth=growth) / mass
             z = (mean - analytic) / stderr if stderr > 0 else 0.0
-            good = abs(z) <= cfg.z_max
-            ok = ok and good
             rows.append({"function": f"{name}@t={t:g}", "mc_mean": mean,
                          "stderr": stderr, "analytic": analytic, "z": z})
     write_records(rows, ["function", "mc_mean", "stderr", "analytic", "z"], cfg.format, out)
-    return 0 if ok else 1
+    return 0 if all(abs(row["z"]) <= cfg.z_max for row in rows) else 1
 
 
 def _cmd_fiber(cfg: RunConfig, out):
     ctrl = _ctrl(cfg)
-    rows, ok = [], True
+    rows = []
     if cfg.check == "values":
         for t in cfg.t:
             for eta in cfg.eta:
@@ -352,10 +349,8 @@ def _cmd_fiber(cfg: RunConfig, out):
                 integral = float(np.dot(w, vals * np.sin(u) ** 6))
                 target = 1.0 if ctrl.mode == "normalized" else 2.0
                 dev = abs(integral - target)
-                good = dev <= 1e-8
-                ok = ok and good
-                rows.append({"t": t, "eta": eta, "integral": integral,
-                             "deviation": dev, "status": "pass" if good else "fail"})
+                rows.append(_checked({"t": t, "eta": eta, "integral": integral,
+                                      "deviation": dev}, dev <= 1e-8))
         fields = ["t", "eta", "integral", "deviation", "status"]
     elif cfg.check == "orthogonality":
         u, w = gl_nodes(200, 0.0, math.pi)
@@ -368,10 +363,8 @@ def _cmd_fiber(cfg: RunConfig, out):
                     dev = abs(integral - jacobi_norm_sq(m)) / jacobi_norm_sq(m)
                 else:
                     dev = abs(integral) / jacobi_norm_sq(m)
-                good = dev <= 1e-8
-                ok = ok and good
-                rows.append({"m": m, "n": n, "integral": integral, "deviation": dev,
-                             "status": "pass" if good else "fail"})
+                rows.append(_checked({"m": m, "n": n, "integral": integral, "deviation": dev},
+                                     dev <= 1e-8))
         fields = ["m", "n", "integral", "deviation", "status"]
     elif cfg.check == "profile":
         etas = np.linspace(0.0, math.pi, 81)
@@ -380,9 +373,7 @@ def _cmd_fiber(cfg: RunConfig, out):
             p1 = jacobi_sequence(m, np.array([1.0]))[m][0]
             worst = max(abs(fiber_mode_profile(m, float(e)) - v / p1)
                         for e, v in zip(etas, pm))
-            good = worst <= 1e-10
-            ok = ok and good
-            rows.append({"m": m, "max_abs_err": worst, "status": "pass" if good else "fail"})
+            rows.append(_checked({"m": m, "max_abs_err": worst}, worst <= 1e-10))
         fields = ["m", "max_abs_err", "status"]
     elif cfg.check == "chebyshev":
         us = np.linspace(0.0, 5.0, 100)
@@ -391,14 +382,31 @@ def _cmd_fiber(cfg: RunConfig, out):
             for u in us:
                 ref = math.cosh((m + 3) * u)
                 worst = max(worst, abs(hyp2f1_terminating(m, math.cosh(u)) - ref) / ref)
-            good = worst <= 1e-10
-            ok = ok and good
-            rows.append({"m": m, "max_rel_err": worst, "status": "pass" if good else "fail"})
+            rows.append(_checked({"m": m, "max_rel_err": worst}, worst <= 1e-10))
         fields = ["m", "max_rel_err", "status"]
     else:
         raise ValueError(f"unknown fiber check {cfg.check!r}")
     write_records(rows, fields, cfg.format, out)
-    return 0 if ok else 1
+    return _exit_code(rows)
+
+
+def _radial_pde_residual(n: int, t: float, s: float) -> float:
+    """|dq/dt - radial Laplacian q| / (|dq/dt| + 1e-5) for the n-dimensional kernel.
+
+    Central differences with one Richardson step in t and in s; the scale
+    makes a bound of 1e-5 read as 1e-5 relative plus 1e-10 absolute.
+    """
+    def q(tt, ss):
+        return hyperbolic_heat_kernel(n, tt, ss)
+
+    def richardson(diff, h):
+        coarse, fine = diff(h), diff(h / 2.0)
+        return fine + (fine - coarse) / 3.0
+
+    time_deriv = richardson(lambda h: (q(t + h, s) - q(t - h, s)) / (2.0 * h), 1e-3 * t)
+    spatial = richardson(lambda h: (q(t, s + h) - 2.0 * q(t, s) + q(t, s - h)) / h ** 2
+                         + (n - 1.0) / math.tanh(s) * (q(t, s + h) - q(t, s - h)) / (2.0 * h), 1e-3)
+    return abs(time_deriv - spatial) / (abs(time_deriv) + 1e-10 / 1e-5)
 
 
 def _cmd_hyperbolic(cfg: RunConfig, out):
@@ -407,33 +415,35 @@ def _cmd_hyperbolic(cfg: RunConfig, out):
             out.write(line + "\n")
         return 0
     if cfg.check == "suite":
-        rows, ok = [], True
+        rows = []
         # normalization against the full volume for the two dimensions in use
         for n in (9, 15):
             omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
             for t in cfg.t:
                 s_max = (n - 1) * t + 12.0 * math.sqrt(t) + 5.0
-                s, w = gl_nodes(1200, 1e-8, s_max)
+                s, w = gl_nodes(1200, 1e-9, s_max)
                 q = hyperbolic_heat_kernel(n, t, s)
                 integral = float(np.dot(w, q * omega * np.sinh(s) ** (n - 1)))
                 dev = abs(integral - 1.0)
-                good = dev <= 1e-6
-                ok = ok and good
-                rows.append({"check": f"normalization_n{n}", "t": t, "value": integral,
-                             "deviation": dev, "status": "pass" if good else "fail"})
+                rows.append(_checked({"check": f"normalization_n{n}", "t": t, "value": integral,
+                                      "deviation": dev}, dev <= 1e-6))
+        # radial heat equation, worst point per (n, t)
+        for n in (9, 15):
+            for t in cfg.t:
+                worst = max(_radial_pde_residual(n, t, s) for s in (0.5, 1.0, 2.0))
+                rows.append(_checked({"check": f"pde_residual_n{n}", "t": t, "value": worst,
+                                      "deviation": worst}, worst <= 1e-5))
         # classical 3-dimensional closed form
         worst = 0.0
         for t in cfg.t:
-            for s in (0.3, 1.0, 2.5, 5.0):
+            for s in (1e-8, 0.3, 1.0, 2.5, 5.0):
                 ref = math.exp(-t) / (4.0 * math.pi * t) ** 1.5 * (s / math.sinh(s)) \
                     * math.exp(-s * s / (4.0 * t))
                 worst = max(worst, abs(hyperbolic_heat_kernel(3, t, s) - ref) / ref)
-        good = worst <= 1e-12
-        ok = ok and good
-        rows.append({"check": "closed_form_n3", "t": 0.0, "value": worst,
-                     "deviation": worst, "status": "pass" if good else "fail"})
+        rows.append(_checked({"check": "closed_form_n3", "t": 0.0, "value": worst,
+                              "deviation": worst}, worst <= 1e-12))
         write_records(rows, ["check", "t", "value", "deviation", "status"], cfg.format, out)
-        return 0 if ok else 1
+        return _exit_code(rows)
     rows = []
     for t in cfg.t:
         for s in cfg.s:
@@ -448,8 +458,7 @@ def _cmd_octonion_check(cfg: RunConfig, out):
     rows = []
 
     def record(check, err, tol):
-        rows.append({"check": check, "max_error": err, "tolerance": tol,
-                     "status": "pass" if err <= tol else "fail"})
+        rows.append(_checked({"check": check, "max_error": err, "tolerance": tol}, err <= tol))
 
     err = 0.0
     for (i, j, k) in oct.GENERATOR_TRIPLES:
@@ -499,7 +508,7 @@ def _cmd_octonion_check(cfg: RunConfig, out):
     record("quadric_and_projection", err, 1e-10)
 
     write_records(rows, ["check", "max_error", "tolerance", "status"], cfg.format, out)
-    return 0 if all(r["status"] == "pass" for r in rows) else 1
+    return _exit_code(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +528,11 @@ def _add_common(p):
     p.add_argument("--workers", type=int)
 
 
+def _add_grid(p):
+    for name in ("t", "r", "eta"):
+        p.add_argument(f"--{name}", type=_parse_float_list)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="octads",
@@ -528,26 +542,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate the kernel on a grid")
     _add_common(p)
-    p.add_argument("--t", type=_parse_float_list)
-    p.add_argument("--r", type=_parse_float_list)
-    p.add_argument("--eta", type=_parse_float_list)
+    _add_grid(p)
     p.add_argument("--rep", choices=("1", "2", "both"))
     p.add_argument("--path", choices=("mode_series", "direct_2d"))
 
     p = sub.add_parser("compare-reps", help="cross-validate the two representations")
     _add_common(p)
-    p.add_argument("--t", type=_parse_float_list)
-    p.add_argument("--r", type=_parse_float_list)
-    p.add_argument("--eta", type=_parse_float_list)
+    _add_grid(p)
     p.add_argument("--what", choices=("reps", "rep2-paths"))
     p.add_argument("--path", choices=("mode_series", "direct_2d"))
     p.add_argument("--threshold", type=float)
 
     p = sub.add_parser("residual", help="heat equation residual at interior points")
     _add_common(p)
-    p.add_argument("--t", type=_parse_float_list)
-    p.add_argument("--r", type=_parse_float_list)
-    p.add_argument("--eta", type=_parse_float_list)
+    _add_grid(p)
     p.add_argument("--which", choices=("rep1", "rep2", "both"))
     p.add_argument("--rel-tol", dest="rel_tol", type=float)
     p.add_argument("--abs-tol", dest="abs_tol", type=float)

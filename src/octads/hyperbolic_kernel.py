@@ -2,17 +2,16 @@
 
 For dimension n = 2k+1 the kernel at distance s is an explicit prefactor
 times the k-fold application of -(1/sinh s) d/ds to the Gaussian
-exp(-s^2/4t).  The iterated derivative is expanded once, exactly, into a
-canonical sum of terms
+exp(-s^2/4t).  With x = cosh s that operator is -d/dx, and the result is
+P_k(x) exp(-s^2/4t) with P_0 = 1, P_{j+1} = -P_j' + P_j F'/(4t), ' = d/dx and
+F(x) = arccosh(x)^2.  F obeys (x^2 - 1) F'' + x F' = 2, which gives two-term
+recurrences for its Taylor coefficients.  P_k is evaluated in floats: below
+SMALL_S_SWITCH as a power series in w = cosh s - 1, above it per node in
+Taylor mode about x0 = cosh s, P_k = (-1)^k k! [h^k] exp(-(F(x0+h) - F(x0))/4t).
 
-    coeff(1/t) * s^pow_s * csch(s)^pow_csch * coth(s)^pow_coth * exp(-s^2/4t)
-
-with rational polynomial coefficients in 1/t.  Direct evaluation of that sum
-is ill conditioned near s = 0 (individual terms grow like s^-2k while the sum
-stays finite), so below a switch radius the sum is replaced by its exact
-Taylor polynomial in s, also computed once in rational arithmetic; the
-negative and odd powers cancel identically and both cancellations are
-asserted during construction.
+The exact expansion of the same derivative into canonical terms
+coeff(1/t) s^pow_s csch(s)^pow_csch coth(s)^pow_coth, with rational
+polynomial coefficients in 1/t, is kept for `octads hyperbolic --dump-terms`.
 """
 
 from __future__ import annotations
@@ -24,15 +23,64 @@ from functools import lru_cache
 
 import numpy as np
 
-# Term sums are evaluated below this radius via the cached Taylor polynomial
-# of degree TAYLOR_ORDER; beyond it direct evaluation loses at most ~3 digits
-# to cancellation.  The poles of csch^b coth^c at +-i pi have order up to 13,
-# so the Taylor tail carries a C(n+12, 12) enhancement over (s/pi)^2n; at the
-# switch radius and this order it is ~1e-22.
+# Below the switch P_k is a power series of _SERIES_LENGTH terms in
+# w = cosh s - 1 <= 0.89; arccosh(1 + w)^2 has radius 2 in w, so the
+# dropped tail is below 1e-14 relative for every k <= 7 and t >= 0.05.
 SMALL_S_SWITCH = 1.25
-TAYLOR_ORDER = 84
+_SERIES_LENGTH = 64
 
 MAX_DIMENSION = 15
+
+
+def _arccosh_sq_slope(n_terms: int) -> np.ndarray:
+    """F' for F = arccosh(1 + w)^2 in powers of w: F'_0 = 2, F'_n = -n F'_{n-1}/(2n+1)."""
+    n = np.arange(1.0, n_terms)
+    return 2.0 * np.cumprod(np.concatenate(([1.0], -n / (2.0 * n + 1.0))))
+
+
+_DF_SERIES = _arccosh_sq_slope(_SERIES_LENGTH + 7)  # room for k = 7 derivatives
+
+
+def _series_factor(k: int, t: float, w: np.ndarray) -> np.ndarray:
+    """P_k at w = cosh s - 1; the series starts k terms longer, one per derivative."""
+    p = np.zeros(_SERIES_LENGTH + k)
+    p[0] = 1.0
+    for _ in range(k):
+        n = p.size - 1
+        p = np.convolve(p[:n], _DF_SERIES[:n])[:n] / (4.0 * t) - np.arange(1, n + 1) * p[1:]
+    return np.polynomial.polynomial.polyval(w, p)
+
+
+def _taylor_mode_factor(k: int, t: float, s: np.ndarray) -> np.ndarray:
+    """P_k at x0 = cosh s by Taylor mode, in the scaled step (x - x0)/sinh s.
+
+    The scaled coefficients c_n of F stay O(s) for every s:
+    c_{n+2} = (2 [n = 0] - coth(s) (n+1)(2n+1) c_{n+1} - n^2 c_n) / ((n+2)(n+1)).
+    """
+    coth = 1.0 / np.tanh(s)
+    c = [s * s, 2.0 * s]
+    for n in range(k - 1):
+        c.append(((2.0 if n == 0 else 0.0) - coth * (n + 1) * (2 * n + 1) * c[n + 1]
+                  - n * n * c[n]) / ((n + 2) * (n + 1)))
+    # e = exp(g) with g = -(F - F_0)/4t, from m e_m = sum_j j g_j e_{m-j}
+    g = [-cn / (4.0 * t) for cn in c]
+    e = [np.ones_like(s)]
+    for m in range(1, k + 1):
+        e.append(sum(j * g[j] * e[m - j] for j in range(1, m + 1)) / m)
+    return (-1) ** k * math.factorial(k) * e[k] / np.sinh(s) ** k
+
+
+def _lowering_factor(k: int, t: float, s: np.ndarray) -> np.ndarray:
+    """The factor P_k in front of exp(-s^2/4t), stable down to s = 0."""
+    small = s < SMALL_S_SWITCH
+    out = np.empty_like(s)
+    out[small] = _series_factor(k, t, 2.0 * np.sinh(0.5 * s[small]) ** 2)
+    out[~small] = _taylor_mode_factor(k, t, s[~small])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# exact term table of the lowering operator, for --dump-terms
 
 
 @dataclass(frozen=True)
@@ -51,7 +99,6 @@ class ExpTermSum:
     def __init__(self, data=None):
         # data: {(pow_s, pow_csch, pow_coth): {j: Fraction}}
         self._data = {}
-        self._taylor = None
         if data:
             for key, poly in data.items():
                 clean = {j: q for j, q in poly.items() if q != 0}
@@ -85,40 +132,6 @@ class ExpTermSum:
 
     def items(self):
         return self._data.items()
-
-    def evaluate_factor(self, t: float, s) -> np.ndarray:
-        """The sum without the shared Gaussian, valid for s > 0 away from 0."""
-        s = np.asarray(s, dtype=float)
-        csch = 1.0 / np.sinh(s)
-        coth = np.cosh(s) * csch
-        out = np.zeros_like(s)
-        for (a, b, c), poly in self._data.items():
-            coef = 0.0
-            for j, q in poly.items():
-                coef += float(q) * t ** (-j)
-            out += coef * s ** a * csch ** b * coth ** c
-        return out
-
-    def taylor_coefficients(self):
-        """Exact Taylor coefficients {even exponent: {j: Fraction}} at s = 0."""
-        if self._taylor is None:
-            self._taylor = _taylor_table(self)
-        return self._taylor
-
-    def evaluate(self, t: float, s) -> np.ndarray:
-        """The factor in front of the Gaussian, stable down to s = 0."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty_like(s)
-        small = s < SMALL_S_SWITCH
-        if np.any(~small):
-            out[~small] = self.evaluate_factor(t, s[~small])
-        if np.any(small):
-            table = self.taylor_coefficients()
-            coeffs = np.zeros(TAYLOR_ORDER // 2 + 1)
-            for e, poly in table.items():
-                coeffs[e // 2] = sum(float(q) * t ** (-j) for j, q in poly.items())
-            out[small] = np.polynomial.polynomial.polyval(s[small] ** 2, coeffs)
-        return out
 
 
 def apply_lowering(term_sum: ExpTermSum, sign: int = -1) -> ExpTermSum:
@@ -159,86 +172,6 @@ def lowering_terms(k: int) -> ExpTermSum:
 
 
 # ---------------------------------------------------------------------------
-# exact Taylor expansion machinery for the small-s branch
-
-
-def _bernoulli(n: int) -> Fraction:
-    return _bernoulli_list(n)[n]
-
-
-@lru_cache(maxsize=None)
-def _bernoulli_list(n_max: int):
-    b = [Fraction(1)]
-    for m in range(1, n_max + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * b[j]
-        b.append(-acc / (m + 1))
-    return b
-
-
-@lru_cache(maxsize=8)
-def _laurent_series(kind: str, e_max: int):
-    """Laurent coefficients {odd exponent: Fraction} of csch or coth at 0."""
-    series = {-1: Fraction(1)}
-    n = 1
-    while 2 * n - 1 <= e_max:
-        b2n = _bernoulli(2 * n)
-        fact = Fraction(math.factorial(2 * n))
-        if kind == "coth":
-            series[2 * n - 1] = Fraction(2) ** (2 * n) * b2n / fact
-        elif kind == "csch":
-            series[2 * n - 1] = (Fraction(2) - Fraction(2) ** (2 * n)) * b2n / fact
-        else:
-            raise ValueError(kind)
-        n += 1
-    return series
-
-
-def _mul_series(a: dict, b: dict, e_max: int) -> dict:
-    out = {}
-    for ea, qa in a.items():
-        for eb, qb in b.items():
-            e = ea + eb
-            if e <= e_max:
-                out[e] = out.get(e, Fraction(0)) + qa * qb
-    return out
-
-
-def _taylor_table(term_sum: ExpTermSum):
-    """Exact Taylor table of a term sum."""
-    total: dict[int, dict[int, Fraction]] = {}
-    for (a, b, c), poly in term_sum.items():
-        n_factors = b + c
-        series = {a: Fraction(1)}
-        remaining = n_factors
-        for kind, count in (("csch", b), ("coth", c)):
-            base = _laurent_series(kind, TAYLOR_ORDER + n_factors + 1)
-            for _ in range(count):
-                remaining -= 1
-                series = _mul_series(series, base, TAYLOR_ORDER + remaining)
-        for e, q in series.items():
-            if e > TAYLOR_ORDER:
-                continue
-            tgt = total.setdefault(e, {})
-            for j, qj in poly.items():
-                tgt[j] = tgt.get(j, Fraction(0)) + q * qj
-
-    table = {}
-    for e, polyj in total.items():
-        polyj = {j: q for j, q in polyj.items() if q != 0}
-        if not polyj:
-            continue
-        # the summed factor is smooth and even in s: anything else is a bug
-        if e < 0:
-            raise AssertionError(f"negative power s^{e} survived cancellation")
-        if e % 2 == 1:
-            raise AssertionError(f"odd power s^{e} survived cancellation")
-        table[e] = polyj
-    return table
-
-
-# ---------------------------------------------------------------------------
 # public kernel evaluations
 
 
@@ -263,7 +196,7 @@ def hyperbolic_heat_kernel(n: int, t: float, s) -> float | np.ndarray:
     if np.any(s_arr < 0):
         raise ValueError("distance must be nonnegative")
     pref = math.exp(-k * k * t) / ((2.0 * math.pi) ** k * math.sqrt(4.0 * math.pi * t))
-    val = pref * lowering_terms(k).evaluate(t, s_arr) * np.exp(-s_arr * s_arr / (4.0 * t))
+    val = pref * _lowering_factor(k, t, s_arr) * np.exp(-s_arr * s_arr / (4.0 * t))
     return val if np.ndim(s) else float(val[0])
 
 
@@ -304,9 +237,5 @@ def dump_term_table(n: int) -> list[str]:
     is stable and diffable; the first line has the highest csch power.
     """
     k = _check_dimension(n)
-    lines = []
-    for term in lowering_terms(k).terms():
-        lines.append(
-            f"{_format_coeff(term.coeff)},{term.pow_s},{term.pow_csch},{term.pow_coth}"
-        )
-    return lines
+    return [f"{_format_coeff(term.coeff)},{term.pow_s},{term.pow_csch},{term.pow_coth}"
+            for term in lowering_terms(k).terms()]

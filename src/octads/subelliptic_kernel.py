@@ -52,9 +52,14 @@ REP2_CONSTANT = 6.0 / math.pi ** 4
 # exp(-(m(m+6) + 33) t) before the u-integral contributes its growth.
 REP2_RATE_SHIFT = 33
 
-# Documented stability floor for kernel evaluation; below this the continued
-# fiber series cancels catastrophically against the quadrature weights.
+# Supported floor for kernel evaluation; below this the continued fiber
+# series cancels catastrophically against the quadrature weights.
 MIN_TIME = 0.05
+
+
+def _check_time(t: float) -> None:
+    if not t >= MIN_TIME:
+        raise ValueError(f"time {t} is below the supported minimum {MIN_TIME}")
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -68,8 +73,7 @@ class KernelPoint:
     eta: float
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("time must be positive")
+        _check_time(self.t)
         if self.r < 0:
             raise ValueError("base distance must be nonnegative")
         if not 0.0 <= self.eta <= math.pi:
@@ -448,8 +452,7 @@ def weighted_integral(f, t: float, which: str = "rep1",
     a <= f_growth; the radial cutoff grows accordingly.  Convergence is
     checked by doubling both grid directions.
     """
-    if t <= 0:
-        raise ValueError("time must be positive")
+    _check_time(t)
     ctrl = ctrl or SeriesControl()
     quad = quad or QuadratureSpec(n_u=192)
     if r_max is None:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -5,6 +6,7 @@ import re
 
 import pytest
 
+import octads.cli
 from octads.cli import main, write_records
 
 
@@ -30,6 +32,11 @@ class TestWriteRecords:
         write_records([{"x": 0.5, "n": 2}], ["x", "n"], "json", buf)
         data = json.loads(buf.getvalue())
         assert data == [{"x": 0.5, "n": 2}]
+
+    def test_json_non_finite_floats_are_strings(self):
+        buf = io.StringIO()
+        write_records([{"x": math.inf, "y": math.nan}], ["x", "y"], "json", buf)
+        assert json.loads(buf.getvalue()) == [{"x": "inf", "y": "nan"}]
 
 
 class TestEval:
@@ -62,6 +69,16 @@ class TestEval:
         rows = json.loads(payload.decode())
         assert list(rows[0].keys()) == ["t", "r", "eta", "value", "est_error", "m_used", "u_max_used"]
 
+    def test_below_min_time_exits_2(self, tmp_path):
+        code, _ = run_cli(["eval", "--t", "0.02", "--r", "0.5", "--eta", "0.3"], tmp_path)
+        assert code == 2
+
+    def test_underflow_to_zero_fails(self, tmp_path):
+        # at t = 16 both representations underflow to exactly 0.0
+        code, payload = run_cli(["eval", "--t", "16", "--r", "0", "--eta", "0"], tmp_path)
+        assert code == 1
+        assert payload.decode().splitlines()[1].endswith(",inf")
+
 
 class TestCompareReps:
     def test_small_grid_passes(self, tmp_path):
@@ -77,6 +94,24 @@ class TestCompareReps:
             ["compare-reps", "--t", "1", "--r", "0.5", "--eta", "0", "--threshold", "1e-16"],
             tmp_path)
         assert code == 1
+
+    def test_zero_values_do_not_agree(self, tmp_path):
+        code, _ = run_cli(["compare-reps", "--t", "16", "--r", "0", "--eta", "0"], tmp_path)
+        assert code == 1
+
+    def test_nan_value_fails(self, tmp_path, monkeypatch):
+        # a NaN between two good points must not vanish from the verdict
+        real = octads.cli.heat_kernel_rep2
+
+        def rep2(t, r, eta, *args, **kwargs):
+            k = real(t, r, eta, *args, **kwargs)
+            return dataclasses.replace(k, value=math.nan) if r == 0.5 else k
+
+        monkeypatch.setattr(octads.cli, "heat_kernel_rep2", rep2)
+        code, payload = run_cli(
+            ["compare-reps", "--t", "1", "--r", "0,0.5,1", "--eta", "0"], tmp_path)
+        assert code == 1
+        assert payload.decode().splitlines()[2].endswith(",inf")
 
     def test_rep2_paths(self, tmp_path):
         code, _ = run_cli(
@@ -97,6 +132,19 @@ class TestOtherCommands:
         code, payload = run_cli(["hyperbolic", "--n", "3", "--dump-terms"], tmp_path, "terms.txt")
         assert code == 0
         assert payload.decode() == "1/2/t,1,1,0\n"
+
+    def test_hyperbolic_suite(self, tmp_path):
+        code, payload = run_cli(["hyperbolic", "--check", "suite"], tmp_path)
+        assert code == 0
+        rows = [line.split(",") for line in payload.decode().splitlines()[1:]]
+        checks = [row[0] for row in rows]
+        for n in (9, 15):
+            assert checks.count(f"normalization_n{n}") == 3
+            assert checks.count(f"pde_residual_n{n}") == 3
+        assert checks.count("closed_form_n3") == 1
+        for row in rows:
+            if row[0].startswith("pde_residual"):
+                assert float(row[3]) <= 1e-5 and row[4] == "pass"
 
     def test_hyperbolic_values(self, tmp_path):
         code, payload = run_cli(["hyperbolic", "--n", "3", "--t", "1", "--s", "1"], tmp_path)

@@ -13,6 +13,9 @@ from octads.hyperbolic_kernel import (
     hyperbolic_heat_kernel,
     hyperbolic_heat_kernel_composed,
     lowering_terms,
+    _lowering_factor,
+    _series_factor,
+    _taylor_mode_factor,
 )
 
 
@@ -48,13 +51,18 @@ class TestLoweringOperator:
             expr = -sp.diff(expr, s) / sp.sinh(s)
         reference = sp.lambdify((t, s), expr * sp.exp(s ** 2 / (4 * t)), "mpmath")
         terms = lowering_terms(k)
-        # the symbolic expression cancels catastrophically at small s, so the
-        # oracle runs at 60 digits
+        # both sides cancel catastrophically at small s, so the table and the
+        # symbolic expression are evaluated at 60 digits
         with mp.workdps(60):
             for tv, sv in [(0.5, 0.7), (1.0, 1.9), (2.0, 3.3), (0.7, 0.2)]:
-                mine = terms.evaluate(tv, np.array([sv]))[0]
-                ref = float(reference(mp.mpf(tv), mp.mpf(sv)))
-                assert mine == pytest.approx(ref, rel=1e-10), (k, tv, sv)
+                tm, sm = mp.mpf(tv), mp.mpf(sv)
+                mine = sum(
+                    sum(mp.mpf(q.numerator) / q.denominator * tm ** -j for j, q in poly.items())
+                    * sm ** a / mp.sinh(sm) ** b * mp.coth(sm) ** c
+                    for (a, b, c), poly in terms.items()
+                )
+                ref = reference(tm, sm)
+                assert abs(mine - ref) <= mp.mpf("1e-30") * abs(ref), (k, tv, sv)
 
     def test_term_counts(self):
         assert len(lowering_terms(4)) == 11
@@ -62,30 +70,44 @@ class TestLoweringOperator:
 
 
 class TestTaylorBranch:
-    def test_taylor_table_has_no_negative_or_odd_powers(self):
-        # construction would raise otherwise; also check the head coefficient
-        table = lowering_terms(1).taylor_coefficients()
-        assert table[0] == {1: Fraction(1, 2)}
-        assert all(e >= 0 and e % 2 == 0 for e in table)
+    """The float evaluator: a series in w = cosh s - 1 below the switch and
+    Taylor mode about x0 = cosh s above it."""
+
+    def test_against_mpmath_oracle(self):
+        mp = pytest.importorskip("mpmath")
+        ss = [1e-6, 0.2, 1.2, SMALL_S_SWITCH - 1e-4, SMALL_S_SWITCH, 1.3, 3.0, 8.0, 20.0]
+        for t in (0.05, 0.5, 2.34, 6.0):
+
+            def q(x):
+                return mp.exp(-mp.acosh(x) ** 2 / (4 * mp.mpf(t)))
+
+            for k in range(1, 8):
+                mine = _lowering_factor(k, t, np.array(ss))
+                for s, value in zip(ss, mine):
+                    # P_k = (-1)^k q^(k) / q at x = cosh s
+                    with mp.workdps(60):
+                        x = mp.cosh(mp.mpf(s))
+                        ref = float(mp.re((-1) ** k * mp.diff(q, x, k) / q(x)))
+                    assert abs(value - ref) <= 1e-12 * abs(ref), (k, t, s)
+
+    def test_exact_value_at_zero(self):
+        # series heads: P_1(1) = 1/(2t), P_2(1) = 1/(6t) + 1/(4t^2)
+        for t in (0.05, 0.5, 2.0):
+            heads = _lowering_factor(1, t, np.zeros(1)), _lowering_factor(2, t, np.zeros(1))
+            assert heads[0][0] == pytest.approx(1.0 / (2.0 * t), rel=1e-15)
+            assert heads[1][0] == pytest.approx(1.0 / (6.0 * t) + 1.0 / (4.0 * t * t), rel=1e-15)
+            assert hyperbolic_heat_kernel(3, t, 0.0) == pytest.approx(
+                math.exp(-t) / (4.0 * math.pi * t) ** 1.5, rel=1e-15)
 
     @pytest.mark.parametrize("k", [1, 4, 7])
     def test_switchover_consistency(self, k):
-        # both evaluation routes agree in an overlap window below the switch,
-        # where the direct route still has full accuracy
-        terms = lowering_terms(k)
-        for s in (0.8, 1.0, 1.1, SMALL_S_SWITCH - 1e-9):
-            for t in (0.5, 2.0):
-                taylor = terms.evaluate(t, np.array([s]))[0]
-                direct = terms.evaluate_factor(t, np.array([s]))[0]
-                assert abs(taylor - direct) <= 1e-9 * abs(taylor), (k, s, t)
-
-    def test_direct_route_degrades_below_window(self):
-        # deep inside the small-s region the direct route cancels
-        # catastrophically; the agreement bound is correspondingly loose there
-        terms = lowering_terms(7)
-        taylor = terms.evaluate(0.5, np.array([0.4]))[0]
-        direct = terms.evaluate_factor(0.5, np.array([0.4]))[0]
-        assert abs(taylor - direct) <= 1e-6 * abs(taylor)
+        # both branches agree in a window below the switch, where Taylor mode
+        # about cosh s loses at most two digits
+        s = np.array([0.8, 1.0, 1.1, SMALL_S_SWITCH - 1e-9])
+        for t in (0.5, 2.0):
+            series = _series_factor(k, t, 2.0 * np.sinh(0.5 * s) ** 2)
+            taylor_mode = _taylor_mode_factor(k, t, s)
+            assert np.all(np.abs(series - taylor_mode) <= 1e-11 * np.abs(series)), (k, t)
 
 
 class TestKernelValues:

@@ -6,6 +6,7 @@ import pytest
 from octads.fiber_kernel import SeriesControl
 from octads.subelliptic_kernel import (
     KernelPoint,
+    MIN_TIME,
     QuadratureConvergenceError,
     QuadratureSpec,
     REP2_CONSTANT,
@@ -97,6 +98,15 @@ class TestRepresentations:
             heat_kernel_rep2(1.0, 0.0, 0.0, variant="nope")
         with pytest.raises(ValueError):
             KernelPoint(1.0, 0.0, -0.1)
+
+    def test_min_time_enforced(self):
+        # below MIN_TIME rep 2 used to return an unchecked value (79.3 here)
+        for rep in (heat_kernel_rep1, heat_kernel_rep2):
+            with pytest.raises(ValueError, match="below the supported minimum"):
+                rep(0.02, 0.5, 0.3)
+        with pytest.raises(ValueError, match="below the supported minimum"):
+            total_mass(0.02)
+        assert heat_kernel_rep2(MIN_TIME, 0.5, 0.3).value > 0
 
     def test_nonconvergence_raises(self):
         with pytest.raises(QuadratureConvergenceError):
