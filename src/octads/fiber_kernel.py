@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_fn import jacobi_end_value, jacobi_norm_sq
+from .special_fn import jacobi_end_value, jacobi_next, jacobi_norm_sq
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -102,33 +102,19 @@ def _series_matrix(t, etas, us, continued, ctrl: SeriesControl, m_fixed=None):
     x_max = float(np.max(xu))
 
     out = np.zeros((etas.size, us.size))
-    pe_prev = np.ones_like(xe)
-    pu_prev = np.ones_like(xu)
-    pe = pb = pu = None
-    pb_prev = 1.0  # P_m at x_max
+    # degree m at the eta nodes, the u nodes and x_max; the *2 names hold m-1
+    pe, pu, pb = np.ones_like(xe), np.ones_like(xu), 1.0
+    pe2 = pu2 = pb2 = None
     scale = 0.0
     below = 0
     last_bound = math.inf
     cap = ctrl.m_cap if m_fixed is None else m_fixed
-    alpha = beta = 2.5
 
     for m in range(cap + 1):
-        if m == 0:
-            pe, pu, pb = pe_prev, pu_prev, pb_prev
-        elif m == 1:
-            pe = 3.5 * xe
-            pu = 3.5 * xu
-            pb = 3.5 * x_max
-            pe_prev = np.ones_like(xe)
-            pu_prev = np.ones_like(xu)
-            pb_prev = 1.0
-        else:
-            a_n = 2.0 * m * (m + alpha + beta) * (2.0 * m + alpha + beta - 2.0)
-            b1 = (2.0 * m + alpha + beta - 1.0) * (2.0 * m + alpha + beta) * (2.0 * m + alpha + beta - 2.0)
-            c_n = 2.0 * (m + alpha - 1.0) * (m + beta - 1.0) * (2.0 * m + alpha + beta)
-            pe, pe_prev = (b1 * xe * pe - c_n * pe_prev) / a_n, pe
-            pu, pu_prev = (b1 * xu * pu - c_n * pu_prev) / a_n, pu
-            pb, pb_prev = (b1 * x_max * pb - c_n * pb_prev) / a_n, pb
+        if m >= 1:
+            pe, pe2 = jacobi_next(m, xe, pe, pe2), pe
+            pu, pu2 = jacobi_next(m, xu, pu, pu2), pu
+            pb, pb2 = jacobi_next(m, x_max, pb, pb2), pb
         if not np.isfinite(pb):
             raise SeriesConvergenceError(
                 f"degree-{m} polynomial overflowed at argument {x_max:.3e}; "

@@ -12,24 +12,20 @@ from functools import lru_cache
 import numpy as np
 
 
-def jacobi_poly(m: int, x, alpha: float = 2.5, beta: float = 2.5):
-    """Degree-m Jacobi polynomial by the standard three-term recurrence.
+def jacobi_next(n: int, x, p1, p2, alpha: float = 2.5, beta: float = 2.5):
+    """Degree n of the Jacobi family from degrees n-1 (p1) and n-2 (p2).
 
-    Valid for any real x, including |x| > 1 where the polynomial is its own
-    analytic continuation.  Accepts scalars or arrays.
+    The standard three-term recurrence; at n = 1 it returns the linear
+    polynomial and ignores p1 and p2.  Valid for any real x, including
+    |x| > 1 where the polynomial is its own analytic continuation.
     """
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if m == 0:
-        return p_prev if p_prev.shape else float(p_prev)
-    p = (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
-    for n in range(2, m + 1):
-        a_n = 2.0 * n * (n + alpha + beta) * (2.0 * n + alpha + beta - 2.0)
-        b1 = (2.0 * n + alpha + beta - 1.0) * (2.0 * n + alpha + beta) * (2.0 * n + alpha + beta - 2.0)
-        b0 = (2.0 * n + alpha + beta - 1.0) * (alpha * alpha - beta * beta)
-        c_n = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * (2.0 * n + alpha + beta)
-        p, p_prev = ((b1 * x + b0) * p - c_n * p_prev) / a_n, p
-    return p if p.shape else float(p)
+    if n == 1:
+        return (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
+    a_n = 2.0 * n * (n + alpha + beta) * (2.0 * n + alpha + beta - 2.0)
+    b1 = (2.0 * n + alpha + beta - 1.0) * (2.0 * n + alpha + beta) * (2.0 * n + alpha + beta - 2.0)
+    b0 = (2.0 * n + alpha + beta - 1.0) * (alpha * alpha - beta * beta)
+    c_n = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * (2.0 * n + alpha + beta)
+    return ((b1 * x + b0) * p1 - c_n * p2) / a_n
 
 
 def jacobi_sequence(m_max: int, x, alpha: float = 2.5, beta: float = 2.5) -> np.ndarray:
@@ -37,15 +33,15 @@ def jacobi_sequence(m_max: int, x, alpha: float = 2.5, beta: float = 2.5) -> np.
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((m_max + 1,) + x.shape)
     out[0] = 1.0
-    if m_max >= 1:
-        out[1] = (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
-    for n in range(2, m_max + 1):
-        a_n = 2.0 * n * (n + alpha + beta) * (2.0 * n + alpha + beta - 2.0)
-        b1 = (2.0 * n + alpha + beta - 1.0) * (2.0 * n + alpha + beta) * (2.0 * n + alpha + beta - 2.0)
-        b0 = (2.0 * n + alpha + beta - 1.0) * (alpha * alpha - beta * beta)
-        c_n = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * (2.0 * n + alpha + beta)
-        out[n] = ((b1 * x + b0) * out[n - 1] - c_n * out[n - 2]) / a_n
+    for n in range(1, m_max + 1):
+        out[n] = jacobi_next(n, x, out[n - 1], out[n - 2], alpha, beta)
     return out
+
+
+def jacobi_poly(m: int, x, alpha: float = 2.5, beta: float = 2.5):
+    """Degree-m Jacobi polynomial; scalar in, scalar out, or arrays."""
+    p = jacobi_sequence(m, x, alpha, beta)[m]
+    return p if np.ndim(x) else float(p[0])
 
 
 def jacobi_end_value(m: int, alpha: float = 2.5) -> float:

@@ -125,29 +125,63 @@ def _grid_u_max(t: float, r_top: float) -> float:
     return min(default_u_max(t, r_top), 6.0 * t + 8.0 * math.sqrt(t) + 5.0)
 
 
+# Rows of one (r, u) block hold at most this many nodes; each block is reduced
+# into the output before the next is built, so the full (r, u) matrix of a
+# density grid never exists.
+_BLOCK_NODES = 1 << 15
+
+
+def _row_blocks(n_rows: int, n_u: int):
+    step = max(1, _BLOCK_NODES // n_u)
+    return (slice(i, i + step) for i in range(0, n_rows, step))
+
+
+def _adaptive(what: str, t, r, eta, quad: QuadratureSpec, eval_at) -> KernelResult:
+    """Point policy: double the u-nodes from quad.n_u until two successive
+    values agree to quad.tol, at the default u-cutoff and then once at twice
+    it.  eval_at(n_u, u_max) returns (value, m_used).
+    """
+    base_u = quad.u_max if quad.u_max is not None else default_u_max(t, r)
+    for u_max in (base_u, 2.0 * base_u):
+        n = quad.n_u
+        prev, _ = eval_at(n, u_max)
+        for _ in range(4):
+            n *= 2
+            value, m_used = eval_at(n, u_max)
+            est = abs(value - prev)
+            if est <= quad.tol * abs(value) + 1e-280:
+                return KernelResult(value=value, est_error=est, m_used=m_used, u_max_used=u_max)
+            prev = value
+    raise QuadratureConvergenceError(f"{what} did not stabilize at (t={t}, r={r}, eta={eta})")
+
+
+def _at_point(grid, t, r, eta, ctrl, **kwargs):
+    """eval_at(n_u, u_max) of one point: the grid evaluator on a 1x1 grid."""
+    def eval_at(n_u, u_max):
+        values, m_used = grid(t, [r], [eta], n_u, ctrl, u_max, **kwargs)
+        return float(values[0, 0]), m_used
+    return eval_at
+
+
 # ---------------------------------------------------------------------------
 # representation 1
 
 
-def _rep1_eval(t, r, eta, u_max, n_u, ctrl, m_fixed=None):
+def _rep1_grid(t, rs, etas, n_u, ctrl, u_max, m_fixed=None):
+    """Representation-1 values on an (r, eta) grid at a fixed u-cutoff.
+
+    Returns (values[n_r, n_eta], m_used).  The fiber series is built once on
+    (eta, u); the hyperbolic factor is evaluated block by block over (r, u).
+    """
+    rs = np.asarray(rs, dtype=float)
     u, w = gl_nodes(n_u, 0.0, u_max)
-    fiber, m_used, _ = _series_matrix(t, eta, u, continued=True, ctrl=ctrl, m_fixed=m_fixed)
-    q15 = hyperbolic_heat_kernel_composed(15, t, r, u)
-    value = float(np.dot(w, fiber[0] * q15 * np.sinh(u) ** 6))
-    return value, m_used
-
-
-def _adaptive(eval_at_n, n0: int, tol: float, max_refine: int = 4):
-    prev = eval_at_n(n0)
-    n = n0
-    for _ in range(max_refine):
-        n *= 2
-        cur = eval_at_n(n)
-        est = abs(cur[0] - prev[0])
-        if est <= tol * abs(cur[0]) + 1e-280:
-            return cur, est
-        prev = cur
-    return None
+    fiber, m_used, _ = _series_matrix(t, etas, u, continued=True, ctrl=ctrl, m_fixed=m_fixed)
+    wsinh = w * np.sinh(u) ** 6
+    out = np.empty((rs.size, fiber.shape[0]))
+    for blk in _row_blocks(rs.size, n_u):
+        q15 = hyperbolic_heat_kernel_composed(15, t, rs[blk, None], u[None, :])
+        out[blk] = (q15 * wsinh) @ fiber.T
+    return out, m_used
 
 
 def heat_kernel_rep1(t: float, r: float, eta: float,
@@ -157,15 +191,8 @@ def heat_kernel_rep1(t: float, r: float, eta: float,
     KernelPoint(t, r, eta)
     quad = quad or QuadratureSpec()
     ctrl = ctrl or SeriesControl()
-    base_u = quad.u_max if quad.u_max is not None else default_u_max(t, r)
-    for u_max in (base_u, 2.0 * base_u):
-        hit = _adaptive(lambda n: _rep1_eval(t, r, eta, u_max, n, ctrl), quad.n_u, quad.tol)
-        if hit is not None:
-            (value, m_used), est = hit
-            return KernelResult(value=value, est_error=est, m_used=m_used, u_max_used=u_max)
-    raise QuadratureConvergenceError(
-        f"representation 1 did not stabilize at (t={t}, r={r}, eta={eta})"
-    )
+    return _adaptive("representation 1", t, r, eta, quad,
+                     _at_point(_rep1_grid, t, r, eta, ctrl))
 
 
 # ---------------------------------------------------------------------------
@@ -184,36 +211,51 @@ def _rep2_mode_coeffs(eta, m_top: int, variant: str):
     return weights[:, None] * profile
 
 
-def _rep2_mode_series(t, r, eta, u_max, n_u, ctrl, variant, m_fixed=None):
+def _rep2_grid(t, rs, etas, n_u, ctrl, u_max, m_fixed=None, variant="normalized"):
+    """Representation-2 values on an (r, eta) grid at a fixed u-cutoff.
+
+    Returns (values[n_r, n_eta], m_used).  The mode loop runs once per block
+    of r rows.  Each row stops on its own, after two consecutive modes below
+    ctrl.tol of its running sum: across r the values span hundreds of orders
+    of magnitude, so a rule for the whole grid would cut the small rows
+    short.  With m_fixed every row sums exactly the modes 0..m_fixed.
+    """
+    rs = np.asarray(rs, dtype=float)
+    etas = np.asarray(etas, dtype=float)
     u, w = gl_nodes(n_u, 0.0, u_max)
-    q9 = hyperbolic_heat_kernel_composed(9, t, r, u)
-    wq = w * q9
     cap = ctrl.m_cap if m_fixed is None else m_fixed
-    coeffs = None
-    total = 0.0
-    below = 0
-    m_top_alloc = 32
-    for m in range(cap + 1):
-        if coeffs is None or m >= coeffs.shape[0]:
-            m_top_alloc = max(m_top_alloc, 2 * m + 8)
-            coeffs = _rep2_mode_coeffs(eta, m_top_alloc, variant)
-        rate = fiber_eigenvalue(m) + REP2_RATE_SHIFT
-        b = m + 3
-        damped_cosh = 0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t))
-        j_m = float(np.dot(wq, damped_cosh))
-        term = float(coeffs[m, 0]) * j_m
-        total += term
-        if m_fixed is None:
-            below = below + 1 if abs(term) <= ctrl.tol * max(abs(total), 1e-300) else 0
-            if m >= 4 and below >= 2:
-                break
-    else:
-        if m_fixed is None:
-            raise QuadratureConvergenceError(f"mode series not converged by degree {cap}")
-        m = cap
+    profiles = _rep2_mode_coeffs(etas, 64, variant)
+    out = np.zeros((rs.size, etas.size))
+    m_used = 0
+    for blk in _row_blocks(rs.size, n_u):
+        rows = out[blk]
+        wq = w * hyperbolic_heat_kernel_composed(9, t, rs[blk, None], u[None, :])
+        live = np.arange(rows.shape[0])  # rows of the block still summing
+        below = np.zeros(live.size, dtype=int)
+        for m in range(cap + 1):
+            if m >= profiles.shape[0]:
+                profiles = _rep2_mode_coeffs(etas, 2 * m + 8, variant)
+            rate = fiber_eigenvalue(m) + REP2_RATE_SHIFT
+            b = m + 3
+            j_m = wq @ (0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t)))
+            term = j_m[:, None] * profiles[m]
+            rows[live] += term
+            if m_fixed is None:
+                small = np.max(np.abs(term), axis=1) <= ctrl.tol * np.maximum(
+                    np.max(np.abs(rows[live]), axis=1), 1e-300)
+                below = np.where(small, below + 1, 0)
+                if m >= 4:
+                    keep = below < 2
+                    live, below, wq = live[keep], below[keep], wq[keep]
+                    if live.size == 0:
+                        break
+        else:
+            if m_fixed is None:
+                raise QuadratureConvergenceError(f"mode series not converged by degree {cap}")
+        m_used = max(m_used, m)
     if variant == "normalized":
-        total *= REP2_CONSTANT / math.cosh(r) ** 3
-    return total, m
+        out *= (REP2_CONSTANT / np.cosh(rs) ** 3)[:, None]
+    return out, m_used
 
 
 def _rep2_direct_2d(t, r, eta, u_max, n_u, n_phi, ctrl, variant):
@@ -274,25 +316,14 @@ def heat_kernel_rep2(t: float, r: float, eta: float,
         raise ValueError(f"unknown variant {variant!r}")
     quad = quad or QuadratureSpec()
     ctrl = ctrl or SeriesControl()
-    base_u = quad.u_max if quad.u_max is not None else default_u_max(t, r)
-
     if path == "mode_series":
-        def eval_at(n, u_max):
-            return _rep2_mode_series(t, r, eta, u_max, n, ctrl, variant)
+        eval_at = _at_point(_rep2_grid, t, r, eta, ctrl, variant=variant)
     else:
         def eval_at(n, u_max):
             # refine the angular rule together with the radial one
             n_phi = max(quad.n_phi, quad.n_phi * n // quad.n_u)
             return _rep2_direct_2d(t, r, eta, u_max, n, n_phi, ctrl, variant)
-
-    for u_max in (base_u, 2.0 * base_u):
-        hit = _adaptive(lambda n: eval_at(n, u_max), quad.n_u, quad.tol)
-        if hit is not None:
-            (value, m_used), est = hit
-            return KernelResult(value=value, est_error=est, m_used=m_used, u_max_used=u_max)
-    raise QuadratureConvergenceError(
-        f"representation 2 did not stabilize at (t={t}, r={r}, eta={eta})"
-    )
+    return _adaptive("representation 2", t, r, eta, quad, eval_at)
 
 
 # ---------------------------------------------------------------------------
@@ -308,25 +339,18 @@ def frozen_kernel(which: str, t: float, r: float, eta: float,
     dominate finite-difference stencils, so the returned callable uses fixed
     quadrature nodes, fixed u_max, and a fixed series degree for every call.
     """
+    if which not in ("rep1", "rep2"):
+        raise ValueError(f"unknown representation {which!r}")
     quad = quad or QuadratureSpec()
     ctrl = ctrl or SeriesControl(tol=1e-13)
     u_max = quad.u_max if quad.u_max is not None else default_u_max(t, r) + 1.0
     n_u = 2 * quad.n_u
-    if which == "rep1":
-        _, m_probe = _rep1_eval(t, r, eta, u_max, n_u, ctrl)
-        m_fixed = m_probe + 8
+    # the degree margin added to the probed truncation differs per series
+    grid, margin = (_rep1_grid, 8) if which == "rep1" else (_rep2_grid, 4)
+    _, m_probe = grid(t, [r], [eta], n_u, ctrl, u_max)
 
-        def p(tt, rr, ee):
-            return _rep1_eval(tt, rr, ee, u_max, n_u, ctrl, m_fixed=m_fixed)[0]
-    elif which == "rep2":
-        _, m_probe = _rep2_mode_series(t, r, eta, u_max, n_u, ctrl, "normalized")
-        m_fixed = m_probe + 4
-
-        def p(tt, rr, ee):
-            return _rep2_mode_series(tt, rr, ee, u_max, n_u, ctrl,
-                                     "normalized", m_fixed=m_fixed)[0]
-    else:
-        raise ValueError(f"unknown representation {which!r}")
+    def p(tt, rr, ee):
+        return float(grid(tt, [rr], [ee], n_u, ctrl, u_max, m_fixed=m_probe + margin)[0][0, 0])
     return p
 
 
@@ -372,11 +396,11 @@ def heat_residual(which: str, t: float, r: float, eta: float,
                   quad: QuadratureSpec | None = None,
                   ctrl: SeriesControl | None = None,
                   h_r: float = 1e-3, h_eta: float = 1e-3,
-                  h_t_rel: float = 1e-3) -> tuple[float, float]:
-    """|d/dt p - L p| at an interior point, with the time-derivative scale.
+                  h_t_rel: float = 1e-3) -> tuple[float, float, float]:
+    """|d/dt p - L p| at an interior point, with the scales of its bound.
 
-    Returns (absolute residual, |d/dt p|) so callers can apply the
-    relative-plus-absolute acceptance bound.
+    Returns (absolute residual, |d/dt p|, p) so callers can apply the bound
+    rel |d/dt p| + abs p, whose floor scales with the kernel itself.
     """
     _check_interior(r, eta)
     p = frozen_kernel(which, t, r, eta, quad, ctrl)
@@ -389,55 +413,7 @@ def heat_residual(which: str, t: float, r: float, eta: float,
     coarse, fine = dt(h_t), dt(h_t / 2.0)
     time_deriv = fine + (fine - coarse) / 3.0
     spatial = apply_radial_sublaplacian(lambda rr, ee: p(t, rr, ee), r, eta, h_r, h_eta)
-    return abs(time_deriv - spatial), abs(time_deriv)
-
-
-def _rep1_grid(t, rs, etas, n_u, ctrl):
-    """Representation-1 values on a (r, eta) grid, vectorized row by row."""
-    rs = np.asarray(rs, dtype=float)
-    etas = np.asarray(etas, dtype=float)
-    u_max = _grid_u_max(t, float(np.max(rs)))
-    u, w = gl_nodes(n_u, 0.0, u_max)
-    fiber, m_used, _ = _series_matrix(t, etas, u, continued=True, ctrl=ctrl)
-    wsinh = w * np.sinh(u) ** 6
-    out = np.empty((rs.size, etas.size))
-    for i, r in enumerate(rs):
-        q15 = hyperbolic_heat_kernel_composed(15, t, float(r), u)
-        out[i] = fiber @ (wsinh * q15)
-    return out, m_used
-
-
-def _rep2_grid(t, rs, etas, n_u, ctrl):
-    """Representation-2 values on a grid, modes vectorized over eta."""
-    rs = np.asarray(rs, dtype=float)
-    etas = np.asarray(etas, dtype=float)
-    u_max = _grid_u_max(t, float(np.max(rs)))
-    u, w = gl_nodes(n_u, 0.0, u_max)
-    profiles = _rep2_mode_coeffs(etas, 64, "normalized")
-    out = np.zeros((rs.size, etas.size))
-    m_used = 0
-    for i, r in enumerate(rs):
-        q9 = hyperbolic_heat_kernel_composed(9, t, float(r), u)
-        wq = w * q9
-        row = out[i]
-        below = 0
-        for m in range(ctrl.m_cap + 1):
-            if m >= profiles.shape[0]:
-                profiles = _rep2_mode_coeffs(etas, 2 * m + 8, "normalized")
-            rate = fiber_eigenvalue(m) + REP2_RATE_SHIFT
-            b = m + 3
-            j_m = float(np.dot(wq, 0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t))))
-            term = profiles[m] * j_m
-            row += term
-            small = np.max(np.abs(term)) <= ctrl.tol * max(np.max(np.abs(row)), 1e-300)
-            below = below + 1 if small else 0
-            if m >= 4 and below >= 2:
-                break
-        else:
-            raise QuadratureConvergenceError(f"mode series not converged by degree {ctrl.m_cap}")
-        m_used = max(m_used, m)
-        row *= REP2_CONSTANT / math.cosh(float(r)) ** 3
-    return out, m_used
+    return abs(time_deriv - spatial), abs(time_deriv), p(t, r, eta)
 
 
 def weighted_integral(f, t: float, which: str = "rep1",
@@ -462,7 +438,7 @@ def weighted_integral(f, t: float, which: str = "rep1",
     def level(n_r, n_eta, n_u):
         r_nodes, r_w = gl_nodes(n_r, 0.0, r_max)
         e_nodes, e_w = gl_nodes(n_eta, 0.0, math.pi)
-        p, _ = grid(t, r_nodes, e_nodes, n_u, ctrl)
+        p, _ = grid(t, r_nodes, e_nodes, n_u, ctrl, _grid_u_max(t, float(np.max(r_nodes))))
         rr, ee = np.meshgrid(r_nodes, e_nodes, indexing="ij")
         vals = np.asarray(f(rr, ee), dtype=float) * p
         dens = MEASURE_CONSTANT * (np.sinh(r_nodes) * np.cosh(r_nodes)) ** 7

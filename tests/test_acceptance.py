@@ -70,10 +70,10 @@ def test_criterion_03_heat_equation_residual():
     for which in ("rep1", "rep2"):
         for r in (0.5, 1.0):
             for eta in (math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0):
-                res, scale = heat_residual(which, 1.0, r, eta)
-                worst_ratio = max(worst_ratio, res / (1e-4 * scale + 1e-8))
+                res, scale, p = heat_residual(which, 1.0, r, eta)
+                worst_ratio = max(worst_ratio, res / (1e-4 * scale + 1e-8 * p))
     _verdict(3, worst_ratio <= 1.0,
-             f"worst residual/(1e-4|dp/dt| + 1e-8) = {worst_ratio:.3e} over 12 cases")
+             f"worst residual/(1e-4|dp/dt| + 1e-8 p) = {worst_ratio:.3e} over 12 cases")
 
 
 def test_criterion_04_chebyshev_identity():
@@ -140,8 +140,9 @@ def test_criterion_06_hyperbolic_kernels():
                             + (n - 1.0) / math.tanh(s) * (vp - vm) / (2.0 * h))
 
                 c, f = lap(h_s), lap(h_s / 2.0)
+                q = hyperbolic_heat_kernel(n, t, s)
                 worst_pde = max(worst_pde,
-                                abs(dt_val - (f + (f - c) / 3.0)) / (abs(dt_val) + 1e-10 / 1e-5))
+                                abs(dt_val - (f + (f - c) / 3.0)) / (abs(dt_val) + 1e-5 * q))
 
     worst_n3 = 0.0
     for t in GRID_T:

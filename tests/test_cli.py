@@ -157,6 +157,11 @@ class TestOtherCommands:
         code, payload = run_cli(["octonion-check", "--n-pairs", "100"], tmp_path)
         assert code == 0
         assert b"fail" not in payload
+        rows = {row.split(",")[0]: row.split(",") for row in payload.decode().splitlines()[1:]}
+        for check in ("quadric", "projection"):
+            assert float(rows[check][1]) <= 1e-12
+            assert float(rows[check][2]) == 1e-12
+            assert rows[check][3] == "pass"
 
     def test_fiber_profile_check(self, tmp_path):
         code, payload = run_cli(["fiber", "--check", "profile"], tmp_path)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from octads import subelliptic_kernel
 from octads.fiber_kernel import SeriesControl
 from octads.subelliptic_kernel import (
     KernelPoint,
@@ -10,6 +11,9 @@ from octads.subelliptic_kernel import (
     QuadratureConvergenceError,
     QuadratureSpec,
     REP2_CONSTANT,
+    _grid_u_max,
+    _rep1_grid,
+    _rep2_grid,
     apply_radial_sublaplacian,
     default_u_max,
     frozen_kernel,
@@ -50,17 +54,19 @@ class TestGenerator:
 
 
 class TestRepresentations:
+    # kernel values here are 1e-15 to 1e-50, so every approx sets abs=0.0:
+    # pytest's default abs=1e-12 would accept any value
     def test_cross_agreement_spot(self):
         for (t, r, eta) in [(1.0, 0.0, 0.0), (0.5, 0.5, 3.0), (2.0, 1.0, PI / 2.0)]:
             k1 = heat_kernel_rep1(t, r, eta)
             k2 = heat_kernel_rep2(t, r, eta)
-            assert k1.value == pytest.approx(k2.value, rel=1e-6)
+            assert k1.value == pytest.approx(k2.value, rel=1e-6, abs=0.0)
 
     def test_rep2_paths_agree(self):
         for (t, r, eta) in [(1.0, 0.5, PI / 4.0), (0.5, 2.0, 2.9)]:
             a = heat_kernel_rep2(t, r, eta, path="direct_2d")
             b = heat_kernel_rep2(t, r, eta, path="mode_series")
-            assert a.value == pytest.approx(b.value, rel=1e-8)
+            assert a.value == pytest.approx(b.value, rel=1e-8, abs=0.0)
 
     def test_positivity_on_grid(self):
         for t in (0.5, 1.0, 2.0):
@@ -77,7 +83,7 @@ class TestRepresentations:
         # the kernel is smooth and even about eta = pi, so h^2 extrapolation applies
         extrapolated = fine + (fine - coarse) / 3.0
         assert np.isfinite(at_pi)
-        assert extrapolated == pytest.approx(at_pi, rel=1e-6)
+        assert extrapolated == pytest.approx(at_pi, rel=1e-6, abs=0.0)
 
     def test_diagnostics_populated(self):
         k = heat_kernel_rep1(1.0, 0.5, 1.0)
@@ -138,20 +144,56 @@ class TestRepresentations:
             j_m, err = quad(integrand, 0.0, default_u_max(t, r), limit=200)
             total += 2.0 * math.exp(-rate * t) * fiber_mode_profile(m, eta) * j_m
         mine = heat_kernel_rep2(t, r, eta, variant="raw").value
-        assert mine == pytest.approx(total, rel=1e-8)
+        assert mine == pytest.approx(total, rel=1e-8, abs=0.0)
+
+
+class TestGridEvaluators:
+    """Points, frozen stencils and density grids all go through _rep1_grid/_rep2_grid."""
+
+    T = 2.34
+    N_U = 192
+
+    @pytest.mark.parametrize("grid", [_rep1_grid, _rep2_grid])
+    def test_blocked_rows_match_single_rows(self, grid):
+        # r up to the r_max of the mass integral at T; rows span three node blocks
+        r_max = 14.0 * self.T + 10.0 * math.sqrt(self.T) + 2.0
+        per_block = subelliptic_kernel._BLOCK_NODES // self.N_U
+        rs = np.linspace(0.0, r_max, 2 * per_block + 7)
+        etas = np.array([0.0, 1.0, PI])
+        ctrl, u_max = SeriesControl(), _grid_u_max(self.T, r_max)
+        values, _ = grid(self.T, rs, etas, self.N_U, ctrl, u_max)
+        assert np.all(values[rs < 40.0] > 0)
+        # the last rows are subnormal (~1e-318), where 1e-13 relative is below one ulp
+        floor = 1e-13 * np.finfo(float).tiny
+        for r, row in zip(rs, values):
+            alone, _ = grid(self.T, [r], etas, self.N_U, ctrl, u_max)
+            np.testing.assert_allclose(row, alone[0], rtol=1e-13, atol=floor)
+
+    def test_rep2_rows_stop_on_their_own(self):
+        # the measure weight sinh^7 cosh^7 is ~e^280 at r = 20, where the kernel
+        # is ~1e-230 times its r = 0 value; a stopping rule that measured the
+        # r = 20 terms against the whole grid would end that row at degree 4
+        # instead of 10 (1.4e-4 off)
+        t = 0.25
+        ctrl, u_max = SeriesControl(), _grid_u_max(t, 20.0)
+        both, _ = _rep2_grid(t, [0.0, 20.0], [0.5], self.N_U, ctrl, u_max)
+        alone, _ = _rep2_grid(t, [20.0], [0.5], self.N_U, ctrl, u_max)
+        assert alone[0, 0] > 0
+        assert both[1, 0] == pytest.approx(alone[0, 0], rel=1e-13, abs=0.0)
 
 
 class TestHeatResidual:
     @pytest.mark.parametrize("which", ["rep1", "rep2"])
     def test_residual_small(self, which):
-        res, scale = heat_residual(which, 1.0, 0.5, PI / 2.0)
-        assert res <= 1e-4 * scale + 1e-8
+        res, scale, p = heat_residual(which, 1.0, 0.5, PI / 2.0)
+        assert res <= 1e-4 * scale + 1e-8 * p
 
     def test_residual_decreases_under_refinement(self):
-        res_h, _ = heat_residual("rep1", 1.0, 0.7, 1.2, h_r=4e-3, h_eta=4e-3, h_t_rel=4e-3)
-        res_h2, _ = heat_residual("rep1", 1.0, 0.7, 1.2, h_r=2e-3, h_eta=2e-3, h_t_rel=2e-3)
-        # Richardson leaves 4th order; allow slack for roundoff-dominated values
-        assert res_h2 <= res_h * 0.5 or res_h2 <= 1e-30
+        res_h, _, p = heat_residual("rep1", 1.0, 0.7, 1.2, h_r=4e-3, h_eta=4e-3, h_t_rel=4e-3)
+        res_h2 = heat_residual("rep1", 1.0, 0.7, 1.2, h_r=2e-3, h_eta=2e-3, h_t_rel=2e-3)[0]
+        # Richardson leaves 4th order; allow slack for roundoff-dominated
+        # values, measured against the kernel (p is ~1e-26 here)
+        assert res_h2 <= res_h * 0.5 or res_h2 <= 1e-8 * p
 
     def test_interior_enforced(self):
         with pytest.raises(ValueError):
@@ -160,7 +202,7 @@ class TestHeatResidual:
     def test_frozen_matches_adaptive(self):
         p = frozen_kernel("rep1", 1.0, 0.5, 1.0)
         adaptive = heat_kernel_rep1(1.0, 0.5, 1.0).value
-        assert p(1.0, 0.5, 1.0) == pytest.approx(adaptive, rel=1e-9)
+        assert p(1.0, 0.5, 1.0) == pytest.approx(adaptive, rel=1e-9, abs=0.0)
 
 
 class TestMeasureIntegrals:
