@@ -47,6 +47,7 @@ from .special_fn import (
 )
 from .subelliptic_kernel import (
     KernelPoint,
+    KernelRangeError,
     KernelResult,
     MEASURE_CONSTANT,
     QuadratureConvergenceError,

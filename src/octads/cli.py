@@ -22,8 +22,16 @@ from . import octonion as oct
 from .fiber_kernel import SeriesControl, fiber_heat_kernel, fiber_mode_profile
 from .hyperbolic_kernel import dump_term_table, hyperbolic_heat_kernel
 from .mc_oracle import MC_TEST_FUNCTIONS, SdeConfig, estimate_expectation, simulate_paths
-from .special_fn import chebyshev_T, gl_nodes, hyp2f1_terminating, jacobi_norm_sq, jacobi_sequence
+from .special_fn import (
+    chebyshev_T,
+    gl_nodes,
+    hyp2f1_terminating,
+    jacobi_end_value,
+    jacobi_norm_sq,
+    jacobi_sequence,
+)
 from .subelliptic_kernel import (
+    KernelRangeError,
     QuadratureSpec,
     heat_kernel_rep1,
     heat_kernel_rep2,
@@ -189,11 +197,19 @@ def _rel_diff(a: float, b: float) -> float:
     return abs(a - b) / abs(b) if _usable(a) and _usable(b) else math.inf
 
 
+def _evaluate(kernel, *args, **kwargs):
+    """The kernel's result, or the zero or non-finite one it refused, for its row."""
+    try:
+        return kernel(*args, **kwargs)
+    except KernelRangeError as exc:
+        return exc.result
+
+
 def _point_job(job):
     t, r, eta, rep, quad, ctrl, path = job
     row = {"t": t, "r": r, "eta": eta}
-    k1 = heat_kernel_rep1(t, r, eta, quad, ctrl) if rep != "2" else None
-    k2 = heat_kernel_rep2(t, r, eta, quad, ctrl, path=path) if rep != "1" else None
+    k1 = _evaluate(heat_kernel_rep1, t, r, eta, quad, ctrl) if rep != "2" else None
+    k2 = _evaluate(heat_kernel_rep2, t, r, eta, quad, ctrl, path=path) if rep != "1" else None
     if rep != "both":
         k = k1 if rep == "1" else k2
         row.update(value=k.value, est_error=k.est_error, m_used=k.m_used, u_max_used=k.u_max_used)
@@ -251,8 +267,8 @@ def _cmd_compare_reps(cfg: RunConfig, out):
         quad, ctrl = _quad(cfg), _ctrl(cfg)
         rows = []
         for (t, r, eta) in _grid(cfg):
-            a = heat_kernel_rep2(t, r, eta, quad, ctrl, path="direct_2d")
-            b = heat_kernel_rep2(t, r, eta, quad, ctrl, path="mode_series")
+            a = _evaluate(heat_kernel_rep2, t, r, eta, quad, ctrl, path="direct_2d")
+            b = _evaluate(heat_kernel_rep2, t, r, eta, quad, ctrl, path="mode_series")
             rows.append({"t": t, "r": r, "eta": eta, "direct_2d": a.value,
                          "mode_series": b.value, "rel_diff": _rel_diff(a.value, b.value)})
         fields = ["t", "r", "eta", "direct_2d", "mode_series", "rel_diff"]
@@ -367,10 +383,10 @@ def _cmd_fiber(cfg: RunConfig, out):
                                      dev <= 1e-8))
         fields = ["m", "n", "integral", "deviation", "status"]
     elif cfg.check == "profile":
-        etas = np.linspace(0.0, math.pi, 81)
+        etas = np.linspace(0.0, math.pi, 61)
         for m in range(16):
             pm = jacobi_sequence(m, np.cos(etas))[m]
-            p1 = jacobi_sequence(m, np.array([1.0]))[m][0]
+            p1 = jacobi_end_value(m)
             worst = max(abs(fiber_mode_profile(m, float(e)) - v / p1)
                         for e, v in zip(etas, pm))
             rows.append(_checked({"m": m, "max_abs_err": worst}, worst <= 1e-10))

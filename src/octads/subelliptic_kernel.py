@@ -66,6 +66,18 @@ class QuadratureConvergenceError(RuntimeError):
     """Node doubling failed to stabilize the integral to tolerance."""
 
 
+class KernelRangeError(ArithmeticError):
+    """A point value underflowed to zero or is not finite.
+
+    The kernel is positive everywhere, so such a value carries no
+    information; `result` holds the refused evaluation for reporting.
+    """
+
+    def __init__(self, message: str, result: "KernelResult"):
+        super().__init__(message)
+        self.result = result
+
+
 @dataclass(frozen=True)
 class KernelPoint:
     t: float
@@ -139,15 +151,24 @@ def _row_blocks(n_rows: int, n_u: int):
 def _adaptive(what: str, t, r, eta, quad: QuadratureSpec, eval_at) -> KernelResult:
     """Point policy: double the u-nodes from quad.n_u until two successive
     values agree to quad.tol, at the default u-cutoff and then once at twice
-    it.  eval_at(n_u, u_max) returns (value, m_used).
+    it.  eval_at(n_u, u_max) returns (value, m_used); a value that is zero or
+    not finite raises KernelRangeError at once.
     """
+    def checked(n, u_max):
+        value, m_used = eval_at(n, u_max)
+        if value == 0.0 or not math.isfinite(value):
+            raise KernelRangeError(
+                f"{what} is {value} at (t={t}, r={r}, eta={eta})",
+                KernelResult(value=value, est_error=math.nan, m_used=m_used, u_max_used=u_max))
+        return value, m_used
+
     base_u = quad.u_max if quad.u_max is not None else default_u_max(t, r)
     for u_max in (base_u, 2.0 * base_u):
         n = quad.n_u
-        prev, _ = eval_at(n, u_max)
+        prev, _ = checked(n, u_max)
         for _ in range(4):
             n *= 2
-            value, m_used = eval_at(n, u_max)
+            value, m_used = checked(n, u_max)
             est = abs(value - prev)
             if est <= quad.tol * abs(value) + 1e-280:
                 return KernelResult(value=value, est_error=est, m_used=m_used, u_max_used=u_max)
@@ -416,6 +437,19 @@ def heat_residual(which: str, t: float, r: float, eta: float,
     return abs(time_deriv - spatial), abs(time_deriv), p(t, r, eta)
 
 
+def _radial_measure_times(p, r):
+    """p[i, :] (sinh r_i cosh r_i)^7, with no factor that overflows.
+
+    The power alone exceeds double range beyond r = 51.4, where p is
+    subnormal or zero, and inf * 0 is NaN.  So sinh and cosh enter as
+    mantissa and binary exponent: p is scaled by the exponent first, which is
+    exact, then by the mantissa.  Finite for every r < 710, where sinh is.
+    """
+    ms, es = np.frexp(np.sinh(r))
+    mc, ec = np.frexp(np.cosh(r))
+    return np.ldexp(p, 7 * (es + ec)[:, None]) * ((ms * mc) ** 7)[:, None]
+
+
 def weighted_integral(f, t: float, which: str = "rep1",
                       quad: QuadratureSpec | None = None,
                       ctrl: SeriesControl | None = None,
@@ -440,10 +474,9 @@ def weighted_integral(f, t: float, which: str = "rep1",
         e_nodes, e_w = gl_nodes(n_eta, 0.0, math.pi)
         p, _ = grid(t, r_nodes, e_nodes, n_u, ctrl, _grid_u_max(t, float(np.max(r_nodes))))
         rr, ee = np.meshgrid(r_nodes, e_nodes, indexing="ij")
-        vals = np.asarray(f(rr, ee), dtype=float) * p
-        dens = MEASURE_CONSTANT * (np.sinh(r_nodes) * np.cosh(r_nodes)) ** 7
+        vals = np.asarray(f(rr, ee), dtype=float) * _radial_measure_times(p, r_nodes)
         integ = vals * (np.sin(e_nodes) ** 6)[None, :]
-        return float(np.einsum("i,j,ij->", r_w * dens, e_w, integ))
+        return MEASURE_CONSTANT * float(np.einsum("i,j,ij->", r_w, e_w, integ))
 
     n_r = max(192, int(10 * r_max))
     n_eta, n_u = 96, quad.n_u

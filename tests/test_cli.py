@@ -164,9 +164,11 @@ class TestOtherCommands:
             assert rows[check][3] == "pass"
 
     def test_fiber_profile_check(self, tmp_path):
+        # one row per degree m = 0..15, as in criterion 09
         code, payload = run_cli(["fiber", "--check", "profile"], tmp_path)
         assert code == 0
-        assert payload.decode().count("pass") == 16
+        rows = payload.decode().splitlines()[1:]
+        assert len(rows) == 16 and all(row.endswith(",pass") for row in rows)
 
     def test_fiber_values(self, tmp_path):
         code, payload = run_cli(

@@ -5,6 +5,7 @@ import pytest
 
 from octads.special_fn import (
     chebyshev_T,
+    gauss_legendre,
     gl_nodes,
     hyp2f1_terminating,
     jacobi_end_value,
@@ -93,6 +94,60 @@ class TestNormSq:
                     assert abs(integral - nm) <= 1e-8 * nm
                 else:
                     assert abs(integral) <= 1e-8 * nm
+
+
+GL_SIZES = [16, 17, 96, 97, 192, 547, 2188]
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", GL_SIZES)
+    def test_structure(self, n):
+        x, w = gauss_legendre(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
+        assert np.array_equal(x, -x[::-1])
+        if n % 2:
+            assert x[n // 2] == 0.0
+        assert np.all(w > 0) and np.array_equal(w, w[::-1])
+        assert abs(w.sum() - 2.0) <= 1e-14
+
+    @pytest.mark.parametrize("n", GL_SIZES)
+    def test_exact_on_even_powers(self, n):
+        x, w = gauss_legendre(n)
+        for j in range(min(2 * n - 1, 80) // 2 + 1):
+            assert float(np.dot(w, x ** (2 * j))) == pytest.approx(2.0 / (2 * j + 1), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [n for n in GL_SIZES if n <= 192])
+    def test_nodes_match_eigenvalue_solver(self, n):
+        x, _ = gauss_legendre(n)
+        assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 1e-15
+
+    def test_endpoint_weights_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        n = 2188
+        x, w = gauss_legendre(n)
+        with mp.workdps(40):
+            # Newton on P_n in 40 digits from the double node, then the weight
+            # 2 / ((1 - x^2) P_n'(x)^2) at the refined node
+            for i in (0, n - 1):
+                z = mp.mpf(x[i])
+                for _ in range(3):
+                    p, q = z, mp.mpf(1)
+                    for k in range(2, n + 1):
+                        p, q = ((2 * k - 1) * z * p - (k - 1) * q) / k, p
+                    dp = n * (z * p - q) / (z * z - 1)
+                    z -= p / dp
+                exact = 2 / ((1 - z * z) * dp * dp)
+                assert abs(w[i] / exact - 1) <= 1e-10
+
+    def test_small_rules_and_bad_size(self):
+        x, w = gauss_legendre(1)
+        assert x.tolist() == [0.0] and w.tolist() == [2.0]
+        x, w = gauss_legendre(2)
+        assert x[1] == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
+        assert w.tolist() == pytest.approx([1.0, 1.0], rel=1e-15)
+        with pytest.raises(ValueError):
+            gauss_legendre(0)
 
 
 class TestChebyshev:

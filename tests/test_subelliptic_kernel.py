@@ -7,6 +7,7 @@ from octads import subelliptic_kernel
 from octads.fiber_kernel import SeriesControl
 from octads.subelliptic_kernel import (
     KernelPoint,
+    KernelRangeError,
     MIN_TIME,
     QuadratureConvergenceError,
     QuadratureSpec,
@@ -113,6 +114,15 @@ class TestRepresentations:
         with pytest.raises(ValueError, match="below the supported minimum"):
             total_mass(0.02)
         assert heat_kernel_rep2(MIN_TIME, 0.5, 0.3).value > 0
+
+    def test_underflow_raises(self):
+        # at t = 16 the kernel underflows to exactly 0.0 on every route
+        for rep, kwargs in ((heat_kernel_rep1, {}), (heat_kernel_rep2, {}),
+                            (heat_kernel_rep2, {"path": "direct_2d"})):
+            with pytest.raises(KernelRangeError, match="is 0.0") as info:
+                rep(16.0, 0.0, 0.0, **kwargs)
+            assert isinstance(info.value, ArithmeticError)
+            assert info.value.result.value == 0.0
 
     def test_nonconvergence_raises(self):
         with pytest.raises(QuadratureConvergenceError):
@@ -223,6 +233,19 @@ class TestMeasureIntegrals:
         mom = weighted_integral(lambda r, eta: np.cosh(r) * np.cos(eta), t, f_growth=1.0)
         mass = total_mass(t)
         assert mom / mass == pytest.approx(math.exp(8.0 * t), rel=1e-4)
+
+    def test_mass_where_the_radial_measure_overflows(self):
+        # r_max = 54.5 here; (sinh r cosh r)^7 alone is inf beyond r = 51.4
+        with np.errstate(over="raise", invalid="raise"):
+            mass = total_mass(2.6)
+        assert abs(32.0 * mass - 1.0) <= 1e-5
+
+    def test_moment_where_the_radial_measure_overflows(self):
+        t = 2.34  # r_max = 54.7 for an integrand growing like exp(r)
+        with np.errstate(over="raise", invalid="raise"):
+            mom = weighted_integral(lambda r, eta: np.cosh(r) * np.cos(eta), t, f_growth=1.0)
+            mass = total_mass(t)
+        assert abs(mom / mass - math.exp(8.0 * t)) <= 1e-4 * math.exp(8.0 * t)
 
     def test_rep2_mass_matches(self):
         a = total_mass(1.0)
