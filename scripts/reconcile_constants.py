@@ -14,11 +14,16 @@ measures, from the implementation alone:
      i.e. unit mass under the geometric constant 16 pi^7/45.
 
 Everything printed here is what the shipped constants REP2_CONSTANT and the
-multiplicity weights encode.
+multiplicity weights encode.  The script exits with status 1, naming each
+failure, unless every one of these holds: raw/normalized = 2 within 1e-13;
+ratio/ratio0 equals the eigenspace dimension within 1e-6 relative for m <= 6;
+REP2_CONSTANT = 2 ratio0 within 1e-10 relative; the sech^3 drift is at most
+1e-12; and 32 mass = 1 within 1e-9 (not run with --quick).
 """
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
@@ -60,11 +65,17 @@ def main():
     ap.add_argument("--m-max", type=int, default=6)
     ap.add_argument("--quick", action="store_true", help="skip the mass integrals")
     args = ap.parse_args()
+    failures = []
+
+    def require(what, err, tol):
+        if not err <= tol:
+            failures.append(f"{what}: {err:.3e} > {tol:.0e}")
 
     print("== fiber coefficient conventions ==")
     for m in range(args.m_max + 1):
         ratio = spectral_coeff(m, "raw") / spectral_coeff(m, "normalized")
         print(f"  m={m}: raw/normalized = {ratio:.15f}")
+        require(f"raw/normalized - 2 at m={m}", abs(ratio - 2.0), 1e-13)
 
     print("\n== per-mode ratio rep1 / rep2(raw, sech^3) ==")
     print(f"  reference 3/pi^4 = {3.0 / math.pi ** 4:.15f}")
@@ -77,6 +88,11 @@ def main():
         spread = max(ratios) - min(ratios)
         print(f"  m={m}: ratio = {ratios[0]:.12e} (spread over (t,r) probes {spread:.1e}), "
               f"ratio/ratio0 = {ratios[0] / rho0:.10f}, eigenspace dim = {fiber_mode_multiplicity(m)}")
+        # beyond m = 6 the probes' spread is no longer negligible
+        if m <= 6:
+            dim = fiber_mode_multiplicity(m)
+            require(f"ratio/ratio0 against dim {dim} at m={m}",
+                    abs(ratios[0] / rho0 - dim) / dim, 1e-6)
 
     print("\n== sech^3 structure at large t (single surviving mode) ==")
     t = 6.0
@@ -87,18 +103,25 @@ def main():
         ratio = norm / raw_no_sech * math.cosh(r) ** 3
         base = base or ratio
         print(f"  r={r}: (normalized/raw)*cosh^3(r) = {ratio:.12e}  (drift {ratio / base - 1.0:+.1e})")
+        require(f"sech^3 drift at r={r}", abs(ratio / base - 1.0), 1e-12)
 
     print(f"\n== shipped constants ==")
     print(f"  REP2_CONSTANT = 6/pi^4 = {REP2_CONSTANT:.15f}")
     print(f"  mode weights  = eigenspace dimensions {[fiber_mode_multiplicity(m) for m in range(7)]} ...")
+    require("REP2_CONSTANT / (2 ratio0) - 1", abs(REP2_CONSTANT / (2.0 * rho0) - 1.0), 1e-10)
 
     if not args.quick:
         print("\n== total mass under the shipped measure constant pi^7/90 ==")
         for t in (0.5, 1.0, 2.0):
             m = total_mass(t)
             print(f"  t={t}: mass = {m:.12e}, 32*mass = {32.0 * m:.12f}")
+            require(f"32*mass - 1 at t={t}", abs(32.0 * m - 1.0), 1e-9)
         print("  (unit mass corresponds to the measure constant 16 pi^7/45 = 32 * pi^7/90)")
+
+    for failure in failures:
+        print(f"FAIL {failure}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

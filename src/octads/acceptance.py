@@ -1,0 +1,282 @@
+"""The acceptance checks, each written once.
+
+Every check compares the package against an independent route (the other representation,
+the heat equation, an exact identity or the Monte Carlo oracle) and returns rows, each with
+a `status` of "pass" or "fail".  Its defaults are the gate's grids and tolerances, which
+tests/test_acceptance.py runs; its parameters before `*` are the options of its CLI command.
+A check without such an option keeps its grid and tolerance in its body.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from . import octonion as oct
+from .fiber_kernel import SeriesControl, fiber_heat_kernel, fiber_mode_profile
+from .hyperbolic_kernel import hyperbolic_heat_kernel
+from .mc_oracle import MC_TEST_FUNCTIONS, SdeConfig, estimate_expectation, simulate_paths
+from .special_fn import (gl_nodes, hyp2f1_terminating, jacobi_end_value, jacobi_norm_sq,
+                         jacobi_sequence)
+from .subelliptic_kernel import (KernelRangeError, heat_kernel_rep1, heat_kernel_rep2,
+                                 heat_residual, total_mass, weighted_integral)
+
+GRID_T = (0.5, 1.0, 2.0)
+GRID_R = (0.0, 0.5, 1.0, 2.0)
+GRID_ETA = (0.0, math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0)
+# Gauss-Legendre nodes on [0, pi] and the tolerance of both halves of criterion 05
+_FIBER_NODES, _FIBER_TOL = 200, 1e-8
+
+
+def _row(good: bool, **fields) -> dict:
+    """A check row: its fields, then its pass/fail status."""
+    return {**fields, "status": "pass" if good else "fail"}
+
+
+def usable(v: float) -> bool:
+    """A kernel value that can be compared: finite and not underflowed to 0."""
+    return math.isfinite(v) and v != 0.0
+
+
+def _rel_diff(a: float, b: float) -> float:
+    """|a - b| / |b|, or inf when either side is not usable, so it never agrees."""
+    return abs(a - b) / abs(b) if usable(a) and usable(b) else math.inf
+
+
+def _evaluate(kernel, *args, **kwargs):
+    """The kernel's result, or the zero or non-finite one it refused, for its row."""
+    try:
+        return kernel(*args, **kwargs)
+    except KernelRangeError as exc:
+        return exc.result
+
+
+def point_rows(t, r, eta, rep="both", path="mode_series", *, quad=None, ctrl=None):
+    """Kernel values on the grid t x r x eta: one representation, or both and their difference."""
+    rows = []
+    for tt, rr, ee in itertools.product(t, r, eta):
+        row = {"t": tt, "r": rr, "eta": ee}
+        k1 = _evaluate(heat_kernel_rep1, tt, rr, ee, quad, ctrl) if rep != "2" else None
+        k2 = _evaluate(heat_kernel_rep2, tt, rr, ee, quad, ctrl, path=path) if rep != "1" else None
+        if rep != "both":
+            k = k1 if rep == "1" else k2
+            row.update(value=k.value, est_error=k.est_error, m_used=k.m_used,
+                       u_max_used=k.u_max_used)
+        else:
+            row.update(p_rep1=k1.value, p_rep1_err=k1.est_error, m_used=k1.m_used,
+                       u_max_used=k1.u_max_used, p_rep2=k2.value, p_rep2_err=k2.est_error,
+                       rel_diff=_rel_diff(k1.value, k2.value))
+        rows.append(row)
+    return rows
+
+
+def representation_agreement(t=GRID_T, r=GRID_R, eta=GRID_ETA, threshold=1e-6,
+                             path="mode_series", *, quad=None, ctrl=None):
+    """Criterion 01: representation 1 against representation 2 (on its `path`)."""
+    return [_row(row["rel_diff"] <= threshold, **row)
+            for row in point_rows(t, r, eta, "both", path, quad=quad, ctrl=ctrl)]
+
+
+def rep2_path_agreement(t=GRID_T, r=GRID_R, eta=GRID_ETA, threshold=1e-8, *, quad=None,
+                        ctrl=None):
+    """Criterion 02: representation 2's direct 2-d quadrature against its mode series."""
+    rows = []
+    for tt, rr, ee in itertools.product(t, r, eta):
+        a = _evaluate(heat_kernel_rep2, tt, rr, ee, quad, ctrl, path="direct_2d")
+        b = _evaluate(heat_kernel_rep2, tt, rr, ee, quad, ctrl, path="mode_series")
+        diff = _rel_diff(a.value, b.value)
+        rows.append(_row(diff <= threshold, t=tt, r=rr, eta=ee, direct_2d=a.value,
+                         mode_series=b.value, rel_diff=diff))
+    return rows
+
+
+def heat_equation_residual(t=(1.0,), r=(0.5, 1.0),
+                           eta=(math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0),
+                           which="both", rel_tol=1e-4, abs_tol=1e-8, *, quad=None, ctrl=None):
+    """Criterion 03: |dp/dt - L p| <= rel_tol |dp/dt| + abs_tol p at interior points.
+
+    The floor scales with p, 1e-15 to 1e-50 here, so that no fixed floor decides the check.
+    """
+    rows = []
+    for tt, rr, ee in itertools.product(t, r, eta):
+        for rep in ("rep1", "rep2") if which == "both" else (which,):
+            res, scale, p = heat_residual(rep, tt, rr, ee, quad, ctrl)
+            bound = rel_tol * scale + abs_tol * p
+            rows.append(_row(res <= bound, t=tt, r=rr, eta=ee, which=rep, residual=res,
+                             dt_scale=scale, bound=bound))
+    return rows
+
+
+def chebyshev_identity():
+    """Criterion 04: the terminating 2F1 at cosh u equals cosh((m+3)u), per degree m <= 30."""
+    us = np.linspace(0.0, 5.0, 100)
+    rows = []
+    for m in range(31):
+        worst = max(abs(hyp2f1_terminating(m, math.cosh(u)) - math.cosh((m + 3) * u))
+                    / math.cosh((m + 3) * u) for u in us)
+        rows.append(_row(worst <= 1e-10, m=m, max_rel_err=worst))
+    return rows
+
+
+def fiber_orthogonality():
+    """Criterion 05, first half: Jacobi (5/2, 5/2) orthogonality against sin^6, m, n <= 10."""
+    u, w = gl_nodes(_FIBER_NODES, 0.0, math.pi)
+    pm = jacobi_sequence(10, np.cos(u))
+    weight = w * np.sin(u) ** 6
+    rows = []
+    for m, n in itertools.product(range(11), repeat=2):
+        integral = float(np.einsum("i,i,i->", pm[m], pm[n], weight))
+        dev = abs(integral - (jacobi_norm_sq(m) if m == n else 0.0)) / jacobi_norm_sq(m)
+        rows.append(_row(dev <= _FIBER_TOL, m=m, n=n, integral=integral, deviation=dev))
+    return rows
+
+
+def fiber_normalization(t=(0.1, 0.5, 1.0, 2.0), eta=(0.0, math.pi / 4.0, math.pi / 2.0),
+                        *, ctrl=None):
+    """Criterion 05, second half: the fiber kernel integrates to 1 against sin^6 (2 if raw)."""
+    target = 2.0 if (ctrl or SeriesControl()).mode == "raw" else 1.0
+    u, w = gl_nodes(_FIBER_NODES, 0.0, math.pi)
+    rows = []
+    for tt, ee in itertools.product(t, eta):
+        vals = np.array([fiber_heat_kernel(tt, ee, float(ui), ctrl=ctrl).value for ui in u])
+        integral = float(np.dot(w, vals * np.sin(u) ** 6))
+        dev = abs(integral - target)
+        rows.append(_row(dev <= _FIBER_TOL, t=tt, eta=ee, integral=integral, deviation=dev))
+    return rows
+
+
+def _radial_pde_residual(n: int, t: float, s: float) -> float:
+    """|dq/dt - radial Laplacian q| / (|dq/dt| + 1e-5 q), by central differences with one
+    Richardson step; a bound of 1e-5 on it reads as 1e-5 relative plus 1e-10 q."""
+    def q(tt, ss):
+        return hyperbolic_heat_kernel(n, tt, ss)
+
+    def richardson(diff, h):
+        coarse, fine = diff(h), diff(h / 2.0)
+        return fine + (fine - coarse) / 3.0
+
+    time_deriv = richardson(lambda h: (q(t + h, s) - q(t - h, s)) / (2.0 * h), 1e-3 * t)
+    spatial = richardson(lambda h: (q(t, s + h) - 2.0 * q(t, s) + q(t, s - h)) / h ** 2
+                         + (n - 1.0) / math.tanh(s) * (q(t, s + h) - q(t, s - h)) / (2.0 * h), 1e-3)
+    return abs(time_deriv - spatial) / (abs(time_deriv) + 1e-5 * q(t, s))
+
+
+def hyperbolic_suite(t=GRID_T, s=(0.5, 1.0, 2.0)):
+    """Criterion 06: the hyperbolic kernels of dimensions 9 and 15, the two in use.
+
+    Per (n, t), normalization against the full volume to 1e-6 and the radial heat equation
+    at its worst distance in `s` to 1e-5; then dimension 3 against its closed form to 1e-12.
+    """
+    rows = []
+    for n, tt in itertools.product((9, 15), t):
+        omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+        nodes, w = gl_nodes(1200, 1e-9, (n - 1) * tt + 12.0 * math.sqrt(tt) + 5.0)
+        q = hyperbolic_heat_kernel(n, tt, nodes)
+        integral = float(np.dot(w, q * omega * np.sinh(nodes) ** (n - 1)))
+        dev = abs(integral - 1.0)
+        rows.append(_row(dev <= 1e-6, check=f"normalization_n{n}", t=tt, value=integral,
+                         deviation=dev))
+    for n, tt in itertools.product((9, 15), t):
+        worst = max(_radial_pde_residual(n, tt, ss) for ss in s)
+        rows.append(_row(worst <= 1e-5, check=f"pde_residual_n{n}", t=tt, value=worst,
+                         deviation=worst))
+    worst = 0.0
+    for tt, ss in itertools.product(t, (1e-8, 0.3, 1.0, 2.5, 5.0)):
+        ref = (math.exp(-tt) / (4.0 * math.pi * tt) ** 1.5 * (ss / math.sinh(ss))
+               * math.exp(-ss * ss / (4.0 * tt)))
+        worst = max(worst, abs(hyperbolic_heat_kernel(3, tt, ss) - ref) / ref)
+    rows.append(_row(worst <= 1e-12, check="closed_form_n3", t=0.0, value=worst,
+                     deviation=worst))
+    return rows
+
+
+def mass_moment(t=GRID_T, moment=True, *, quad=None, ctrl=None):
+    """Criterion 07: the mass is constant in t to 1e-5, and E[cosh r cos eta] = exp(8t) to
+    1e-4 relative (if `moment`)."""
+    masses = [total_mass(tt, quad=quad, ctrl=ctrl) for tt in t]
+    rows = []
+    for tt, m in zip(t, masses):
+        row = {"t": tt, "mass": m, "mass_ratio_to_first": m / masses[0]}
+        if moment:
+            mom = weighted_integral(lambda r, eta: np.cosh(r) * np.cos(eta), tt,
+                                    quad=quad, ctrl=ctrl, f_growth=1.0)
+            expected = math.exp(8.0 * tt)
+            row.update(eigen_moment=mom, moment_over_mass=mom / m, expected=expected,
+                       moment_rel_err=abs(mom / m - expected) / expected)
+        rows.append(_row(abs(m / masses[0] - 1.0) <= 1e-5
+                         and row.get("moment_rel_err", 0.0) <= 1e-4, **row))
+    return rows
+
+
+def mc_oracle(t=(0.5, 1.0), n_paths=100_000, dt=1e-4, seed=0, z_max=3.0, *, quad=None,
+              ctrl=None):
+    """Criterion 08: MC means of the test functions within z_max standard errors of quadrature."""
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2 to estimate a standard error")
+    times = sorted(t)
+    cfg = SdeConfig(n_paths=n_paths, dt=dt, seed=seed, t_end=times[-1])
+    by_time = {round(s.time, 10): s for s in simulate_paths(cfg, snapshot_times=tuple(times[:-1]))}
+    rows = []
+    for tt in times:
+        mass = total_mass(tt, quad=quad, ctrl=ctrl)
+        for name, func, growth in MC_TEST_FUNCTIONS:
+            mean, stderr = estimate_expectation(func, cfg, samples=by_time[round(tt, 10)])
+            analytic = weighted_integral(func, tt, quad=quad, ctrl=ctrl, f_growth=growth) / mass
+            # a zero or non-finite standard error bounds nothing: z is NaN and fails
+            z = (mean - analytic) / stderr if 0.0 < stderr < math.inf else math.nan
+            rows.append(_row(abs(z) <= z_max, function=f"{name}@t={tt:g}", mc_mean=mean,
+                             stderr=stderr, analytic=analytic, z=z))
+    return rows
+
+
+def mode_profile():
+    """Criterion 09: the fiber mode profile equals P_m(cos eta) / P_m(1), per degree m <= 15."""
+    etas = np.linspace(0.0, math.pi, 61)
+    rows = []
+    for m in range(16):
+        ratio = jacobi_sequence(m, np.cos(etas))[m] / jacobi_end_value(m)
+        worst = max(abs(fiber_mode_profile(m, float(e)) - v) for e, v in zip(etas, ratio))
+        rows.append(_row(worst <= 1e-10, m=m, max_abs_err=worst))
+    return rows
+
+
+def octonion_algebra(n_pairs=1000, seed=1234):
+    """Criterion 10: the octonion algebra and the quadric chart, one row per identity.
+
+    `n_pairs` random pairs test norm multiplicativity and alternativity; 200 chart points
+    (base point scaled by 0.25, fiber angles by 0.35) test the quadric and the projection
+    back.  The inexact identities hold to 1e-12.
+    """
+    tolerance = 1e-12
+    rng = np.random.default_rng(seed)
+    basis, mul = oct.Octonion.basis, oct.oct_mul
+    triples = max(float(np.max(np.abs(mul(basis(i), basis(j)).coeffs - basis(k).coeffs)))
+                  for i, j, k in oct.GENERATOR_TRIPLES)
+    norm = alt = 0.0
+    for _ in range(n_pairs):
+        a, b = oct.Octonion(rng.standard_normal(8)), oct.Octonion(rng.standard_normal(8))
+        norm = max(norm, abs(mul(a, b).norm() - a.norm() * b.norm()) / (a.norm() * b.norm()))
+        left = mul(a, mul(a, b)) - mul(mul(a, a), b)
+        right = mul(mul(b, a), a) - mul(b, mul(a, a))
+        scale = max(1.0, a.norm_sq() * b.norm())
+        alt = max(alt, max(np.max(np.abs(left.coeffs)), np.max(np.abs(right.coeffs))) / scale)
+    witness = max(float(np.max(np.abs((mul(mul(basis(i), basis(j)), basis(k))
+                                       - mul(basis(i), mul(basis(j), basis(k)))).coeffs)))
+                  for i, j, k in itertools.product(range(1, 8), repeat=3))
+    quadric = projection = 0.0
+    for _ in range(200):
+        w = oct.Octonion(rng.standard_normal(8) * 0.25)
+        if w.norm() >= 0.999:
+            continue
+        p = oct.cyl_to_ads(oct.CylCoord(w=w, theta=rng.standard_normal(7) * 0.35))
+        # |y|^2 is the size of both terms of the quadric
+        quadric = max(quadric, abs(oct.pseudo_norm(p.x, p.y) + 1.0) / max(1.0, p.y.norm_sq()))
+        projection = max(projection, float(np.max(np.abs(oct.ads_project(p).coeffs - w.coeffs))))
+    checks = (("generator_triples", triples, 0.0), ("norm_multiplicativity", norm, tolerance),
+              ("alternativity", alt, tolerance),
+              # the witness's "error" is its shortfall below the required size 2
+              ("non_associativity_witness", 2.0 - witness, 0.0),
+              ("quadric", quadric, tolerance), ("projection", projection, tolerance))
+    return [_row(err <= tol, check=c, max_error=err, tolerance=tol) for c, err, tol in checks]

@@ -1,4 +1,4 @@
-"""Command-line front end: kernel grids, validation suites, CSV/JSON output.
+"""Command-line front end: kernel grids, the checks of octads.acceptance, CSV/JSON output.
 
 Flags override config-file keys (flat key = value text); records are written
 byte-identically for identical inputs: floats as %.12e, comma-separated CSV
@@ -10,35 +10,19 @@ Exit codes: 0 success, 1 validation threshold exceeded, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import inspect
+import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import octonion as oct
-from .fiber_kernel import SeriesControl, fiber_heat_kernel, fiber_mode_profile
+from . import acceptance as acc
+from .fiber_kernel import SeriesControl, fiber_heat_kernel
 from .hyperbolic_kernel import dump_term_table, hyperbolic_heat_kernel
-from .mc_oracle import MC_TEST_FUNCTIONS, SdeConfig, estimate_expectation, simulate_paths
-from .special_fn import (
-    chebyshev_T,
-    gl_nodes,
-    hyp2f1_terminating,
-    jacobi_end_value,
-    jacobi_norm_sq,
-    jacobi_sequence,
-)
-from .subelliptic_kernel import (
-    KernelRangeError,
-    QuadratureSpec,
-    heat_kernel_rep1,
-    heat_kernel_rep2,
-    heat_residual,
-    total_mass,
-    weighted_integral,
-)
+from .subelliptic_kernel import QuadratureSpec
 
 
 # ---------------------------------------------------------------------------
@@ -79,47 +63,24 @@ def write_records(rows, fieldnames, fmt: str, stream) -> None:
 
 
 def _parse_float_list(text: str):
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+    values = [float(x) for x in text.split(",") if x.strip() != ""]
+    if not values:
+        raise ValueError(f"empty list {text!r}")
+    return values
 
 
-_CONVERTERS = {
-    "t": _parse_float_list,
-    "r": _parse_float_list,
-    "eta": _parse_float_list,
-    "s": _parse_float_list,
-    "u": _parse_float_list,
-    "threshold": float,
-    "tol": float,
-    "series_tol": float,
-    "u_max": float,
-    "n_u": int,
-    "n_phi": int,
-    "m_cap": int,
-    "n": int,
-    "rep": str,
-    "what": str,
-    "which": str,
-    "path": str,
-    "variant": str,
-    "mode": str,
-    "check": str,
-    "continued": lambda s: s.lower() in ("1", "true", "yes"),
-    "dump_terms": lambda s: s.lower() in ("1", "true", "yes"),
-    "moment": lambda s: s.lower() in ("1", "true", "yes"),
-    "n_paths": int,
-    "dt": float,
-    "seed": int,
-    "z_max": float,
-    "n_pairs": int,
-    "workers": int,
-    "format": str,
-    "output": str,
-    "rel_tol": float,
-    "abs_tol": float,
-}
+def _convert(raw: str, default):
+    """A config-file value, read as the type of the option's default (a float if None)."""
+    if isinstance(default, bool):
+        return raw.lower() in ("1", "true", "yes")
+    if isinstance(default, (list, tuple)):
+        return _parse_float_list(raw)
+    return float(raw) if default is None else type(default)(raw)
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, defaults: dict) -> dict:
+    """The file's values of the command's options; a key no command has is an error."""
+    known = set().union(*_DEFAULTS.values())
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -130,9 +91,10 @@ def _load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, raw = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in _CONVERTERS:
+            if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONVERTERS[key](raw)
+            if key in defaults:
+                values[key] = _convert(raw, defaults[key])
     return values
 
 
@@ -151,9 +113,9 @@ class RunConfig:
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> RunConfig:
-    config_values = _load_config(args.config) if getattr(args, "config", None) else {}
     merged = dict(defaults)
-    merged.update({k: v for k, v in config_values.items() if k in defaults})
+    if getattr(args, "config", None):
+        merged.update(_load_config(args.config, defaults))
     for key in defaults:
         cli_val = getattr(args, key, None)
         if cli_val is not None:
@@ -162,8 +124,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> RunConfig:
 
 
 def _quad(cfg: RunConfig) -> QuadratureSpec:
-    return QuadratureSpec(u_max=cfg.options.get("u_max"), n_u=cfg.n_u,
-                          n_phi=cfg.n_phi, tol=cfg.tol)
+    return QuadratureSpec(u_max=cfg.u_max, n_u=cfg.n_u, n_phi=cfg.n_phi, tol=cfg.tol)
 
 
 def _ctrl(cfg: RunConfig) -> SeriesControl:
@@ -172,74 +133,53 @@ def _ctrl(cfg: RunConfig) -> SeriesControl:
 
 _COMMON_DEFAULTS = {
     "tol": 1e-9, "series_tol": 1e-12, "n_u": 96, "n_phi": 64, "m_cap": 256,
-    "u_max": None, "format": "csv", "output": None, "workers": 1,
+    "u_max": None, "format": "csv", "output": "",
 }
 
-ACCEPTANCE_T = [0.5, 1.0, 2.0]
-ACCEPTANCE_R = [0.0, 0.5, 1.0, 2.0]
-ACCEPTANCE_ETA = [0.0, math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0]
 
-_BOTH_FIELDS = ["t", "r", "eta", "p_rep1", "p_rep1_err", "m_used", "u_max_used",
-                "p_rep2", "p_rep2_err", "rel_diff"]
-
-
-# ---------------------------------------------------------------------------
-# pointwise kernel jobs (picklable for the worker pool)
+def _check_defaults(check) -> dict:
+    """A check's grid and controls: its parameters before `*`, with their defaults."""
+    params = inspect.signature(check).parameters.values()
+    return {p.name: p.default for p in params if p.kind is p.POSITIONAL_OR_KEYWORD}
 
 
-def _usable(v: float) -> bool:
-    """A kernel value that can be compared: finite and not underflowed to 0."""
-    return math.isfinite(v) and v != 0.0
+def _call(check, cfg: RunConfig):
+    """The check's rows, run with the options it takes; quad and ctrl from the common ones."""
+    params = inspect.signature(check).parameters
+    kwargs = {k: cfg.options[k] for k in _check_defaults(check) if k in cfg.options}
+    kwargs.update({k: build(cfg) for k, build in (("quad", _quad), ("ctrl", _ctrl))
+                   if k in params})
+    return check(**kwargs)
 
 
-def _rel_diff(a: float, b: float) -> float:
-    """|a - b| / |b|, or inf when either side is not usable, so it never agrees."""
-    return abs(a - b) / abs(b) if _usable(a) and _usable(b) else math.inf
+_NO_STATUS_COLUMN = ("compare-reps", "mass", "mc-check")  # the exit code carries the verdict
 
 
-def _evaluate(kernel, *args, **kwargs):
-    """The kernel's result, or the zero or non-finite one it refused, for its row."""
-    try:
-        return kernel(*args, **kwargs)
-    except KernelRangeError as exc:
-        return exc.result
-
-
-def _point_job(job):
-    t, r, eta, rep, quad, ctrl, path = job
-    row = {"t": t, "r": r, "eta": eta}
-    k1 = _evaluate(heat_kernel_rep1, t, r, eta, quad, ctrl) if rep != "2" else None
-    k2 = _evaluate(heat_kernel_rep2, t, r, eta, quad, ctrl, path=path) if rep != "1" else None
-    if rep != "both":
-        k = k1 if rep == "1" else k2
-        row.update(value=k.value, est_error=k.est_error, m_used=k.m_used, u_max_used=k.u_max_used)
-    else:
-        row.update(p_rep1=k1.value, p_rep1_err=k1.est_error, m_used=k1.m_used,
-                   u_max_used=k1.u_max_used, p_rep2=k2.value, p_rep2_err=k2.est_error,
-                   rel_diff=_rel_diff(k1.value, k2.value))
-    return row
-
-
-def _run_points(cfg, points, rep, path="mode_series"):
-    jobs = [(t, r, eta, rep, _quad(cfg), _ctrl(cfg), path) for (t, r, eta) in points]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(_point_job, jobs))
-    return [_point_job(j) for j in jobs]
-
-
-def _grid(cfg):
-    return [(t, r, eta) for t in cfg.t for r in cfg.r for eta in cfg.eta]
-
-
-def _checked(row: dict, good: bool) -> dict:
-    """A check record with its pass/fail status."""
-    row["status"] = "pass" if good else "fail"
-    return row
-
-
-def _exit_code(rows) -> int:
+def _write_rows(rows, cfg: RunConfig, out) -> int:
+    """Write rows with their fields as columns; the exit code is 1 if any row failed."""
+    fields = [k for k in rows[0] if k != "status" or cfg.command not in _NO_STATUS_COLUMN]
+    write_records(rows, fields, cfg.format, out)
     return 1 if any(row.get("status") == "fail" for row in rows) else 0
+
+
+# "command [--check mode]" that runs one check
+_CHECKS = {
+    "residual": acc.heat_equation_residual,
+    "mc-check": acc.mc_oracle,
+    "octonion-check": acc.octonion_algebra,
+    "fiber normalization": acc.fiber_normalization,
+    "fiber orthogonality": acc.fiber_orthogonality,
+    "fiber profile": acc.mode_profile,
+    "fiber chebyshev": acc.chebyshev_identity,
+    "hyperbolic suite": acc.hyperbolic_suite,
+}
+
+
+def _cmd_check(cfg: RunConfig, out):
+    key = " ".join(filter(None, (cfg.command, cfg.options.get("check"))))
+    if key not in _CHECKS:
+        raise ValueError(f"unknown check {key!r}")
+    return _write_rows(_call(_CHECKS[key], cfg), cfg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -247,285 +187,57 @@ def _exit_code(rows) -> int:
 
 
 def _cmd_eval(cfg: RunConfig, out):
-    rep = cfg.rep
-    rows = _run_points(cfg, _grid(cfg), rep, path=cfg.path)
-    fields = _BOTH_FIELDS if rep == "both" else [
-        "t", "r", "eta", "value", "est_error", "m_used", "u_max_used"]
-    write_records(rows, fields, cfg.format, out)
-    values = ("p_rep1", "p_rep2") if rep == "both" else ("value",)
-    bad = sum(not _usable(row[k]) for row in rows for k in values)
+    rows = _call(acc.point_rows, cfg)
+    _write_rows(rows, cfg, out)
+    values = ("p_rep1", "p_rep2") if cfg.rep == "both" else ("value",)
+    bad = sum(not acc.usable(row[k]) for row in rows for k in values)
     if bad:
         print(f"{bad} kernel values are zero or not finite", file=sys.stderr)
     return 1 if bad else 0
 
 
 def _cmd_compare_reps(cfg: RunConfig, out):
-    if cfg.what == "reps":
-        rows = _run_points(cfg, _grid(cfg), "both", path=cfg.path)
-        fields = _BOTH_FIELDS
-    elif cfg.what == "rep2-paths":
-        quad, ctrl = _quad(cfg), _ctrl(cfg)
-        rows = []
-        for (t, r, eta) in _grid(cfg):
-            a = _evaluate(heat_kernel_rep2, t, r, eta, quad, ctrl, path="direct_2d")
-            b = _evaluate(heat_kernel_rep2, t, r, eta, quad, ctrl, path="mode_series")
-            rows.append({"t": t, "r": r, "eta": eta, "direct_2d": a.value,
-                         "mode_series": b.value, "rel_diff": _rel_diff(a.value, b.value)})
-        fields = ["t", "r", "eta", "direct_2d", "mode_series", "rel_diff"]
-    else:
+    check = {"reps": acc.representation_agreement,
+             "rep2-paths": acc.rep2_path_agreement}.get(cfg.what)
+    if check is None:
         raise ValueError(f"unknown comparison {cfg.what!r}")
-    write_records(rows, fields, cfg.format, out)
-    diffs = [row["rel_diff"] for row in rows]
-    print(f"max relative difference = {max(diffs):.6e} (threshold {cfg.threshold:.1e})",
-          file=sys.stderr)
-    # written so that a NaN difference fails
-    return 0 if all(d <= cfg.threshold for d in diffs) else 1
-
-
-def _cmd_residual(cfg: RunConfig, out):
-    which_list = ["rep1", "rep2"] if cfg.which == "both" else [cfg.which]
-    quad, ctrl = _quad(cfg), _ctrl(cfg)
-    rows = []
-    for (t, r, eta) in _grid(cfg):
-        for which in which_list:
-            res, scale, p = heat_residual(which, t, r, eta, quad, ctrl)
-            bound = cfg.rel_tol * scale + cfg.abs_tol * p
-            rows.append(_checked({"t": t, "r": r, "eta": eta, "which": which, "residual": res,
-                                  "dt_scale": scale, "bound": bound}, res <= bound))
-    write_records(rows, ["t", "r", "eta", "which", "residual", "dt_scale", "bound", "status"],
-                  cfg.format, out)
-    return _exit_code(rows)
+    # the two comparisons default to their own checks' thresholds
+    if cfg.threshold is None:
+        cfg.options["threshold"] = _check_defaults(check)["threshold"]
+    rows = _call(check, cfg)
+    print(f"max relative difference = {max(row['rel_diff'] for row in rows):.6e} "
+          f"(threshold {cfg.threshold:.1e})", file=sys.stderr)
+    return _write_rows(rows, cfg, out)
 
 
 def _cmd_mass(cfg: RunConfig, out):
-    quad, ctrl = _quad(cfg), _ctrl(cfg)
-    rows = []
-    masses = []
-    ok = True
-    for t in cfg.t:
-        m = total_mass(t, quad=quad, ctrl=ctrl)
-        masses.append(m)
-        row = {"t": t, "mass": m, "mass_ratio_to_first": m / masses[0]}
-        if cfg.moment:
-            mom = weighted_integral(lambda r, eta: np.cosh(r) * np.cos(eta), t,
-                                    quad=quad, ctrl=ctrl, f_growth=1.0)
-            expected = math.exp(8.0 * t)
-            rel = abs(mom / m - expected) / expected
-            ok = ok and rel <= 1e-4
-            row.update(eigen_moment=mom, moment_over_mass=mom / m,
-                       expected=expected, moment_rel_err=rel)
-        rows.append(row)
-    drift = max(abs(m / masses[0] - 1.0) for m in masses)
-    ok = ok and drift <= 1e-5
-    fields = list(rows[0].keys())
-    write_records(rows, fields, cfg.format, out)
-    print(f"mass drift over t = {drift:.3e}; mass[0] = {masses[0]:.9e}", file=sys.stderr)
-    return 0 if ok else 1
-
-
-def _cmd_mc_check(cfg: RunConfig, out):
-    quad, ctrl = _quad(cfg), _ctrl(cfg)
-    times = sorted(cfg.t)
-    base = SdeConfig(n_paths=cfg.n_paths, dt=cfg.dt, seed=cfg.seed, t_end=times[-1])
-    snapshots = simulate_paths(base, snapshot_times=tuple(times[:-1]))
-    by_time = {round(s.time, 10): s for s in snapshots}
-    rows = []
-    for t in times:
-        samples = by_time[round(t, 10)]
-        mass = total_mass(t, quad=quad, ctrl=ctrl)
-        for name, func, growth in MC_TEST_FUNCTIONS:
-            mean, stderr = estimate_expectation(func, base, samples=samples)
-            analytic = weighted_integral(func, t, quad=quad, ctrl=ctrl,
-                                         f_growth=growth) / mass
-            z = (mean - analytic) / stderr if stderr > 0 else 0.0
-            rows.append({"function": f"{name}@t={t:g}", "mc_mean": mean,
-                         "stderr": stderr, "analytic": analytic, "z": z})
-    write_records(rows, ["function", "mc_mean", "stderr", "analytic", "z"], cfg.format, out)
-    return 0 if all(abs(row["z"]) <= cfg.z_max for row in rows) else 1
+    rows = _call(acc.mass_moment, cfg)
+    drift = max(abs(row["mass_ratio_to_first"] - 1.0) for row in rows)
+    print(f"mass drift over t = {drift:.3e}; mass[0] = {rows[0]['mass']:.9e}", file=sys.stderr)
+    return _write_rows(rows, cfg, out)
 
 
 def _cmd_fiber(cfg: RunConfig, out):
+    if cfg.check != "values":
+        return _cmd_check(cfg, out)
     ctrl = _ctrl(cfg)
     rows = []
-    if cfg.check == "values":
-        for t in cfg.t:
-            for eta in cfg.eta:
-                for u in cfg.u:
-                    v = fiber_heat_kernel(t, eta, u, continued=cfg.continued, ctrl=ctrl)
-                    rows.append({"t": t, "eta": eta, "u": u, "continued": cfg.continued,
-                                 "mode": ctrl.mode, "value": v.value, "m_used": v.m_used,
-                                 "tail_bound": v.tail_bound})
-        fields = ["t", "eta", "u", "continued", "mode", "value", "m_used", "tail_bound"]
-    elif cfg.check == "normalization":
-        u, w = gl_nodes(200, 0.0, math.pi)
-        for t in cfg.t:
-            for eta in cfg.eta:
-                vals = np.array([fiber_heat_kernel(t, eta, float(ui), ctrl=ctrl).value
-                                 for ui in u])
-                integral = float(np.dot(w, vals * np.sin(u) ** 6))
-                target = 1.0 if ctrl.mode == "normalized" else 2.0
-                dev = abs(integral - target)
-                rows.append(_checked({"t": t, "eta": eta, "integral": integral,
-                                      "deviation": dev}, dev <= 1e-8))
-        fields = ["t", "eta", "integral", "deviation", "status"]
-    elif cfg.check == "orthogonality":
-        u, w = gl_nodes(200, 0.0, math.pi)
-        pm = jacobi_sequence(10, np.cos(u))
-        weight = w * np.sin(u) ** 6
-        for m in range(11):
-            for n in range(11):
-                integral = float(np.einsum("i,i,i->", pm[m], pm[n], weight))
-                if m == n:
-                    dev = abs(integral - jacobi_norm_sq(m)) / jacobi_norm_sq(m)
-                else:
-                    dev = abs(integral) / jacobi_norm_sq(m)
-                rows.append(_checked({"m": m, "n": n, "integral": integral, "deviation": dev},
-                                     dev <= 1e-8))
-        fields = ["m", "n", "integral", "deviation", "status"]
-    elif cfg.check == "profile":
-        etas = np.linspace(0.0, math.pi, 61)
-        for m in range(16):
-            pm = jacobi_sequence(m, np.cos(etas))[m]
-            p1 = jacobi_end_value(m)
-            worst = max(abs(fiber_mode_profile(m, float(e)) - v / p1)
-                        for e, v in zip(etas, pm))
-            rows.append(_checked({"m": m, "max_abs_err": worst}, worst <= 1e-10))
-        fields = ["m", "max_abs_err", "status"]
-    elif cfg.check == "chebyshev":
-        us = np.linspace(0.0, 5.0, 100)
-        for m in range(31):
-            worst = 0.0
-            for u in us:
-                ref = math.cosh((m + 3) * u)
-                worst = max(worst, abs(hyp2f1_terminating(m, math.cosh(u)) - ref) / ref)
-            rows.append(_checked({"m": m, "max_rel_err": worst}, worst <= 1e-10))
-        fields = ["m", "max_rel_err", "status"]
-    else:
-        raise ValueError(f"unknown fiber check {cfg.check!r}")
-    write_records(rows, fields, cfg.format, out)
-    return _exit_code(rows)
-
-
-def _radial_pde_residual(n: int, t: float, s: float) -> float:
-    """|dq/dt - radial Laplacian q| / (|dq/dt| + 1e-5 q) for the n-dimensional kernel.
-
-    Central differences with one Richardson step in t and in s; the scale
-    makes a bound of 1e-5 read as 1e-5 relative plus 1e-10 q.
-    """
-    def q(tt, ss):
-        return hyperbolic_heat_kernel(n, tt, ss)
-
-    def richardson(diff, h):
-        coarse, fine = diff(h), diff(h / 2.0)
-        return fine + (fine - coarse) / 3.0
-
-    time_deriv = richardson(lambda h: (q(t + h, s) - q(t - h, s)) / (2.0 * h), 1e-3 * t)
-    spatial = richardson(lambda h: (q(t, s + h) - 2.0 * q(t, s) + q(t, s - h)) / h ** 2
-                         + (n - 1.0) / math.tanh(s) * (q(t, s + h) - q(t, s - h)) / (2.0 * h), 1e-3)
-    return abs(time_deriv - spatial) / (abs(time_deriv) + 1e-5 * q(t, s))
+    for t, eta, u in itertools.product(cfg.t, cfg.eta, cfg.u):
+        v = fiber_heat_kernel(t, eta, u, continued=cfg.continued, ctrl=ctrl)
+        rows.append({"t": t, "eta": eta, "u": u, "continued": cfg.continued, "mode": ctrl.mode,
+                     "value": v.value, "m_used": v.m_used, "tail_bound": v.tail_bound})
+    return _write_rows(rows, cfg, out)
 
 
 def _cmd_hyperbolic(cfg: RunConfig, out):
     if cfg.dump_terms:
-        for line in dump_term_table(cfg.n):
-            out.write(line + "\n")
+        out.writelines(line + "\n" for line in dump_term_table(cfg.n))
         return 0
     if cfg.check == "suite":
-        rows = []
-        # normalization against the full volume for the two dimensions in use
-        for n in (9, 15):
-            omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-            for t in cfg.t:
-                s_max = (n - 1) * t + 12.0 * math.sqrt(t) + 5.0
-                s, w = gl_nodes(1200, 1e-9, s_max)
-                q = hyperbolic_heat_kernel(n, t, s)
-                integral = float(np.dot(w, q * omega * np.sinh(s) ** (n - 1)))
-                dev = abs(integral - 1.0)
-                rows.append(_checked({"check": f"normalization_n{n}", "t": t, "value": integral,
-                                      "deviation": dev}, dev <= 1e-6))
-        # radial heat equation, worst point per (n, t)
-        for n in (9, 15):
-            for t in cfg.t:
-                worst = max(_radial_pde_residual(n, t, s) for s in (0.5, 1.0, 2.0))
-                rows.append(_checked({"check": f"pde_residual_n{n}", "t": t, "value": worst,
-                                      "deviation": worst}, worst <= 1e-5))
-        # classical 3-dimensional closed form
-        worst = 0.0
-        for t in cfg.t:
-            for s in (1e-8, 0.3, 1.0, 2.5, 5.0):
-                ref = math.exp(-t) / (4.0 * math.pi * t) ** 1.5 * (s / math.sinh(s)) \
-                    * math.exp(-s * s / (4.0 * t))
-                worst = max(worst, abs(hyperbolic_heat_kernel(3, t, s) - ref) / ref)
-        rows.append(_checked({"check": "closed_form_n3", "t": 0.0, "value": worst,
-                              "deviation": worst}, worst <= 1e-12))
-        write_records(rows, ["check", "t", "value", "deviation", "status"], cfg.format, out)
-        return _exit_code(rows)
-    rows = []
-    for t in cfg.t:
-        for s in cfg.s:
-            rows.append({"n": cfg.n, "t": t, "s": s,
-                         "value": float(hyperbolic_heat_kernel(cfg.n, t, s))})
-    write_records(rows, ["n", "t", "s", "value"], cfg.format, out)
-    return 0
-
-
-def _cmd_octonion_check(cfg: RunConfig, out):
-    rng = np.random.default_rng(cfg.seed)
-    rows = []
-
-    def record(check, err, tol):
-        rows.append(_checked({"check": check, "max_error": err, "tolerance": tol}, err <= tol))
-
-    err = 0.0
-    for (i, j, k) in oct.GENERATOR_TRIPLES:
-        prod = oct.oct_mul(oct.Octonion.basis(i), oct.Octonion.basis(j))
-        err = max(err, float(np.max(np.abs(prod.coeffs - oct.Octonion.basis(k).coeffs))))
-    record("generator_triples", err, 0.0)
-
-    err = 0.0
-    for _ in range(cfg.n_pairs):
-        a = oct.Octonion(rng.standard_normal(8))
-        b = oct.Octonion(rng.standard_normal(8))
-        ab = oct.oct_mul(a, b)
-        err = max(err, abs(ab.norm() - a.norm() * b.norm()) / (a.norm() * b.norm()))
-    record("norm_multiplicativity", err, 1e-12)
-
-    err = 0.0
-    for _ in range(cfg.n_pairs):
-        a = oct.Octonion(rng.standard_normal(8))
-        b = oct.Octonion(rng.standard_normal(8))
-        left = oct.oct_mul(a, oct.oct_mul(a, b)) - oct.oct_mul(oct.oct_mul(a, a), b)
-        right = oct.oct_mul(oct.oct_mul(b, a), a) - oct.oct_mul(b, oct.oct_mul(a, a))
-        scale = max(1.0, a.norm_sq() * b.norm())
-        err = max(err, max(np.max(np.abs(left.coeffs)), np.max(np.abs(right.coeffs))) / scale)
-    record("alternativity", err, 1e-12)
-
-    witness = 0.0
-    for i in range(1, 8):
-        for j in range(1, 8):
-            for k in range(1, 8):
-                ei, ej, ek = (oct.Octonion.basis(x) for x in (i, j, k))
-                diff = oct.oct_mul(oct.oct_mul(ei, ej), ek) - oct.oct_mul(ei, oct.oct_mul(ej, ek))
-                witness = max(witness, float(np.max(np.abs(diff.coeffs))))
-    # here the "error" is the shortfall below the required witness size 2
-    record("non_associativity_witness", 2.0 - witness, 0.0)
-
-    quadric = projection = 0.0
-    for _ in range(100):
-        w = oct.Octonion(rng.standard_normal(8) * 0.3)
-        if w.norm() >= 0.99:
-            continue
-        theta = rng.standard_normal(7) * 0.3
-        p = oct.cyl_to_ads(oct.CylCoord(w=w, theta=theta))
-        # scaled as in the acceptance gate: |y|^2 is the size of both terms
-        quadric = max(quadric, abs(oct.pseudo_norm(p.x, p.y) + 1.0) / max(1.0, p.y.norm_sq()))
-        back = oct.ads_project(p)
-        projection = max(projection, float(np.max(np.abs(back.coeffs - w.coeffs))))
-    record("quadric", quadric, 1e-12)
-    record("projection", projection, 1e-12)
-
-    write_records(rows, ["check", "max_error", "tolerance", "status"], cfg.format, out)
-    return _exit_code(rows)
+        return _cmd_check(cfg, out)
+    rows = [{"n": cfg.n, "t": t, "s": s, "value": float(hyperbolic_heat_kernel(cfg.n, t, s))}
+            for t, s in itertools.product(cfg.t, cfg.s)]
+    return _write_rows(rows, cfg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +254,6 @@ def _add_common(p):
     p.add_argument("--n-u", dest="n_u", type=int)
     p.add_argument("--n-phi", dest="n_phi", type=int)
     p.add_argument("--m-cap", dest="m_cap", type=int)
-    p.add_argument("--workers", type=int)
 
 
 def _add_grid(p):
@@ -620,34 +331,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _DEFAULTS = {
-    "eval": {**_COMMON_DEFAULTS, "t": [1.0], "r": ACCEPTANCE_R, "eta": ACCEPTANCE_ETA,
+    "eval": {**_COMMON_DEFAULTS, "t": [1.0], "r": acc.GRID_R, "eta": acc.GRID_ETA,
              "rep": "both", "path": "mode_series"},
-    "compare-reps": {**_COMMON_DEFAULTS, "t": ACCEPTANCE_T, "r": ACCEPTANCE_R,
-                     "eta": ACCEPTANCE_ETA, "what": "reps", "path": "mode_series",
-                     "threshold": 1e-6},
-    "residual": {**_COMMON_DEFAULTS, "t": [1.0], "r": [0.5, 1.0],
-                 "eta": [math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0],
-                 "which": "both", "rel_tol": 1e-4, "abs_tol": 1e-8},
-    "mass": {**_COMMON_DEFAULTS, "t": ACCEPTANCE_T, "moment": True, "n_u": 192},
-    "mc-check": {**_COMMON_DEFAULTS, "t": [0.5, 1.0], "n_paths": 100_000, "dt": 1e-4,
-                 "seed": 0, "z_max": 3.0, "n_u": 192},
-    "fiber": {**_COMMON_DEFAULTS, "t": [0.1, 0.5, 1.0, 2.0],
-              "eta": [0.0, math.pi / 4.0, math.pi / 2.0], "u": [0.5],
+    "compare-reps": {**_COMMON_DEFAULTS, **_check_defaults(acc.representation_agreement),
+                     "what": "reps", "threshold": None},
+    "residual": {**_COMMON_DEFAULTS, **_check_defaults(acc.heat_equation_residual)},
+    # n_u 192 is the quadrature measure integrals use by default
+    "mass": {**_COMMON_DEFAULTS, **_check_defaults(acc.mass_moment), "n_u": 192},
+    "mc-check": {**_COMMON_DEFAULTS, **_check_defaults(acc.mc_oracle), "n_u": 192},
+    "fiber": {**_COMMON_DEFAULTS, **_check_defaults(acc.fiber_normalization), "u": [0.5],
               "continued": False, "mode": "normalized", "check": "values"},
-    "hyperbolic": {**_COMMON_DEFAULTS, "n": 15, "t": ACCEPTANCE_T, "s": [0.5, 1.0, 2.0],
-                   "dump_terms": False, "check": None},
-    "octonion-check": {**_COMMON_DEFAULTS, "n_pairs": 1000, "seed": 0},
+    "hyperbolic": {**_COMMON_DEFAULTS, **_check_defaults(acc.hyperbolic_suite), "n": 15,
+                   "dump_terms": False, "check": "values"},
+    "octonion-check": {**_COMMON_DEFAULTS, **_check_defaults(acc.octonion_algebra)},
 }
 
 _HANDLERS = {
     "eval": _cmd_eval,
     "compare-reps": _cmd_compare_reps,
-    "residual": _cmd_residual,
+    "residual": _cmd_check,
     "mass": _cmd_mass,
-    "mc-check": _cmd_mc_check,
+    "mc-check": _cmd_check,
     "fiber": _cmd_fiber,
     "hyperbolic": _cmd_hyperbolic,
-    "octonion-check": _cmd_octonion_check,
+    "octonion-check": _cmd_check,
 }
 
 

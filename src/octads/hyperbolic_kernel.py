@@ -28,6 +28,7 @@ import numpy as np
 # dropped tail is below 1e-14 relative for every k <= 7 and t >= 0.05.
 SMALL_S_SWITCH = 1.25
 _SERIES_LENGTH = 64
+_SINH_POWER_MAX = 100.0
 
 MAX_DIMENSION = 15
 
@@ -67,7 +68,11 @@ def _taylor_mode_factor(k: int, t: float, s: np.ndarray) -> np.ndarray:
     e = [np.ones_like(s)]
     for m in range(1, k + 1):
         e.append(sum(j * g[j] * e[m - j] for j in range(1, m + 1)) / m)
-    return (-1) ** k * math.factorial(k) * e[k] / np.sinh(s) ** k
+    # sinh(s)**7 overflows beyond s = 102.9; past the cap, sinh s = sinh(cap) e^(s - cap)
+    # to double precision, and exp(-k (s - cap)) cannot overflow
+    capped = np.minimum(s, _SINH_POWER_MAX)
+    return ((-1) ** k * math.factorial(k) * e[k] / np.sinh(capped) ** k
+            * np.exp(-k * (s - capped)))
 
 
 def _lowering_factor(k: int, t: float, s: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-import octads.cli
+import octads.acceptance
 from octads.cli import main, write_records
 
 
@@ -55,12 +55,6 @@ class TestEval:
         _, b = run_cli(args, tmp_path, "b.csv")
         assert a == b
 
-    def test_workers_match_serial(self, tmp_path):
-        args = ["eval", "--t", "1", "--r", "0,0.5,1", "--eta", "0,1.2", "--rep", "1"]
-        _, serial = run_cli(args, tmp_path, "serial.csv")
-        _, parallel = run_cli(args + ["--workers", "2"], tmp_path, "par.csv")
-        assert serial == parallel
-
     def test_json_format(self, tmp_path):
         code, payload = run_cli(
             ["eval", "--t", "1", "--r", "0", "--eta", "0", "--rep", "1", "--format", "json"],
@@ -101,13 +95,13 @@ class TestCompareReps:
 
     def test_nan_value_fails(self, tmp_path, monkeypatch):
         # a NaN between two good points must not vanish from the verdict
-        real = octads.cli.heat_kernel_rep2
+        real = octads.acceptance.heat_kernel_rep2
 
         def rep2(t, r, eta, *args, **kwargs):
             k = real(t, r, eta, *args, **kwargs)
             return dataclasses.replace(k, value=math.nan) if r == 0.5 else k
 
-        monkeypatch.setattr(octads.cli, "heat_kernel_rep2", rep2)
+        monkeypatch.setattr(octads.acceptance, "heat_kernel_rep2", rep2)
         code, payload = run_cli(
             ["compare-reps", "--t", "1", "--r", "0,0.5,1", "--eta", "0"], tmp_path)
         assert code == 1
@@ -117,6 +111,24 @@ class TestCompareReps:
         code, _ = run_cli(
             ["compare-reps", "--what", "rep2-paths", "--t", "1", "--r", "0.5",
              "--eta", "0.7853981634", "--threshold", "1e-8"], tmp_path)
+        assert code == 0
+
+    def test_rep2_paths_default_threshold(self, tmp_path, monkeypatch, capsys):
+        # a 1e-7 gap between the two rep-2 paths passes 1e-6 but not the default 1e-8
+        real = octads.acceptance.heat_kernel_rep2
+
+        def rep2(t, r, eta, *args, path="mode_series", **kwargs):
+            k = real(t, r, eta, *args, path=path, **kwargs)
+            if path == "direct_2d":
+                return dataclasses.replace(k, value=k.value * (1.0 + 1e-7))
+            return k
+
+        monkeypatch.setattr(octads.acceptance, "heat_kernel_rep2", rep2)
+        args = ["compare-reps", "--what", "rep2-paths", "--t", "1", "--r", "0.5", "--eta", "0"]
+        code, _ = run_cli(args, tmp_path)
+        assert code == 1
+        assert "(threshold 1.0e-08)" in capsys.readouterr().err
+        code, _ = run_cli(args + ["--threshold", "1e-6"], tmp_path)
         assert code == 0
 
 
@@ -156,12 +168,17 @@ class TestOtherCommands:
     def test_octonion_check(self, tmp_path):
         code, payload = run_cli(["octonion-check", "--n-pairs", "100"], tmp_path)
         assert code == 0
-        assert b"fail" not in payload
-        rows = {row.split(",")[0]: row.split(",") for row in payload.decode().splitlines()[1:]}
-        for check in ("quadric", "projection"):
-            assert float(rows[check][1]) <= 1e-12
-            assert float(rows[check][2]) == 1e-12
-            assert rows[check][3] == "pass"
+        lines = payload.decode().splitlines()
+        assert lines[0] == "check,max_error,tolerance,status"
+        rows = {row.split(",")[0]: row.split(",")[1:] for row in lines[1:]}
+        tolerances = {"generator_triples": 0.0, "norm_multiplicativity": 1e-12,
+                      "alternativity": 1e-12, "non_associativity_witness": 0.0,
+                      "quadric": 1e-12, "projection": 1e-12}
+        assert list(rows) == list(tolerances)
+        for check, tol in tolerances.items():
+            err, written_tol, status = rows[check]
+            assert float(written_tol) == tol
+            assert float(err) <= tol and status == "pass", check
 
     def test_fiber_profile_check(self, tmp_path):
         # one row per degree m = 0..15, as in criterion 09
@@ -185,6 +202,19 @@ class TestOtherCommands:
         assert lines[0] == "function,mc_mean,stderr,analytic,z"
         assert len(lines) == 4
 
+    def test_mc_check_single_path_exits_2(self, tmp_path):
+        # one path has no standard error; it used to pass with every z set to 0
+        code, _ = run_cli(["mc-check", "--n-paths", "1", "--t", "0.5"], tmp_path)
+        assert code == 2
+
+    def test_mc_check_zero_stderr_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(octads.acceptance, "estimate_expectation",
+                            lambda f, cfg, samples: (0.5, 0.0))
+        code, payload = run_cli(
+            ["mc-check", "--t", "0.1", "--n-paths", "200", "--dt", "0.001"], tmp_path)
+        assert code == 1
+        assert all(line.endswith(",nan") for line in payload.decode().splitlines()[1:])
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path):
@@ -204,6 +234,12 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no_such_key = 1\n")
         assert main(["eval", "--config", str(cfg)]) == 2
+
+    def test_empty_grid_exits_2(self, tmp_path):
+        # an empty grid used to pass with no rows checked
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("t =\n")
+        assert main(["residual", "--config", str(cfg)]) == 2
 
     def test_bad_config_line_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

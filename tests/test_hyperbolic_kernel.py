@@ -13,6 +13,7 @@ from octads.hyperbolic_kernel import (
     hyperbolic_heat_kernel,
     hyperbolic_heat_kernel_composed,
     lowering_terms,
+    _SINH_POWER_MAX,
     _lowering_factor,
     _series_factor,
     _taylor_mode_factor,
@@ -108,6 +109,25 @@ class TestTaylorBranch:
             series = _series_factor(k, t, 2.0 * np.sinh(0.5 * s) ** 2)
             taylor_mode = _taylor_mode_factor(k, t, s)
             assert np.all(np.abs(series - taylor_mode) <= 1e-11 * np.abs(series)), (k, t)
+
+    def test_no_overflow_at_large_distance(self):
+        # sinh(s)**7 alone overflows beyond s = 102.9, and sinh(s) beyond 710.5
+        s = np.array([103.0, 150.0, 700.0, 800.0])
+        with np.errstate(over="raise", invalid="raise"):
+            for n in (9, 15):
+                for t in (0.5, 3.0, 50.0):
+                    q = hyperbolic_heat_kernel(n, t, s)
+                    assert np.all(np.isfinite(q) & (q >= 0)), (n, t)
+
+    def test_closed_forms_on_both_sides_of_the_cap(self):
+        # P_1 = s csch(s) / 2t and P_2 = (s^2/4t^2 + (s coth s - 1)/2t) csch(s)^2
+        for t in (0.5, 3.0):
+            for s in (50.0, _SINH_POWER_MAX, _SINH_POWER_MAX + 1e-9, 101.0, 150.0, 300.0):
+                csch = 2.0 * math.exp(-s) / -math.expm1(-2.0 * s)
+                p1 = s * csch / (2.0 * t)
+                p2 = (s * s / (4.0 * t * t) + (s / math.tanh(s) - 1.0) / (2.0 * t)) * csch ** 2
+                got = [_taylor_mode_factor(k, t, np.array([s]))[0] for k in (1, 2)]
+                assert got == pytest.approx([p1, p2], rel=1e-12, abs=0), (t, s)
 
 
 class TestKernelValues:
