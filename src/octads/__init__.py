@@ -11,14 +11,9 @@ from .fiber_kernel import (
     spectral_coeff,
 )
 from .hyperbolic_kernel import (
-    ExpTerm,
-    ExpTermSum,
-    apply_lowering,
     composed_distance,
-    dump_term_table,
     hyperbolic_heat_kernel,
     hyperbolic_heat_kernel_composed,
-    lowering_terms,
 )
 from .octonion import (
     AdSPoint,
@@ -33,14 +28,12 @@ from .octonion import (
 )
 from .mc_oracle import (
     MC_TEST_FUNCTIONS,
-    PathSample,
     SampleSet,
     SdeConfig,
     estimate_expectation,
     simulate_paths,
 )
 from .special_fn import (
-    chebyshev_T,
     hyp2f1_terminating,
     jacobi_norm_sq,
     jacobi_poly,

@@ -4,7 +4,8 @@ Flags override config-file keys (flat key = value text); records are written
 byte-identically for identical inputs: floats as %.12e, comma-separated CSV
 with LF endings, or a JSON array of objects with the same field names.
 
-Exit codes: 0 success, 1 validation threshold exceeded, 2 usage/config error.
+Exit codes: 0 success, 1 validation threshold exceeded, 2 usage/config error,
+an input outside the supported domain, or a series or quadrature that did not converge.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import acceptance as acc
-from .fiber_kernel import SeriesControl, fiber_heat_kernel
-from .hyperbolic_kernel import dump_term_table, hyperbolic_heat_kernel
-from .subelliptic_kernel import QuadratureSpec
+from .fiber_kernel import SeriesControl, SeriesConvergenceError, fiber_heat_kernel
+from .hyperbolic_kernel import hyperbolic_heat_kernel
+from .subelliptic_kernel import QuadratureConvergenceError, QuadratureSpec
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +231,6 @@ def _cmd_fiber(cfg: RunConfig, out):
 
 
 def _cmd_hyperbolic(cfg: RunConfig, out):
-    if cfg.dump_terms:
-        out.writelines(line + "\n" for line in dump_term_table(cfg.n))
-        return 0
     if cfg.check == "suite":
         return _cmd_check(cfg, out)
     rows = [{"n": cfg.n, "t": t, "s": s, "value": float(hyperbolic_heat_kernel(cfg.n, t, s))}
@@ -319,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--t", type=_parse_float_list)
     p.add_argument("--s", type=_parse_float_list)
-    p.add_argument("--dump-terms", dest="dump_terms", action="store_const", const=True)
     p.add_argument("--check", choices=("suite",))
 
     p = sub.add_parser("octonion-check", help="algebra and coordinate checks")
@@ -342,7 +339,7 @@ _DEFAULTS = {
     "fiber": {**_COMMON_DEFAULTS, **_check_defaults(acc.fiber_normalization), "u": [0.5],
               "continued": False, "mode": "normalized", "check": "values"},
     "hyperbolic": {**_COMMON_DEFAULTS, **_check_defaults(acc.hyperbolic_suite), "n": 15,
-                   "dump_terms": False, "check": "values"},
+                   "check": "values"},
     "octonion-check": {**_COMMON_DEFAULTS, **_check_defaults(acc.octonion_algebra)},
 }
 
@@ -373,7 +370,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args, _DEFAULTS[args.command])
         return run(cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SeriesConvergenceError, QuadratureConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

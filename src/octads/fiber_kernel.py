@@ -142,12 +142,12 @@ def fiber_heat_kernel(t: float, eta: float, u: float, continued: bool = False,
     For the continued branch u is the hyperbolic coordinate (second argument
     cosh u); otherwise u is an angle in [0, pi] like eta.
     """
-    if t <= 0:
-        raise ValueError("time must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
     if not 0.0 <= eta <= math.pi:
         raise ValueError("eta must lie in [0, pi]")
     if continued:
-        if u < 0:
+        if not u >= 0.0:
             raise ValueError("continued coordinate must be nonnegative")
     elif not 0.0 <= u <= math.pi:
         raise ValueError("u must lie in [0, pi]")

@@ -8,18 +8,11 @@ F(x) = arccosh(x)^2.  F obeys (x^2 - 1) F'' + x F' = 2, which gives two-term
 recurrences for its Taylor coefficients.  P_k is evaluated in floats: below
 SMALL_S_SWITCH as a power series in w = cosh s - 1, above it per node in
 Taylor mode about x0 = cosh s, P_k = (-1)^k k! [h^k] exp(-(F(x0+h) - F(x0))/4t).
-
-The exact expansion of the same derivative into canonical terms
-coeff(1/t) s^pow_s csch(s)^pow_csch coth(s)^pow_coth, with rational
-polynomial coefficients in 1/t, is kept for `octads hyperbolic --dump-terms`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +22,7 @@ import numpy as np
 SMALL_S_SWITCH = 1.25
 _SERIES_LENGTH = 64
 _SINH_POWER_MAX = 100.0
+_FAR = 1e4
 
 MAX_DIMENSION = 15
 
@@ -58,6 +52,9 @@ def _taylor_mode_factor(k: int, t: float, s: np.ndarray) -> np.ndarray:
     The scaled coefficients c_n of F stay O(s) for every s:
     c_{n+2} = (2 [n = 0] - coth(s) (n+1)(2n+1) c_{n+1} - n^2 c_n) / ((n+2)(n+1)).
     """
+    # past _FAR every P_k with k >= 1 is below the smallest double, and at
+    # s = inf the recurrence below would meet inf - inf
+    s = np.minimum(s, _FAR)
     coth = 1.0 / np.tanh(s)
     c = [s * s, 2.0 * s]
     for n in range(k - 1):
@@ -85,98 +82,6 @@ def _lowering_factor(k: int, t: float, s: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact term table of the lowering operator, for --dump-terms
-
-
-@dataclass(frozen=True)
-class ExpTerm:
-    """One canonical term; coeff maps powers of (1/t) to rationals."""
-
-    pow_s: int
-    pow_csch: int
-    pow_coth: int
-    coeff: tuple  # ((j, Fraction), ...) sorted by j
-
-
-class ExpTermSum:
-    """Canonical sum of ExpTerms keyed by the exponent triple."""
-
-    def __init__(self, data=None):
-        # data: {(pow_s, pow_csch, pow_coth): {j: Fraction}}
-        self._data = {}
-        if data:
-            for key, poly in data.items():
-                clean = {j: q for j, q in poly.items() if q != 0}
-                if clean:
-                    self._data[key] = clean
-
-    @classmethod
-    def gaussian(cls) -> "ExpTermSum":
-        """The bare Gaussian: a single unit term."""
-        return cls({(0, 0, 0): {0: Fraction(1)}})
-
-    def __len__(self):
-        return len(self._data)
-
-    def __add__(self, other: "ExpTermSum") -> "ExpTermSum":
-        out = {k: dict(v) for k, v in self._data.items()}
-        for key, poly in other._data.items():
-            tgt = out.setdefault(key, {})
-            for j, q in poly.items():
-                tgt[j] = tgt.get(j, Fraction(0)) + q
-        return ExpTermSum(out)
-
-    def terms(self) -> list[ExpTerm]:
-        """Terms sorted by descending (pow_csch, pow_coth, pow_s)."""
-        keys = sorted(self._data, key=lambda k: (k[1], k[2], k[0]), reverse=True)
-        return [
-            ExpTerm(pow_s=a, pow_csch=b, pow_coth=c,
-                    coeff=tuple(sorted(self._data[(a, b, c)].items())))
-            for (a, b, c) in keys
-        ]
-
-    def items(self):
-        return self._data.items()
-
-
-def apply_lowering(term_sum: ExpTermSum, sign: int = -1) -> ExpTermSum:
-    """One application of sign * (1/sinh s) d/ds to term_sum * Gaussian.
-
-    Differentiation rules on a term s^a csch^b coth^c exp(-s^2/4t):
-      d/ds -> a s^(a-1) csch^b coth^c  - b s^a csch^b coth^(c+1)
-              - c s^a csch^(b+2) coth^(c-1) - (1/2t) s^(a+1) csch^b coth^c
-    followed by multiplication with csch.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    out = {}
-
-    def add(key, j, val):
-        poly = out.setdefault(key, {})
-        poly[j] = poly.get(j, Fraction(0)) + val
-
-    for (a, b, c), poly in term_sum.items():
-        for j, q in poly.items():
-            v = sign * q
-            if a >= 1:
-                add((a - 1, b + 1, c), j, v * a)
-            if b >= 1:
-                add((a, b + 1, c + 1), j, -v * b)
-            if c >= 1:
-                add((a, b + 3, c - 1), j, -v * c)
-            add((a + 1, b + 1, c), j + 1, -v * Fraction(1, 2))
-    return ExpTermSum(out)
-
-
-@lru_cache(maxsize=None)
-def lowering_terms(k: int) -> ExpTermSum:
-    """k-fold application of -(1/sinh s) d/ds to the Gaussian, cached."""
-    if k == 0:
-        return ExpTermSum.gaussian()
-    return apply_lowering(lowering_terms(k - 1), sign=-1)
-
-
-# ---------------------------------------------------------------------------
 # public kernel evaluations
 
 
@@ -195,11 +100,11 @@ def hyperbolic_heat_kernel(n: int, t: float, s) -> float | np.ndarray:
     the sphere area Omega_{n-1} sinh^{n-1}(s) over s gives 1.
     """
     k = _check_dimension(n)
-    if t <= 0:
-        raise ValueError("time must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s_arr < 0):
-        raise ValueError("distance must be nonnegative")
+    if not np.all(s_arr >= 0):
+        raise ValueError("distance must be nonnegative and not NaN")
     pref = math.exp(-k * k * t) / ((2.0 * math.pi) ** k * math.sqrt(4.0 * math.pi * t))
     val = pref * _lowering_factor(k, t, s_arr) * np.exp(-s_arr * s_arr / (4.0 * t))
     return val if np.ndim(s) else float(val[0])
@@ -222,25 +127,3 @@ def hyperbolic_heat_kernel_composed(n: int, t: float, r, u) -> float | np.ndarra
         raise ValueError("distances must be nonnegative")
     return hyperbolic_heat_kernel(n, t, composed_distance(r, u))
 
-
-def _format_coeff(poly: tuple) -> str:
-    parts = []
-    for j, q in poly:
-        if j == 0:
-            parts.append(str(q))
-        elif j == 1:
-            parts.append(f"{q}/t")
-        else:
-            parts.append(f"{q}/t^{j}")
-    return " + ".join(parts)
-
-
-def dump_term_table(n: int) -> list[str]:
-    """One line per canonical term: coeff, pow_s, pow_csch, pow_coth.
-
-    Lines are ordered by descending (pow_csch, pow_coth, pow_s) so the table
-    is stable and diffable; the first line has the highest csch power.
-    """
-    k = _check_dimension(n)
-    return [f"{_format_coeff(term.coeff)},{term.pow_s},{term.pow_csch},{term.pow_coth}"
-            for term in lowering_terms(k).terms()]

@@ -62,24 +62,12 @@ class SdeConfig:
 
 
 @dataclass(frozen=True)
-class PathSample:
-    r: float
-    eta: float
-
-
 class SampleSet:
     """States of all paths at one time, in path-index order."""
 
-    def __init__(self, time: float, r: np.ndarray, eta: np.ndarray):
-        self.time = time
-        self.r = r
-        self.eta = eta
-
-    def __len__(self):
-        return self.r.size
-
-    def __getitem__(self, i: int) -> PathSample:
-        return PathSample(r=float(self.r[i]), eta=float(self.eta[i]))
+    time: float
+    r: np.ndarray
+    eta: np.ndarray
 
 
 def _log_cosh(x):

@@ -1,4 +1,4 @@
-"""Jacobi and Chebyshev polynomials and the terminating hypergeometric sum.
+"""Jacobi polynomials, Gauss-Legendre rules and the terminating hypergeometric sum.
 
 Everything here is evaluated by three-term recurrences; closed-form
 normalization constants go through lgamma to stay inside double range.
@@ -65,20 +65,6 @@ def jacobi_norm_sq(m: int) -> float:
         - math.lgamma(m + 1.0)
     )
     return math.exp(lg)
-
-
-def chebyshev_T(n: int, x):
-    """Chebyshev polynomial of the first kind; T_n(cosh u) = cosh(n u)."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    t_prev = np.ones_like(x)
-    if n == 0:
-        return t_prev if t_prev.shape else float(t_prev)
-    t = x.copy()
-    for _ in range(n - 1):
-        t, t_prev = 2.0 * x * t - t_prev, t
-    return t if t.shape else float(t)
 
 
 def hyp2f1_terminating(m: int, x: float) -> float:

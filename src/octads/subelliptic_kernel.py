@@ -58,8 +58,8 @@ MIN_TIME = 0.05
 
 
 def _check_time(t: float) -> None:
-    if not t >= MIN_TIME:
-        raise ValueError(f"time {t} is below the supported minimum {MIN_TIME}")
+    if not MIN_TIME <= t < math.inf:
+        raise ValueError(f"time {t} is below the supported minimum {MIN_TIME} or not finite")
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -86,8 +86,8 @@ class KernelPoint:
 
     def __post_init__(self):
         _check_time(self.t)
-        if self.r < 0:
-            raise ValueError("base distance must be nonnegative")
+        if not 0.0 <= self.r < math.inf:
+            raise ValueError(f"base distance must be nonnegative and finite, got {self.r}")
         if not 0.0 <= self.eta <= math.pi:
             raise ValueError("fiber angle must lie in [0, pi]")
 

@@ -8,6 +8,8 @@ import pytest
 
 import octads.acceptance
 from octads.cli import main, write_records
+from octads.fiber_kernel import SeriesConvergenceError
+from octads.subelliptic_kernel import QuadratureConvergenceError
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -141,9 +143,13 @@ class TestOtherCommands:
         assert "pass" in payload.decode()
 
     def test_hyperbolic_dump_terms(self, tmp_path):
-        code, payload = run_cli(["hyperbolic", "--n", "3", "--dump-terms"], tmp_path, "terms.txt")
-        assert code == 0
-        assert payload.decode() == "1/2/t,1,1,0\n"
+        # the exact term table is gone: its flag and its config key are both refused
+        with pytest.raises(SystemExit) as exc:
+            main(["hyperbolic", "--n", "3", "--dump-terms"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "terms.cfg"
+        cfg.write_text("dump_terms = true\n")
+        assert main(["hyperbolic", "--config", str(cfg)]) == 2
 
     def test_hyperbolic_suite(self, tmp_path):
         code, payload = run_cli(["hyperbolic", "--check", "suite"], tmp_path)
@@ -163,7 +169,7 @@ class TestOtherCommands:
         assert code == 0
         value = float(payload.decode().splitlines()[1].split(",")[3])
         ref = math.exp(-1.0) / (4.0 * math.pi) ** 1.5 / math.sinh(1.0) * math.exp(-0.25)
-        assert value == pytest.approx(ref, rel=1e-12)
+        assert value == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_octonion_check(self, tmp_path):
         code, payload = run_cli(["octonion-check", "--n-pairs", "100"], tmp_path)
@@ -214,6 +220,32 @@ class TestOtherCommands:
             ["mc-check", "--t", "0.1", "--n-paths", "200", "--dt", "0.001"], tmp_path)
         assert code == 1
         assert all(line.endswith(",nan") for line in payload.decode().splitlines()[1:])
+
+
+class TestRefusedInput:
+    @pytest.mark.parametrize("args", [
+        ["hyperbolic", "--n", "9", "--t", "nan", "--s", "1"],
+        ["hyperbolic", "--n", "9", "--t", "1", "--s", "nan"],
+        ["hyperbolic", "--n", "9", "--t", "inf", "--s", "1"],
+        ["eval", "--t", "1", "--r", "nan", "--eta", "0"],
+        ["eval", "--t", "1", "--r", "inf", "--eta", "0"],
+        ["fiber", "--t", "nan"],
+        ["fiber", "--continued", "--u", "nan"],
+    ])
+    def test_non_finite_input_exits_2(self, tmp_path, args):
+        code, payload = run_cli(args, tmp_path)
+        assert code == 2
+        assert payload == b""
+
+    @pytest.mark.parametrize("error", [SeriesConvergenceError, QuadratureConvergenceError])
+    def test_convergence_failure_exits_2(self, tmp_path, monkeypatch, capsys, error):
+        def rep1(*args, **kwargs):
+            raise error("did not converge")
+
+        monkeypatch.setattr(octads.acceptance, "heat_kernel_rep1", rep1)
+        code, _ = run_cli(["eval", "--t", "1", "--r", "0", "--eta", "0"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "error: did not converge\n"
 
 
 class TestConfigFile:

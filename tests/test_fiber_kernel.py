@@ -17,16 +17,17 @@ from octads.special_fn import gl_nodes, jacobi_end_value, jacobi_norm_sq, jacobi
 
 class TestSpectralCoeff:
     def test_m0_raw(self):
-        assert spectral_coeff(0, "raw") == pytest.approx(6.4 / math.pi, rel=1e-13)
+        assert spectral_coeff(0, "raw") == pytest.approx(6.4 / math.pi, rel=1e-13, abs=0)
 
     def test_m0_normalized(self):
-        assert spectral_coeff(0, "normalized") == pytest.approx(16.0 / (5.0 * math.pi), rel=1e-13)
+        assert spectral_coeff(0, "normalized") == pytest.approx(16.0 / (5.0 * math.pi),
+                                                                rel=1e-13, abs=0)
 
     def test_raw_is_twice_normalized_for_all_degrees(self):
         # the two conventions differ by the constant factor 2, uniformly in m
         for m in range(61):
             ratio = spectral_coeff(m, "raw") / spectral_coeff(m, "normalized")
-            assert ratio == pytest.approx(2.0, rel=1e-11)
+            assert ratio == pytest.approx(2.0, rel=1e-11, abs=0)
 
     def test_eigenvalue(self):
         assert fiber_eigenvalue(2) == 16
@@ -40,23 +41,23 @@ class TestSpectralCoeff:
         w0 = jacobi_end_value(0) ** 2 / jacobi_norm_sq(0)
         for m in range(20):
             wm = jacobi_end_value(m) ** 2 / jacobi_norm_sq(m)
-            assert wm / w0 == pytest.approx(fiber_mode_multiplicity(m), rel=1e-11)
+            assert wm / w0 == pytest.approx(fiber_mode_multiplicity(m), rel=1e-11, abs=0)
 
 
 class TestFiberHeatKernel:
     def test_large_time_limit(self):
         v = fiber_heat_kernel(50.0, 0.8, 2.0)
-        assert v.value == pytest.approx(16.0 / (5.0 * math.pi), rel=1e-12)
+        assert v.value == pytest.approx(16.0 / (5.0 * math.pi), rel=1e-12, abs=0)
 
     def test_symmetry(self):
         a = fiber_heat_kernel(0.4, 0.5, 1.2).value
         b = fiber_heat_kernel(0.4, 1.2, 0.5).value
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12, abs=0)
 
     def test_continuation_agrees_at_zero(self):
         a = fiber_heat_kernel(1.0, 0.3, 0.0, continued=False).value
         b = fiber_heat_kernel(1.0, 0.3, 0.0, continued=True).value
-        assert a == pytest.approx(b, rel=1e-13)
+        assert a == pytest.approx(b, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("eta", [0.0, math.pi / 4.0, math.pi / 2.0])

@@ -1,46 +1,39 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from octads.hyperbolic_kernel import (
-    ExpTermSum,
     SMALL_S_SWITCH,
-    apply_lowering,
     composed_distance,
-    dump_term_table,
     hyperbolic_heat_kernel,
     hyperbolic_heat_kernel_composed,
-    lowering_terms,
     _SINH_POWER_MAX,
     _lowering_factor,
     _series_factor,
     _taylor_mode_factor,
 )
 
+# both sides of SMALL_S_SWITCH, below the sinh cap
+_S_GRID = np.array([0.05, 0.2, 0.7, 1.24, 1.26, 1.9, 3.3, 8.0])
+
 
 class TestLoweringOperator:
+    """P_k, the factor that k applications of -(1/sinh s) d/ds put in front
+    of the Gaussian exp(-s^2/4t), against closed forms and sympy's derivative."""
+
     def test_single_application(self):
-        out = apply_lowering(ExpTermSum.gaussian(), sign=-1)
-        assert dict(out.items()) == {(1, 1, 0): {1: Fraction(1, 2)}}
+        # P_1 = s csch(s) / 2t
+        for t in (0.05, 0.5, 2.0):
+            ref = _S_GRID / np.sinh(_S_GRID) / (2.0 * t)
+            assert _lowering_factor(1, t, _S_GRID) == pytest.approx(ref, rel=1e-13, abs=0)
 
     def test_double_application_canonical_terms(self):
-        out = apply_lowering(apply_lowering(ExpTermSum.gaussian()))
-        expected = {
-            (0, 2, 0): {1: Fraction(-1, 2)},
-            (1, 2, 1): {1: Fraction(1, 2)},
-            (2, 2, 0): {2: Fraction(1, 4)},
-        }
-        assert dict(out.items()) == expected
-        assert len(out) == 3
-
-    def test_linearity(self):
-        a = lowering_terms(1)
-        b = lowering_terms(2)
-        combined = apply_lowering(a + b)
-        separate = apply_lowering(a) + apply_lowering(b)
-        assert dict(combined.items()) == dict(separate.items())
+        # P_2 = (-1/2t + s coth(s)/2t + s^2/4t^2) csch(s)^2
+        s = _S_GRID
+        for t in (0.05, 0.5, 2.0):
+            ref = ((s / np.tanh(s) - 1.0) / (2.0 * t) + s * s / (4.0 * t * t)) / np.sinh(s) ** 2
+            assert _lowering_factor(2, t, s) == pytest.approx(ref, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("k", [2, 4, 7])
     def test_against_symbolic_differentiation(self, k):
@@ -51,23 +44,13 @@ class TestLoweringOperator:
         for _ in range(k):
             expr = -sp.diff(expr, s) / sp.sinh(s)
         reference = sp.lambdify((t, s), expr * sp.exp(s ** 2 / (4 * t)), "mpmath")
-        terms = lowering_terms(k)
-        # both sides cancel catastrophically at small s, so the table and the
-        # symbolic expression are evaluated at 60 digits
-        with mp.workdps(60):
-            for tv, sv in [(0.5, 0.7), (1.0, 1.9), (2.0, 3.3), (0.7, 0.2)]:
-                tm, sm = mp.mpf(tv), mp.mpf(sv)
-                mine = sum(
-                    sum(mp.mpf(q.numerator) / q.denominator * tm ** -j for j, q in poly.items())
-                    * sm ** a / mp.sinh(sm) ** b * mp.coth(sm) ** c
-                    for (a, b, c), poly in terms.items()
-                )
-                ref = reference(tm, sm)
-                assert abs(mine - ref) <= mp.mpf("1e-30") * abs(ref), (k, tv, sv)
-
-    def test_term_counts(self):
-        assert len(lowering_terms(4)) == 11
-        assert len(lowering_terms(7)) == 36
+        # the symbolic expression cancels catastrophically at small s, so it is
+        # evaluated at 60 digits; the points lie on both sides of SMALL_S_SWITCH
+        for tv, sv in [(0.5, 0.7), (1.0, 1.9), (2.0, 3.3), (0.7, 0.2), (0.05, 1.24), (3.0, 1.26)]:
+            with mp.workdps(60):
+                ref = float(reference(mp.mpf(tv), mp.mpf(sv)))
+            mine = _lowering_factor(k, tv, np.array([sv]))[0]
+            assert mine == pytest.approx(ref, rel=1e-12, abs=0), (k, tv, sv)
 
 
 class TestTaylorBranch:
@@ -95,10 +78,11 @@ class TestTaylorBranch:
         # series heads: P_1(1) = 1/(2t), P_2(1) = 1/(6t) + 1/(4t^2)
         for t in (0.05, 0.5, 2.0):
             heads = _lowering_factor(1, t, np.zeros(1)), _lowering_factor(2, t, np.zeros(1))
-            assert heads[0][0] == pytest.approx(1.0 / (2.0 * t), rel=1e-15)
-            assert heads[1][0] == pytest.approx(1.0 / (6.0 * t) + 1.0 / (4.0 * t * t), rel=1e-15)
+            assert heads[0][0] == pytest.approx(1.0 / (2.0 * t), rel=1e-15, abs=0)
+            assert heads[1][0] == pytest.approx(1.0 / (6.0 * t) + 1.0 / (4.0 * t * t),
+                                                rel=1e-15, abs=0)
             assert hyperbolic_heat_kernel(3, t, 0.0) == pytest.approx(
-                math.exp(-t) / (4.0 * math.pi * t) ** 1.5, rel=1e-15)
+                math.exp(-t) / (4.0 * math.pi * t) ** 1.5, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("k", [1, 4, 7])
     def test_switchover_consistency(self, k):
@@ -141,7 +125,7 @@ class TestKernelValues:
             for s in (1e-8, 0.3, 1.0, 2.5, 5.0):
                 ref = (math.exp(-t) / (4.0 * math.pi * t) ** 1.5
                        * (s / math.sinh(s)) * math.exp(-s * s / (4.0 * t)))
-                assert hyperbolic_heat_kernel(3, t, s) == pytest.approx(ref, rel=1e-12)
+                assert hyperbolic_heat_kernel(3, t, s) == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_on_diagonal_finite(self):
         for n in (9, 15):
@@ -205,6 +189,12 @@ class TestKernelValues:
                 target = hyperbolic_heat_kernel(n + 2, t, s)
                 assert lifted == pytest.approx(target, rel=1e-7, abs=0.0), (n, t, s)
 
+    def test_infinite_distance_is_zero(self):
+        with np.errstate(over="raise", invalid="raise"):
+            for n in (1, 3, 9, 15):
+                assert hyperbolic_heat_kernel(n, 0.5, math.inf) == 0.0
+                assert hyperbolic_heat_kernel(n, 2.0, np.array([1e4, math.inf])).tolist() == [0, 0]
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             hyperbolic_heat_kernel(8, 1.0, 0.5)
@@ -226,29 +216,15 @@ class TestComposedArgument:
     def test_distance_value(self):
         # cosh(s) = cosh(1)^2
         expected = math.acosh(math.cosh(1.0) ** 2)
-        assert composed_distance(1.0, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert composed_distance(1.0, 1.0) == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_composed_matches_direct(self):
         for (r, u) in [(0.0, 0.7), (1.0, 1.0), (2.0, 0.2), (0.5, 3.0)]:
             s = composed_distance(r, u)
             a = hyperbolic_heat_kernel_composed(15, 1.0, r, u)
             b = hyperbolic_heat_kernel(15, 1.0, s)
-            assert a == pytest.approx(b, rel=1e-14)
+            assert a == pytest.approx(b, rel=1e-14, abs=0)
 
     def test_large_arguments_stable(self):
         v = hyperbolic_heat_kernel_composed(15, 2.0, 40.0, 25.0)
         assert v == 0.0 or (np.isfinite(v) and v >= 0.0)
-
-
-class TestTermTable:
-    def test_first_line_has_highest_csch_power(self):
-        lines = dump_term_table(15)
-        powers = [int(line.split(",")[2]) for line in lines]
-        assert powers[0] == max(powers) == 13
-        assert powers == sorted(powers, reverse=True)
-
-    def test_k1_table_exact(self):
-        assert dump_term_table(3) == ["1/2/t,1,1,0"]
-
-    def test_tables_are_deterministic(self):
-        assert dump_term_table(9) == dump_term_table(9)

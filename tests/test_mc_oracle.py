@@ -5,7 +5,6 @@ import pytest
 
 from octads.mc_oracle import (
     MC_TEST_FUNCTIONS,
-    PathSample,
     SdeConfig,
     estimate_expectation,
     simulate_paths,
@@ -53,14 +52,6 @@ class TestSimulation:
         assert times == sorted(times)
         assert times[-1] == pytest.approx(0.1)
         assert len(sets) == 3
-
-    def test_sample_access(self):
-        cfg = SdeConfig(n_paths=10, dt=5e-4, seed=5, t_end=0.01)
-        s = simulate_paths(cfg)[-1]
-        assert len(s) == 10
-        item = s[3]
-        assert isinstance(item, PathSample)
-        assert item.r == s.r[3]
 
     def test_chunk_boundary_stream_stability(self):
         # path k's stream depends only on (seed, k), not on how many paths run

@@ -166,7 +166,7 @@ class TestCoordinates:
         theta[2] = 1e-9
         g = fiber_exponential(theta)
         assert g.coeffs[0] == pytest.approx(1.0)
-        assert g.coeffs[3] == pytest.approx(1e-9, rel=1e-12)
+        assert g.coeffs[3] == pytest.approx(1e-9, rel=1e-12, abs=0)
         assert abs(g.norm() - 1.0) <= 1e-15
 
     def test_domain_errors(self):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from octads import subelliptic_kernel
-from octads.fiber_kernel import SeriesControl
+from octads.fiber_kernel import SeriesControl, fiber_heat_kernel
+from octads.hyperbolic_kernel import hyperbolic_heat_kernel
 from octads.subelliptic_kernel import (
     KernelPoint,
     KernelRangeError,
@@ -33,7 +34,7 @@ class TestGenerator:
         f = lambda r, eta: math.cosh(r) * math.cos(eta)
         for (r, eta) in [(0.5, 1.0), (1.3, 2.1), (2.0, 0.4)]:
             val = apply_radial_sublaplacian(f, r, eta)
-            assert val == pytest.approx(8.0 * f(r, eta), rel=1e-6)
+            assert val == pytest.approx(8.0 * f(r, eta), rel=1e-6, abs=0)
 
     def test_constant(self):
         val = apply_radial_sublaplacian(lambda r, eta: 1.0, 1.0, 1.0)
@@ -43,7 +44,7 @@ class TestGenerator:
         f = lambda r, eta: math.cos(eta)
         for (r, eta) in [(0.7, 0.9), (1.5, 2.2)]:
             val = apply_radial_sublaplacian(f, r, eta)
-            assert val == pytest.approx(-7.0 * math.tanh(r) ** 2 * math.cos(eta), rel=1e-6)
+            assert val == pytest.approx(-7.0 * math.tanh(r) ** 2 * math.cos(eta), rel=1e-6, abs=0)
 
     def test_boundary_strips_rejected(self):
         with pytest.raises(ValueError):
@@ -106,6 +107,21 @@ class TestRepresentations:
         with pytest.raises(ValueError):
             KernelPoint(1.0, 0.0, -0.1)
 
+    @pytest.mark.parametrize("call", [
+        lambda: hyperbolic_heat_kernel(9, math.nan, 1.0),
+        lambda: hyperbolic_heat_kernel(9, math.inf, 1.0),
+        lambda: hyperbolic_heat_kernel(9, 1.0, np.array([0.5, math.nan])),
+        lambda: KernelPoint(1.0, math.nan, 0.0),
+        lambda: KernelPoint(1.0, math.inf, 0.0),
+        lambda: KernelPoint(math.inf, 0.0, 0.0),
+        lambda: fiber_heat_kernel(math.nan, 0.5, 0.5),
+        lambda: fiber_heat_kernel(math.inf, 0.5, 0.5),
+        lambda: fiber_heat_kernel(1.0, 0.5, math.nan, continued=True),
+    ])
+    def test_non_finite_inputs_raise(self, call):
+        with pytest.raises(ValueError):
+            call()
+
     def test_min_time_enforced(self):
         # below MIN_TIME rep 2 used to return an unchecked value (79.3 here)
         for rep in (heat_kernel_rep1, heat_kernel_rep2):
@@ -136,7 +152,7 @@ class TestRepresentations:
             norm = heat_kernel_rep2(t, r, 0.9).value
             raw = heat_kernel_rep2(t, r, 0.9, variant="raw").value
             expected = 0.5 * REP2_CONSTANT / math.cosh(r) ** 3
-            assert norm / raw == pytest.approx(expected, rel=1e-9)
+            assert norm / raw == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_raw_mode_series_against_independent_quadrature(self):
         quad = pytest.importorskip("scipy.integrate").quad
@@ -226,13 +242,13 @@ class TestMeasureIntegrals:
             assert abs(m / masses[0] - 1.0) <= 1e-5
         # measured invariant: the mass equals exactly 1/32 under the shipped
         # measure constant pi^7/90 (unit mass under constant 16 pi^7/45)
-        assert masses[0] == pytest.approx(1.0 / 32.0, rel=1e-8)
+        assert masses[0] == pytest.approx(1.0 / 32.0, rel=1e-8, abs=0)
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_eigen_moment(self, t):
         mom = weighted_integral(lambda r, eta: np.cosh(r) * np.cos(eta), t, f_growth=1.0)
         mass = total_mass(t)
-        assert mom / mass == pytest.approx(math.exp(8.0 * t), rel=1e-4)
+        assert mom / mass == pytest.approx(math.exp(8.0 * t), rel=1e-4, abs=0)
 
     def test_mass_where_the_radial_measure_overflows(self):
         # r_max = 54.5 here; (sinh r cosh r)^7 alone is inf beyond r = 51.4
@@ -250,4 +266,4 @@ class TestMeasureIntegrals:
     def test_rep2_mass_matches(self):
         a = total_mass(1.0)
         b = total_mass(1.0, which="rep2")
-        assert a == pytest.approx(b, rel=1e-7)
+        assert a == pytest.approx(b, rel=1e-7, abs=0)
