@@ -20,8 +20,9 @@ from .hyperbolic_kernel import hyperbolic_heat_kernel
 from .mc_oracle import MC_TEST_FUNCTIONS, SdeConfig, estimate_expectation, simulate_paths
 from .special_fn import (gl_nodes, hyp2f1_terminating, jacobi_end_value, jacobi_norm_sq,
                          jacobi_sequence)
-from .subelliptic_kernel import (KernelRangeError, heat_kernel_rep1, heat_kernel_rep2,
-                                 heat_residual, total_mass, weighted_integral)
+from .subelliptic_kernel import (MEASURE_N_U, KernelRangeError, heat_kernel_rep1,
+                                 heat_kernel_rep2, heat_residual, richardson, total_mass,
+                                 weighted_integral)
 
 GRID_T = (0.5, 1.0, 2.0)
 GRID_R = (0.0, 0.5, 1.0, 2.0)
@@ -53,7 +54,8 @@ def _evaluate(kernel, *args, **kwargs):
         return exc.result
 
 
-def point_rows(t, r, eta, rep="both", path="mode_series", *, quad=None, ctrl=None):
+def point_rows(t=(1.0,), r=GRID_R, eta=GRID_ETA, rep="both", path="mode_series", *, quad=None,
+               ctrl=None):
     """Kernel values on the grid t x r x eta: one representation, or both and their difference."""
     rows = []
     for tt, rr, ee in itertools.product(t, r, eta):
@@ -153,10 +155,6 @@ def _radial_pde_residual(n: int, t: float, s: float) -> float:
     def q(tt, ss):
         return hyperbolic_heat_kernel(n, tt, ss)
 
-    def richardson(diff, h):
-        coarse, fine = diff(h), diff(h / 2.0)
-        return fine + (fine - coarse) / 3.0
-
     time_deriv = richardson(lambda h: (q(t + h, s) - q(t - h, s)) / (2.0 * h), 1e-3 * t)
     spatial = richardson(lambda h: (q(t, s + h) - 2.0 * q(t, s) + q(t, s - h)) / h ** 2
                          + (n - 1.0) / math.tanh(s) * (q(t, s + h) - q(t, s - h)) / (2.0 * h), 1e-3)
@@ -192,16 +190,16 @@ def hyperbolic_suite(t=GRID_T, s=(0.5, 1.0, 2.0)):
     return rows
 
 
-def mass_moment(t=GRID_T, moment=True, *, quad=None, ctrl=None):
+def mass_moment(t=GRID_T, moment=True, n_u=MEASURE_N_U, *, ctrl=None):
     """Criterion 07: the mass is constant in t to 1e-5, and E[cosh r cos eta] = exp(8t) to
     1e-4 relative (if `moment`)."""
-    masses = [total_mass(tt, quad=quad, ctrl=ctrl) for tt in t]
+    masses = [total_mass(tt, n_u=n_u, ctrl=ctrl) for tt in t]
     rows = []
     for tt, m in zip(t, masses):
         row = {"t": tt, "mass": m, "mass_ratio_to_first": m / masses[0]}
         if moment:
             mom = weighted_integral(lambda r, eta: np.cosh(r) * np.cos(eta), tt,
-                                    quad=quad, ctrl=ctrl, f_growth=1.0)
+                                    n_u=n_u, ctrl=ctrl, f_growth=1.0)
             expected = math.exp(8.0 * tt)
             row.update(eigen_moment=mom, moment_over_mass=mom / m, expected=expected,
                        moment_rel_err=abs(mom / m - expected) / expected)
@@ -210,7 +208,7 @@ def mass_moment(t=GRID_T, moment=True, *, quad=None, ctrl=None):
     return rows
 
 
-def mc_oracle(t=(0.5, 1.0), n_paths=100_000, dt=1e-4, seed=0, z_max=3.0, *, quad=None,
+def mc_oracle(t=(0.5, 1.0), n_paths=100_000, dt=1e-4, seed=0, z_max=3.0, n_u=MEASURE_N_U, *,
               ctrl=None):
     """Criterion 08: MC means of the test functions within z_max standard errors of quadrature."""
     if n_paths < 2:
@@ -220,10 +218,10 @@ def mc_oracle(t=(0.5, 1.0), n_paths=100_000, dt=1e-4, seed=0, z_max=3.0, *, quad
     by_time = {round(s.time, 10): s for s in simulate_paths(cfg, snapshot_times=tuple(times[:-1]))}
     rows = []
     for tt in times:
-        mass = total_mass(tt, quad=quad, ctrl=ctrl)
+        mass = total_mass(tt, n_u=n_u, ctrl=ctrl)
         for name, func, growth in MC_TEST_FUNCTIONS:
             mean, stderr = estimate_expectation(func, cfg, samples=by_time[round(tt, 10)])
-            analytic = weighted_integral(func, tt, quad=quad, ctrl=ctrl, f_growth=growth) / mass
+            analytic = weighted_integral(func, tt, n_u=n_u, ctrl=ctrl, f_growth=growth) / mass
             # a zero or non-finite standard error bounds nothing: z is NaN and fails
             z = (mean - analytic) / stderr if 0.0 < stderr < math.inf else math.nan
             rows.append(_row(abs(z) <= z_max, function=f"{name}@t={tt:g}", mc_mean=mean,

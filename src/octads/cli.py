@@ -1,8 +1,11 @@
 """Command-line front end: kernel grids, the checks of octads.acceptance, CSV/JSON output.
 
-Flags override config-file keys (flat key = value text); records are written
-byte-identically for identical inputs: floats as %.12e, comma-separated CSV
-with LF endings, or a JSON array of objects with the same field names.
+Each command's options come from one table, _COMMANDS: the parameters of its check before
+`*` and the QuadratureSpec/SeriesControl fields its code reads, with their defaults.  An
+option's flag is typed by its default and checked against its allowed words; a config file
+(flat key = value text) sets the same options through the same type and words, and flags
+override it.  Records are written byte-identically for identical inputs: floats as %.12e,
+comma-separated CSV with LF endings, or a JSON array of objects with the same field names.
 
 Exit codes: 0 success, 1 validation threshold exceeded, 2 usage/config error,
 an input outside the supported domain, or a series or quadrature that did not converge.
@@ -11,12 +14,12 @@ an input outside the supported domain, or a series or quadrature that did not co
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,7 +63,7 @@ def write_records(rows, fieldnames, fmt: str, stream) -> None:
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
+# option values
 
 
 def _parse_float_list(text: str):
@@ -70,18 +73,193 @@ def _parse_float_list(text: str):
     return values
 
 
-def _convert(raw: str, default):
-    """A config-file value, read as the type of the option's default (a float if None)."""
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(text: str) -> bool:
+    """A config-file truth value; a flag is set by --name or --no-name instead."""
+    if text.lower() not in _BOOLEANS:
+        raise ValueError(f"expected one of {', '.join(_BOOLEANS)}, got {text!r}")
+    return _BOOLEANS[text.lower()]
+
+
+def _parse_as(default):
+    """An option's type, read from its default: a float if None, a float list if a tuple."""
     if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(default, (list, tuple)):
-        return _parse_float_list(raw)
-    return float(raw) if default is None else type(default)(raw)
+        return _parse_bool
+    if isinstance(default, tuple):
+        return _parse_float_list
+    return float if default is None else type(default)
 
 
-def _load_config(path: str, defaults: dict) -> dict:
-    """The file's values of the command's options; a key no command has is an error."""
-    known = set().union(*_DEFAULTS.values())
+def _check_defaults(check) -> dict:
+    """A check's grid and controls: its parameters before `*`, with their defaults."""
+    params = inspect.signature(check).parameters.values()
+    return {p.name: p.default for p in params if p.kind is p.POSITIONAL_OR_KEYWORD}
+
+
+def _ctrl(opts: dict) -> SeriesControl:
+    return SeriesControl(tol=opts["series_tol"], m_cap=opts["m_cap"],
+                         mode=opts.get("mode", SeriesControl.mode))
+
+
+def _call(check, opts: dict):
+    """The check's rows, run with its options; quad and ctrl from the command's fields."""
+    kwargs = {k: opts[k] for k in _check_defaults(check)}
+    params = inspect.signature(check).parameters
+    if "quad" in params:
+        kwargs["quad"] = QuadratureSpec(**{k: opts[k] for k in _QUAD if k in opts})
+    if "ctrl" in params:
+        kwargs["ctrl"] = _ctrl(opts)
+    return check(**kwargs)
+
+
+_NO_STATUS_COLUMN = ("compare-reps", "mass", "mc-check")  # the exit code carries the verdict
+
+
+def _write_rows(rows, opts: dict, out) -> int:
+    """Write rows with their fields as columns; the exit code is 1 if any row failed."""
+    fields = [k for k in rows[0] if k != "status" or opts["command"] not in _NO_STATUS_COLUMN]
+    write_records(rows, fields, opts["format"], out)
+    return 1 if any(row.get("status") == "fail" for row in rows) else 0
+
+
+# ---------------------------------------------------------------------------
+# commands
+
+
+def _cmd_check(opts: dict, out):
+    return _write_rows(_call(_COMMANDS[opts["command"]][1], opts), opts, out)
+
+
+def _cmd_eval(opts: dict, out):
+    rows = _call(acc.point_rows, opts)
+    _write_rows(rows, opts, out)
+    values = ("p_rep1", "p_rep2") if opts["rep"] == "both" else ("value",)
+    bad = sum(not acc.usable(row[k]) for row in rows for k in values)
+    if bad:
+        print(f"{bad} kernel values are zero or not finite", file=sys.stderr)
+    return 1 if bad else 0
+
+
+def _cmd_compare_reps(opts: dict, out):
+    check = _COMPARISONS[opts["what"]]
+    # the two comparisons default to their own checks' thresholds
+    if opts["threshold"] is None:
+        opts["threshold"] = _check_defaults(check)["threshold"]
+    rows = _call(check, opts)
+    print(f"max relative difference = {max(row['rel_diff'] for row in rows):.6e} "
+          f"(threshold {opts['threshold']:.1e})", file=sys.stderr)
+    return _write_rows(rows, opts, out)
+
+
+def _cmd_mass(opts: dict, out):
+    rows = _call(acc.mass_moment, opts)
+    drift = max(abs(row["mass_ratio_to_first"] - 1.0) for row in rows)
+    print(f"mass drift over t = {drift:.3e}; mass[0] = {rows[0]['mass']:.9e}", file=sys.stderr)
+    return _write_rows(rows, opts, out)
+
+
+def _cmd_fiber(opts: dict, out):
+    if opts["check"] != "values":
+        return _write_rows(_call(_SUBCHECKS["fiber"][opts["check"]], opts), opts, out)
+    ctrl = _ctrl(opts)
+    rows = []
+    for t, eta, u in itertools.product(opts["t"], opts["eta"], opts["u"]):
+        v = fiber_heat_kernel(t, eta, u, continued=opts["continued"], ctrl=ctrl)
+        rows.append({"t": t, "eta": eta, "u": u, "continued": opts["continued"],
+                     "mode": ctrl.mode, "value": v.value, "m_used": v.m_used,
+                     "tail_bound": v.tail_bound})
+    return _write_rows(rows, opts, out)
+
+
+def _cmd_hyperbolic(opts: dict, out):
+    if opts["check"] != "values":
+        return _write_rows(_call(_SUBCHECKS["hyperbolic"][opts["check"]], opts), opts, out)
+    rows = [{"n": opts["n"], "t": t, "s": s, "value": float(hyperbolic_heat_kernel(opts["n"], t, s))}
+            for t, s in itertools.product(opts["t"], opts["s"])]
+    return _write_rows(rows, opts, out)
+
+
+# ---------------------------------------------------------------------------
+# the options of each command
+
+# The QuadratureSpec and SeriesControl fields as options, with the fields' defaults; the
+# series tolerance is series_tol, apart from the quadrature's tol.
+_QUAD = {f.name: f.default for f in dataclasses.fields(QuadratureSpec)}
+_CTRL = {"series_tol": SeriesControl.tol, "m_cap": SeriesControl.m_cap}
+
+_COMPARISONS = {"reps": acc.representation_agreement, "rep2-paths": acc.rep2_path_agreement}
+# what `--check` selects besides "values"
+_SUBCHECKS = {
+    "fiber": {"normalization": acc.fiber_normalization, "orthogonality": acc.fiber_orthogonality,
+              "profile": acc.mode_profile, "chebyshev": acc.chebyshev_identity},
+    "hyperbolic": {"suite": acc.hyperbolic_suite},
+}
+# the allowed words of the options that take one
+_WORDS = {"format": ("csv", "json"), "rep": ("1", "2", "both"),
+          "path": ("mode_series", "direct_2d"), "what": tuple(_COMPARISONS),
+          "which": ("rep1", "rep2", "both"), "mode": ("normalized", "raw")}
+
+# Per command: its help, the check whose parameters before `*` are its grid options, the
+# other options its code reads with their defaults, and its handler.
+_COMMANDS = {
+    "eval": ("evaluate the kernel on a grid", acc.point_rows, {**_QUAD, **_CTRL}, _cmd_eval),
+    "compare-reps": ("cross-validate the two representations", acc.representation_agreement,
+                     {"what": "reps", "threshold": None, **_QUAD, **_CTRL}, _cmd_compare_reps),
+    "residual": ("heat equation residual at interior points", acc.heat_equation_residual,
+                 {"u_max": _QUAD["u_max"], "n_u": _QUAD["n_u"], **_CTRL}, _cmd_check),
+    "mass": ("total mass and eigen-moment checks", acc.mass_moment, _CTRL, _cmd_mass),
+    "mc-check": ("Monte Carlo oracle against quadrature", acc.mc_oracle, _CTRL, _cmd_check),
+    "fiber": ("fiber kernel values and identities", acc.fiber_normalization,
+              {"u": (0.5,), "continued": False, **_CTRL, "mode": SeriesControl.mode,
+               "check": "values"}, _cmd_fiber),
+    "hyperbolic": ("odd-dimensional hyperbolic kernels", acc.hyperbolic_suite,
+                   {"n": 15, "check": "values"}, _cmd_hyperbolic),
+    "octonion-check": ("algebra and coordinate checks", acc.octonion_algebra, {}, _cmd_check),
+}
+
+_HELP = {"output": "output path (default stdout)", "tol": "quadrature tolerance",
+         "abs_tol": "absolute floor of the bound as a multiple of the kernel value p "
+                    "(bound = rel_tol |dp/dt| + abs_tol p; default 1e-8)"}
+
+
+def _options(command: str) -> dict:
+    """A command's options with their defaults."""
+    _, check, extra, _ = _COMMANDS[command]
+    return {**_check_defaults(check), **extra, "format": "csv", "output": ""}
+
+
+def _words(command: str, key: str):
+    return ("values", *_SUBCHECKS[command]) if key == "check" else _WORDS.get(key)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="octads",
+        description="Subelliptic heat kernel of the octonionic anti-de Sitter fibration",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, *_) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="flat key = value config file")
+        for key, default in _options(command).items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(default, bool):
+                p.add_argument(flag, action=argparse.BooleanOptionalAction, help=_HELP.get(key))
+            else:
+                p.add_argument(flag, type=_parse_as(default), choices=_words(command, key),
+                               help=_HELP.get(key))
+    return parser
+
+
+def _load_config(path: str, command: str) -> dict:
+    """The file's values of the command's options, each read and checked as its flag is.
+
+    A key of another command is ignored; a key no command has is an error.
+    """
+    options = _options(command)
+    known = set().union(*map(_options, _COMMANDS))
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -94,282 +272,36 @@ def _load_config(path: str, defaults: dict) -> dict:
             key = key.replace("-", "_")
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in defaults:
-                values[key] = _convert(raw, defaults[key])
+            if key not in options:
+                continue
+            words = _words(command, key)
+            try:
+                value = _parse_as(options[key])(raw)
+                if words and value not in words:
+                    raise ValueError(f"invalid choice {raw!r} (choose from {', '.join(words)})")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+            values[key] = value
     return values
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: command name plus merged option values."""
-
-    command: str
-    options: dict = field(default_factory=dict)
-
-    def __getattr__(self, name):
-        try:
-            return self.options[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-
-def _resolve(args: argparse.Namespace, defaults: dict) -> RunConfig:
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        merged.update(_load_config(args.config, defaults))
-    for key in defaults:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
-    return RunConfig(command=args.command, options=merged)
-
-
-def _quad(cfg: RunConfig) -> QuadratureSpec:
-    return QuadratureSpec(u_max=cfg.u_max, n_u=cfg.n_u, n_phi=cfg.n_phi, tol=cfg.tol)
-
-
-def _ctrl(cfg: RunConfig) -> SeriesControl:
-    return SeriesControl(tol=cfg.series_tol, m_cap=cfg.m_cap, mode=cfg.options.get("mode", "normalized"))
-
-
-_COMMON_DEFAULTS = {
-    "tol": 1e-9, "series_tol": 1e-12, "n_u": 96, "n_phi": 64, "m_cap": 256,
-    "u_max": None, "format": "csv", "output": "",
-}
-
-
-def _check_defaults(check) -> dict:
-    """A check's grid and controls: its parameters before `*`, with their defaults."""
-    params = inspect.signature(check).parameters.values()
-    return {p.name: p.default for p in params if p.kind is p.POSITIONAL_OR_KEYWORD}
-
-
-def _call(check, cfg: RunConfig):
-    """The check's rows, run with the options it takes; quad and ctrl from the common ones."""
-    params = inspect.signature(check).parameters
-    kwargs = {k: cfg.options[k] for k in _check_defaults(check) if k in cfg.options}
-    kwargs.update({k: build(cfg) for k, build in (("quad", _quad), ("ctrl", _ctrl))
-                   if k in params})
-    return check(**kwargs)
-
-
-_NO_STATUS_COLUMN = ("compare-reps", "mass", "mc-check")  # the exit code carries the verdict
-
-
-def _write_rows(rows, cfg: RunConfig, out) -> int:
-    """Write rows with their fields as columns; the exit code is 1 if any row failed."""
-    fields = [k for k in rows[0] if k != "status" or cfg.command not in _NO_STATUS_COLUMN]
-    write_records(rows, fields, cfg.format, out)
-    return 1 if any(row.get("status") == "fail" for row in rows) else 0
-
-
-# "command [--check mode]" that runs one check
-_CHECKS = {
-    "residual": acc.heat_equation_residual,
-    "mc-check": acc.mc_oracle,
-    "octonion-check": acc.octonion_algebra,
-    "fiber normalization": acc.fiber_normalization,
-    "fiber orthogonality": acc.fiber_orthogonality,
-    "fiber profile": acc.mode_profile,
-    "fiber chebyshev": acc.chebyshev_identity,
-    "hyperbolic suite": acc.hyperbolic_suite,
-}
-
-
-def _cmd_check(cfg: RunConfig, out):
-    key = " ".join(filter(None, (cfg.command, cfg.options.get("check"))))
-    if key not in _CHECKS:
-        raise ValueError(f"unknown check {key!r}")
-    return _write_rows(_call(_CHECKS[key], cfg), cfg, out)
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-
-def _cmd_eval(cfg: RunConfig, out):
-    rows = _call(acc.point_rows, cfg)
-    _write_rows(rows, cfg, out)
-    values = ("p_rep1", "p_rep2") if cfg.rep == "both" else ("value",)
-    bad = sum(not acc.usable(row[k]) for row in rows for k in values)
-    if bad:
-        print(f"{bad} kernel values are zero or not finite", file=sys.stderr)
-    return 1 if bad else 0
-
-
-def _cmd_compare_reps(cfg: RunConfig, out):
-    check = {"reps": acc.representation_agreement,
-             "rep2-paths": acc.rep2_path_agreement}.get(cfg.what)
-    if check is None:
-        raise ValueError(f"unknown comparison {cfg.what!r}")
-    # the two comparisons default to their own checks' thresholds
-    if cfg.threshold is None:
-        cfg.options["threshold"] = _check_defaults(check)["threshold"]
-    rows = _call(check, cfg)
-    print(f"max relative difference = {max(row['rel_diff'] for row in rows):.6e} "
-          f"(threshold {cfg.threshold:.1e})", file=sys.stderr)
-    return _write_rows(rows, cfg, out)
-
-
-def _cmd_mass(cfg: RunConfig, out):
-    rows = _call(acc.mass_moment, cfg)
-    drift = max(abs(row["mass_ratio_to_first"] - 1.0) for row in rows)
-    print(f"mass drift over t = {drift:.3e}; mass[0] = {rows[0]['mass']:.9e}", file=sys.stderr)
-    return _write_rows(rows, cfg, out)
-
-
-def _cmd_fiber(cfg: RunConfig, out):
-    if cfg.check != "values":
-        return _cmd_check(cfg, out)
-    ctrl = _ctrl(cfg)
-    rows = []
-    for t, eta, u in itertools.product(cfg.t, cfg.eta, cfg.u):
-        v = fiber_heat_kernel(t, eta, u, continued=cfg.continued, ctrl=ctrl)
-        rows.append({"t": t, "eta": eta, "u": u, "continued": cfg.continued, "mode": ctrl.mode,
-                     "value": v.value, "m_used": v.m_used, "tail_bound": v.tail_bound})
-    return _write_rows(rows, cfg, out)
-
-
-def _cmd_hyperbolic(cfg: RunConfig, out):
-    if cfg.check == "suite":
-        return _cmd_check(cfg, out)
-    rows = [{"n": cfg.n, "t": t, "s": s, "value": float(hyperbolic_heat_kernel(cfg.n, t, s))}
-            for t, s in itertools.product(cfg.t, cfg.s)]
-    return _write_rows(rows, cfg, out)
-
-
-# ---------------------------------------------------------------------------
-# argument parsing
-
-
-def _add_common(p):
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--output", help="output path (default stdout)")
-    p.add_argument("--tol", type=float, help="quadrature tolerance")
-    p.add_argument("--series-tol", dest="series_tol", type=float)
-    p.add_argument("--u-max", dest="u_max", type=float)
-    p.add_argument("--n-u", dest="n_u", type=int)
-    p.add_argument("--n-phi", dest="n_phi", type=int)
-    p.add_argument("--m-cap", dest="m_cap", type=int)
-
-
-def _add_grid(p):
-    for name in ("t", "r", "eta"):
-        p.add_argument(f"--{name}", type=_parse_float_list)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="octads",
-        description="Subelliptic heat kernel of the octonionic anti-de Sitter fibration",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate the kernel on a grid")
-    _add_common(p)
-    _add_grid(p)
-    p.add_argument("--rep", choices=("1", "2", "both"))
-    p.add_argument("--path", choices=("mode_series", "direct_2d"))
-
-    p = sub.add_parser("compare-reps", help="cross-validate the two representations")
-    _add_common(p)
-    _add_grid(p)
-    p.add_argument("--what", choices=("reps", "rep2-paths"))
-    p.add_argument("--path", choices=("mode_series", "direct_2d"))
-    p.add_argument("--threshold", type=float)
-
-    p = sub.add_parser("residual", help="heat equation residual at interior points")
-    _add_common(p)
-    _add_grid(p)
-    p.add_argument("--which", choices=("rep1", "rep2", "both"))
-    p.add_argument("--rel-tol", dest="rel_tol", type=float)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float,
-                   help="absolute floor of the bound as a multiple of the kernel value p "
-                        "(bound = rel_tol |dp/dt| + abs_tol p; default 1e-8)")
-
-    p = sub.add_parser("mass", help="total mass and eigen-moment checks")
-    _add_common(p)
-    p.add_argument("--t", type=_parse_float_list)
-    p.add_argument("--moment", action="store_const", const=True)
-    p.add_argument("--no-moment", dest="moment", action="store_const", const=False)
-
-    p = sub.add_parser("mc-check", help="Monte Carlo oracle against quadrature")
-    _add_common(p)
-    p.add_argument("--t", type=_parse_float_list)
-    p.add_argument("--n-paths", dest="n_paths", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--z-max", dest="z_max", type=float)
-
-    p = sub.add_parser("fiber", help="fiber kernel values and identities")
-    _add_common(p)
-    p.add_argument("--t", type=_parse_float_list)
-    p.add_argument("--eta", type=_parse_float_list)
-    p.add_argument("--u", type=_parse_float_list)
-    p.add_argument("--continued", action="store_const", const=True)
-    p.add_argument("--mode", choices=("normalized", "raw"))
-    p.add_argument("--check", choices=("values", "normalization", "orthogonality",
-                                       "profile", "chebyshev"))
-
-    p = sub.add_parser("hyperbolic", help="odd-dimensional hyperbolic kernels")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=_parse_float_list)
-    p.add_argument("--s", type=_parse_float_list)
-    p.add_argument("--check", choices=("suite",))
-
-    p = sub.add_parser("octonion-check", help="algebra and coordinate checks")
-    _add_common(p)
-    p.add_argument("--n-pairs", dest="n_pairs", type=int)
-    p.add_argument("--seed", type=int)
-
-    return parser
-
-
-_DEFAULTS = {
-    "eval": {**_COMMON_DEFAULTS, "t": [1.0], "r": acc.GRID_R, "eta": acc.GRID_ETA,
-             "rep": "both", "path": "mode_series"},
-    "compare-reps": {**_COMMON_DEFAULTS, **_check_defaults(acc.representation_agreement),
-                     "what": "reps", "threshold": None},
-    "residual": {**_COMMON_DEFAULTS, **_check_defaults(acc.heat_equation_residual)},
-    # n_u 192 is the quadrature measure integrals use by default
-    "mass": {**_COMMON_DEFAULTS, **_check_defaults(acc.mass_moment), "n_u": 192},
-    "mc-check": {**_COMMON_DEFAULTS, **_check_defaults(acc.mc_oracle), "n_u": 192},
-    "fiber": {**_COMMON_DEFAULTS, **_check_defaults(acc.fiber_normalization), "u": [0.5],
-              "continued": False, "mode": "normalized", "check": "values"},
-    "hyperbolic": {**_COMMON_DEFAULTS, **_check_defaults(acc.hyperbolic_suite), "n": 15,
-                   "check": "values"},
-    "octonion-check": {**_COMMON_DEFAULTS, **_check_defaults(acc.octonion_algebra)},
-}
-
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "compare-reps": _cmd_compare_reps,
-    "residual": _cmd_check,
-    "mass": _cmd_mass,
-    "mc-check": _cmd_check,
-    "fiber": _cmd_fiber,
-    "hyperbolic": _cmd_hyperbolic,
-    "octonion-check": _cmd_check,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute a resolved configuration; returns the process exit code."""
-    handler = _HANDLERS[cfg.command]
-    if cfg.options.get("output"):
-        with open(cfg.options["output"], "w", encoding="utf-8", newline="") as out:
-            return handler(cfg, out)
-    return handler(cfg, sys.stdout)
+def run(opts: dict) -> int:
+    """Run a command with its resolved options; returns the process exit code."""
+    handler = _COMMANDS[opts["command"]][3]
+    if opts["output"]:
+        with open(opts["output"], "w", encoding="utf-8", newline="") as out:
+            return handler(opts, out)
+    return handler(opts, sys.stdout)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve(args, _DEFAULTS[args.command])
-        return run(cfg)
+        opts = _options(args.command)
+        if args.config:
+            opts.update(_load_config(args.config, args.command))
+        opts.update({k: v for k, v in vars(args).items() if v is not None})
+        return run(opts)
     except (ValueError, OSError, SeriesConvergenceError, QuadratureConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

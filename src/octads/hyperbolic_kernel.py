@@ -25,6 +25,9 @@ _SINH_POWER_MAX = 100.0
 _FAR = 1e4
 
 MAX_DIMENSION = 15
+# At dimension 15 the factor P_k grows like (1/4t)^7 and overflows below
+# t = 3e-41 (dimension 9: 2e-70); the floor keeps ten orders of margin.
+TIME_FLOOR = 1e-30
 
 
 def _arccosh_sq_slope(n_terms: int) -> np.ndarray:
@@ -100,8 +103,8 @@ def hyperbolic_heat_kernel(n: int, t: float, s) -> float | np.ndarray:
     the sphere area Omega_{n-1} sinh^{n-1}(s) over s gives 1.
     """
     k = _check_dimension(n)
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"time must be positive and finite, got {t}")
+    if not TIME_FLOOR <= t < math.inf:
+        raise ValueError(f"time must be finite and at least {TIME_FLOOR}, got {t}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all(s_arr >= 0):
         raise ValueError("distance must be nonnegative and not NaN")

@@ -25,35 +25,19 @@ GENERATOR_TRIPLES = (
 )
 
 
-def _build_tables():
-    eps = np.zeros((8, 8, 8), dtype=np.int8)
+def _structure_tensor():
+    """c[i, j, k], the coefficient of e_k in e_i e_j."""
+    c = np.zeros((8, 8, 8))
+    idx = np.arange(8)
+    c[0, idx, idx] = c[idx, 0, idx] = 1.0
+    c[idx[1:], idx[1:], 0] = -1.0
     for i, j, k in GENERATOR_TRIPLES:
-        for (a, b, c), sign in (
-            ((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
-            ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1),
-        ):
-            eps[a, b, c] = sign
-    index = np.zeros((8, 8), dtype=np.int64)
-    sign = np.zeros((8, 8))
-    for i in range(8):
-        for j in range(8):
-            if i == 0:
-                index[i, j], sign[i, j] = j, 1.0
-            elif j == 0:
-                index[i, j], sign[i, j] = i, 1.0
-            elif i == j:
-                index[i, j], sign[i, j] = 0, -1.0
-            else:
-                k = int(np.flatnonzero(eps[i, j])[0])
-                index[i, j], sign[i, j] = k, float(eps[i, j, k])
-    tensor = np.zeros((8, 8, 8))
-    for i in range(8):
-        for j in range(8):
-            tensor[i, j, index[i, j]] = sign[i, j]
-    return eps, index, sign, tensor
+        for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+            c[a, b, d], c[b, a, d] = 1.0, -1.0
+    return c
 
 
-EPSILON, MUL_INDEX, MUL_SIGN, _STRUCTURE = _build_tables()
+_STRUCTURE = _structure_tensor()
 
 
 class Octonion:

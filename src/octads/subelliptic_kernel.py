@@ -43,6 +43,8 @@ from .hyperbolic_kernel import hyperbolic_heat_kernel_composed
 from .special_fn import gl_nodes, jacobi_sequence
 
 MEASURE_CONSTANT = math.pi ** 7 / 90.0
+# u-nodes of the first level of a measure integral
+MEASURE_N_U = 192
 
 # Global normalization of representation 2 against representation 1;
 # measured constant matches 6/pi^4 to twelve digits (see the reconcile script).
@@ -363,7 +365,7 @@ def frozen_kernel(which: str, t: float, r: float, eta: float,
     if which not in ("rep1", "rep2"):
         raise ValueError(f"unknown representation {which!r}")
     quad = quad or QuadratureSpec()
-    ctrl = ctrl or SeriesControl(tol=1e-13)
+    ctrl = ctrl or SeriesControl()
     u_max = quad.u_max if quad.u_max is not None else default_u_max(t, r) + 1.0
     n_u = 2 * quad.n_u
     # the degree margin added to the probed truncation differs per series
@@ -390,13 +392,17 @@ def _check_interior(r: float, eta: float):
         )
 
 
+def richardson(diff, h: float) -> float:
+    """diff(h) extrapolated from the steps h and h/2, which cancels the h^2 term of a
+    second-order difference."""
+    coarse, fine = diff(h), diff(h / 2.0)
+    return fine + (fine - coarse) / 3.0
+
+
 def apply_radial_sublaplacian(f, r: float, eta: float,
                               h_r: float = 1e-3, h_eta: float = 1e-3) -> float:
-    """Generator applied to f(r, eta) by central differences.
-
-    Richardson extrapolation over step pairs (h, h/2) cancels the leading
-    truncation term of the second-order stencils.
-    """
+    """Generator applied to f(r, eta) by central differences, with both steps
+    extrapolated together by one Richardson step."""
     _check_interior(r, eta)
 
     def op(hr, he):
@@ -408,9 +414,7 @@ def apply_radial_sublaplacian(f, r: float, eta: float,
         drift = 7.0 / math.tanh(r) + 7.0 * math.tanh(r)
         return d2r + drift * dr + math.tanh(r) ** 2 * (d2e + 6.0 * de / math.tan(eta))
 
-    coarse = op(h_r, h_eta)
-    fine = op(h_r / 2.0, h_eta / 2.0)
-    return fine + (fine - coarse) / 3.0
+    return richardson(lambda c: op(c * h_r, c * h_eta), 1.0)
 
 
 def heat_residual(which: str, t: float, r: float, eta: float,
@@ -426,13 +430,8 @@ def heat_residual(which: str, t: float, r: float, eta: float,
     _check_interior(r, eta)
     p = frozen_kernel(which, t, r, eta, quad, ctrl)
 
-    h_t = h_t_rel * t
-
-    def dt(h):
-        return (p(t + h, r, eta) - p(t - h, r, eta)) / (2.0 * h)
-
-    coarse, fine = dt(h_t), dt(h_t / 2.0)
-    time_deriv = fine + (fine - coarse) / 3.0
+    time_deriv = richardson(lambda h: (p(t + h, r, eta) - p(t - h, r, eta)) / (2.0 * h),
+                            h_t_rel * t)
     spatial = apply_radial_sublaplacian(lambda rr, ee: p(t, rr, ee), r, eta, h_r, h_eta)
     return abs(time_deriv - spatial), abs(time_deriv), p(t, r, eta)
 
@@ -451,7 +450,7 @@ def _radial_measure_times(p, r):
 
 
 def weighted_integral(f, t: float, which: str = "rep1",
-                      quad: QuadratureSpec | None = None,
+                      n_u: int = MEASURE_N_U,
                       ctrl: SeriesControl | None = None,
                       f_growth: float = 0.0,
                       r_max: float | None = None,
@@ -460,11 +459,12 @@ def weighted_integral(f, t: float, which: str = "rep1",
 
     f must accept numpy arrays and be bounded by C exp(a r) with
     a <= f_growth; the radial cutoff grows accordingly.  Convergence is
-    checked by doubling both grid directions.
+    checked by doubling both grid directions; n_u is the first level's u-nodes.
     """
     _check_time(t)
+    if n_u < 16:
+        raise ValueError("node counts must be at least 16")
     ctrl = ctrl or SeriesControl()
-    quad = quad or QuadratureSpec(n_u=192)
     if r_max is None:
         r_max = (14.0 + 2.0 * f_growth) * t + 10.0 * math.sqrt(t) + 2.0
     grid = _rep1_grid if which == "rep1" else _rep2_grid
@@ -479,7 +479,7 @@ def weighted_integral(f, t: float, which: str = "rep1",
         return MEASURE_CONSTANT * float(np.einsum("i,j,ij->", r_w, e_w, integ))
 
     n_r = max(192, int(10 * r_max))
-    n_eta, n_u = 96, quad.n_u
+    n_eta = 96
     prev = level(n_r, n_eta, n_u)
     for _ in range(2):
         n_r, n_eta, n_u = 2 * n_r, 2 * n_eta, n_u + n_u // 2

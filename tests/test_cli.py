@@ -231,11 +231,39 @@ class TestRefusedInput:
         ["eval", "--t", "1", "--r", "inf", "--eta", "0"],
         ["fiber", "--t", "nan"],
         ["fiber", "--continued", "--u", "nan"],
+        # a time so small that both rows were NaN, with exit code 0
+        ["hyperbolic", "--n", "9", "--t", "1e-200", "--s", "0,2"],
+        ["hyperbolic", "--n", "15", "--t", "1e-200", "--s", "0,2"],
     ])
     def test_non_finite_input_exits_2(self, tmp_path, args):
         code, payload = run_cli(args, tmp_path)
         assert code == 2
         assert payload == b""
+
+    @pytest.mark.parametrize("args", [
+        ["hyperbolic", "--tol", "-1"],
+        ["hyperbolic", "--m-cap", "0"],
+        ["hyperbolic", "--series-tol", "-5"],
+        ["hyperbolic", "--u-max", "-2"],
+        ["octonion-check", "--n-u", "3"],
+        ["fiber", "--check", "chebyshev", "--u-max", "-1"],
+        ["fiber", "--n-phi", "32"],
+        ["mass", "--u-max", "0.5"],
+        ["mass", "--tol", "0.1"],
+        ["mass", "--n-phi", "16"],
+        ["mc-check", "--u-max", "3"],
+        ["residual", "--n-phi", "32"],
+        ["residual", "--tol", "1e-3"],
+    ])
+    def test_option_the_command_does_not_read_exits_2(self, args):
+        # each was accepted and ignored
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+
+    def test_too_few_measure_nodes_exits_2(self, tmp_path):
+        code, _ = run_cli(["mass", "--n-u", "3"], tmp_path)
+        assert code == 2
 
     @pytest.mark.parametrize("error", [SeriesConvergenceError, QuadratureConvergenceError])
     def test_convergence_failure_exits_2(self, tmp_path, monkeypatch, capsys, error):
@@ -261,6 +289,34 @@ class TestConfigFile:
         code = main(["eval", "--config", str(cfg), "--r", "0,1", "--output", str(out_b)])
         assert code == 0
         assert len(out_b.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("command, text", [
+        ("eval", "rep = bogus\n"),  # evaluated representation 2
+        ("fiber", "continued = maybe\n"),  # read as false
+        ("fiber", "check = bogus\n"),
+        ("mass", "moment = 2\n"),
+    ])
+    def test_config_value_the_flag_refuses_exits_2(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:1: ")
+
+    def test_config_booleans(self, tmp_path):
+        cfg = tmp_path / "fiber.cfg"
+        cfg.write_text("t = 1\neta = 0.5\nu = 1.5\ncontinued = yes\n")
+        code, payload = run_cli(["fiber", "--config", str(cfg)], tmp_path)
+        assert code == 0 and payload.decode().splitlines()[1].split(",")[3] == "true"
+        code, payload = run_cli(["fiber", "--config", str(cfg), "--no-continued"], tmp_path)
+        assert code == 0 and payload.decode().splitlines()[1].split(",")[3] == "false"
+
+    def test_key_of_another_command_is_ignored(self, tmp_path):
+        # tol is a key of eval, not of hyperbolic, whose --tol flag is refused
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("tol = -1\nn = 3\nt = 1\ns = 1\n")
+        code, payload = run_cli(["hyperbolic", "--config", str(cfg)], tmp_path)
+        assert code == 0
+        assert payload.decode().splitlines()[1].startswith("3,1.000000000000e+00,")
 
     def test_bad_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -131,6 +131,10 @@ class TestRepresentations:
             total_mass(0.02)
         assert heat_kernel_rep2(MIN_TIME, 0.5, 0.3).value > 0
 
+    def test_measure_node_count_checked(self):
+        with pytest.raises(ValueError, match="at least 16"):
+            total_mass(1.0, n_u=8)
+
     def test_underflow_raises(self):
         # at t = 16 the kernel underflows to exactly 0.0 on every route
         for rep, kwargs in ((heat_kernel_rep1, {}), (heat_kernel_rep2, {}),
