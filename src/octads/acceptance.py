@@ -4,7 +4,8 @@ Every check compares the package against an independent route (the other represe
 the heat equation, an exact identity or the Monte Carlo oracle) and returns rows, each with
 a `status` of "pass" or "fail".  Its defaults are the gate's grids and tolerances, which
 tests/test_acceptance.py runs; its parameters before `*` are the options of its CLI command.
-A check without such an option keeps its grid and tolerance in its body.
+A check without such an option keeps its grid and tolerance in its body.  point_rows,
+fiber_values and hyperbolic_values, the rows of eval, fiber and hyperbolic, have no status.
 """
 
 from __future__ import annotations
@@ -27,8 +28,11 @@ from .subelliptic_kernel import (MEASURE_N_U, KernelRangeError, heat_kernel_rep1
 GRID_T = (0.5, 1.0, 2.0)
 GRID_R = (0.0, 0.5, 1.0, 2.0)
 GRID_ETA = (0.0, math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0)
-# Gauss-Legendre nodes on [0, pi] and the tolerance of both halves of criterion 05
+# Gauss-Legendre nodes on [0, pi] and the tolerance of both halves of criterion 05, and the
+# (t, eta) grid of its second half
 _FIBER_NODES, _FIBER_TOL = 200, 1e-8
+_FIBER_T, _FIBER_ETA = (0.1, 0.5, 1.0, 2.0), (0.0, math.pi / 4.0, math.pi / 2.0)
+_HYPERBOLIC_S = (0.5, 1.0, 2.0)
 
 
 def _row(good: bool, **fields) -> dict:
@@ -135,8 +139,18 @@ def fiber_orthogonality():
     return rows
 
 
-def fiber_normalization(t=(0.1, 0.5, 1.0, 2.0), eta=(0.0, math.pi / 4.0, math.pi / 2.0),
-                        *, ctrl=None):
+def fiber_values(t=_FIBER_T, eta=_FIBER_ETA, u=(0.5,), continued=False, *, ctrl=None):
+    """Fiber kernel values on the grid t x eta x u, with their series diagnostics."""
+    ctrl = ctrl or SeriesControl()
+    rows = []
+    for tt, ee, uu in itertools.product(t, eta, u):
+        v = fiber_heat_kernel(tt, ee, uu, continued=continued, ctrl=ctrl)
+        rows.append({"t": tt, "eta": ee, "u": uu, "continued": continued, "mode": ctrl.mode,
+                     "value": v.value, "m_used": v.m_used, "tail_bound": v.tail_bound})
+    return rows
+
+
+def fiber_normalization(t=_FIBER_T, eta=_FIBER_ETA, *, ctrl=None):
     """Criterion 05, second half: the fiber kernel integrates to 1 against sin^6 (2 if raw)."""
     target = 2.0 if (ctrl or SeriesControl()).mode == "raw" else 1.0
     u, w = gl_nodes(_FIBER_NODES, 0.0, math.pi)
@@ -161,7 +175,13 @@ def _radial_pde_residual(n: int, t: float, s: float) -> float:
     return abs(time_deriv - spatial) / (abs(time_deriv) + 1e-5 * q(t, s))
 
 
-def hyperbolic_suite(t=GRID_T, s=(0.5, 1.0, 2.0)):
+def hyperbolic_values(n=15, t=GRID_T, s=_HYPERBOLIC_S):
+    """Values of the n-dimensional hyperbolic kernel on the grid t x s."""
+    return [{"n": n, "t": tt, "s": ss, "value": float(hyperbolic_heat_kernel(n, tt, ss))}
+            for tt, ss in itertools.product(t, s)]
+
+
+def hyperbolic_suite(t=GRID_T, s=_HYPERBOLIC_S):
     """Criterion 06: the hyperbolic kernels of dimensions 9 and 15, the two in use.
 
     Per (n, t), normalization against the full volume to 1e-6 and the radial heat equation
@@ -220,7 +240,7 @@ def mc_oracle(t=(0.5, 1.0), n_paths=100_000, dt=1e-4, seed=0, z_max=3.0, n_u=MEA
     for tt in times:
         mass = total_mass(tt, n_u=n_u, ctrl=ctrl)
         for name, func, growth in MC_TEST_FUNCTIONS:
-            mean, stderr = estimate_expectation(func, cfg, samples=by_time[round(tt, 10)])
+            mean, stderr = estimate_expectation(func, by_time[round(tt, 10)])
             analytic = weighted_integral(func, tt, n_u=n_u, ctrl=ctrl, f_growth=growth) / mass
             # a zero or non-finite standard error bounds nothing: z is NaN and fails
             z = (mean - analytic) / stderr if 0.0 < stderr < math.inf else math.nan

@@ -1,11 +1,12 @@
 """Command-line front end: kernel grids, the checks of octads.acceptance, CSV/JSON output.
 
-Each command's options come from one table, _COMMANDS: the parameters of its check before
-`*` and the QuadratureSpec/SeriesControl fields its code reads, with their defaults.  An
-option's flag is typed by its default and checked against its allowed words; a config file
-(flat key = value text) sets the same options through the same type and words, and flags
-override it.  Records are written byte-identically for identical inputs: floats as %.12e,
-comma-separated CSV with LF endings, or a JSON array of objects with the same field names.
+Each command runs one function of octads.acceptance and takes as options exactly what that
+function reads: its parameters before `*` and the QuadratureSpec/SeriesControl fields it
+uses, with their defaults, as listed in one table, _COMMANDS.  An option's flag is typed by
+its default and checked against its allowed words; a config file (flat key = value text)
+sets the same options through the same type and words, and flags override it.  Records are
+written byte-identically for identical inputs: floats as %.12e, comma-separated CSV with LF
+endings, or a JSON array of objects with the same field names.
 
 Exit codes: 0 success, 1 validation threshold exceeded, 2 usage/config error,
 an input outside the supported domain, or a series or quadrature that did not converge.
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
-import itertools
 import json
 import math
 import sys
@@ -24,8 +24,7 @@ import sys
 import numpy as np
 
 from . import acceptance as acc
-from .fiber_kernel import SeriesControl, SeriesConvergenceError, fiber_heat_kernel
-from .hyperbolic_kernel import hyperbolic_heat_kernel
+from .fiber_kernel import SeriesControl, SeriesConvergenceError
 from .subelliptic_kernel import QuadratureConvergenceError, QuadratureSpec
 
 
@@ -114,7 +113,7 @@ def _call(check, opts: dict):
     return check(**kwargs)
 
 
-_NO_STATUS_COLUMN = ("compare-reps", "mass", "mc-check")  # the exit code carries the verdict
+_NO_STATUS_COLUMN = ("compare-reps", "rep2-paths", "mass", "mc-check")  # exit code is verdict
 
 
 def _write_rows(rows, opts: dict, out) -> int:
@@ -143,11 +142,7 @@ def _cmd_eval(opts: dict, out):
 
 
 def _cmd_compare_reps(opts: dict, out):
-    check = _COMPARISONS[opts["what"]]
-    # the two comparisons default to their own checks' thresholds
-    if opts["threshold"] is None:
-        opts["threshold"] = _check_defaults(check)["threshold"]
-    rows = _call(check, opts)
+    rows = _call(_COMMANDS[opts["command"]][1], opts)
     print(f"max relative difference = {max(row['rel_diff'] for row in rows):.6e} "
           f"(threshold {opts['threshold']:.1e})", file=sys.stderr)
     return _write_rows(rows, opts, out)
@@ -160,27 +155,6 @@ def _cmd_mass(opts: dict, out):
     return _write_rows(rows, opts, out)
 
 
-def _cmd_fiber(opts: dict, out):
-    if opts["check"] != "values":
-        return _write_rows(_call(_SUBCHECKS["fiber"][opts["check"]], opts), opts, out)
-    ctrl = _ctrl(opts)
-    rows = []
-    for t, eta, u in itertools.product(opts["t"], opts["eta"], opts["u"]):
-        v = fiber_heat_kernel(t, eta, u, continued=opts["continued"], ctrl=ctrl)
-        rows.append({"t": t, "eta": eta, "u": u, "continued": opts["continued"],
-                     "mode": ctrl.mode, "value": v.value, "m_used": v.m_used,
-                     "tail_bound": v.tail_bound})
-    return _write_rows(rows, opts, out)
-
-
-def _cmd_hyperbolic(opts: dict, out):
-    if opts["check"] != "values":
-        return _write_rows(_call(_SUBCHECKS["hyperbolic"][opts["check"]], opts), opts, out)
-    rows = [{"n": opts["n"], "t": t, "s": s, "value": float(hyperbolic_heat_kernel(opts["n"], t, s))}
-            for t, s in itertools.product(opts["t"], opts["s"])]
-    return _write_rows(rows, opts, out)
-
-
 # ---------------------------------------------------------------------------
 # the options of each command
 
@@ -189,33 +163,35 @@ def _cmd_hyperbolic(opts: dict, out):
 _QUAD = {f.name: f.default for f in dataclasses.fields(QuadratureSpec)}
 _CTRL = {"series_tol": SeriesControl.tol, "m_cap": SeriesControl.m_cap}
 
-_COMPARISONS = {"reps": acc.representation_agreement, "rep2-paths": acc.rep2_path_agreement}
-# what `--check` selects besides "values"
-_SUBCHECKS = {
-    "fiber": {"normalization": acc.fiber_normalization, "orthogonality": acc.fiber_orthogonality,
-              "profile": acc.mode_profile, "chebyshev": acc.chebyshev_identity},
-    "hyperbolic": {"suite": acc.hyperbolic_suite},
-}
 # the allowed words of the options that take one
 _WORDS = {"format": ("csv", "json"), "rep": ("1", "2", "both"),
-          "path": ("mode_series", "direct_2d"), "what": tuple(_COMPARISONS),
+          "path": ("mode_series", "direct_2d"),
           "which": ("rep1", "rep2", "both"), "mode": ("normalized", "raw")}
 
-# Per command: its help, the check whose parameters before `*` are its grid options, the
-# other options its code reads with their defaults, and its handler.
+# Per command: its help, the one function it runs, whose parameters before `*` are its grid
+# options, the QuadratureSpec/SeriesControl fields it reads with their defaults, and its handler.
 _COMMANDS = {
     "eval": ("evaluate the kernel on a grid", acc.point_rows, {**_QUAD, **_CTRL}, _cmd_eval),
     "compare-reps": ("cross-validate the two representations", acc.representation_agreement,
-                     {"what": "reps", "threshold": None, **_QUAD, **_CTRL}, _cmd_compare_reps),
+                     {**_QUAD, **_CTRL}, _cmd_compare_reps),
+    "rep2-paths": ("representation 2's two paths against each other", acc.rep2_path_agreement,
+                   {**_QUAD, **_CTRL}, _cmd_compare_reps),
     "residual": ("heat equation residual at interior points", acc.heat_equation_residual,
                  {"u_max": _QUAD["u_max"], "n_u": _QUAD["n_u"], **_CTRL}, _cmd_check),
     "mass": ("total mass and eigen-moment checks", acc.mass_moment, _CTRL, _cmd_mass),
     "mc-check": ("Monte Carlo oracle against quadrature", acc.mc_oracle, _CTRL, _cmd_check),
-    "fiber": ("fiber kernel values and identities", acc.fiber_normalization,
-              {"u": (0.5,), "continued": False, **_CTRL, "mode": SeriesControl.mode,
-               "check": "values"}, _cmd_fiber),
-    "hyperbolic": ("odd-dimensional hyperbolic kernels", acc.hyperbolic_suite,
-                   {"n": 15, "check": "values"}, _cmd_hyperbolic),
+    "fiber": ("fiber kernel values", acc.fiber_values, {**_CTRL, "mode": SeriesControl.mode},
+              _cmd_check),
+    "fiber-normalization": ("the fiber kernel integrates to 1", acc.fiber_normalization,
+                            {**_CTRL, "mode": SeriesControl.mode}, _cmd_check),
+    "orthogonality": ("Jacobi orthogonality", acc.fiber_orthogonality, {}, _cmd_check),
+    "mode-profile": ("fiber mode profiles against Jacobi ratios", acc.mode_profile, {},
+                     _cmd_check),
+    "chebyshev": ("terminating 2F1 against cosh", acc.chebyshev_identity, {}, _cmd_check),
+    "hyperbolic": ("odd-dimensional hyperbolic kernel values", acc.hyperbolic_values, {},
+                   _cmd_check),
+    "hyperbolic-suite": ("hyperbolic kernels of dimensions 3, 9 and 15", acc.hyperbolic_suite,
+                         {}, _cmd_check),
     "octonion-check": ("algebra and coordinate checks", acc.octonion_algebra, {}, _cmd_check),
 }
 
@@ -228,10 +204,6 @@ def _options(command: str) -> dict:
     """A command's options with their defaults."""
     _, check, extra, _ = _COMMANDS[command]
     return {**_check_defaults(check), **extra, "format": "csv", "output": ""}
-
-
-def _words(command: str, key: str):
-    return ("values", *_SUBCHECKS[command]) if key == "check" else _WORDS.get(key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
             if isinstance(default, bool):
                 p.add_argument(flag, action=argparse.BooleanOptionalAction, help=_HELP.get(key))
             else:
-                p.add_argument(flag, type=_parse_as(default), choices=_words(command, key),
+                p.add_argument(flag, type=_parse_as(default), choices=_WORDS.get(key),
                                help=_HELP.get(key))
     return parser
 
@@ -274,7 +246,7 @@ def _load_config(path: str, command: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key not in options:
                 continue
-            words = _words(command, key)
+            words = _WORDS.get(key)
             try:
                 value = _parse_as(options[key])(raw)
                 if words and value not in words:

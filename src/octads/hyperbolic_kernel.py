@@ -109,7 +109,10 @@ def hyperbolic_heat_kernel(n: int, t: float, s) -> float | np.ndarray:
     if not np.all(s_arr >= 0):
         raise ValueError("distance must be nonnegative and not NaN")
     pref = math.exp(-k * k * t) / ((2.0 * math.pi) ** k * math.sqrt(4.0 * math.pi * t))
-    val = pref * _lowering_factor(k, t, s_arr) * np.exp(-s_arr * s_arr / (4.0 * t))
+    # past s = 1.3e154 (sooner at small t) the exponent is -inf, and exp gives the exact 0
+    with np.errstate(over="ignore"):
+        gauss = np.exp(-s_arr * s_arr / (4.0 * t))
+    val = pref * _lowering_factor(k, t, s_arr) * gauss
     return val if np.ndim(s) else float(val[0])
 
 

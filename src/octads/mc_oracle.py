@@ -39,14 +39,13 @@ from numpy.random import Generator, Philox, SeedSequence
 
 _CHUNK = 8192
 _WINDOW = 1000
+_EPS = 1e-3  # every path starts at r = eta = _EPS; r reflects at _EPS, eta at _EPS, pi - _EPS
 
 
 @dataclass(frozen=True)
 class SdeConfig:
     n_paths: int = 100_000
     dt: float = 1e-4
-    eps_r: float = 1e-3
-    eps_eta: float = 1e-3
     seed: int = 0
     t_end: float = 1.0
 
@@ -55,8 +54,6 @@ class SdeConfig:
             raise ValueError("n_paths must be positive")
         if not 0.0 < self.dt <= 1e-3:
             raise ValueError("dt must lie in (0, 1e-3]")
-        if not 0.0 < self.eps_r <= 0.05 or not 0.0 < self.eps_eta <= 0.05:
-            raise ValueError("reflection thresholds must lie in (0, 0.05]")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
 
@@ -96,7 +93,7 @@ def _reflect(x, lo, hi):
     return np.where(x > hi, 2.0 * hi - x, x)
 
 
-def strang_step(r, eta, xi_r, xi_eta, dt, eps_r, eps_eta):
+def strang_step(r, eta, xi_r, xi_eta, dt):
     """One splitting step driven by the given standard-normal increments."""
     half = 0.5 * dt
     root = math.sqrt(2.0 * dt)
@@ -105,8 +102,8 @@ def strang_step(r, eta, xi_r, xi_eta, dt, eps_r, eps_eta):
     r = r + root * xi_r
     eta = eta + root * coef * xi_eta
     r, eta = _drift_flow(np.abs(r), np.abs(eta), half)
-    r = _reflect(r, eps_r, np.inf)
-    eta = _reflect(eta, eps_eta, math.pi - eps_eta)
+    r = _reflect(r, _EPS, np.inf)
+    eta = _reflect(eta, _EPS, math.pi - _EPS)
     return r, eta
 
 
@@ -128,8 +125,8 @@ def simulate_paths(cfg: SdeConfig, snapshot_times: tuple = ()) -> list[SampleSet
         gens = [Generator(Philox(SeedSequence(entropy=(cfg.seed, p))))
                 for p in range(start, stop)]
         c = stop - start
-        r = np.full(c, cfg.eps_r)
-        eta = np.full(c, cfg.eps_eta)
+        r = np.full(c, _EPS)
+        eta = np.full(c, _EPS)
         done = 0
         while done < n_steps:
             window = min(_WINDOW, n_steps - done)
@@ -137,8 +134,7 @@ def simulate_paths(cfg: SdeConfig, snapshot_times: tuple = ()) -> list[SampleSet
             for i, g in enumerate(gens):
                 noise[i] = g.standard_normal((window, 2))
             for k in range(window):
-                r, eta = strang_step(r, eta, noise[:, k, 0], noise[:, k, 1],
-                                     cfg.dt, cfg.eps_r, cfg.eps_eta)
+                r, eta = strang_step(r, eta, noise[:, k, 0], noise[:, k, 1], cfg.dt)
                 done += 1
                 if done in r_out:
                     r_out[done][start:stop] = r
@@ -157,13 +153,8 @@ MC_TEST_FUNCTIONS = (
 )
 
 
-def estimate_expectation(f, cfg: SdeConfig, samples: SampleSet | None = None):
-    """Sample mean and standard error of f(r, eta) at t_end.
-
-    Pass a SampleSet to reuse an existing simulation; f must accept arrays.
-    """
-    if samples is None:
-        samples = simulate_paths(cfg)[-1]
+def estimate_expectation(f, samples: SampleSet):
+    """Sample mean and standard error of f(r, eta) over the samples; f must accept arrays."""
     vals = np.asarray(f(samples.r, samples.eta), dtype=float)
     mean = float(np.mean(vals))
     if vals.size < 2:

@@ -111,8 +111,8 @@ class TestCompareReps:
 
     def test_rep2_paths(self, tmp_path):
         code, _ = run_cli(
-            ["compare-reps", "--what", "rep2-paths", "--t", "1", "--r", "0.5",
-             "--eta", "0.7853981634", "--threshold", "1e-8"], tmp_path)
+            ["rep2-paths", "--t", "1", "--r", "0.5", "--eta", "0.7853981634",
+             "--threshold", "1e-8"], tmp_path)
         assert code == 0
 
     def test_rep2_paths_default_threshold(self, tmp_path, monkeypatch, capsys):
@@ -126,7 +126,7 @@ class TestCompareReps:
             return k
 
         monkeypatch.setattr(octads.acceptance, "heat_kernel_rep2", rep2)
-        args = ["compare-reps", "--what", "rep2-paths", "--t", "1", "--r", "0.5", "--eta", "0"]
+        args = ["rep2-paths", "--t", "1", "--r", "0.5", "--eta", "0"]
         code, _ = run_cli(args, tmp_path)
         assert code == 1
         assert "(threshold 1.0e-08)" in capsys.readouterr().err
@@ -152,7 +152,7 @@ class TestOtherCommands:
         assert main(["hyperbolic", "--config", str(cfg)]) == 2
 
     def test_hyperbolic_suite(self, tmp_path):
-        code, payload = run_cli(["hyperbolic", "--check", "suite"], tmp_path)
+        code, payload = run_cli(["hyperbolic-suite"], tmp_path)
         assert code == 0
         rows = [line.split(",") for line in payload.decode().splitlines()[1:]]
         checks = [row[0] for row in rows]
@@ -188,7 +188,7 @@ class TestOtherCommands:
 
     def test_fiber_profile_check(self, tmp_path):
         # one row per degree m = 0..15, as in criterion 09
-        code, payload = run_cli(["fiber", "--check", "profile"], tmp_path)
+        code, payload = run_cli(["mode-profile"], tmp_path)
         assert code == 0
         rows = payload.decode().splitlines()[1:]
         assert len(rows) == 16 and all(row.endswith(",pass") for row in rows)
@@ -215,7 +215,7 @@ class TestOtherCommands:
 
     def test_mc_check_zero_stderr_fails(self, tmp_path, monkeypatch):
         monkeypatch.setattr(octads.acceptance, "estimate_expectation",
-                            lambda f, cfg, samples: (0.5, 0.0))
+                            lambda f, samples: (0.5, 0.0))
         code, payload = run_cli(
             ["mc-check", "--t", "0.1", "--n-paths", "200", "--dt", "0.001"], tmp_path)
         assert code == 1
@@ -246,7 +246,7 @@ class TestRefusedInput:
         ["hyperbolic", "--series-tol", "-5"],
         ["hyperbolic", "--u-max", "-2"],
         ["octonion-check", "--n-u", "3"],
-        ["fiber", "--check", "chebyshev", "--u-max", "-1"],
+        ["chebyshev", "--u-max", "-1"],
         ["fiber", "--n-phi", "32"],
         ["mass", "--u-max", "0.5"],
         ["mass", "--tol", "0.1"],
@@ -254,6 +254,15 @@ class TestRefusedInput:
         ["mc-check", "--u-max", "3"],
         ["residual", "--n-phi", "32"],
         ["residual", "--tol", "1e-3"],
+        # grid options that these checks do not read
+        ["hyperbolic-suite", "--n", "3"],
+        ["chebyshev", "--t", "5", "--u", "9", "--continued"],
+        ["orthogonality", "--eta", "2", "--mode", "raw"],
+        ["rep2-paths", "--path", "direct_2d"],
+        # no option selects a check
+        ["fiber", "--check", "values"],
+        ["hyperbolic", "--check", "suite"],
+        ["compare-reps", "--what", "reps"],
     ])
     def test_option_the_command_does_not_read_exits_2(self, args):
         # each was accepted and ignored
@@ -293,7 +302,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("command, text", [
         ("eval", "rep = bogus\n"),  # evaluated representation 2
         ("fiber", "continued = maybe\n"),  # read as false
-        ("fiber", "check = bogus\n"),
+        ("fiber", "mode = bogus\n"),  # a word outside the flag's choices
         ("mass", "moment = 2\n"),
     ])
     def test_config_value_the_flag_refuses_exits_2(self, tmp_path, capsys, command, text):
@@ -317,6 +326,16 @@ class TestConfigFile:
         code, payload = run_cli(["hyperbolic", "--config", str(cfg)], tmp_path)
         assert code == 0
         assert payload.decode().splitlines()[1].startswith("3,1.000000000000e+00,")
+
+    @pytest.mark.parametrize("command, text", [("fiber", "check = values\n"),
+                                               ("hyperbolic", "check = suite\n"),
+                                               ("compare-reps", "what = reps\n")])
+    def test_selector_key_is_unknown(self, tmp_path, capsys, command, text):
+        # each check has its own command; no key picks one
+        cfg = tmp_path / "selector.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "unknown key" in capsys.readouterr().err
 
     def test_bad_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -59,14 +59,6 @@ class TestFiberHeatKernel:
         b = fiber_heat_kernel(1.0, 0.3, 0.0, continued=True).value
         assert a == pytest.approx(b, rel=1e-13, abs=0)
 
-    @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("eta", [0.0, math.pi / 4.0, math.pi / 2.0])
-    def test_normalization(self, t, eta):
-        u, w = gl_nodes(200, 0.0, math.pi)
-        vals = np.array([fiber_heat_kernel(t, eta, float(ui)).value for ui in u])
-        integral = float(np.dot(w, vals * np.sin(u) ** 6))
-        assert abs(integral - 1.0) <= 1e-8
-
     def test_raw_mode_integrates_to_two(self):
         ctrl = SeriesControl(mode="raw")
         u, w = gl_nodes(200, 0.0, math.pi)

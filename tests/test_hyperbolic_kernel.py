@@ -152,6 +152,16 @@ class TestKernelValues:
                 assert hyperbolic_heat_kernel(n, 0.5, math.inf) == 0.0
                 assert hyperbolic_heat_kernel(n, 2.0, np.array([1e4, math.inf])).tolist() == [0, 0]
 
+    @pytest.mark.parametrize("n", [1, 9, 15])
+    @pytest.mark.parametrize("s, t", [(1e150, 1e-30), (1e200, 1e-30), (1e200, 1.0),
+                                      (1e200, 1e10), (1e300, 1e-30), (1e300, 1.0),
+                                      (1e300, 1e10)])
+    def test_huge_distance_is_zero(self, n, s, t):
+        # the Gaussian's exponent overflowed, in s * s or in / (4 t), and raised here
+        with np.errstate(over="raise"):
+            assert hyperbolic_heat_kernel(n, t, s) == 0.0
+            assert hyperbolic_heat_kernel(n, t, np.array([0.5, s]))[1] == 0.0
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             hyperbolic_heat_kernel(8, 1.0, 0.5)

@@ -229,6 +229,19 @@ class TestHeatResidual:
         with pytest.raises(ValueError):
             heat_residual("rep1", 1.0, 0.05, 1.0)
 
+    def test_each_stencil_point_evaluated_once(self, monkeypatch):
+        # the probe, the centre, 4 points in time and 8 in space; 24 grid calls before
+        calls = []
+        real = subelliptic_kernel._rep2_grid
+
+        def grid(*args, **kwargs):
+            calls.append(args[:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(subelliptic_kernel, "_rep2_grid", grid)
+        heat_residual("rep2", 1.0, 0.5, PI / 2.0)
+        assert len(calls) == 14
+
     def test_frozen_matches_adaptive(self):
         p = frozen_kernel("rep1", 1.0, 0.5, 1.0)
         adaptive = heat_kernel_rep1(1.0, 0.5, 1.0).value
