@@ -42,18 +42,22 @@ from octads.subelliptic_kernel import (
 )
 
 
-def rep1_mode(m, t, r, n_u=512):
+# u-nodes of both per-mode integrals
+_N_U = 512
+
+
+def rep1_mode(m, t, r):
     """Coefficient of the normalized mode profile in representation 1."""
-    u, w = gl_nodes(n_u, 0.0, default_u_max(t, r))
+    u, w = gl_nodes(_N_U, 0.0, default_u_max(t, r))
     pm = jacobi_sequence(m, np.cosh(u))[m]
     q15 = hyperbolic_heat_kernel_composed(15, t, r, u)
     integral = float(np.dot(w, pm * q15 * np.sinh(u) ** 6))
     return (jacobi_end_value(m) / jacobi_norm_sq(m)) * math.exp(-fiber_eigenvalue(m) * t) * integral
 
 
-def rep2_raw_mode(m, t, r, n_u=512):
+def rep2_raw_mode(m, t, r):
     """Same coefficient in the raw second form, sech^3 included."""
-    u, w = gl_nodes(n_u, 0.0, default_u_max(t, r))
+    u, w = gl_nodes(_N_U, 0.0, default_u_max(t, r))
     rate = fiber_eigenvalue(m) + 33
     damped_cosh = 0.5 * (np.exp((m + 3) * u - rate * t) + np.exp(-(m + 3) * u - rate * t))
     q9 = hyperbolic_heat_kernel_composed(9, t, r, u)

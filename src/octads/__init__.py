@@ -2,7 +2,6 @@
 
 from .fiber_kernel import (
     FiberKernelValue,
-    SeriesControl,
     SeriesConvergenceError,
     fiber_eigenvalue,
     fiber_heat_kernel,
@@ -44,7 +43,6 @@ from .subelliptic_kernel import (
     KernelResult,
     MEASURE_CONSTANT,
     QuadratureConvergenceError,
-    QuadratureSpec,
     REP2_CONSTANT,
     apply_radial_sublaplacian,
     default_u_max,

@@ -3,8 +3,8 @@
 Every check compares the package against an independent route (the other representation,
 the heat equation, an exact identity or the Monte Carlo oracle) and returns rows, each with
 a `status` of "pass" or "fail".  Its defaults are the gate's grids and tolerances, which
-tests/test_acceptance.py runs; its parameters before `*` are the options of its CLI command.
-A check without such an option keeps its grid and tolerance in its body.  point_rows,
+tests/test_acceptance.py runs; its parameters are the options of its CLI command.  A check
+without such an option keeps its grid and tolerance in its body.  point_rows,
 fiber_values and hyperbolic_values, the rows of eval, fiber and hyperbolic, have no status.
 """
 
@@ -16,14 +16,13 @@ import math
 import numpy as np
 
 from . import octonion as oct
-from .fiber_kernel import SeriesControl, fiber_heat_kernel, fiber_mode_profile
+from .fiber_kernel import fiber_heat_kernel, fiber_mode_profile
 from .hyperbolic_kernel import hyperbolic_heat_kernel
 from .mc_oracle import MC_TEST_FUNCTIONS, SdeConfig, estimate_expectation, simulate_paths
 from .special_fn import (gl_nodes, hyp2f1_terminating, jacobi_end_value, jacobi_norm_sq,
                          jacobi_sequence)
-from .subelliptic_kernel import (MEASURE_N_U, KernelRangeError, heat_kernel_rep1,
-                                 heat_kernel_rep2, heat_residual, richardson, total_mass,
-                                 weighted_integral)
+from .subelliptic_kernel import (KernelRangeError, heat_kernel_rep1, heat_kernel_rep2,
+                                 heat_residual, richardson, total_mass, weighted_integral)
 
 GRID_T = (0.5, 1.0, 2.0)
 GRID_R = (0.0, 0.5, 1.0, 2.0)
@@ -58,14 +57,18 @@ def _evaluate(kernel, *args, **kwargs):
         return exc.result
 
 
-def point_rows(t=(1.0,), r=GRID_R, eta=GRID_ETA, rep="both", path="mode_series", *, quad=None,
-               ctrl=None):
-    """Kernel values on the grid t x r x eta: one representation, or both and their difference."""
+def point_rows(t=(1.0,), r=GRID_R, eta=GRID_ETA, rep="both", path="mode_series"):
+    """Kernel values on the grid t x r x eta: one representation, or both and their difference.
+
+    `path` is representation 2's route, so representation 1 alone refuses any but the default.
+    """
+    if rep == "1" and path != "mode_series":
+        raise ValueError(f"path {path!r} is a route of representation 2, not evaluated by rep 1")
     rows = []
     for tt, rr, ee in itertools.product(t, r, eta):
         row = {"t": tt, "r": rr, "eta": ee}
-        k1 = _evaluate(heat_kernel_rep1, tt, rr, ee, quad, ctrl) if rep != "2" else None
-        k2 = _evaluate(heat_kernel_rep2, tt, rr, ee, quad, ctrl, path=path) if rep != "1" else None
+        k1 = _evaluate(heat_kernel_rep1, tt, rr, ee) if rep != "2" else None
+        k2 = _evaluate(heat_kernel_rep2, tt, rr, ee, path=path) if rep != "1" else None
         if rep != "both":
             k = k1 if rep == "1" else k2
             row.update(value=k.value, est_error=k.est_error, m_used=k.m_used,
@@ -79,19 +82,18 @@ def point_rows(t=(1.0,), r=GRID_R, eta=GRID_ETA, rep="both", path="mode_series",
 
 
 def representation_agreement(t=GRID_T, r=GRID_R, eta=GRID_ETA, threshold=1e-6,
-                             path="mode_series", *, quad=None, ctrl=None):
+                             path="mode_series"):
     """Criterion 01: representation 1 against representation 2 (on its `path`)."""
     return [_row(row["rel_diff"] <= threshold, **row)
-            for row in point_rows(t, r, eta, "both", path, quad=quad, ctrl=ctrl)]
+            for row in point_rows(t, r, eta, "both", path)]
 
 
-def rep2_path_agreement(t=GRID_T, r=GRID_R, eta=GRID_ETA, threshold=1e-8, *, quad=None,
-                        ctrl=None):
+def rep2_path_agreement(t=GRID_T, r=GRID_R, eta=GRID_ETA, threshold=1e-8):
     """Criterion 02: representation 2's direct 2-d quadrature against its mode series."""
     rows = []
     for tt, rr, ee in itertools.product(t, r, eta):
-        a = _evaluate(heat_kernel_rep2, tt, rr, ee, quad, ctrl, path="direct_2d")
-        b = _evaluate(heat_kernel_rep2, tt, rr, ee, quad, ctrl, path="mode_series")
+        a = _evaluate(heat_kernel_rep2, tt, rr, ee, path="direct_2d")
+        b = _evaluate(heat_kernel_rep2, tt, rr, ee, path="mode_series")
         diff = _rel_diff(a.value, b.value)
         rows.append(_row(diff <= threshold, t=tt, r=rr, eta=ee, direct_2d=a.value,
                          mode_series=b.value, rel_diff=diff))
@@ -100,7 +102,7 @@ def rep2_path_agreement(t=GRID_T, r=GRID_R, eta=GRID_ETA, threshold=1e-8, *, qua
 
 def heat_equation_residual(t=(1.0,), r=(0.5, 1.0),
                            eta=(math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0),
-                           which="both", rel_tol=1e-4, abs_tol=1e-8, *, quad=None, ctrl=None):
+                           which="both", rel_tol=1e-4, abs_tol=1e-8):
     """Criterion 03: |dp/dt - L p| <= rel_tol |dp/dt| + abs_tol p at interior points.
 
     The floor scales with p, 1e-15 to 1e-50 here, so that no fixed floor decides the check.
@@ -108,7 +110,7 @@ def heat_equation_residual(t=(1.0,), r=(0.5, 1.0),
     rows = []
     for tt, rr, ee in itertools.product(t, r, eta):
         for rep in ("rep1", "rep2") if which == "both" else (which,):
-            res, scale, p = heat_residual(rep, tt, rr, ee, quad, ctrl)
+            res, scale, p = heat_residual(rep, tt, rr, ee)
             bound = rel_tol * scale + abs_tol * p
             rows.append(_row(res <= bound, t=tt, r=rr, eta=ee, which=rep, residual=res,
                              dt_scale=scale, bound=bound))
@@ -139,24 +141,23 @@ def fiber_orthogonality():
     return rows
 
 
-def fiber_values(t=_FIBER_T, eta=_FIBER_ETA, u=(0.5,), continued=False, *, ctrl=None):
+def fiber_values(t=_FIBER_T, eta=_FIBER_ETA, u=(0.5,), continued=False, mode="normalized"):
     """Fiber kernel values on the grid t x eta x u, with their series diagnostics."""
-    ctrl = ctrl or SeriesControl()
     rows = []
     for tt, ee, uu in itertools.product(t, eta, u):
-        v = fiber_heat_kernel(tt, ee, uu, continued=continued, ctrl=ctrl)
-        rows.append({"t": tt, "eta": ee, "u": uu, "continued": continued, "mode": ctrl.mode,
+        v = fiber_heat_kernel(tt, ee, uu, continued=continued, mode=mode)
+        rows.append({"t": tt, "eta": ee, "u": uu, "continued": continued, "mode": mode,
                      "value": v.value, "m_used": v.m_used, "tail_bound": v.tail_bound})
     return rows
 
 
-def fiber_normalization(t=_FIBER_T, eta=_FIBER_ETA, *, ctrl=None):
+def fiber_normalization(t=_FIBER_T, eta=_FIBER_ETA, mode="normalized"):
     """Criterion 05, second half: the fiber kernel integrates to 1 against sin^6 (2 if raw)."""
-    target = 2.0 if (ctrl or SeriesControl()).mode == "raw" else 1.0
+    target = 2.0 if mode == "raw" else 1.0
     u, w = gl_nodes(_FIBER_NODES, 0.0, math.pi)
     rows = []
     for tt, ee in itertools.product(t, eta):
-        vals = np.array([fiber_heat_kernel(tt, ee, float(ui), ctrl=ctrl).value for ui in u])
+        vals = np.array([fiber_heat_kernel(tt, ee, float(ui), mode=mode).value for ui in u])
         integral = float(np.dot(w, vals * np.sin(u) ** 6))
         dev = abs(integral - target)
         rows.append(_row(dev <= _FIBER_TOL, t=tt, eta=ee, integral=integral, deviation=dev))
@@ -210,16 +211,15 @@ def hyperbolic_suite(t=GRID_T, s=_HYPERBOLIC_S):
     return rows
 
 
-def mass_moment(t=GRID_T, moment=True, n_u=MEASURE_N_U, *, ctrl=None):
+def mass_moment(t=GRID_T, moment=True):
     """Criterion 07: the mass is constant in t to 1e-5, and E[cosh r cos eta] = exp(8t) to
     1e-4 relative (if `moment`)."""
-    masses = [total_mass(tt, n_u=n_u, ctrl=ctrl) for tt in t]
+    masses = [total_mass(tt) for tt in t]
     rows = []
     for tt, m in zip(t, masses):
         row = {"t": tt, "mass": m, "mass_ratio_to_first": m / masses[0]}
         if moment:
-            mom = weighted_integral(lambda r, eta: np.cosh(r) * np.cos(eta), tt,
-                                    n_u=n_u, ctrl=ctrl, f_growth=1.0)
+            mom = weighted_integral(lambda r, eta: np.cosh(r) * np.cos(eta), tt, f_growth=1.0)
             expected = math.exp(8.0 * tt)
             row.update(eigen_moment=mom, moment_over_mass=mom / m, expected=expected,
                        moment_rel_err=abs(mom / m - expected) / expected)
@@ -228,20 +228,17 @@ def mass_moment(t=GRID_T, moment=True, n_u=MEASURE_N_U, *, ctrl=None):
     return rows
 
 
-def mc_oracle(t=(0.5, 1.0), n_paths=100_000, dt=1e-4, seed=0, z_max=3.0, n_u=MEASURE_N_U, *,
-              ctrl=None):
+def mc_oracle(t=(0.5, 1.0), n_paths=100_000, dt=1e-4, seed=0, z_max=3.0):
     """Criterion 08: MC means of the test functions within z_max standard errors of quadrature."""
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2 to estimate a standard error")
     times = sorted(t)
     cfg = SdeConfig(n_paths=n_paths, dt=dt, seed=seed, t_end=times[-1])
     by_time = {round(s.time, 10): s for s in simulate_paths(cfg, snapshot_times=tuple(times[:-1]))}
     rows = []
     for tt in times:
-        mass = total_mass(tt, n_u=n_u, ctrl=ctrl)
+        mass = total_mass(tt)
         for name, func, growth in MC_TEST_FUNCTIONS:
             mean, stderr = estimate_expectation(func, by_time[round(tt, 10)])
-            analytic = weighted_integral(func, tt, n_u=n_u, ctrl=ctrl, f_growth=growth) / mass
+            analytic = weighted_integral(func, tt, f_growth=growth) / mass
             # a zero or non-finite standard error bounds nothing: z is NaN and fails
             z = (mean - analytic) / stderr if 0.0 < stderr < math.inf else math.nan
             rows.append(_row(abs(z) <= z_max, function=f"{name}@t={tt:g}", mc_mean=mean,

@@ -1,10 +1,10 @@
 """Command-line front end: kernel grids, the checks of octads.acceptance, CSV/JSON output.
 
-Each command runs one function of octads.acceptance and takes as options exactly what that
-function reads: its parameters before `*` and the QuadratureSpec/SeriesControl fields it
-uses, with their defaults, as listed in one table, _COMMANDS.  An option's flag is typed by
-its default and checked against its allowed words; a config file (flat key = value text)
-sets the same options through the same type and words, and flags override it.  Records are
+Each command runs one function of octads.acceptance, listed in one table, _COMMANDS, and
+takes as options exactly that function's parameters, with their defaults.  An option's flag
+is typed by its default and checked against its allowed words; a config file (flat
+key = value text) sets the same options through the same type and words, and flags
+override it.  Records are
 written byte-identically for identical inputs: floats as %.12e, comma-separated CSV with LF
 endings, or a JSON array of objects with the same field names.
 
@@ -15,7 +15,6 @@ an input outside the supported domain, or a series or quadrature that did not co
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import inspect
 import json
 import math
@@ -24,8 +23,8 @@ import sys
 import numpy as np
 
 from . import acceptance as acc
-from .fiber_kernel import SeriesControl, SeriesConvergenceError
-from .subelliptic_kernel import QuadratureConvergenceError, QuadratureSpec
+from .fiber_kernel import SeriesConvergenceError
+from .subelliptic_kernel import QuadratureConvergenceError
 
 
 # ---------------------------------------------------------------------------
@@ -83,34 +82,22 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_as(default):
-    """An option's type, read from its default: a float if None, a float list if a tuple."""
+    """An option's type, read from its default: a float list if a tuple."""
     if isinstance(default, bool):
         return _parse_bool
     if isinstance(default, tuple):
         return _parse_float_list
-    return float if default is None else type(default)
+    return type(default)
 
 
 def _check_defaults(check) -> dict:
-    """A check's grid and controls: its parameters before `*`, with their defaults."""
-    params = inspect.signature(check).parameters.values()
-    return {p.name: p.default for p in params if p.kind is p.POSITIONAL_OR_KEYWORD}
-
-
-def _ctrl(opts: dict) -> SeriesControl:
-    return SeriesControl(tol=opts["series_tol"], m_cap=opts["m_cap"],
-                         mode=opts.get("mode", SeriesControl.mode))
+    """A check's options: its parameters, with their defaults."""
+    return {p.name: p.default for p in inspect.signature(check).parameters.values()}
 
 
 def _call(check, opts: dict):
-    """The check's rows, run with its options; quad and ctrl from the command's fields."""
-    kwargs = {k: opts[k] for k in _check_defaults(check)}
-    params = inspect.signature(check).parameters
-    if "quad" in params:
-        kwargs["quad"] = QuadratureSpec(**{k: opts[k] for k in _QUAD if k in opts})
-    if "ctrl" in params:
-        kwargs["ctrl"] = _ctrl(opts)
-    return check(**kwargs)
+    """The check's rows, run with its options."""
+    return check(**{k: opts[k] for k in _check_defaults(check)})
 
 
 _NO_STATUS_COLUMN = ("compare-reps", "rep2-paths", "mass", "mc-check")  # exit code is verdict
@@ -158,52 +145,43 @@ def _cmd_mass(opts: dict, out):
 # ---------------------------------------------------------------------------
 # the options of each command
 
-# The QuadratureSpec and SeriesControl fields as options, with the fields' defaults; the
-# series tolerance is series_tol, apart from the quadrature's tol.
-_QUAD = {f.name: f.default for f in dataclasses.fields(QuadratureSpec)}
-_CTRL = {"series_tol": SeriesControl.tol, "m_cap": SeriesControl.m_cap}
-
 # the allowed words of the options that take one
 _WORDS = {"format": ("csv", "json"), "rep": ("1", "2", "both"),
           "path": ("mode_series", "direct_2d"),
           "which": ("rep1", "rep2", "both"), "mode": ("normalized", "raw")}
 
-# Per command: its help, the one function it runs, whose parameters before `*` are its grid
-# options, the QuadratureSpec/SeriesControl fields it reads with their defaults, and its handler.
+# Per command: its help, the one function it runs, whose parameters are its options, and its
+# handler.
 _COMMANDS = {
-    "eval": ("evaluate the kernel on a grid", acc.point_rows, {**_QUAD, **_CTRL}, _cmd_eval),
+    "eval": ("evaluate the kernel on a grid", acc.point_rows, _cmd_eval),
     "compare-reps": ("cross-validate the two representations", acc.representation_agreement,
-                     {**_QUAD, **_CTRL}, _cmd_compare_reps),
+                     _cmd_compare_reps),
     "rep2-paths": ("representation 2's two paths against each other", acc.rep2_path_agreement,
-                   {**_QUAD, **_CTRL}, _cmd_compare_reps),
+                   _cmd_compare_reps),
     "residual": ("heat equation residual at interior points", acc.heat_equation_residual,
-                 {"u_max": _QUAD["u_max"], "n_u": _QUAD["n_u"], **_CTRL}, _cmd_check),
-    "mass": ("total mass and eigen-moment checks", acc.mass_moment, _CTRL, _cmd_mass),
-    "mc-check": ("Monte Carlo oracle against quadrature", acc.mc_oracle, _CTRL, _cmd_check),
-    "fiber": ("fiber kernel values", acc.fiber_values, {**_CTRL, "mode": SeriesControl.mode},
-              _cmd_check),
+                 _cmd_check),
+    "mass": ("total mass and eigen-moment checks", acc.mass_moment, _cmd_mass),
+    "mc-check": ("Monte Carlo oracle against quadrature", acc.mc_oracle, _cmd_check),
+    "fiber": ("fiber kernel values", acc.fiber_values, _cmd_check),
     "fiber-normalization": ("the fiber kernel integrates to 1", acc.fiber_normalization,
-                            {**_CTRL, "mode": SeriesControl.mode}, _cmd_check),
-    "orthogonality": ("Jacobi orthogonality", acc.fiber_orthogonality, {}, _cmd_check),
-    "mode-profile": ("fiber mode profiles against Jacobi ratios", acc.mode_profile, {},
-                     _cmd_check),
-    "chebyshev": ("terminating 2F1 against cosh", acc.chebyshev_identity, {}, _cmd_check),
-    "hyperbolic": ("odd-dimensional hyperbolic kernel values", acc.hyperbolic_values, {},
-                   _cmd_check),
+                            _cmd_check),
+    "orthogonality": ("Jacobi orthogonality", acc.fiber_orthogonality, _cmd_check),
+    "mode-profile": ("fiber mode profiles against Jacobi ratios", acc.mode_profile, _cmd_check),
+    "chebyshev": ("terminating 2F1 against cosh", acc.chebyshev_identity, _cmd_check),
+    "hyperbolic": ("odd-dimensional hyperbolic kernel values", acc.hyperbolic_values, _cmd_check),
     "hyperbolic-suite": ("hyperbolic kernels of dimensions 3, 9 and 15", acc.hyperbolic_suite,
-                         {}, _cmd_check),
-    "octonion-check": ("algebra and coordinate checks", acc.octonion_algebra, {}, _cmd_check),
+                         _cmd_check),
+    "octonion-check": ("algebra and coordinate checks", acc.octonion_algebra, _cmd_check),
 }
 
-_HELP = {"output": "output path (default stdout)", "tol": "quadrature tolerance",
+_HELP = {"output": "output path (default stdout)",
          "abs_tol": "absolute floor of the bound as a multiple of the kernel value p "
                     "(bound = rel_tol |dp/dt| + abs_tol p; default 1e-8)"}
 
 
 def _options(command: str) -> dict:
     """A command's options with their defaults."""
-    _, check, extra, _ = _COMMANDS[command]
-    return {**_check_defaults(check), **extra, "format": "csv", "output": ""}
+    return {**_check_defaults(_COMMANDS[command][1]), "format": "csv", "output": ""}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +237,7 @@ def _load_config(path: str, command: str) -> dict:
 
 def run(opts: dict) -> int:
     """Run a command with its resolved options; returns the process exit code."""
-    handler = _COMMANDS[opts["command"]][3]
+    handler = _COMMANDS[opts["command"]][2]
     if opts["output"]:
         with open(opts["output"], "w", encoding="utf-8", newline="") as out:
             return handler(opts, out)

@@ -20,28 +20,10 @@ class SeriesConvergenceError(RuntimeError):
     """Spectral series failed to meet its tail bound within the degree cap."""
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for all spectral series.
-
-    mode selects the coefficient convention: "normalized" uses 1/N_m from the
-    orthogonality norms (the kernel then integrates to 1 against the sin^6
-    weight), "raw" keeps the constant 2/N_m that circulates in closed-form
-    displays of this series and integrates to 2.  All validation runs on
-    "normalized"; "raw" is retained for the reconciliation audit.
-    """
-
-    tol: float = 1e-12
-    m_cap: int = 256
-    mode: str = "normalized"
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.m_cap < 1:
-            raise ValueError("m_cap must be at least 1")
-        if self.mode not in ("normalized", "raw"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+# Truncation of every spectral series: it stops after two consecutive terms below SERIES_TOL
+# of the running sum and fails past degree SERIES_M_CAP.  Read at call time.
+SERIES_TOL = 1e-12
+SERIES_M_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -86,14 +68,15 @@ def spectral_coeff(m: int, mode: str = "normalized") -> float:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _series_matrix(t, etas, us, continued, ctrl: SeriesControl, m_fixed=None):
+def _series_matrix(t, etas, us, continued, mode="normalized", m_fixed=None):
     """Spectral series evaluated on the grid etas x us.
 
     Returns (matrix, m_used, tail_bound).  The tail rule bounds the next term
     by coeff * exp(-m(m+6) t) * P_m(x_max) * P_m(1), with P_m evaluated
     directly at the largest second argument; termination needs two consecutive
     passes.  With m_fixed the series is summed to exactly that degree, which
-    keeps grid sweeps smooth for finite differencing.
+    keeps grid sweeps smooth for finite differencing.  mode is the coefficient
+    convention of spectral_coeff.
     """
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     us = np.atleast_1d(np.asarray(us, dtype=float))
@@ -108,7 +91,7 @@ def _series_matrix(t, etas, us, continued, ctrl: SeriesControl, m_fixed=None):
     scale = 0.0
     below = 0
     last_bound = math.inf
-    cap = ctrl.m_cap if m_fixed is None else m_fixed
+    cap = SERIES_M_CAP if m_fixed is None else m_fixed
 
     for m in range(cap + 1):
         if m >= 1:
@@ -120,27 +103,32 @@ def _series_matrix(t, etas, us, continued, ctrl: SeriesControl, m_fixed=None):
                 f"degree-{m} polynomial overflowed at argument {x_max:.3e}; "
                 "the requested (t, u_max) combination is outside the supported range"
             )
-        damp = spectral_coeff(m, ctrl.mode) * math.exp(-fiber_eigenvalue(m) * t)
+        damp = spectral_coeff(m, mode) * math.exp(-fiber_eigenvalue(m) * t)
         out += damp * np.outer(pe, pu)
         scale = max(scale, float(np.max(np.abs(out))))
         if m_fixed is None:
             last_bound = damp * abs(pb) * jacobi_end_value(m)
-            below = below + 1 if last_bound <= ctrl.tol * max(scale, 1e-300) else 0
+            below = below + 1 if last_bound <= SERIES_TOL * max(scale, 1e-300) else 0
             if m >= 2 and below >= 2:
                 return out, m, last_bound
     if m_fixed is not None:
         return out, cap, 0.0
     raise SeriesConvergenceError(
-        f"series not converged at degree cap {ctrl.m_cap} (t={t}, bound={last_bound:.3e})"
+        f"series not converged at degree cap {cap} (t={t}, bound={last_bound:.3e})"
     )
 
 
 def fiber_heat_kernel(t: float, eta: float, u: float, continued: bool = False,
-                      ctrl: SeriesControl | None = None) -> FiberKernelValue:
+                      mode: str = "normalized") -> FiberKernelValue:
     """Fiber kernel at angles (eta, u), or at (eta, iu) when continued.
 
     For the continued branch u is the hyperbolic coordinate (second argument
-    cosh u); otherwise u is an angle in [0, pi] like eta.
+    cosh u); otherwise u is an angle in [0, pi] like eta.  mode selects the
+    coefficient convention: "normalized" uses 1/N_m from the orthogonality
+    norms (the kernel then integrates to 1 against the sin^6 weight), "raw"
+    keeps the constant 2/N_m that circulates in closed-form displays of this
+    series and integrates to 2.  All validation runs on "normalized"; "raw" is
+    retained for the reconciliation audit.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t}")
@@ -151,8 +139,7 @@ def fiber_heat_kernel(t: float, eta: float, u: float, continued: bool = False,
             raise ValueError("continued coordinate must be nonnegative")
     elif not 0.0 <= u <= math.pi:
         raise ValueError("u must lie in [0, pi]")
-    ctrl = ctrl or SeriesControl()
-    mat, m_used, tail = _series_matrix(t, eta, u, continued, ctrl)
+    mat, m_used, tail = _series_matrix(t, eta, u, continued, mode)
     return FiberKernelValue(value=float(mat[0, 0]), m_used=m_used, tail_bound=tail)
 
 

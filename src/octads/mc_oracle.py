@@ -154,10 +154,11 @@ MC_TEST_FUNCTIONS = (
 
 
 def estimate_expectation(f, samples: SampleSet):
-    """Sample mean and standard error of f(r, eta) over the samples; f must accept arrays."""
+    """Sample mean and standard error of f(r, eta) over the samples; f must accept arrays.
+
+    Fewer than two samples have no standard error, and raise ValueError.
+    """
     vals = np.asarray(f(samples.r, samples.eta), dtype=float)
-    mean = float(np.mean(vals))
     if vals.size < 2:
-        return mean, 0.0
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
-    return mean, stderr
+        raise ValueError(f"{vals.size} sample(s) cannot estimate a standard error; need 2")
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fiber_kernel
 from .fiber_kernel import (
-    SeriesControl,
     fiber_eigenvalue,
     fiber_mode_multiplicity,
     _series_matrix,
@@ -47,6 +47,14 @@ MEASURE_CONSTANT = math.pi ** 7 / 90.0
 # u-nodes of the first level of a measure integral, and its convergence tolerance
 MEASURE_N_U = 192
 _MEASURE_TOL = 1e-6
+
+# The point rule: u-nodes of the first level, doubled up to four times until two successive
+# values agree to POINT_TOL relative, at default_u_max and then once at twice it; the direct
+# 2-d path of representation 2 starts its angular rule at POINT_N_PHI nodes.  The series
+# truncation is fiber_kernel's SERIES_TOL and SERIES_M_CAP.  All are read at call time.
+POINT_N_U = 96
+POINT_N_PHI = 64
+POINT_TOL = 1e-9
 
 # Global normalization of representation 2 against representation 1;
 # measured constant matches 6/pi^4 to twelve digits (see the reconcile script).
@@ -97,29 +105,6 @@ class KernelPoint:
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Discretization of the half-line integrals.
-
-    u_max None means the default r + 8 sqrt(t) + 2, sized so the Gaussian
-    tail of the hyperbolic factor is below 1e-14; it is doubled once if node
-    doubling fails to converge.
-    """
-
-    u_max: float | None = None
-    n_u: int = 96
-    n_phi: int = 64
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.u_max is not None and self.u_max <= 0:
-            raise ValueError("u_max must be positive")
-        if self.n_u < 16 or self.n_phi < 16:
-            raise ValueError("node counts must be at least 16")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-
-
-@dataclass(frozen=True)
 class KernelResult:
     value: float
     est_error: float
@@ -152,11 +137,9 @@ def _row_blocks(n_rows: int, n_u: int):
     return (slice(i, i + step) for i in range(0, n_rows, step))
 
 
-def _adaptive(what: str, t, r, eta, quad: QuadratureSpec, eval_at) -> KernelResult:
-    """Point policy: double the u-nodes from quad.n_u until two successive
-    values agree to quad.tol, at the default u-cutoff and then once at twice
-    it.  eval_at(n_u, u_max) returns (value, m_used); a value that is zero or
-    not finite raises KernelRangeError at once.
+def _adaptive(what: str, t, r, eta, eval_at) -> KernelResult:
+    """The point rule (see POINT_N_U).  eval_at(n_u, u_max) returns (value,
+    m_used); a value that is zero or not finite raises KernelRangeError at once.
     """
     def checked(n, u_max):
         value, m_used = eval_at(n, u_max)
@@ -166,24 +149,24 @@ def _adaptive(what: str, t, r, eta, quad: QuadratureSpec, eval_at) -> KernelResu
                 KernelResult(value=value, est_error=math.nan, m_used=m_used, u_max_used=u_max))
         return value, m_used
 
-    base_u = quad.u_max if quad.u_max is not None else default_u_max(t, r)
+    base_u = default_u_max(t, r)
     for u_max in (base_u, 2.0 * base_u):
-        n = quad.n_u
+        n = POINT_N_U
         prev, _ = checked(n, u_max)
         for _ in range(4):
             n *= 2
             value, m_used = checked(n, u_max)
             est = abs(value - prev)
-            if est <= quad.tol * abs(value) + 1e-280:
+            if est <= POINT_TOL * abs(value) + 1e-280:
                 return KernelResult(value=value, est_error=est, m_used=m_used, u_max_used=u_max)
             prev = value
     raise QuadratureConvergenceError(f"{what} did not stabilize at (t={t}, r={r}, eta={eta})")
 
 
-def _at_point(grid, t, r, eta, ctrl, **kwargs):
+def _at_point(grid, t, r, eta, **kwargs):
     """eval_at(n_u, u_max) of one point: the grid evaluator on a 1x1 grid."""
     def eval_at(n_u, u_max):
-        values, m_used = grid(t, [r], [eta], n_u, ctrl, u_max, **kwargs)
+        values, m_used = grid(t, [r], [eta], n_u, u_max, **kwargs)
         return float(values[0, 0]), m_used
     return eval_at
 
@@ -192,7 +175,7 @@ def _at_point(grid, t, r, eta, ctrl, **kwargs):
 # representation 1
 
 
-def _rep1_grid(t, rs, etas, n_u, ctrl, u_max, m_fixed=None):
+def _rep1_grid(t, rs, etas, n_u, u_max, m_fixed=None):
     """Representation-1 values on an (r, eta) grid at a fixed u-cutoff.
 
     Returns (values[n_r, n_eta], m_used).  The fiber series is built once on
@@ -200,7 +183,7 @@ def _rep1_grid(t, rs, etas, n_u, ctrl, u_max, m_fixed=None):
     """
     rs = np.asarray(rs, dtype=float)
     u, w = gl_nodes(n_u, 0.0, u_max)
-    fiber, m_used, _ = _series_matrix(t, etas, u, continued=True, ctrl=ctrl, m_fixed=m_fixed)
+    fiber, m_used, _ = _series_matrix(t, etas, u, continued=True, m_fixed=m_fixed)
     wsinh = w * np.sinh(u) ** 6
     out = np.empty((rs.size, fiber.shape[0]))
     for blk in _row_blocks(rs.size, n_u):
@@ -209,15 +192,10 @@ def _rep1_grid(t, rs, etas, n_u, ctrl, u_max, m_fixed=None):
     return out, m_used
 
 
-def heat_kernel_rep1(t: float, r: float, eta: float,
-                     quad: QuadratureSpec | None = None,
-                     ctrl: SeriesControl | None = None) -> KernelResult:
+def heat_kernel_rep1(t: float, r: float, eta: float) -> KernelResult:
     """First integral representation; the reference evaluation path."""
     KernelPoint(t, r, eta)
-    quad = quad or QuadratureSpec()
-    ctrl = ctrl or SeriesControl()
-    return _adaptive("representation 1", t, r, eta, quad,
-                     _at_point(_rep1_grid, t, r, eta, ctrl))
+    return _adaptive("representation 1", t, r, eta, _at_point(_rep1_grid, t, r, eta))
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +214,19 @@ def _rep2_mode_coeffs(eta, m_top: int, variant: str):
     return weights[:, None] * profile
 
 
-def _rep2_grid(t, rs, etas, n_u, ctrl, u_max, m_fixed=None, variant="normalized"):
+def _rep2_grid(t, rs, etas, n_u, u_max, m_fixed=None, variant="normalized"):
     """Representation-2 values on an (r, eta) grid at a fixed u-cutoff.
 
     Returns (values[n_r, n_eta], m_used).  The mode loop runs once per block
     of r rows.  Each row stops on its own, after two consecutive modes below
-    ctrl.tol of its running sum: across r the values span hundreds of orders
+    SERIES_TOL of its running sum: across r the values span hundreds of orders
     of magnitude, so a rule for the whole grid would cut the small rows
     short.  With m_fixed every row sums exactly the modes 0..m_fixed.
     """
     rs = np.asarray(rs, dtype=float)
     etas = np.asarray(etas, dtype=float)
     u, w = gl_nodes(n_u, 0.0, u_max)
-    cap = ctrl.m_cap if m_fixed is None else m_fixed
+    cap = fiber_kernel.SERIES_M_CAP if m_fixed is None else m_fixed
     profiles = _rep2_mode_coeffs(etas, 64, variant)
     out = np.zeros((rs.size, etas.size))
     m_used = 0
@@ -266,7 +244,7 @@ def _rep2_grid(t, rs, etas, n_u, ctrl, u_max, m_fixed=None, variant="normalized"
             term = j_m[:, None] * profiles[m]
             rows[live] += term
             if m_fixed is None:
-                small = np.max(np.abs(term), axis=1) <= ctrl.tol * np.maximum(
+                small = np.max(np.abs(term), axis=1) <= fiber_kernel.SERIES_TOL * np.maximum(
                     np.max(np.abs(rows[live]), axis=1), 1e-300)
                 below = np.where(small, below + 1, 0)
                 if m >= 4:
@@ -283,7 +261,7 @@ def _rep2_grid(t, rs, etas, n_u, ctrl, u_max, m_fixed=None, variant="normalized"
     return out, m_used
 
 
-def _rep2_direct_2d(t, r, eta, u_max, n_u, n_phi, ctrl, variant):
+def _rep2_direct_2d(t, r, eta, u_max, n_u, n_phi, variant):
     u, wu = gl_nodes(n_u, 0.0, u_max)
     x, wx = gl_nodes(n_phi, -1.0, 1.0)
     z = np.cos(eta) + 1j * np.sin(eta) * x
@@ -293,7 +271,8 @@ def _rep2_direct_2d(t, r, eta, u_max, n_u, n_phi, ctrl, variant):
     below = 0
     m = 0
     series_pref = 15.0 / 16.0 if variant == "normalized" else 15.0 / 8.0
-    while m <= ctrl.m_cap:
+    cap = fiber_kernel.SERIES_M_CAP
+    while m <= cap:
         rate = fiber_eigenvalue(m) + REP2_RATE_SHIFT
         b = m + 3
         damped_cosh = 0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t))
@@ -303,13 +282,13 @@ def _rep2_direct_2d(t, r, eta, u_max, n_u, n_phi, ctrl, variant):
         bound = series_pref * weight * 0.5 * (
             math.exp(b * u_max - rate * t) + math.exp(-rate * t)
         )
-        below = below + 1 if bound <= ctrl.tol * max(scale, 1e-300) else 0
+        below = below + 1 if bound <= fiber_kernel.SERIES_TOL * max(scale, 1e-300) else 0
         if m >= 4 and below >= 2:
             break
         zpow = zpow * z
         m += 1
     else:
-        raise QuadratureConvergenceError(f"2d series not converged by degree {ctrl.m_cap}")
+        raise QuadratureConvergenceError(f"2d series not converged by degree {cap}")
 
     fold = g @ (wx * (1.0 - x * x) ** 2)
     imag_scale = float(np.max(np.abs(fold.real))) + 1e-300
@@ -323,8 +302,6 @@ def _rep2_direct_2d(t, r, eta, u_max, n_u, n_phi, ctrl, variant):
 
 
 def heat_kernel_rep2(t: float, r: float, eta: float,
-                     quad: QuadratureSpec | None = None,
-                     ctrl: SeriesControl | None = None,
                      path: str = "mode_series",
                      variant: str = "normalized") -> KernelResult:
     """Second integral representation.
@@ -339,25 +316,21 @@ def heat_kernel_rep2(t: float, r: float, eta: float,
         raise ValueError(f"unknown path {path!r}")
     if variant not in ("normalized", "raw"):
         raise ValueError(f"unknown variant {variant!r}")
-    quad = quad or QuadratureSpec()
-    ctrl = ctrl or SeriesControl()
     if path == "mode_series":
-        eval_at = _at_point(_rep2_grid, t, r, eta, ctrl, variant=variant)
+        eval_at = _at_point(_rep2_grid, t, r, eta, variant=variant)
     else:
         def eval_at(n, u_max):
             # refine the angular rule together with the radial one
-            n_phi = max(quad.n_phi, quad.n_phi * n // quad.n_u)
-            return _rep2_direct_2d(t, r, eta, u_max, n, n_phi, ctrl, variant)
-    return _adaptive("representation 2", t, r, eta, quad, eval_at)
+            n_phi = max(POINT_N_PHI, POINT_N_PHI * n // POINT_N_U)
+            return _rep2_direct_2d(t, r, eta, u_max, n, n_phi, variant)
+    return _adaptive("representation 2", t, r, eta, eval_at)
 
 
 # ---------------------------------------------------------------------------
 # frozen evaluators for finite differencing
 
 
-def frozen_kernel(which: str, t: float, r: float, eta: float,
-                  quad: QuadratureSpec | None = None,
-                  ctrl: SeriesControl | None = None):
+def frozen_kernel(which: str, t: float, r: float, eta: float):
     """Kernel evaluator with truncations frozen at the given center point.
 
     Adaptive truncation switches between neighboring evaluations would
@@ -366,16 +339,14 @@ def frozen_kernel(which: str, t: float, r: float, eta: float,
     """
     if which not in ("rep1", "rep2"):
         raise ValueError(f"unknown representation {which!r}")
-    quad = quad or QuadratureSpec()
-    ctrl = ctrl or SeriesControl()
-    u_max = quad.u_max if quad.u_max is not None else default_u_max(t, r) + 1.0
-    n_u = 2 * quad.n_u
+    u_max = default_u_max(t, r) + 1.0
+    n_u = 2 * POINT_N_U
     # the degree margin added to the probed truncation differs per series
     grid, margin = (_rep1_grid, 8) if which == "rep1" else (_rep2_grid, 4)
-    _, m_probe = grid(t, [r], [eta], n_u, ctrl, u_max)
+    _, m_probe = grid(t, [r], [eta], n_u, u_max)
 
     def p(tt, rr, ee):
-        return float(grid(tt, [rr], [ee], n_u, ctrl, u_max, m_fixed=m_probe + margin)[0][0, 0])
+        return float(grid(tt, [rr], [ee], n_u, u_max, m_fixed=m_probe + margin)[0][0, 0])
     return p
 
 
@@ -422,8 +393,6 @@ def apply_radial_sublaplacian(f, r: float, eta: float,
 
 
 def heat_residual(which: str, t: float, r: float, eta: float,
-                  quad: QuadratureSpec | None = None,
-                  ctrl: SeriesControl | None = None,
                   h_r: float = 1e-3, h_eta: float = 1e-3,
                   h_t_rel: float = 1e-3) -> tuple[float, float, float]:
     """|d/dt p - L p| at an interior point, with the scales of its bound.
@@ -432,7 +401,7 @@ def heat_residual(which: str, t: float, r: float, eta: float,
     rel |d/dt p| + abs p, whose floor scales with the kernel itself.
     """
     _check_interior(r, eta)
-    p = frozen_kernel(which, t, r, eta, quad, ctrl)
+    p = frozen_kernel(which, t, r, eta)
 
     time_deriv = richardson(lambda h: (p(t + h, r, eta) - p(t - h, r, eta)) / (2.0 * h),
                             h_t_rel * t)
@@ -455,28 +424,22 @@ def _radial_measure_times(p, r):
     return np.ldexp(p, 7 * (es + ec)[:, None]) * ((ms * mc) ** 7)[:, None]
 
 
-def weighted_integral(f, t: float, which: str = "rep1",
-                      n_u: int = MEASURE_N_U,
-                      ctrl: SeriesControl | None = None,
-                      f_growth: float = 0.0) -> float:
+def weighted_integral(f, t: float, which: str = "rep1", f_growth: float = 0.0) -> float:
     """Integral of f(r, eta) against p_t and the reference measure.
 
     f must accept numpy arrays and be bounded by C exp(a r) with a <= f_growth; the
     radial cutoff (14 + 2 f_growth) t + 10 sqrt(t) + 2 grows accordingly.  Convergence is
-    checked by doubling both grid directions, to a relative change of 1e-6; n_u is the
-    first level's u-nodes.
+    checked by doubling both grid directions, to a relative change of 1e-6; the first level
+    has MEASURE_N_U u-nodes.
     """
     _check_time(t)
-    if n_u < 16:
-        raise ValueError("node counts must be at least 16")
-    ctrl = ctrl or SeriesControl()
     r_max = (14.0 + 2.0 * f_growth) * t + 10.0 * math.sqrt(t) + 2.0
     grid = _rep1_grid if which == "rep1" else _rep2_grid
 
     def level(n_r, n_eta, n_u):
         r_nodes, r_w = gl_nodes(n_r, 0.0, r_max)
         e_nodes, e_w = gl_nodes(n_eta, 0.0, math.pi)
-        p, _ = grid(t, r_nodes, e_nodes, n_u, ctrl, _grid_u_max(t, float(np.max(r_nodes))))
+        p, _ = grid(t, r_nodes, e_nodes, n_u, _grid_u_max(t, float(np.max(r_nodes))))
         rr, ee = np.meshgrid(r_nodes, e_nodes, indexing="ij")
         vals = np.asarray(f(rr, ee), dtype=float) * _radial_measure_times(p, r_nodes)
         integ = vals * (np.sin(e_nodes) ** 6)[None, :]
@@ -484,6 +447,7 @@ def weighted_integral(f, t: float, which: str = "rep1",
 
     n_r = max(192, int(10 * r_max))
     n_eta = 96
+    n_u = MEASURE_N_U
     prev = level(n_r, n_eta, n_u)
     for _ in range(2):
         n_r, n_eta, n_u = 2 * n_r, 2 * n_eta, n_u + n_u // 2
@@ -494,6 +458,6 @@ def weighted_integral(f, t: float, which: str = "rep1",
     raise QuadratureConvergenceError("weighted integral did not converge under refinement")
 
 
-def total_mass(t: float, **kwargs) -> float:
+def total_mass(t: float, which: str = "rep1") -> float:
     """Mass of the kernel under the reference measure; constant in t."""
-    return weighted_integral(lambda r, eta: np.ones_like(r), t, **kwargs)
+    return weighted_integral(lambda r, eta: np.ones_like(r), t, which=which)

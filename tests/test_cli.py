@@ -263,6 +263,14 @@ class TestRefusedInput:
         ["fiber", "--check", "values"],
         ["hyperbolic", "--check", "suite"],
         ["compare-reps", "--what", "reps"],
+        # the point rule, the series truncation and the measure nodes are fixed
+        ["eval", "--n-u", "48"],
+        ["compare-reps", "--tol", "1e-8"],
+        ["rep2-paths", "--n-phi", "32"],
+        ["residual", "--u-max", "9"],
+        ["mass", "--n-u", "192"],
+        ["mc-check", "--series-tol", "1e-12"],
+        ["fiber", "--m-cap", "128"],
     ])
     def test_option_the_command_does_not_read_exits_2(self, args):
         # each was accepted and ignored
@@ -270,9 +278,11 @@ class TestRefusedInput:
             main(args)
         assert exc.value.code == 2
 
-    def test_too_few_measure_nodes_exits_2(self, tmp_path):
-        code, _ = run_cli(["mass", "--n-u", "3"], tmp_path)
-        assert code == 2
+    def test_path_without_rep2_exits_2(self, tmp_path, capsys):
+        # representation 1 has no path; this printed the plain rep-1 row with exit code 0
+        code, payload = run_cli(["eval", "--rep", "1", "--path", "direct_2d"], tmp_path)
+        assert code == 2 and payload == b""
+        assert "path 'direct_2d'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("error", [SeriesConvergenceError, QuadratureConvergenceError])
     def test_convergence_failure_exits_2(self, tmp_path, monkeypatch, capsys, error):
@@ -288,7 +298,7 @@ class TestRefusedInput:
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("t = 1\nr = 0\neta = 0\nrep = 1\nn-u = 48\n")
+        cfg.write_text("t = 1\nr = 0\neta = 0\nrep = 1\n")
         out_a = tmp_path / "a.csv"
         code = main(["eval", "--config", str(cfg), "--output", str(out_a)])
         assert code == 0
@@ -320,18 +330,22 @@ class TestConfigFile:
         assert code == 0 and payload.decode().splitlines()[1].split(",")[3] == "false"
 
     def test_key_of_another_command_is_ignored(self, tmp_path):
-        # tol is a key of eval, not of hyperbolic, whose --tol flag is refused
+        # threshold is a key of compare-reps, not of hyperbolic, whose --threshold flag is refused
         cfg = tmp_path / "shared.cfg"
-        cfg.write_text("tol = -1\nn = 3\nt = 1\ns = 1\n")
+        cfg.write_text("threshold = -1\nn = 3\nt = 1\ns = 1\n")
         code, payload = run_cli(["hyperbolic", "--config", str(cfg)], tmp_path)
         assert code == 0
         assert payload.decode().splitlines()[1].startswith("3,1.000000000000e+00,")
 
     @pytest.mark.parametrize("command, text", [("fiber", "check = values\n"),
                                                ("hyperbolic", "check = suite\n"),
-                                               ("compare-reps", "what = reps\n")])
+                                               ("compare-reps", "what = reps\n"),
+                                               ("eval", "n-u = 48\n"),
+                                               ("compare-reps", "tol = 1e-8\n"),
+                                               ("fiber", "m-cap = 128\n")])
     def test_selector_key_is_unknown(self, tmp_path, capsys, command, text):
-        # each check has its own command; no key picks one
+        # each check has its own command, so no key picks one; and no key sets the point
+        # rule, the series truncation or the measure nodes, which are fixed
         cfg = tmp_path / "selector.cfg"
         cfg.write_text(text)
         assert main([command, "--config", str(cfg)]) == 2

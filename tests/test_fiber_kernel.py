@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from octads import fiber_kernel
 from octads.fiber_kernel import (
-    SeriesControl,
+    SERIES_TOL,
     SeriesConvergenceError,
     fiber_eigenvalue,
     fiber_heat_kernel,
@@ -60,19 +61,17 @@ class TestFiberHeatKernel:
         assert a == pytest.approx(b, rel=1e-13, abs=0)
 
     def test_raw_mode_integrates_to_two(self):
-        ctrl = SeriesControl(mode="raw")
         u, w = gl_nodes(200, 0.0, math.pi)
-        vals = np.array([fiber_heat_kernel(0.5, 0.7, float(ui), ctrl=ctrl).value for ui in u])
+        vals = np.array([fiber_heat_kernel(0.5, 0.7, float(ui), mode="raw").value for ui in u])
         integral = float(np.dot(w, vals * np.sin(u) ** 6))
         assert integral == pytest.approx(2.0, abs=2e-8)
 
     def test_heat_equation_residual(self):
         # d/dt s = (d^2/deta^2 + 6 cot eta d/deta) s at an interior point
-        ctrl = SeriesControl(tol=1e-15)
         t, eta, u = 0.7, 1.1, 2.1
 
         def s(tt, ee):
-            return fiber_heat_kernel(tt, ee, u, ctrl=ctrl).value
+            return fiber_heat_kernel(tt, ee, u).value
 
         h_t = 1e-3 * t
 
@@ -92,14 +91,15 @@ class TestFiberHeatKernel:
         spatial = f + (f - c) / 3.0
         assert abs(time_deriv - spatial) <= 1e-4 * abs(time_deriv) + 1e-8
 
-    def test_convergence_error_on_tiny_cap(self):
-        with pytest.raises(SeriesConvergenceError):
-            fiber_heat_kernel(0.001, 0.5, 1.0, ctrl=SeriesControl(m_cap=5))
+    def test_convergence_error_on_tiny_cap(self, monkeypatch):
+        monkeypatch.setattr(fiber_kernel, "SERIES_M_CAP", 5)
+        with pytest.raises(SeriesConvergenceError, match="degree cap 5"):
+            fiber_heat_kernel(0.001, 0.5, 1.0)
 
     def test_diagnostics(self):
         v = fiber_heat_kernel(0.5, 0.3, 1.0)
         assert v.m_used >= 2
-        assert v.tail_bound <= SeriesControl().tol * max(abs(v.value), 1.0)
+        assert v.tail_bound <= SERIES_TOL * max(abs(v.value), 1.0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

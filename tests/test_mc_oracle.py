@@ -72,6 +72,12 @@ class TestExpectations:
         assert mean == 1.0
         assert err == 0.0
 
+    def test_one_sample_has_no_standard_error(self):
+        # it returned (0.997, 0.0): a standard error of 0 that bounds nothing
+        samples = simulate_paths(SdeConfig(n_paths=1, dt=5e-4, t_end=0.01))[-1]
+        with pytest.raises(ValueError, match="standard error"):
+            estimate_expectation(lambda r, eta: np.cos(eta), samples)
+
     def test_mean_and_stderr_formulas(self):
         samples = simulate_paths(SdeConfig(n_paths=50, dt=5e-4, seed=7, t_end=0.01))[-1]
         mean, err = estimate_expectation(lambda r, eta: r, samples)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from octads import subelliptic_kernel
-from octads.fiber_kernel import SeriesControl, fiber_heat_kernel
+from octads.fiber_kernel import fiber_heat_kernel
 from octads.hyperbolic_kernel import hyperbolic_heat_kernel
 from octads.subelliptic_kernel import (
     KernelPoint,
     KernelRangeError,
     MIN_TIME,
     QuadratureConvergenceError,
-    QuadratureSpec,
     REP2_CONSTANT,
     _grid_u_max,
     _rep1_grid,
@@ -131,10 +130,6 @@ class TestRepresentations:
             total_mass(0.02)
         assert heat_kernel_rep2(MIN_TIME, 0.5, 0.3).value > 0
 
-    def test_measure_node_count_checked(self):
-        with pytest.raises(ValueError, match="at least 16"):
-            total_mass(1.0, n_u=8)
-
     def test_underflow_raises(self):
         # at t = 16 the kernel underflows to exactly 0.0 on every route
         for rep, kwargs in ((heat_kernel_rep1, {}), (heat_kernel_rep2, {}),
@@ -144,9 +139,11 @@ class TestRepresentations:
             assert isinstance(info.value, ArithmeticError)
             assert info.value.result.value == 0.0
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(subelliptic_kernel, "POINT_TOL", 1e-300)
+        monkeypatch.setattr(subelliptic_kernel, "POINT_N_U", 16)
         with pytest.raises(QuadratureConvergenceError):
-            heat_kernel_rep1(1.0, 0.5, 1.0, quad=QuadratureSpec(tol=1e-300, n_u=16))
+            heat_kernel_rep1(1.0, 0.5, 1.0)
 
     def test_raw_variant_large_time_ratio(self):
         # only the lowest mode survives at large t: the raw display then differs
@@ -190,13 +187,13 @@ class TestGridEvaluators:
         per_block = subelliptic_kernel._BLOCK_NODES // self.N_U
         rs = np.linspace(0.0, r_max, 2 * per_block + 7)
         etas = np.array([0.0, 1.0, PI])
-        ctrl, u_max = SeriesControl(), _grid_u_max(self.T, r_max)
-        values, _ = grid(self.T, rs, etas, self.N_U, ctrl, u_max)
+        u_max = _grid_u_max(self.T, r_max)
+        values, _ = grid(self.T, rs, etas, self.N_U, u_max)
         assert np.all(values[rs < 40.0] > 0)
         # the last rows are subnormal (~1e-318), where 1e-13 relative is below one ulp
         floor = 1e-13 * np.finfo(float).tiny
         for r, row in zip(rs, values):
-            alone, _ = grid(self.T, [r], etas, self.N_U, ctrl, u_max)
+            alone, _ = grid(self.T, [r], etas, self.N_U, u_max)
             np.testing.assert_allclose(row, alone[0], rtol=1e-13, atol=floor)
 
     def test_rep2_rows_stop_on_their_own(self):
@@ -205,9 +202,9 @@ class TestGridEvaluators:
         # r = 20 terms against the whole grid would end that row at degree 4
         # instead of 10 (1.4e-4 off)
         t = 0.25
-        ctrl, u_max = SeriesControl(), _grid_u_max(t, 20.0)
-        both, _ = _rep2_grid(t, [0.0, 20.0], [0.5], self.N_U, ctrl, u_max)
-        alone, _ = _rep2_grid(t, [20.0], [0.5], self.N_U, ctrl, u_max)
+        u_max = _grid_u_max(t, 20.0)
+        both, _ = _rep2_grid(t, [0.0, 20.0], [0.5], self.N_U, u_max)
+        alone, _ = _rep2_grid(t, [20.0], [0.5], self.N_U, u_max)
         assert alone[0, 0] > 0
         assert both[1, 0] == pytest.approx(alone[0, 0], rel=1e-13, abs=0.0)
 
