@@ -21,7 +21,7 @@ from .hyperbolic_kernel import hyperbolic_heat_kernel
 from .mc_oracle import MC_TEST_FUNCTIONS, SdeConfig, estimate_expectation, simulate_paths
 from .special_fn import (gl_nodes, hyp2f1_terminating, jacobi_end_value, jacobi_norm_sq,
                          jacobi_sequence)
-from .subelliptic_kernel import (KernelRangeError, heat_kernel_rep1, heat_kernel_rep2,
+from .subelliptic_kernel import (MIN_TIME, KernelRangeError, heat_kernel_rep1, heat_kernel_rep2,
                                  heat_residual, richardson, total_mass, weighted_integral)
 
 GRID_T = (0.5, 1.0, 2.0)
@@ -229,15 +229,25 @@ def mass_moment(t=GRID_T, moment=True):
 
 
 def mc_oracle(t=(0.5, 1.0), n_paths=100_000, dt=1e-4, seed=0, z_max=3.0):
-    """Criterion 08: MC means of the test functions within z_max standard errors of quadrature."""
+    """Criterion 08: MC means of the test functions within z_max standard errors of quadrature.
+
+    Every time must be finite, at least MIN_TIME and a whole number of steps dt; that is
+    checked before any path is simulated.
+    """
     times = sorted(t)
     cfg = SdeConfig(n_paths=n_paths, dt=dt, seed=seed, t_end=times[-1])
-    by_time = {round(s.time, 10): s for s in simulate_paths(cfg, snapshot_times=tuple(times[:-1]))}
+    for tt in times:
+        if not MIN_TIME <= tt < math.inf:
+            raise ValueError(f"time {tt} is below the supported minimum {MIN_TIME} or not finite")
+        if not math.isclose(tt, round(tt / dt) * dt, rel_tol=1e-9):
+            raise ValueError(f"time {tt} is not a whole number of steps dt = {dt}")
+    by_step = {round(s.time / dt): s
+               for s in simulate_paths(cfg, snapshot_times=tuple(times[:-1]))}
     rows = []
     for tt in times:
         mass = total_mass(tt)
         for name, func, growth in MC_TEST_FUNCTIONS:
-            mean, stderr = estimate_expectation(func, by_time[round(tt, 10)])
+            mean, stderr = estimate_expectation(func, by_step[round(tt / dt)])
             analytic = weighted_integral(func, tt, f_growth=growth) / mass
             # a zero or non-finite standard error bounds nothing: z is NaN and fails
             z = (mean - analytic) / stderr if 0.0 < stderr < math.inf else math.nan

@@ -278,6 +278,20 @@ class TestRefusedInput:
             main(args)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("times", [
+        "0.05003,0.1",  # not a whole number of steps: a KeyError traceback with exit code 1
+        "0.01,0.1",  # below MIN_TIME: refused by the quadrature after every path had run
+    ])
+    def test_mc_check_time_refused_before_simulating(self, tmp_path, monkeypatch, capsys,
+                                                     times):
+        def simulate(*args, **kwargs):
+            raise AssertionError("paths simulated before the times were checked")
+
+        monkeypatch.setattr(octads.acceptance, "simulate_paths", simulate)
+        code, payload = run_cli(["mc-check", "--t", times, "--n-paths", "50"], tmp_path)
+        assert code == 2 and payload == b""
+        assert capsys.readouterr().err.startswith(f"error: time {times.split(',')[0]} ")
+
     def test_path_without_rep2_exits_2(self, tmp_path, capsys):
         # representation 1 has no path; this printed the plain rep-1 row with exit code 0
         code, payload = run_cli(["eval", "--rep", "1", "--path", "direct_2d"], tmp_path)

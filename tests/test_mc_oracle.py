@@ -1,8 +1,10 @@
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
 
+from octads import mc_oracle
 from octads.mc_oracle import (
     MC_TEST_FUNCTIONS,
     SdeConfig,
@@ -21,6 +23,25 @@ class TestConfig:
             SdeConfig(dt=1e-2)
         with pytest.raises(ValueError):
             SdeConfig(t_end=-1.0)
+
+    @pytest.mark.parametrize("t_end, dt", [(math.nan, 1e-4), (math.inf, 1e-4), (4e-5, 1e-4),
+                                           (1.0, 5e-324)])
+    def test_t_end_must_be_finite_and_a_step(self, t_end, dt):
+        # NaN failed in simulate_paths converting NaN to an integer, inf and 1 / 5e-324
+        # overflowed, and 4e-5 rounds to no step at all
+        with pytest.raises(ValueError, match="t_end"):
+            SdeConfig(t_end=t_end, dt=dt)
+
+    def test_path_count_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="n_paths"):
+            SdeConfig(n_paths=2.5)
+
+    @pytest.mark.parametrize("snapshots", [(0.5, -1.0), (0.5,), (-1.0,), (0.0,), (math.nan,)])
+    def test_snapshot_outside_the_run_is_refused(self, snapshots):
+        # (0.5, -1.0) used to be clamped to the times (0.0001, 0.001)
+        cfg = SdeConfig(n_paths=4, t_end=0.001)
+        with pytest.raises(ValueError, match="snapshot time"):
+            simulate_paths(cfg, snapshot_times=snapshots)
 
 
 class TestSimulation:
@@ -57,6 +78,37 @@ class TestSimulation:
         small = simulate_paths(SdeConfig(n_paths=40, dt=5e-4, seed=9, t_end=0.02))[-1]
         assert np.array_equal(big.r[:40], small.r)
         assert np.array_equal(big.eta[:40], small.eta)
+
+
+class TestProcessPool:
+    def test_pool_is_bitwise_identical_to_serial(self, monkeypatch):
+        # three chunks, the last of one path, on one process and on a pool of two
+        cfg = SdeConfig(n_paths=2 * mc_oracle._CHUNK + 1, dt=5e-4, seed=8, t_end=0.01)
+        pools, pool = [], concurrent.futures.ProcessPoolExecutor
+
+        def counted_pool(workers, **kwargs):
+            pools.append(workers)
+            return pool(workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: cpus)
+            runs.append(simulate_paths(cfg, snapshot_times=(0.005,)))
+        assert pools == [2]
+        for serial, pooled in zip(*runs):
+            assert serial.time == pooled.time
+            assert np.array_equal(serial.r, pooled.r)
+            assert np.array_equal(serial.eta, pooled.eta)
+
+    def test_single_chunk_builds_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built for one chunk")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: 2)
+        s = simulate_paths(SdeConfig(n_paths=mc_oracle._CHUNK, dt=5e-4, t_end=0.001))[-1]
+        assert s.r.shape == (mc_oracle._CHUNK,)
 
 
 @pytest.fixture(scope="module")
