@@ -21,8 +21,9 @@ from .hyperbolic_kernel import hyperbolic_heat_kernel
 from .mc_oracle import MC_TEST_FUNCTIONS, SdeConfig, estimate_expectation, simulate_paths
 from .special_fn import (gl_nodes, hyp2f1_terminating, jacobi_end_value, jacobi_norm_sq,
                          jacobi_sequence)
-from .subelliptic_kernel import (MIN_TIME, KernelRangeError, heat_kernel_rep1, heat_kernel_rep2,
-                                 heat_residual, richardson, total_mass, weighted_integral)
+from .subelliptic_kernel import (KernelRangeError, _check_time, heat_kernel_rep1,
+                                 heat_kernel_rep2, heat_residual, richardson, total_mass,
+                                 weighted_integral)
 
 GRID_T = (0.5, 1.0, 2.0)
 GRID_R = (0.0, 0.5, 1.0, 2.0)
@@ -237,8 +238,7 @@ def mc_oracle(t=(0.5, 1.0), n_paths=100_000, dt=1e-4, seed=0, z_max=3.0):
     times = sorted(t)
     cfg = SdeConfig(n_paths=n_paths, dt=dt, seed=seed, t_end=times[-1])
     for tt in times:
-        if not MIN_TIME <= tt < math.inf:
-            raise ValueError(f"time {tt} is below the supported minimum {MIN_TIME} or not finite")
+        _check_time(tt)
         if not math.isclose(tt, round(tt / dt) * dt, rel_tol=1e-9):
             raise ValueError(f"time {tt} is not a whole number of steps dt = {dt}")
     by_step = {round(s.time / dt): s

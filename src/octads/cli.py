@@ -2,13 +2,13 @@
 
 Each command runs one function of octads.acceptance, listed in one table, _COMMANDS, and
 takes as options exactly that function's parameters, with their defaults.  An option's flag
-is typed by its default and checked against its allowed words; a config file (flat
-key = value text) sets the same options through the same type and words, and flags
-override it.  Records are
+is typed by its default and checked against its allowed words.  An argument @FILE is
+replaced by the lines of FILE, one argument per line, so options kept in a file are read
+as the same flags; a later argument overrides an earlier one.  Records are
 written byte-identically for identical inputs: floats as %.12e, comma-separated CSV with LF
 endings, or a JSON array of objects with the same field names.
 
-Exit codes: 0 success, 1 validation threshold exceeded, 2 usage/config error,
+Exit codes: 0 success, 1 validation threshold exceeded, 2 usage error,
 an input outside the supported domain, or a series or quadrature that did not converge.
 """
 
@@ -71,20 +71,8 @@ def _parse_float_list(text: str):
     return values
 
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def _parse_bool(text: str) -> bool:
-    """A config-file truth value; a flag is set by --name or --no-name instead."""
-    if text.lower() not in _BOOLEANS:
-        raise ValueError(f"expected one of {', '.join(_BOOLEANS)}, got {text!r}")
-    return _BOOLEANS[text.lower()]
-
-
 def _parse_as(default):
     """An option's type, read from its default: a float list if a tuple."""
-    if isinstance(default, bool):
-        return _parse_bool
     if isinstance(default, tuple):
         return _parse_float_list
     return type(default)
@@ -179,60 +167,24 @@ _HELP = {"output": "output path (default stdout)",
                     "(bound = rel_tol |dp/dt| + abs_tol p; default 1e-8)"}
 
 
-def _options(command: str) -> dict:
-    """A command's options with their defaults."""
-    return {**_check_defaults(_COMMANDS[command][1]), "format": "csv", "output": ""}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="octads",
         description="Subelliptic heat kernel of the octonionic anti-de Sitter fibration",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, *_) in _COMMANDS.items():
+    for command, (help_text, check, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        p.add_argument("--config", help="flat key = value config file")
-        for key, default in _options(command).items():
+        for key, default in {**_check_defaults(check), "format": "csv", "output": ""}.items():
             flag = "--" + key.replace("_", "-")
             if isinstance(default, bool):
-                p.add_argument(flag, action=argparse.BooleanOptionalAction, help=_HELP.get(key))
+                p.add_argument(flag, action=argparse.BooleanOptionalAction, default=default,
+                               help=_HELP.get(key))
             else:
                 p.add_argument(flag, type=_parse_as(default), choices=_WORDS.get(key),
-                               help=_HELP.get(key))
+                               default=default, help=_HELP.get(key))
     return parser
-
-
-def _load_config(path: str, command: str) -> dict:
-    """The file's values of the command's options, each read and checked as its flag is.
-
-    A key of another command is ignored; a key no command has is an error.
-    """
-    options = _options(command)
-    known = set().union(*map(_options, _COMMANDS))
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key not in options:
-                continue
-            words = _WORDS.get(key)
-            try:
-                value = _parse_as(options[key])(raw)
-                if words and value not in words:
-                    raise ValueError(f"invalid choice {raw!r} (choose from {', '.join(words)})")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-            values[key] = value
-    return values
 
 
 def run(opts: dict) -> int:
@@ -245,12 +197,8 @@ def run(opts: dict) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    opts = vars(build_parser().parse_args(argv))
     try:
-        opts = _options(args.command)
-        if args.config:
-            opts.update(_load_config(args.config, args.command))
-        opts.update({k: v for k, v in vars(args).items() if v is not None})
         return run(opts)
     except (ValueError, OSError, SeriesConvergenceError, QuadratureConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

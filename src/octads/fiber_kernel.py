@@ -72,22 +72,23 @@ def _series_matrix(t, etas, us, continued, mode="normalized", m_fixed=None):
     """Spectral series evaluated on the grid etas x us.
 
     Returns (matrix, m_used, tail_bound).  The tail rule bounds the next term
-    by coeff * exp(-m(m+6) t) * P_m(x_max) * P_m(1), with P_m evaluated
-    directly at the largest second argument; termination needs two consecutive
-    passes.  With m_fixed the series is summed to exactly that degree, which
-    keeps grid sweeps smooth for finite differencing.  mode is the coefficient
+    by coeff * exp(-m(m+6) t) * P_m(x_max) * P_m(1), with P_m read at the
+    largest second argument, one of the u nodes; termination needs two
+    consecutive passes.  With m_fixed the series is summed to exactly that
+    degree, which keeps grid sweeps smooth for finite differencing.  mode is the coefficient
     convention of spectral_coeff.
     """
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     us = np.atleast_1d(np.asarray(us, dtype=float))
     xe = np.cos(etas)
     xu = np.cosh(us) if continued else np.cos(us)
-    x_max = float(np.max(xu))
+    i_max = int(np.argmax(xu))
+    x_max = float(xu[i_max])
 
     out = np.zeros((etas.size, us.size))
-    # degree m at the eta nodes, the u nodes and x_max; the *2 names hold m-1
+    # degree m at the eta nodes, the u nodes and x_max (a u node); the *2 names hold m-1
     pe, pu, pb = np.ones_like(xe), np.ones_like(xu), 1.0
-    pe2 = pu2 = pb2 = None
+    pe2 = pu2 = None
     scale = 0.0
     below = 0
     last_bound = math.inf
@@ -97,7 +98,7 @@ def _series_matrix(t, etas, us, continued, mode="normalized", m_fixed=None):
         if m >= 1:
             pe, pe2 = jacobi_next(m, xe, pe, pe2), pe
             pu, pu2 = jacobi_next(m, xu, pu, pu2), pu
-            pb, pb2 = jacobi_next(m, x_max, pb, pb2), pb
+            pb = float(pu[i_max])
         if not np.isfinite(pb):
             raise SeriesConvergenceError(
                 f"degree-{m} polynomial overflowed at argument {x_max:.3e}; "

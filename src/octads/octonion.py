@@ -181,10 +181,6 @@ def fiber_exponential(theta) -> Octonion:
 
 def cyl_to_ads(c: CylCoord) -> AdSPoint:
     """Map cylindrical coordinates to a quadric point (g*w, g)/sqrt(1-rho^2)."""
-    if c.rho >= 1.0:
-        raise ValueError("base coordinate outside the unit ball")
-    if c.eta >= np.pi:
-        raise ValueError("fiber angle norm must be < pi")
     g = fiber_exponential(c.theta)
     denom = np.sqrt(1.0 - c.rho ** 2)
     return AdSPoint(x=oct_mul(g, c.w) / denom, y=g / denom)

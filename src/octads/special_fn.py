@@ -70,28 +70,18 @@ def jacobi_norm_sq(m: int) -> float:
 def hyp2f1_terminating(m: int, x: float) -> float:
     """The finite sum 2F1(m+3, -m-3, 1/2; (1-x)/2), which has m+4 terms.
 
-    Coefficients are accumulated in log space with explicit sign tracking;
-    the factorial ratios overflow double range near m = 30 if formed directly.
-    For x >= 1 every term is nonnegative, which is the regime the kernel
-    evaluation uses (argument cosh u).
+    Term k+1 is term k times (m+3+k)(k-m-3) z / ((k+1/2)(k+1)), z = (1-x)/2, so no
+    factorial is formed and nothing overflows.  For x >= 1 every term is
+    nonnegative, which is the regime the kernel evaluation uses (argument cosh u).
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")
     z = (1.0 - x) / 2.0
-    if z == 0.0:
-        return 1.0
-    k = np.arange(m + 4)
-    log_c = (
-        _lgamma_vec(m + 3 + k) - math.lgamma(m + 3)
-        + math.lgamma(m + 4) - _lgamma_vec(m + 4 - k)
-        - (_lgamma_vec(0.5 + k) - math.lgamma(0.5))
-        - _lgamma_vec(k + 1.0)
-    )
-    sign = np.where(k % 2 == 0, 1.0, -1.0) * np.sign(z) ** k
-    return float(np.sum(sign * np.exp(log_c + k * math.log(abs(z)))))
-
-
-_lgamma_vec = np.vectorize(math.lgamma, otypes=[float])
+    term = total = 1.0
+    for k in range(m + 3):
+        term *= (m + 3 + k) * (k - m - 3) / ((k + 0.5) * (k + 1)) * z
+        total += term
+    return total
 
 
 @lru_cache(maxsize=64)

@@ -142,14 +142,11 @@ class TestOtherCommands:
         assert code == 0
         assert "pass" in payload.decode()
 
-    def test_hyperbolic_dump_terms(self, tmp_path):
-        # the exact term table is gone: its flag and its config key are both refused
+    def test_hyperbolic_dump_terms(self):
+        # the exact term table is gone: its flag is refused
         with pytest.raises(SystemExit) as exc:
             main(["hyperbolic", "--n", "3", "--dump-terms"])
         assert exc.value.code == 2
-        cfg = tmp_path / "terms.cfg"
-        cfg.write_text("dump_terms = true\n")
-        assert main(["hyperbolic", "--config", str(cfg)]) == 2
 
     def test_hyperbolic_suite(self, tmp_path):
         code, payload = run_cli(["hyperbolic-suite"], tmp_path)
@@ -309,74 +306,93 @@ class TestRefusedInput:
         assert capsys.readouterr().err == "error: did not converge\n"
 
 
+def config_line(command, option, value):
+    """One argument-file line for `command`, with the id of its `key = value` config-file twin."""
+    return pytest.param(command, f"--{option}={value}", id=f"{command}-{option} = {value}\n")
+
+
 class TestConfigFile:
+    """A config file is an argument @FILE: one argument a line, read as typed flags."""
+
+    @staticmethod
+    def args_file(tmp_path, *lines):
+        path = tmp_path / "run.args"
+        path.write_text("".join(line + "\n" for line in lines))
+        return f"@{path}"
+
+    @staticmethod
+    def refused(args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
     def test_config_supplies_defaults_and_flags_override(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("t = 1\nr = 0\neta = 0\nrep = 1\n")
-        out_a = tmp_path / "a.csv"
-        code = main(["eval", "--config", str(cfg), "--output", str(out_a)])
-        assert code == 0
-        assert len(out_a.read_text().splitlines()) == 2
+        run_args = self.args_file(tmp_path, "--t=1", "--r=0", "--eta=0", "--rep=1")
+        code, payload = run_cli(["eval", run_args], tmp_path)
+        assert code == 0 and len(payload.decode().splitlines()) == 2
+        code, payload = run_cli(["eval", run_args, "--r", "0,1"], tmp_path)
+        assert code == 0 and len(payload.decode().splitlines()) == 3
+        # the last argument wins, so a file after a flag overrides it
+        code, payload = run_cli(["eval", "--r", "0,1", run_args], tmp_path)
+        assert code == 0 and len(payload.decode().splitlines()) == 2
 
-        out_b = tmp_path / "b.csv"
-        code = main(["eval", "--config", str(cfg), "--r", "0,1", "--output", str(out_b)])
-        assert code == 0
-        assert len(out_b.read_text().splitlines()) == 3
-
-    @pytest.mark.parametrize("command, text", [
-        ("eval", "rep = bogus\n"),  # evaluated representation 2
-        ("fiber", "continued = maybe\n"),  # read as false
-        ("fiber", "mode = bogus\n"),  # a word outside the flag's choices
-        ("mass", "moment = 2\n"),
+    @pytest.mark.parametrize("command, line", [
+        config_line("eval", "rep", "bogus"),
+        config_line("fiber", "continued", "maybe"),
+        config_line("fiber", "mode", "bogus"),
+        config_line("mass", "moment", "2"),
     ])
-    def test_config_value_the_flag_refuses_exits_2(self, tmp_path, capsys, command, text):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(text)
-        assert main([command, "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {cfg}:1: ")
+    def test_config_value_the_flag_refuses_exits_2(self, tmp_path, capsys, command, line):
+        err = self.refused([command, self.args_file(tmp_path, line)], capsys)
+        assert f"error: argument {line.split('=')[0]}" in err
 
     def test_config_booleans(self, tmp_path):
-        cfg = tmp_path / "fiber.cfg"
-        cfg.write_text("t = 1\neta = 0.5\nu = 1.5\ncontinued = yes\n")
-        code, payload = run_cli(["fiber", "--config", str(cfg)], tmp_path)
+        run_args = self.args_file(tmp_path, "--t=1", "--eta=0.5", "--u=1.5", "--continued")
+        code, payload = run_cli(["fiber", run_args], tmp_path)
         assert code == 0 and payload.decode().splitlines()[1].split(",")[3] == "true"
-        code, payload = run_cli(["fiber", "--config", str(cfg), "--no-continued"], tmp_path)
+        code, payload = run_cli(["fiber", run_args, "--no-continued"], tmp_path)
         assert code == 0 and payload.decode().splitlines()[1].split(",")[3] == "false"
 
-    def test_key_of_another_command_is_ignored(self, tmp_path):
-        # threshold is a key of compare-reps, not of hyperbolic, whose --threshold flag is refused
-        cfg = tmp_path / "shared.cfg"
-        cfg.write_text("threshold = -1\nn = 3\nt = 1\ns = 1\n")
-        code, payload = run_cli(["hyperbolic", "--config", str(cfg)], tmp_path)
+    def test_option_of_another_command_exits_2(self, tmp_path, capsys):
+        # --threshold is an option of compare-reps, not of hyperbolic
+        run_args = self.args_file(tmp_path, "--threshold=-1", "--n=3", "--t=1", "--s=1")
+        err = self.refused(["hyperbolic", run_args], capsys)
+        assert "unrecognized arguments: --threshold=-1" in err
+        run_args = self.args_file(tmp_path, "--n=3", "--t=1", "--s=1")
+        code, payload = run_cli(["hyperbolic", run_args], tmp_path)
         assert code == 0
         assert payload.decode().splitlines()[1].startswith("3,1.000000000000e+00,")
 
-    @pytest.mark.parametrize("command, text", [("fiber", "check = values\n"),
-                                               ("hyperbolic", "check = suite\n"),
-                                               ("compare-reps", "what = reps\n"),
-                                               ("eval", "n-u = 48\n"),
-                                               ("compare-reps", "tol = 1e-8\n"),
-                                               ("fiber", "m-cap = 128\n")])
-    def test_selector_key_is_unknown(self, tmp_path, capsys, command, text):
-        # each check has its own command, so no key picks one; and no key sets the point
-        # rule, the series truncation or the measure nodes, which are fixed
-        cfg = tmp_path / "selector.cfg"
-        cfg.write_text(text)
-        assert main([command, "--config", str(cfg)]) == 2
-        assert "unknown key" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, line", [
+        # each check has its own command, so no option picks one; and no option sets the
+        # point rule, the series truncation or the measure nodes, which are fixed
+        config_line("fiber", "check", "values"),
+        config_line("hyperbolic", "check", "suite"),
+        config_line("compare-reps", "what", "reps"),
+        config_line("eval", "n-u", "48"),
+        config_line("compare-reps", "tol", "1e-8"),
+        config_line("fiber", "m-cap", "128"),
+    ])
+    def test_selector_key_is_unknown(self, tmp_path, capsys, command, line):
+        err = self.refused([command, self.args_file(tmp_path, line)], capsys)
+        assert f"unrecognized arguments: {line}" in err
 
-    def test_bad_config_key_exits_2(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("no_such_key = 1\n")
-        assert main(["eval", "--config", str(cfg)]) == 2
+    def test_bad_config_key_exits_2(self, tmp_path, capsys):
+        err = self.refused(["eval", self.args_file(tmp_path, "--no-such-key=1")], capsys)
+        assert "unrecognized arguments: --no-such-key=1" in err
 
-    def test_empty_grid_exits_2(self, tmp_path):
+    def test_empty_grid_exits_2(self, tmp_path, capsys):
         # an empty grid used to pass with no rows checked
-        cfg = tmp_path / "empty.cfg"
-        cfg.write_text("t =\n")
-        assert main(["residual", "--config", str(cfg)]) == 2
+        err = self.refused(["residual", self.args_file(tmp_path, "--t=")], capsys)
+        assert "error: argument --t" in err
 
-    def test_bad_config_line_exits_2(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("just words\n")
-        assert main(["eval", "--config", str(cfg)]) == 2
+    def test_bad_config_line_exits_2(self, tmp_path, capsys):
+        # a line is one argument: "--t 1" is one word, not --t and 1
+        for line in ["just words", "--t 1"]:
+            err = self.refused(["eval", self.args_file(tmp_path, line)], capsys)
+            assert f"unrecognized arguments: {line}" in err
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        err = self.refused(["eval", f"@{tmp_path / 'missing.args'}"], capsys)
+        assert "No such file or directory" in err
