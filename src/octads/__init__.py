@@ -7,7 +7,6 @@ from .fiber_kernel import (
     fiber_heat_kernel,
     fiber_mode_multiplicity,
     fiber_mode_profile,
-    spectral_coeff,
 )
 from .hyperbolic_kernel import (
     composed_distance,

@@ -58,18 +58,13 @@ def _evaluate(kernel, *args, **kwargs):
         return exc.result
 
 
-def point_rows(t=(1.0,), r=GRID_R, eta=GRID_ETA, rep="both", path="mode_series"):
-    """Kernel values on the grid t x r x eta: one representation, or both and their difference.
-
-    `path` is representation 2's route, so representation 1 alone refuses any but the default.
-    """
-    if rep == "1" and path != "mode_series":
-        raise ValueError(f"path {path!r} is a route of representation 2, not evaluated by rep 1")
+def point_rows(t=(1.0,), r=GRID_R, eta=GRID_ETA, rep="both"):
+    """Kernel values on the grid t x r x eta: one representation, or both and their difference."""
     rows = []
     for tt, rr, ee in itertools.product(t, r, eta):
         row = {"t": tt, "r": rr, "eta": ee}
         k1 = _evaluate(heat_kernel_rep1, tt, rr, ee) if rep != "2" else None
-        k2 = _evaluate(heat_kernel_rep2, tt, rr, ee, path=path) if rep != "1" else None
+        k2 = _evaluate(heat_kernel_rep2, tt, rr, ee) if rep != "1" else None
         if rep != "both":
             k = k1 if rep == "1" else k2
             row.update(value=k.value, est_error=k.est_error, m_used=k.m_used,
@@ -82,11 +77,9 @@ def point_rows(t=(1.0,), r=GRID_R, eta=GRID_ETA, rep="both", path="mode_series")
     return rows
 
 
-def representation_agreement(t=GRID_T, r=GRID_R, eta=GRID_ETA, threshold=1e-6,
-                             path="mode_series"):
-    """Criterion 01: representation 1 against representation 2 (on its `path`)."""
-    return [_row(row["rel_diff"] <= threshold, **row)
-            for row in point_rows(t, r, eta, "both", path)]
+def representation_agreement(t=GRID_T, r=GRID_R, eta=GRID_ETA, threshold=1e-6):
+    """Criterion 01: representation 1 against representation 2."""
+    return [_row(row["rel_diff"] <= threshold, **row) for row in point_rows(t, r, eta, "both")]
 
 
 def rep2_path_agreement(t=GRID_T, r=GRID_R, eta=GRID_ETA, threshold=1e-8):
@@ -142,25 +135,24 @@ def fiber_orthogonality():
     return rows
 
 
-def fiber_values(t=_FIBER_T, eta=_FIBER_ETA, u=(0.5,), continued=False, mode="normalized"):
+def fiber_values(t=_FIBER_T, eta=_FIBER_ETA, u=(0.5,), continued=False):
     """Fiber kernel values on the grid t x eta x u, with their series diagnostics."""
     rows = []
     for tt, ee, uu in itertools.product(t, eta, u):
-        v = fiber_heat_kernel(tt, ee, uu, continued=continued, mode=mode)
-        rows.append({"t": tt, "eta": ee, "u": uu, "continued": continued, "mode": mode,
+        v = fiber_heat_kernel(tt, ee, uu, continued=continued)
+        rows.append({"t": tt, "eta": ee, "u": uu, "continued": continued,
                      "value": v.value, "m_used": v.m_used, "tail_bound": v.tail_bound})
     return rows
 
 
-def fiber_normalization(t=_FIBER_T, eta=_FIBER_ETA, mode="normalized"):
-    """Criterion 05, second half: the fiber kernel integrates to 1 against sin^6 (2 if raw)."""
-    target = 2.0 if mode == "raw" else 1.0
+def fiber_normalization(t=_FIBER_T, eta=_FIBER_ETA):
+    """Criterion 05, second half: the fiber kernel integrates to 1 against sin^6."""
     u, w = gl_nodes(_FIBER_NODES, 0.0, math.pi)
     rows = []
     for tt, ee in itertools.product(t, eta):
-        vals = np.array([fiber_heat_kernel(tt, ee, float(ui), mode=mode).value for ui in u])
+        vals = np.array([fiber_heat_kernel(tt, ee, float(ui)).value for ui in u])
         integral = float(np.dot(w, vals * np.sin(u) ** 6))
-        dev = abs(integral - target)
+        dev = abs(integral - 1.0)
         rows.append(_row(dev <= _FIBER_TOL, t=tt, eta=ee, integral=integral, deviation=dev))
     return rows
 

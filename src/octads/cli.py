@@ -71,6 +71,10 @@ def _parse_float_list(text: str):
     return values
 
 
+# argparse names the type of a value it refuses by this
+_parse_float_list.__name__ = "float list"
+
+
 def _parse_as(default):
     """An option's type, read from its default: a float list if a tuple."""
     if isinstance(default, tuple):
@@ -135,8 +139,7 @@ def _cmd_mass(opts: dict, out):
 
 # the allowed words of the options that take one
 _WORDS = {"format": ("csv", "json"), "rep": ("1", "2", "both"),
-          "path": ("mode_series", "direct_2d"),
-          "which": ("rep1", "rep2", "both"), "mode": ("normalized", "raw")}
+          "which": ("rep1", "rep2", "both")}
 
 # Per command: its help, the one function it runs, whose parameters are its options, and its
 # handler.

@@ -49,34 +49,15 @@ def fiber_mode_multiplicity(m: int) -> int:
     return num // 3
 
 
-def spectral_coeff(m: int, mode: str = "normalized") -> float:
-    """Series coefficient of degree m in the requested convention."""
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    if mode == "normalized":
-        return 1.0 / jacobi_norm_sq(m)
-    if mode == "raw":
-        lg = (
-            (4 * m + 7) * math.log(2.0)
-            + math.lgamma(m + 1.0)
-            + math.lgamma(m + 6.0)
-            + 2.0 * math.lgamma(m + 4.0)
-            - math.lgamma(2.0 * m + 7.0)
-            - math.lgamma(2.0 * m + 6.0)
-        )
-        return math.exp(lg) / math.pi
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _series_matrix(t, etas, us, continued, mode="normalized", m_fixed=None):
+def _series_matrix(t, etas, us, continued, m_fixed=None):
     """Spectral series evaluated on the grid etas x us.
 
-    Returns (matrix, m_used, tail_bound).  The tail rule bounds the next term
-    by coeff * exp(-m(m+6) t) * P_m(x_max) * P_m(1), with P_m read at the
-    largest second argument, one of the u nodes; termination needs two
-    consecutive passes.  With m_fixed the series is summed to exactly that
-    degree, which keeps grid sweeps smooth for finite differencing.  mode is the coefficient
-    convention of spectral_coeff.
+    Returns (matrix, m_used, tail_bound).  Degree m carries the coefficient
+    1/N_m.  The tail rule bounds the next term by exp(-m(m+6) t) P_m(x_max)
+    P_m(1) / N_m, with P_m read at the largest second argument, one of the u
+    nodes; termination needs two consecutive passes.  With m_fixed the series
+    is summed to exactly that degree, which keeps grid sweeps smooth for
+    finite differencing.
     """
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     us = np.atleast_1d(np.asarray(us, dtype=float))
@@ -104,7 +85,7 @@ def _series_matrix(t, etas, us, continued, mode="normalized", m_fixed=None):
                 f"degree-{m} polynomial overflowed at argument {x_max:.3e}; "
                 "the requested (t, u_max) combination is outside the supported range"
             )
-        damp = spectral_coeff(m, mode) * math.exp(-fiber_eigenvalue(m) * t)
+        damp = (1.0 / jacobi_norm_sq(m)) * math.exp(-fiber_eigenvalue(m) * t)
         out += damp * np.outer(pe, pu)
         scale = max(scale, float(np.max(np.abs(out))))
         if m_fixed is None:
@@ -119,17 +100,15 @@ def _series_matrix(t, etas, us, continued, mode="normalized", m_fixed=None):
     )
 
 
-def fiber_heat_kernel(t: float, eta: float, u: float, continued: bool = False,
-                      mode: str = "normalized") -> FiberKernelValue:
+def fiber_heat_kernel(t: float, eta: float, u: float,
+                      continued: bool = False) -> FiberKernelValue:
     """Fiber kernel at angles (eta, u), or at (eta, iu) when continued.
 
     For the continued branch u is the hyperbolic coordinate (second argument
-    cosh u); otherwise u is an angle in [0, pi] like eta.  mode selects the
-    coefficient convention: "normalized" uses 1/N_m from the orthogonality
-    norms (the kernel then integrates to 1 against the sin^6 weight), "raw"
-    keeps the constant 2/N_m that circulates in closed-form displays of this
-    series and integrates to 2.  All validation runs on "normalized"; "raw" is
-    retained for the reconciliation audit.
+    cosh u); otherwise u is an angle in [0, pi] like eta.  The coefficients
+    are 1/N_m from the orthogonality norms, so the kernel integrates to 1
+    against the sin^6 weight.  The display with 2/N_m, which integrates to 2,
+    is kept and checked in scripts/reconcile_constants.py.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t}")
@@ -140,7 +119,7 @@ def fiber_heat_kernel(t: float, eta: float, u: float, continued: bool = False,
             raise ValueError("continued coordinate must be nonnegative")
     elif not 0.0 <= u <= math.pi:
         raise ValueError("u must lie in [0, pi]")
-    mat, m_used, tail = _series_matrix(t, eta, u, continued, mode)
+    mat, m_used, tail = _series_matrix(t, eta, u, continued)
     return FiberKernelValue(value=float(mat[0, 0]), m_used=m_used, tail_bound=tail)
 
 

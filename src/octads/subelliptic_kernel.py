@@ -6,17 +6,16 @@ cosh(r) cosh(u), with weight sinh^6(u).
 
 Representation 2 expands over fiber modes: each mode couples a Chebyshev-type
 factor cosh((m+3)u) to the 9-dimensional hyperbolic kernel at the same
-composed argument.  The shipped ("normalized") form carries
+composed argument.  It carries
 
   * the factor sech^3(r),
   * the degree-m eigenspace dimensions as mode weights, and
   * the global constant 6/pi^4,
 
 all three fixed by requiring agreement with representation 1, mass
-conservation, and the correct point-mass expansion; the widely printed raw
-form (uniform mode weights, no sech^3, no constant) is preserved as
-variant="raw" for audit, and scripts/reconcile_constants.py re-derives the
-corrections numerically.
+conservation, and the correct point-mass expansion.  The widely printed raw
+form (uniform mode weights, no sech^3, no constant) is displayed only by
+scripts/reconcile_constants.py, which re-derives the corrections numerically.
 
 The radial generator is
 
@@ -163,10 +162,10 @@ def _adaptive(what: str, t, r, eta, eval_at) -> KernelResult:
     raise QuadratureConvergenceError(f"{what} did not stabilize at (t={t}, r={r}, eta={eta})")
 
 
-def _at_point(grid, t, r, eta, **kwargs):
+def _at_point(grid, t, r, eta):
     """eval_at(n_u, u_max) of one point: the grid evaluator on a 1x1 grid."""
     def eval_at(n_u, u_max):
-        values, m_used = grid(t, [r], [eta], n_u, u_max, **kwargs)
+        values, m_used = grid(t, [r], [eta], n_u, u_max)
         return float(values[0, 0]), m_used
     return eval_at
 
@@ -202,19 +201,16 @@ def heat_kernel_rep1(t: float, r: float, eta: float) -> KernelResult:
 # representation 2
 
 
-def _rep2_mode_coeffs(eta, m_top: int, variant: str):
-    """Mode coefficients w_m * h_m(eta) for degrees 0..m_top."""
+def _rep2_mode_coeffs(eta, m_top: int):
+    """Mode coefficients w_m * h_m(eta) for degrees 0..m_top: the eigenspace dimension
+    times the profile P_m(cos eta) / P_m(1)."""
     pe = jacobi_sequence(m_top, np.cos(np.atleast_1d(eta)))
     p1 = jacobi_sequence(m_top, np.array([1.0]))
-    profile = pe[:, :] / p1[:, :]
-    if variant == "normalized":
-        weights = np.array([fiber_mode_multiplicity(m) for m in range(m_top + 1)], dtype=float)
-    else:
-        weights = np.full(m_top + 1, 2.0)
-    return weights[:, None] * profile
+    weights = np.array([fiber_mode_multiplicity(m) for m in range(m_top + 1)], dtype=float)
+    return weights[:, None] * (pe / p1)
 
 
-def _rep2_grid(t, rs, etas, n_u, u_max, m_fixed=None, variant="normalized"):
+def _rep2_grid(t, rs, etas, n_u, u_max, m_fixed=None):
     """Representation-2 values on an (r, eta) grid at a fixed u-cutoff.
 
     Returns (values[n_r, n_eta], m_used).  The mode loop runs once per block
@@ -227,7 +223,7 @@ def _rep2_grid(t, rs, etas, n_u, u_max, m_fixed=None, variant="normalized"):
     etas = np.asarray(etas, dtype=float)
     u, w = gl_nodes(n_u, 0.0, u_max)
     cap = fiber_kernel.SERIES_M_CAP if m_fixed is None else m_fixed
-    profiles = _rep2_mode_coeffs(etas, 64, variant)
+    profiles = _rep2_mode_coeffs(etas, 64)
     out = np.zeros((rs.size, etas.size))
     m_used = 0
     for blk in _row_blocks(rs.size, n_u):
@@ -237,7 +233,7 @@ def _rep2_grid(t, rs, etas, n_u, u_max, m_fixed=None, variant="normalized"):
         below = np.zeros(live.size, dtype=int)
         for m in range(cap + 1):
             if m >= profiles.shape[0]:
-                profiles = _rep2_mode_coeffs(etas, 2 * m + 8, variant)
+                profiles = _rep2_mode_coeffs(etas, 2 * m + 8)
             rate = fiber_eigenvalue(m) + REP2_RATE_SHIFT
             b = m + 3
             j_m = wq @ (0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t)))
@@ -256,12 +252,11 @@ def _rep2_grid(t, rs, etas, n_u, u_max, m_fixed=None, variant="normalized"):
             if m_fixed is None:
                 raise QuadratureConvergenceError(f"mode series not converged by degree {cap}")
         m_used = max(m_used, m)
-    if variant == "normalized":
-        out *= (REP2_CONSTANT / np.cosh(rs) ** 3)[:, None]
+    out *= (REP2_CONSTANT / np.cosh(rs) ** 3)[:, None]
     return out, m_used
 
 
-def _rep2_direct_2d(t, r, eta, u_max, n_u, n_phi, variant):
+def _rep2_direct_2d(t, r, eta, u_max, n_u, n_phi):
     u, wu = gl_nodes(n_u, 0.0, u_max)
     x, wx = gl_nodes(n_phi, -1.0, 1.0)
     z = np.cos(eta) + 1j * np.sin(eta) * x
@@ -270,16 +265,15 @@ def _rep2_direct_2d(t, r, eta, u_max, n_u, n_phi, variant):
     scale = 0.0
     below = 0
     m = 0
-    series_pref = 15.0 / 16.0 if variant == "normalized" else 15.0 / 8.0
     cap = fiber_kernel.SERIES_M_CAP
     while m <= cap:
         rate = fiber_eigenvalue(m) + REP2_RATE_SHIFT
         b = m + 3
         damped_cosh = 0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t))
-        weight = fiber_mode_multiplicity(m) if variant == "normalized" else 1.0
-        g += (series_pref * weight) * np.outer(damped_cosh, zpow)
+        weight = 15.0 / 16.0 * fiber_mode_multiplicity(m)
+        g += weight * np.outer(damped_cosh, zpow)
         scale = max(scale, float(np.max(np.abs(g))))
-        bound = series_pref * weight * 0.5 * (
+        bound = weight * 0.5 * (
             math.exp(b * u_max - rate * t) + math.exp(-rate * t)
         )
         below = below + 1 if bound <= fiber_kernel.SERIES_TOL * max(scale, 1e-300) else 0
@@ -295,15 +289,12 @@ def _rep2_direct_2d(t, r, eta, u_max, n_u, n_phi, variant):
     if float(np.max(np.abs(fold.imag))) > 1e-10 * imag_scale:
         raise AssertionError("imaginary residue of the angular integral exceeds 1e-10")
     q9 = hyperbolic_heat_kernel_composed(9, t, r, u)
-    total = float(np.dot(wu, fold.real * q9))
-    if variant == "normalized":
-        total *= REP2_CONSTANT / math.cosh(r) ** 3
+    total = float(np.dot(wu, fold.real * q9)) * (REP2_CONSTANT / math.cosh(r) ** 3)
     return total, m
 
 
 def heat_kernel_rep2(t: float, r: float, eta: float,
-                     path: str = "mode_series",
-                     variant: str = "normalized") -> KernelResult:
+                     path: str = "mode_series") -> KernelResult:
     """Second integral representation.
 
     path selects the evaluation route: "mode_series" sums explicit fiber
@@ -314,15 +305,13 @@ def heat_kernel_rep2(t: float, r: float, eta: float,
     KernelPoint(t, r, eta)
     if path not in ("mode_series", "direct_2d"):
         raise ValueError(f"unknown path {path!r}")
-    if variant not in ("normalized", "raw"):
-        raise ValueError(f"unknown variant {variant!r}")
     if path == "mode_series":
-        eval_at = _at_point(_rep2_grid, t, r, eta, variant=variant)
+        eval_at = _at_point(_rep2_grid, t, r, eta)
     else:
         def eval_at(n, u_max):
             # refine the angular rule together with the radial one
             n_phi = max(POINT_N_PHI, POINT_N_PHI * n // POINT_N_U)
-            return _rep2_direct_2d(t, r, eta, u_max, n, n_phi, variant)
+            return _rep2_direct_2d(t, r, eta, u_max, n, n_phi)
     return _adaptive("representation 2", t, r, eta, eval_at)
 
 

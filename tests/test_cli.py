@@ -268,6 +268,11 @@ class TestRefusedInput:
         ["mass", "--n-u", "192"],
         ["mc-check", "--series-tol", "1e-12"],
         ["fiber", "--m-cap", "128"],
+        # one convention per series and one route per representation
+        ["fiber", "--mode", "raw"],
+        ["fiber-normalization", "--mode", "raw"],
+        ["eval", "--path", "direct_2d"],
+        ["compare-reps", "--path", "direct_2d"],
     ])
     def test_option_the_command_does_not_read_exits_2(self, args):
         # each was accepted and ignored
@@ -289,11 +294,15 @@ class TestRefusedInput:
         assert code == 2 and payload == b""
         assert capsys.readouterr().err.startswith(f"error: time {times.split(',')[0]} ")
 
-    def test_path_without_rep2_exits_2(self, tmp_path, capsys):
-        # representation 1 has no path; this printed the plain rep-1 row with exit code 0
-        code, payload = run_cli(["eval", "--rep", "1", "--path", "direct_2d"], tmp_path)
-        assert code == 2 and payload == b""
-        assert "path 'direct_2d'" in capsys.readouterr().err
+    @pytest.mark.parametrize("args, value", [(["--t="], ""), (["--t", "1,x"], "1,x")],
+                             ids=["empty", "not-a-number"])
+    def test_bad_grid_names_a_float_list(self, capsys, args, value):
+        # the message named the private parser: "invalid _parse_float_list value: ''"
+        with pytest.raises(SystemExit) as exc:
+            main(["residual"] + args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --t: invalid float list value: {value!r}" in err
 
     @pytest.mark.parametrize("error", [SeriesConvergenceError, QuadratureConvergenceError])
     def test_convergence_failure_exits_2(self, tmp_path, monkeypatch, capsys, error):
@@ -340,7 +349,6 @@ class TestConfigFile:
     @pytest.mark.parametrize("command, line", [
         config_line("eval", "rep", "bogus"),
         config_line("fiber", "continued", "maybe"),
-        config_line("fiber", "mode", "bogus"),
         config_line("mass", "moment", "2"),
     ])
     def test_config_value_the_flag_refuses_exits_2(self, tmp_path, capsys, command, line):
@@ -365,14 +373,16 @@ class TestConfigFile:
         assert payload.decode().splitlines()[1].startswith("3,1.000000000000e+00,")
 
     @pytest.mark.parametrize("command, line", [
-        # each check has its own command, so no option picks one; and no option sets the
-        # point rule, the series truncation or the measure nodes, which are fixed
+        # each check has its own command, so no option picks one; no option sets the
+        # point rule, the series truncation or the measure nodes, which are fixed; and the
+        # fiber series has one coefficient convention
         config_line("fiber", "check", "values"),
         config_line("hyperbolic", "check", "suite"),
         config_line("compare-reps", "what", "reps"),
         config_line("eval", "n-u", "48"),
         config_line("compare-reps", "tol", "1e-8"),
         config_line("fiber", "m-cap", "128"),
+        config_line("fiber", "mode", "bogus"),
     ])
     def test_selector_key_is_unknown(self, tmp_path, capsys, command, line):
         err = self.refused([command, self.args_file(tmp_path, line)], capsys)

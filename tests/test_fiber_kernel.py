@@ -11,24 +11,14 @@ from octads.fiber_kernel import (
     fiber_heat_kernel,
     fiber_mode_multiplicity,
     fiber_mode_profile,
-    spectral_coeff,
 )
 from octads.special_fn import gl_nodes, jacobi_end_value, jacobi_norm_sq, jacobi_sequence
 
 
 class TestSpectralCoeff:
-    def test_m0_raw(self):
-        assert spectral_coeff(0, "raw") == pytest.approx(6.4 / math.pi, rel=1e-13, abs=0)
-
     def test_m0_normalized(self):
-        assert spectral_coeff(0, "normalized") == pytest.approx(16.0 / (5.0 * math.pi),
-                                                                rel=1e-13, abs=0)
-
-    def test_raw_is_twice_normalized_for_all_degrees(self):
-        # the two conventions differ by the constant factor 2, uniformly in m
-        for m in range(61):
-            ratio = spectral_coeff(m, "raw") / spectral_coeff(m, "normalized")
-            assert ratio == pytest.approx(2.0, rel=1e-11, abs=0)
+        # the series coefficient 1/N_m at m = 0
+        assert 1.0 / jacobi_norm_sq(0) == pytest.approx(16.0 / (5.0 * math.pi), rel=1e-13, abs=0)
 
     def test_eigenvalue(self):
         assert fiber_eigenvalue(2) == 16
@@ -59,12 +49,6 @@ class TestFiberHeatKernel:
         a = fiber_heat_kernel(1.0, 0.3, 0.0, continued=False).value
         b = fiber_heat_kernel(1.0, 0.3, 0.0, continued=True).value
         assert a == pytest.approx(b, rel=1e-13, abs=0)
-
-    def test_raw_mode_integrates_to_two(self):
-        u, w = gl_nodes(200, 0.0, math.pi)
-        vals = np.array([fiber_heat_kernel(0.5, 0.7, float(ui), mode="raw").value for ui in u])
-        integral = float(np.dot(w, vals * np.sin(u) ** 6))
-        assert integral == pytest.approx(2.0, abs=2e-8)
 
     def test_heat_equation_residual(self):
         # d/dt s = (d^2/deta^2 + 6 cot eta d/deta) s at an interior point

@@ -102,8 +102,6 @@ class TestRepresentations:
         with pytest.raises(ValueError):
             heat_kernel_rep2(1.0, 0.0, 0.0, path="nope")
         with pytest.raises(ValueError):
-            heat_kernel_rep2(1.0, 0.0, 0.0, variant="nope")
-        with pytest.raises(ValueError):
             KernelPoint(1.0, 0.0, -0.1)
 
     @pytest.mark.parametrize("call", [
@@ -145,19 +143,10 @@ class TestRepresentations:
         with pytest.raises(QuadratureConvergenceError):
             heat_kernel_rep1(1.0, 0.5, 1.0)
 
-    def test_raw_variant_large_time_ratio(self):
-        # only the lowest mode survives at large t: the raw display then differs
-        # from the shipped kernel by (3/pi^4) sech^3(r) exactly
-        t = 6.0
-        for r in (0.0, 0.7, 1.5):
-            norm = heat_kernel_rep2(t, r, 0.9).value
-            raw = heat_kernel_rep2(t, r, 0.9, variant="raw").value
-            expected = 0.5 * REP2_CONSTANT / math.cosh(r) ** 3
-            assert norm / raw == pytest.approx(expected, rel=1e-9, abs=0)
-
-    def test_raw_mode_series_against_independent_quadrature(self):
+    def test_mode_series_against_independent_quadrature(self):
         quad = pytest.importorskip("scipy.integrate").quad
-        from octads.fiber_kernel import fiber_eigenvalue, fiber_mode_profile
+        from octads.fiber_kernel import (fiber_eigenvalue, fiber_mode_multiplicity,
+                                         fiber_mode_profile)
         from octads.hyperbolic_kernel import hyperbolic_heat_kernel_composed
 
         t, r, eta = 0.8, 0.6, 1.1
@@ -169,8 +158,10 @@ class TestRepresentations:
                 return math.cosh(b * u) * float(hyperbolic_heat_kernel_composed(9, t, r, u))
 
             j_m, err = quad(integrand, 0.0, default_u_max(t, r), limit=200)
-            total += 2.0 * math.exp(-rate * t) * fiber_mode_profile(m, eta) * j_m
-        mine = heat_kernel_rep2(t, r, eta, variant="raw").value
+            total += (fiber_mode_multiplicity(m) * math.exp(-rate * t)
+                      * fiber_mode_profile(m, eta) * j_m)
+        total *= REP2_CONSTANT / math.cosh(r) ** 3
+        mine = heat_kernel_rep2(t, r, eta).value
         assert mine == pytest.approx(total, rel=1e-8, abs=0.0)
 
 
