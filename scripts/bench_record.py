@@ -5,11 +5,10 @@
 For each workload of BENCHMARK.json and each seed 0..runs-1, both checkouts run
 perfbench/run.py (--trace 0), taking turns at going first, and the file keeps
 every run's end-to-end metrics with their medians.  One traced run per
-workload and checkout adds the trace counters that show whether a layer was
-seen.  Then each checkout runs the tier-1 suite once, with pytest's
---durations, for its wall time and the wall time of each acceptance
-criterion.  Run it on a machine that is otherwise idle; every figure is wall
-time.
+workload and checkout adds every per-layer metric of BENCHMARK.json.  Then
+each checkout runs the tier-1 suite once, with pytest's --durations, for its
+wall time and the wall time of each acceptance criterion.  Run it on a
+machine that is otherwise idle; every figure is wall time.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-TRACE_KEYS = ("trace.missing_targets", "mc_oracle.path_steps", "mc_oracle.noise_s")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider", "--durations=0"]
 CRITERION = re.compile(r"^([\d.]+)s call\s+tests/test_acceptance\.py::test_criterion_(\d+)_")
@@ -88,8 +86,7 @@ def main(argv=None) -> int:
         for side, metrics in runs.items():
             out[side] = {name: {"median": statistics.median(m[name] for m in metrics),
                                 "runs": [m[name] for m in metrics]} for name in metrics[0]}
-            traced = bench(sides[side], wl, 0, trace=1)
-            out[side]["trace"] = {k: traced[k] for k in TRACE_KEYS}
+            out[side]["trace"] = bench(sides[side], wl, 0, trace=1)
         print(f"{wl}: done", file=sys.stderr)
     record["tier1"] = {side: tier1(root) for side, root in sides.items()}
     record["machine"]["loadavg_1m_end"] = os.getloadavg()[0]

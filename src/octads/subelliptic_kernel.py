@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,11 +119,12 @@ def default_u_max(t: float, r: float) -> float:
     return r + 8.0 * math.sqrt(t) + 5.0
 
 
-def _grid_u_max(t: float, r_top: float) -> float:
-    # At large r the u-integrand decays on scale 2t/r, so the default growth
-    # of u_max with r is unnecessary there and would overflow the continued
-    # fiber polynomials; cap independently of r.
-    return min(default_u_max(t, r_top), 6.0 * t + 8.0 * math.sqrt(t) + 5.0)
+def _measure_u_max(t: float) -> float:
+    # One cutoff for every row of a measure integral.  At large r the u-integrand decays on
+    # the scale 2t/r, so the point cutoff's growth with r is unnecessary there and would
+    # overflow the continued fiber polynomials: this is the point cutoff at r = 6t, and
+    # every density reaches past r = 14t.
+    return 6.0 * t + 8.0 * math.sqrt(t) + 5.0
 
 
 # Rows of one (r, u) block hold at most this many nodes; each block is reduced
@@ -413,38 +415,108 @@ def _radial_measure_times(p, r):
     return np.ldexp(p, 7 * (es + ec)[:, None]) * ((ms * mc) ** 7)[:, None]
 
 
+# The r axis of a measure integral is cut into panels [2k, 2k + 2].  Level L puts
+# _PANEL_NODES * 2^L Gauss-Legendre nodes on each panel, 96 * 2^L on eta in [0, pi] and
+# MEASURE_N_U * 1.5^L on u; an integral stops at the first level that agrees with the one
+# before to _MEASURE_TOL.  Rows are evaluated _GROUP_PANELS whole panels at a time.
+_PANEL_WIDTH = 2.0
+_PANEL_NODES = 20
+_GROUP_PANELS = 4
+_MEASURE_LEVELS = 3
+
+
+class _Level:
+    """The rules of one refinement level and the rows of the density evaluated so far."""
+
+    def __init__(self, level: int):
+        self.n_u = MEASURE_N_U
+        for _ in range(level):
+            self.n_u += self.n_u // 2
+        self.x, self.w_x = gl_nodes(_PANEL_NODES << level, 0.0, _PANEL_WIDTH)
+        self.etas, self.w_eta = gl_nodes(96 << level, 0.0, math.pi)
+        self.sin6 = np.sin(self.etas) ** 6
+        self.groups: list[np.ndarray] = []  # rows of panel groups 0, 1, ...
+
+    def panel_nodes(self, first: int, stop: int):
+        """Nodes and weights of panels first..stop-1, in order."""
+        k = np.arange(first, stop, dtype=float)[:, None]
+        return (_PANEL_WIDTH * k + self.x).ravel(), np.tile(self.w_x, stop - first)
+
+
+class _Density:
+    """p_t times the radial measure (sinh r cosh r)^7, on every level's (r, eta) nodes.
+
+    An integral whose cutoff needs n panels reads the first n panels of rows, so the grids
+    of all growths nest and share their rows.  A group of rows is evaluated once, on its
+    own, so its values do not depend on which integral asked for it first.
+    """
+
+    def __init__(self, key):
+        self.key = key
+        self.t = key[0]
+        self.grid = _rep1_grid if key[1] == "rep1" else _rep2_grid
+        self.u_max = _measure_u_max(self.t)
+        self.levels: list[_Level] = []
+
+    def level(self, level: int, n_panels: int) -> _Level:
+        """Level `level`, with the rows of at least its first n_panels panels."""
+        if level == len(self.levels):
+            self.levels.append(_Level(level))
+        lv = self.levels[level]
+        while len(lv.groups) * _GROUP_PANELS < n_panels:
+            first = len(lv.groups) * _GROUP_PANELS
+            r, _ = lv.panel_nodes(first, first + _GROUP_PANELS)
+            p, _ = self.grid(self.t, r, lv.etas, lv.n_u, self.u_max)
+            lv.groups.append(_radial_measure_times(p, r))
+        return lv
+
+    def integrate(self, f, f_growth: float) -> float:
+        t = self.t
+        r_max = (14.0 + 2.0 * f_growth) * t + 10.0 * math.sqrt(t) + 2.0
+        n_panels = math.ceil(r_max / _PANEL_WIDTH)
+        prev = None
+        for level in range(_MEASURE_LEVELS):
+            lv = self.level(level, n_panels)
+            r, w_r = lv.panel_nodes(0, n_panels)
+            rr, ee = np.meshgrid(r, lv.etas, indexing="ij")
+            p = np.concatenate(lv.groups)[:r.size]
+            integ = np.asarray(f(rr, ee), dtype=float) * p * lv.sin6[None, :]
+            cur = MEASURE_CONSTANT * float(np.einsum("i,j,ij->", w_r, lv.w_eta, integ))
+            if prev is not None and abs(cur - prev) <= _MEASURE_TOL * abs(cur) + 1e-280:
+                return cur
+            prev = cur
+        raise QuadratureConvergenceError("weighted integral did not converge under refinement")
+
+
+# The density of the last (t, which), keyed also by every constant its rows read.  The lock
+# makes each integral's use of it atomic across threads.
+_DENSITY: _Density | None = None
+_DENSITY_LOCK = threading.RLock()
+
+
+def _density(t: float, which: str) -> _Density:
+    global _DENSITY
+    key = (t, which, MEASURE_N_U, fiber_kernel.SERIES_TOL, fiber_kernel.SERIES_M_CAP)
+    if _DENSITY is None or _DENSITY.key != key:
+        _DENSITY = _Density(key)
+    return _DENSITY
+
+
 def weighted_integral(f, t: float, which: str = "rep1", f_growth: float = 0.0) -> float:
     """Integral of f(r, eta) against p_t and the reference measure.
 
-    f must accept numpy arrays and be bounded by C exp(a r) with a <= f_growth; the
-    radial cutoff (14 + 2 f_growth) t + 10 sqrt(t) + 2 grows accordingly.  Convergence is
-    checked by doubling both grid directions, to a relative change of 1e-6; the first level
-    has MEASURE_N_U u-nodes.
+    f must accept numpy arrays and be bounded by C exp(a r) with a <= f_growth; the radial
+    cutoff (14 + 2 f_growth) t + 10 sqrt(t) + 2 grows accordingly, rounded up to whole
+    panels of width 2.  Convergence is checked by refining r, eta and u together, to a
+    relative change of 1e-6; the first level has MEASURE_N_U u-nodes.  The density of the
+    last (t, which) is kept, so the next integral at that t evaluates only the panels its
+    cutoff adds; the value is the same as from a fresh process.
     """
     _check_time(t)
-    r_max = (14.0 + 2.0 * f_growth) * t + 10.0 * math.sqrt(t) + 2.0
-    grid = _rep1_grid if which == "rep1" else _rep2_grid
-
-    def level(n_r, n_eta, n_u):
-        r_nodes, r_w = gl_nodes(n_r, 0.0, r_max)
-        e_nodes, e_w = gl_nodes(n_eta, 0.0, math.pi)
-        p, _ = grid(t, r_nodes, e_nodes, n_u, _grid_u_max(t, float(np.max(r_nodes))))
-        rr, ee = np.meshgrid(r_nodes, e_nodes, indexing="ij")
-        vals = np.asarray(f(rr, ee), dtype=float) * _radial_measure_times(p, r_nodes)
-        integ = vals * (np.sin(e_nodes) ** 6)[None, :]
-        return MEASURE_CONSTANT * float(np.einsum("i,j,ij->", r_w, e_w, integ))
-
-    n_r = max(192, int(10 * r_max))
-    n_eta = 96
-    n_u = MEASURE_N_U
-    prev = level(n_r, n_eta, n_u)
-    for _ in range(2):
-        n_r, n_eta, n_u = 2 * n_r, 2 * n_eta, n_u + n_u // 2
-        cur = level(n_r, n_eta, n_u)
-        if abs(cur - prev) <= _MEASURE_TOL * abs(cur) + 1e-280:
-            return cur
-        prev = cur
-    raise QuadratureConvergenceError("weighted integral did not converge under refinement")
+    if which not in ("rep1", "rep2"):
+        raise ValueError(f"unknown representation {which!r}")
+    with _DENSITY_LOCK:
+        return _density(t, which).integrate(f, f_growth)
 
 
 def total_mass(t: float, which: str = "rep1") -> float:

@@ -1,4 +1,6 @@
 import math
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from octads.subelliptic_kernel import (
     MIN_TIME,
     QuadratureConvergenceError,
     REP2_CONSTANT,
-    _grid_u_max,
+    _measure_u_max,
     _rep1_grid,
     _rep2_grid,
     apply_radial_sublaplacian,
@@ -178,7 +180,7 @@ class TestGridEvaluators:
         per_block = subelliptic_kernel._BLOCK_NODES // self.N_U
         rs = np.linspace(0.0, r_max, 2 * per_block + 7)
         etas = np.array([0.0, 1.0, PI])
-        u_max = _grid_u_max(self.T, r_max)
+        u_max = _measure_u_max(self.T)
         values, _ = grid(self.T, rs, etas, self.N_U, u_max)
         assert np.all(values[rs < 40.0] > 0)
         # the last rows are subnormal (~1e-318), where 1e-13 relative is below one ulp
@@ -193,7 +195,7 @@ class TestGridEvaluators:
         # r = 20 terms against the whole grid would end that row at degree 4
         # instead of 10 (1.4e-4 off)
         t = 0.25
-        u_max = _grid_u_max(t, 20.0)
+        u_max = _measure_u_max(t)
         both, _ = _rep2_grid(t, [0.0, 20.0], [0.5], self.N_U, u_max)
         alone, _ = _rep2_grid(t, [20.0], [0.5], self.N_U, u_max)
         assert alone[0, 0] > 0
@@ -268,7 +270,87 @@ class TestMeasureIntegrals:
             mass = total_mass(t)
         assert abs(mom / mass - math.exp(8.0 * t)) <= 1e-4 * math.exp(8.0 * t)
 
+    def test_unknown_representation_raises(self):
+        # any name but "rep1" used to integrate representation 2
+        with pytest.raises(ValueError, match="unknown representation"):
+            total_mass(1.0, which="rep3")
+
     def test_rep2_mass_matches(self):
         a = total_mass(1.0)
         b = total_mass(1.0, which="rep2")
         assert a == pytest.approx(b, rel=1e-7, abs=0)
+
+
+class TestDensityCache:
+    """weighted_integral keeps the density of the last (t, which) and reads prefixes of it."""
+
+    T = 0.5
+
+    @staticmethod
+    def cold(f, t, monkeypatch, **kwargs):
+        monkeypatch.setattr(subelliptic_kernel, "_DENSITY", None)
+        return weighted_integral(f, t, **kwargs)
+
+    @staticmethod
+    def count_rows(monkeypatch):
+        """(n_u, first r, rows) of every _rep1_grid call from now on."""
+        calls = []
+        real = subelliptic_kernel._rep1_grid
+
+        def grid(*args, **kwargs):
+            calls.append((args[3], float(args[1][0]), len(args[1])))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(subelliptic_kernel, "_rep1_grid", grid)
+        return calls
+
+    def test_history_independent(self, monkeypatch):
+        f = lambda r, eta: np.cosh(r / 2.0) * np.cos(eta) ** 2
+        want = self.cold(f, self.T, monkeypatch, f_growth=0.5)
+        for before in (dict(t=self.T, f_growth=1.0), dict(t=0.7), dict(t=self.T, which="rep2")):
+            self.cold(lambda r, eta: np.cosh(r), monkeypatch=monkeypatch, **before)
+            assert weighted_integral(f, self.T, f_growth=0.5) == want
+
+    def test_rows_nest(self, monkeypatch):
+        t = 1.2  # the mass needs 15 panels (4 groups), growth 1 needs 17 (5 groups)
+        calls = self.count_rows(monkeypatch)
+        self.cold(lambda r, eta: np.cosh(r), t, monkeypatch, f_growth=1.0)
+        cold_g1 = list(calls)
+        # a growth up to the first reads a prefix of its rows
+        for g in (0.0, 0.5, 1.0):
+            weighted_integral(lambda r, eta: np.cosh(g * r), t, f_growth=g)
+        assert calls == cold_g1
+        # a larger growth evaluates only the panel groups it adds
+        calls.clear()
+        self.cold(lambda r, eta: np.ones_like(r), t, monkeypatch)
+        g0 = list(calls)
+        calls.clear()
+        weighted_integral(lambda r, eta: np.cosh(r), t, f_growth=1.0)
+        assert calls and sorted(calls) == sorted(set(cold_g1) - set(g0))
+
+    def test_one_slot(self, monkeypatch):
+        monkeypatch.setattr(subelliptic_kernel, "_DENSITY", None)
+        held = []
+        for t, which in ((0.5, "rep1"), (0.5, "rep2"), (0.7, "rep1")):
+            total_mass(t, which=which)
+            held.append(weakref.ref(subelliptic_kernel._DENSITY))
+        assert [ref() is None for ref in held] == [True, True, False]
+        assert subelliptic_kernel._DENSITY.key[:2] == (0.7, "rep1")
+
+    def test_changed_constant_is_a_new_density(self, monkeypatch):
+        f = lambda r, eta: np.cosh(r / 2.0)
+        want = self.cold(f, self.T, monkeypatch, f_growth=0.5)
+        monkeypatch.setattr(subelliptic_kernel, "MEASURE_N_U", 128)
+        warm = weighted_integral(f, self.T, f_growth=0.5)
+        assert warm == self.cold(f, self.T, monkeypatch, f_growth=0.5)
+        assert warm != want
+
+    def test_threads_share_the_slot(self, monkeypatch):
+        jobs = [(t, g) for t in (0.5, 0.7) for g in (0.0, 0.5, 1.0)] * 2
+        f = lambda g: (lambda r, eta: np.cosh(g * r))
+        want = {job: self.cold(f(job[1]), job[0], monkeypatch, f_growth=job[1]) for job in set(jobs)}
+        monkeypatch.setattr(subelliptic_kernel, "_DENSITY", None)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(weighted_integral, f(g), t, f_growth=g) for t, g in jobs]
+            got = [future.result(timeout=60) for future in futures]
+        assert got == [want[job] for job in jobs]
