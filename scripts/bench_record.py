@@ -5,9 +5,12 @@
 For each workload of BENCHMARK.json and each seed 0..runs-1, both checkouts run
 perfbench/run.py (--trace 0), taking turns at going first, and the file keeps
 every run's end-to-end metrics with their medians.  One traced run per
-workload and checkout adds every per-layer metric of BENCHMARK.json.  Then
-each checkout runs the tier-1 suite once, with pytest's --durations, for its
-wall time and the wall time of each acceptance criterion.  Run it on a
+workload and checkout adds every per-layer metric of BENCHMARK.json.  Each
+command of CLI runs in a cold process CLI_RUNS times per checkout, the
+checkouts taking turns, and the file keeps the median; it also keeps each
+checkout's src/octads line count.
+Then each checkout runs the tier-1 suite once, with pytest's --durations, for
+its wall time and the wall time of each acceptance criterion.  Run it on a
 machine that is otherwise idle; every figure is wall time.
 """
 
@@ -29,6 +32,10 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
          "-p", "no:cacheprovider", "--durations=0"]
 CRITERION = re.compile(r"^([\d.]+)s call\s+tests/test_acceptance\.py::test_criterion_(\d+)_")
 SUMMARY = re.compile(r"^=* ?(\d+ (?:passed|failed).*?) in [\d.]+s")
+# The octads commands timed in a cold process, each with its default grid unless given.
+CLI = {"eval": ["eval"], "compare-reps": ["compare-reps"], "mass": ["mass"],
+       "mc-check": ["mc-check", "--t", "0.05,0.1", "--n-paths", "16385", "--dt", "0.0005"]}
+CLI_RUNS = 3
 
 
 def _env(root: Path) -> dict:
@@ -46,6 +53,19 @@ def bench(root: Path, workload: str, seed: int, trace: int) -> dict:
     if not result["correct"]:
         raise SystemExit(f"{root}: {workload} seed {seed} was not correct")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def cli_s(root: Path, args: list[str]) -> float:
+    """Wall time of one `python -m octads` process of the checkout at root."""
+    start = time.monotonic()
+    subprocess.run([sys.executable, "-m", "octads", *args, "--output", os.devnull], cwd=root,
+                   env=_env(root), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                   check=True)
+    return time.monotonic() - start
+
+
+def src_lines(root: Path) -> int:
+    return sum(len(path.read_text().splitlines()) for path in (root / "src/octads").glob("*.py"))
 
 
 def tier1(root: Path) -> dict:
@@ -88,6 +108,16 @@ def main(argv=None) -> int:
                                 "runs": [m[name] for m in metrics]} for name in metrics[0]}
             out[side]["trace"] = bench(sides[side], wl, 0, trace=1)
         print(f"{wl}: done", file=sys.stderr)
+    record["cli_s"] = {}
+    for name, cli_args in CLI.items():
+        times = {side: [] for side in sides}
+        for run in range(CLI_RUNS):
+            for side in (list(sides) if run % 2 == 0 else list(reversed(sides))):
+                times[side].append(round(cli_s(sides[side], cli_args), 3))
+        record["cli_s"][name] = {side: {"median": statistics.median(runs), "runs": runs}
+                                 for side, runs in times.items()}
+    print("cli: done", file=sys.stderr)
+    record["src_lines"] = {side: src_lines(root) for side, root in sides.items()}
     record["tier1"] = {side: tier1(root) for side, root in sides.items()}
     record["machine"]["loadavg_1m_end"] = os.getloadavg()[0]
     args.output.write_text(json.dumps(record, indent=1) + "\n")

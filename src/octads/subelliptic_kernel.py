@@ -271,8 +271,13 @@ def _rep2_direct_2d(t, r, eta, u_max, n_u, n_phi):
     while m <= cap:
         rate = fiber_eigenvalue(m) + REP2_RATE_SHIFT
         b = m + 3
-        damped_cosh = 0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t))
         weight = 15.0 / 16.0 * fiber_mode_multiplicity(m)
+        # the term's largest entry is weight exp(b u_max - rate t); the sum of up to cap + 1
+        # such terms must stay below the largest double, exp(709.78)
+        if b * u_max - rate * t + math.log(weight) > 700.0:
+            raise QuadratureConvergenceError(
+                f"2d series term of degree {m} exceeds double range at u_max = {u_max:.6g}")
+        damped_cosh = 0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t))
         g += weight * np.outer(damped_cosh, zpow)
         scale = max(scale, float(np.max(np.abs(g))))
         bound = weight * 0.5 * (
@@ -288,8 +293,10 @@ def _rep2_direct_2d(t, r, eta, u_max, n_u, n_phi):
 
     fold = g @ (wx * (1.0 - x * x) ** 2)
     imag_scale = float(np.max(np.abs(fold.real))) + 1e-300
-    if float(np.max(np.abs(fold.imag))) > 1e-10 * imag_scale:
-        raise AssertionError("imaginary residue of the angular integral exceeds 1e-10")
+    imag = float(np.max(np.abs(fold.imag)))
+    if imag > 1e-10 * imag_scale:
+        raise QuadratureConvergenceError(
+            f"imaginary residue {imag / imag_scale:.1e} of the angular integral exceeds 1e-10")
     q9 = hyperbolic_heat_kernel_composed(9, t, r, u)
     total = float(np.dot(wu, fold.real * q9)) * (REP2_CONSTANT / math.cosh(r) ** 3)
     return total, m
@@ -418,105 +425,79 @@ def _radial_measure_times(p, r):
 # The r axis of a measure integral is cut into panels [2k, 2k + 2].  Level L puts
 # _PANEL_NODES * 2^L Gauss-Legendre nodes on each panel, 96 * 2^L on eta in [0, pi] and
 # MEASURE_N_U * 1.5^L on u; an integral stops at the first level that agrees with the one
-# before to _MEASURE_TOL.  Rows are evaluated _GROUP_PANELS whole panels at a time.
+# before to _MEASURE_TOL.  A level's rows cover the panels of the largest growth an integrand
+# may have, _MAX_GROWTH, that of the eigenfunction cosh r cos eta.
 _PANEL_WIDTH = 2.0
 _PANEL_NODES = 20
-_GROUP_PANELS = 4
 _MEASURE_LEVELS = 3
+_MAX_GROWTH = 1.0
 
 
-class _Level:
-    """The rules of one refinement level and the rows of the density evaluated so far."""
-
-    def __init__(self, level: int):
-        self.n_u = MEASURE_N_U
-        for _ in range(level):
-            self.n_u += self.n_u // 2
-        self.x, self.w_x = gl_nodes(_PANEL_NODES << level, 0.0, _PANEL_WIDTH)
-        self.etas, self.w_eta = gl_nodes(96 << level, 0.0, math.pi)
-        self.sin6 = np.sin(self.etas) ** 6
-        self.groups: list[np.ndarray] = []  # rows of panel groups 0, 1, ...
-
-    def panel_nodes(self, first: int, stop: int):
-        """Nodes and weights of panels first..stop-1, in order."""
-        k = np.arange(first, stop, dtype=float)[:, None]
-        return (_PANEL_WIDTH * k + self.x).ravel(), np.tile(self.w_x, stop - first)
+def _n_panels(t: float, f_growth: float) -> int:
+    """Panels up to the radial cutoff (14 + 2 f_growth) t + 10 sqrt(t) + 2."""
+    return math.ceil(((14.0 + 2.0 * f_growth) * t + 10.0 * math.sqrt(t) + 2.0) / _PANEL_WIDTH)
 
 
-class _Density:
-    """p_t times the radial measure (sinh r cosh r)^7, on every level's (r, eta) nodes.
+def _density_level(t: float, which: str, level: int):
+    """The rules of one level and p_t (sinh r cosh r)^7 on its (r, eta) nodes, in one grid
+    call over every panel that growth _MAX_GROWTH needs.
 
-    An integral whose cutoff needs n panels reads the first n panels of rows, so the grids
-    of all growths nest and share their rows.  A group of rows is evaluated once, on its
-    own, so its values do not depend on which integral asked for it first.
+    Returns (r, w_r, etas, w_eta, sin^6 eta, rows).
     """
-
-    def __init__(self, key):
-        self.key = key
-        self.t = key[0]
-        self.grid = _rep1_grid if key[1] == "rep1" else _rep2_grid
-        self.u_max = _measure_u_max(self.t)
-        self.levels: list[_Level] = []
-
-    def level(self, level: int, n_panels: int) -> _Level:
-        """Level `level`, with the rows of at least its first n_panels panels."""
-        if level == len(self.levels):
-            self.levels.append(_Level(level))
-        lv = self.levels[level]
-        while len(lv.groups) * _GROUP_PANELS < n_panels:
-            first = len(lv.groups) * _GROUP_PANELS
-            r, _ = lv.panel_nodes(first, first + _GROUP_PANELS)
-            p, _ = self.grid(self.t, r, lv.etas, lv.n_u, self.u_max)
-            lv.groups.append(_radial_measure_times(p, r))
-        return lv
-
-    def integrate(self, f, f_growth: float) -> float:
-        t = self.t
-        r_max = (14.0 + 2.0 * f_growth) * t + 10.0 * math.sqrt(t) + 2.0
-        n_panels = math.ceil(r_max / _PANEL_WIDTH)
-        prev = None
-        for level in range(_MEASURE_LEVELS):
-            lv = self.level(level, n_panels)
-            r, w_r = lv.panel_nodes(0, n_panels)
-            rr, ee = np.meshgrid(r, lv.etas, indexing="ij")
-            p = np.concatenate(lv.groups)[:r.size]
-            integ = np.asarray(f(rr, ee), dtype=float) * p * lv.sin6[None, :]
-            cur = MEASURE_CONSTANT * float(np.einsum("i,j,ij->", w_r, lv.w_eta, integ))
-            if prev is not None and abs(cur - prev) <= _MEASURE_TOL * abs(cur) + 1e-280:
-                return cur
-            prev = cur
-        raise QuadratureConvergenceError("weighted integral did not converge under refinement")
+    n_u = MEASURE_N_U
+    for _ in range(level):
+        n_u += n_u // 2
+    x, w_x = gl_nodes(_PANEL_NODES << level, 0.0, _PANEL_WIDTH)
+    etas, w_eta = gl_nodes(96 << level, 0.0, math.pi)
+    n_panels = _n_panels(t, _MAX_GROWTH)
+    r = (_PANEL_WIDTH * np.arange(n_panels, dtype=float)[:, None] + x).ravel()
+    grid = _rep1_grid if which == "rep1" else _rep2_grid
+    p, _ = grid(t, r, etas, n_u, _measure_u_max(t))
+    return r, np.tile(w_x, n_panels), etas, w_eta, np.sin(etas) ** 6, _radial_measure_times(p, r)
 
 
-# The density of the last (t, which), keyed also by every constant its rows read.  The lock
-# makes each integral's use of it atomic across threads.
-_DENSITY: _Density | None = None
+# The levels of the density of the last (t, which), under their key, which holds also every
+# constant their rows read.  The lock makes each integral's use of it atomic across threads.
+_DENSITY: dict[tuple, list] = {}
 _DENSITY_LOCK = threading.RLock()
-
-
-def _density(t: float, which: str) -> _Density:
-    global _DENSITY
-    key = (t, which, MEASURE_N_U, fiber_kernel.SERIES_TOL, fiber_kernel.SERIES_M_CAP)
-    if _DENSITY is None or _DENSITY.key != key:
-        _DENSITY = _Density(key)
-    return _DENSITY
 
 
 def weighted_integral(f, t: float, which: str = "rep1", f_growth: float = 0.0) -> float:
     """Integral of f(r, eta) against p_t and the reference measure.
 
-    f must accept numpy arrays and be bounded by C exp(a r) with a <= f_growth; the radial
-    cutoff (14 + 2 f_growth) t + 10 sqrt(t) + 2 grows accordingly, rounded up to whole
-    panels of width 2.  Convergence is checked by refining r, eta and u together, to a
-    relative change of 1e-6; the first level has MEASURE_N_U u-nodes.  The density of the
-    last (t, which) is kept, so the next integral at that t evaluates only the panels its
-    cutoff adds; the value is the same as from a fresh process.
+    f must accept numpy arrays and be bounded by C exp(a r) with a <= f_growth, where
+    f_growth lies in [0, 1]; 1 is the growth of the eigenfunction cosh r cos eta.  The radial
+    cutoff (14 + 2 f_growth) t + 10 sqrt(t) + 2 is rounded up to whole panels of width 2.
+    Convergence is checked by refining r, eta and u together, to a relative change of 1e-6;
+    the first level has MEASURE_N_U u-nodes.  Each level of the density of the last
+    (t, which) is evaluated once, out to the cutoff of growth 1, and kept: every integral
+    reads the prefix of rows its own cutoff needs, so a value does not depend on the
+    integrals before it.
     """
     _check_time(t)
     if which not in ("rep1", "rep2"):
         raise ValueError(f"unknown representation {which!r}")
+    if not 0.0 <= f_growth <= _MAX_GROWTH:
+        raise ValueError(f"f_growth {f_growth} is outside [0, {_MAX_GROWTH:g}]")
+    n_panels = _n_panels(t, f_growth)
+    key = (t, which, MEASURE_N_U, fiber_kernel.SERIES_TOL, fiber_kernel.SERIES_M_CAP)
     with _DENSITY_LOCK:
-        return _density(t, which).integrate(f, f_growth)
+        if key not in _DENSITY:
+            _DENSITY.clear()
+        levels = _DENSITY.setdefault(key, [])
+        prev = None
+        for level in range(_MEASURE_LEVELS):
+            if level == len(levels):
+                levels.append(_density_level(t, which, level))
+            r, w_r, etas, w_eta, sin6, rows = levels[level]
+            n = n_panels * (_PANEL_NODES << level)
+            rr, ee = np.meshgrid(r[:n], etas, indexing="ij")
+            integ = np.asarray(f(rr, ee), dtype=float) * rows[:n] * sin6[None, :]
+            cur = MEASURE_CONSTANT * float(np.einsum("i,j,ij->", w_r[:n], w_eta, integ))
+            if prev is not None and abs(cur - prev) <= _MEASURE_TOL * abs(cur) + 1e-280:
+                return cur
+            prev = cur
+    raise QuadratureConvergenceError("weighted integral did not converge under refinement")
 
 
 def total_mass(t: float, which: str = "rep1") -> float:

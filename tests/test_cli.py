@@ -304,6 +304,14 @@ class TestRefusedInput:
         err = capsys.readouterr().err
         assert f"error: argument --t: invalid float list value: {value!r}" in err
 
+    @pytest.mark.parametrize("r, eta", [("2", "3.141592653589793"), ("0", "2.0943951023931953")])
+    def test_rep2_direct_2d_failure_exits_2(self, capsys, r, eta):
+        # an OverflowError and an AssertionError traceback, with exit code 1
+        code = main(["rep2-paths", "--t", "0.05", "--r", r, "--eta", eta])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("error", [SeriesConvergenceError, QuadratureConvergenceError])
     def test_convergence_failure_exits_2(self, tmp_path, monkeypatch, capsys, error):
         def rep1(*args, **kwargs):

@@ -11,6 +11,7 @@ from octads.hyperbolic_kernel import hyperbolic_heat_kernel
 from octads.subelliptic_kernel import (
     KernelPoint,
     KernelRangeError,
+    MEASURE_N_U,
     MIN_TIME,
     QuadratureConvergenceError,
     REP2_CONSTANT,
@@ -144,6 +145,17 @@ class TestRepresentations:
         monkeypatch.setattr(subelliptic_kernel, "POINT_N_U", 16)
         with pytest.raises(QuadratureConvergenceError):
             heat_kernel_rep1(1.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("point, match", [
+        # the tail bound exp(b u_max - rate t) overflowed: OverflowError
+        ((0.05, 2.0, PI), "degree"),
+        ((0.07, 2.0, 2.0 * PI / 3.0), "degree"),
+        # the angular integral kept an imaginary part: AssertionError
+        ((0.05, 0.0, 2.0 * PI / 3.0), "imaginary residue"),
+    ])
+    def test_direct_2d_failure_is_a_convergence_error(self, point, match):
+        with pytest.raises(QuadratureConvergenceError, match=match):
+            heat_kernel_rep2(*point, path="direct_2d")
 
     def test_mode_series_against_independent_quadrature(self):
         quad = pytest.importorskip("scipy.integrate").quad
@@ -282,23 +294,24 @@ class TestMeasureIntegrals:
 
 
 class TestDensityCache:
-    """weighted_integral keeps the density of the last (t, which) and reads prefixes of it."""
+    """weighted_integral evaluates each level of the density of the last (t, which) once and
+    reads prefixes of it."""
 
     T = 0.5
 
     @staticmethod
     def cold(f, t, monkeypatch, **kwargs):
-        monkeypatch.setattr(subelliptic_kernel, "_DENSITY", None)
+        monkeypatch.setattr(subelliptic_kernel, "_DENSITY", {})
         return weighted_integral(f, t, **kwargs)
 
     @staticmethod
     def count_rows(monkeypatch):
-        """(n_u, first r, rows) of every _rep1_grid call from now on."""
+        """(n_u, rows) of every _rep1_grid call from now on."""
         calls = []
         real = subelliptic_kernel._rep1_grid
 
         def grid(*args, **kwargs):
-            calls.append((args[3], float(args[1][0]), len(args[1])))
+            calls.append((args[3], len(args[1])))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(subelliptic_kernel, "_rep1_grid", grid)
@@ -311,31 +324,34 @@ class TestDensityCache:
             self.cold(lambda r, eta: np.cosh(r), monkeypatch=monkeypatch, **before)
             assert weighted_integral(f, self.T, f_growth=0.5) == want
 
-    def test_rows_nest(self, monkeypatch):
-        t = 1.2  # the mass needs 15 panels (4 groups), growth 1 needs 17 (5 groups)
+    def test_one_grid_call_per_level(self, monkeypatch):
+        t = 1.2  # the mass needs 15 panels, growth 1 needs 17
         calls = self.count_rows(monkeypatch)
-        self.cold(lambda r, eta: np.cosh(r), t, monkeypatch, f_growth=1.0)
-        cold_g1 = list(calls)
-        # a growth up to the first reads a prefix of its rows
+        self.cold(lambda r, eta: np.ones_like(r), t, monkeypatch)
+        # one call per level, each over the 17 panels of growth 1, with 20 * 2^L nodes each
+        n_u = (MEASURE_N_U, MEASURE_N_U * 3 // 2, MEASURE_N_U * 9 // 4)
+        assert len(calls) >= 2
+        assert calls == [(n_u[level], 17 * (20 << level)) for level in range(len(calls))]
+        # every growth up to 1 reads a prefix of those rows
+        cold = list(calls)
         for g in (0.0, 0.5, 1.0):
             weighted_integral(lambda r, eta: np.cosh(g * r), t, f_growth=g)
-        assert calls == cold_g1
-        # a larger growth evaluates only the panel groups it adds
-        calls.clear()
-        self.cold(lambda r, eta: np.ones_like(r), t, monkeypatch)
-        g0 = list(calls)
-        calls.clear()
-        weighted_integral(lambda r, eta: np.cosh(r), t, f_growth=1.0)
-        assert calls and sorted(calls) == sorted(set(cold_g1) - set(g0))
+        assert calls == cold
+
+    @pytest.mark.parametrize("growth", [-0.5, 1.5, math.nan, math.inf])
+    def test_growth_outside_domain_raises(self, growth):
+        with pytest.raises(ValueError, match="f_growth"):
+            weighted_integral(lambda r, eta: np.ones_like(r), self.T, f_growth=growth)
 
     def test_one_slot(self, monkeypatch):
-        monkeypatch.setattr(subelliptic_kernel, "_DENSITY", None)
+        monkeypatch.setattr(subelliptic_kernel, "_DENSITY", {})
         held = []
         for t, which in ((0.5, "rep1"), (0.5, "rep2"), (0.7, "rep1")):
             total_mass(t, which=which)
-            held.append(weakref.ref(subelliptic_kernel._DENSITY))
+            (levels,) = subelliptic_kernel._DENSITY.values()
+            held.append(weakref.ref(levels[0][-1]))  # the rows of level 0
         assert [ref() is None for ref in held] == [True, True, False]
-        assert subelliptic_kernel._DENSITY.key[:2] == (0.7, "rep1")
+        assert [key[:2] for key in subelliptic_kernel._DENSITY] == [(0.7, "rep1")]
 
     def test_changed_constant_is_a_new_density(self, monkeypatch):
         f = lambda r, eta: np.cosh(r / 2.0)
@@ -349,7 +365,7 @@ class TestDensityCache:
         jobs = [(t, g) for t in (0.5, 0.7) for g in (0.0, 0.5, 1.0)] * 2
         f = lambda g: (lambda r, eta: np.cosh(g * r))
         want = {job: self.cold(f(job[1]), job[0], monkeypatch, f_growth=job[1]) for job in set(jobs)}
-        monkeypatch.setattr(subelliptic_kernel, "_DENSITY", None)
+        monkeypatch.setattr(subelliptic_kernel, "_DENSITY", {})
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = [pool.submit(weighted_integral, f(g), t, f_growth=g) for t, g in jobs]
             got = [future.result(timeout=60) for future in futures]
