@@ -20,17 +20,22 @@ exact flow -- both coordinates have closed-form flows:
   cosh(2 r_tau)  = cosh(2 r_0) exp(28 tau)
   cos(eta_tau)   = cos(eta_0) exp(-6 tanh^2(r) tau)
 
-in Strang order (half drift, noise, half drift).  The scheme stays weak
-order one and is well behaved at the coordinate singularities; the
-remaining reflection thresholds are a safety net for noise overshoots.
+in Strang order (half drift, noise, half drift).  The r flow is applied as
+sinh^2(r_tau) = e^(28 tau) sinh^2(r_0) + (e^(28 tau) - 1)/2, and above
+r = 20, where cosh(2r) = e^(2r)/2 to double precision, as the shift
+r_tau = r_0 + 14 tau.  The scheme stays weak order one and is well behaved
+at the coordinate singularities; the remaining reflection thresholds are a
+safety net for noise overshoots.
 
-Every path owns an independent counter-based random stream keyed by
-(seed, path index), so the 8192-path chunks are independent.  When there is
-more than one chunk and more than one usable CPU, they run in a pool of
-min(chunks, usable CPUs) processes started by "spawn", and the results are
-joined in path-index order; the output is bitwise identical for any worker
-count.  A chunk draws its noise 125 steps at a time, which holds about
-16 + 16 MB of normals per worker.
+The paths run in chunks of 8192.  Each chunk owns one counter-based (Philox)
+random stream keyed by (seed, chunk index), and each step draws a full
+(2, 8192) block of normals from it, of which path start + j reads column j.
+The block is always full width, so a path's noise depends only on (seed,
+path index) and not on how many paths run; the one reused block is 128 KiB.
+When there is more than one chunk and more than one usable CPU, the chunks
+run in a pool of min(chunks, usable CPUs) processes started by "spawn", and
+the results are joined in path-index order; the output is bitwise identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 _CHUNK = 8192
-_WINDOW = 125  # steps of noise drawn at once
+_R_SHIFT = 20.0  # above this r the drift flow of r is the shift r + 14 tau
 _EPS = 1e-3  # every path starts at r = eta = _EPS; r reflects at _EPS, eta at _EPS, pi - _EPS
 
 
@@ -57,6 +62,8 @@ class SdeConfig:
     def __post_init__(self):
         if not isinstance(self.n_paths, (int, np.integer)) or self.n_paths < 1:
             raise ValueError(f"n_paths must be a positive integer, got {self.n_paths!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 < self.dt <= 1e-3:
             raise ValueError(f"dt must lie in (0, 1e-3], got {self.dt}")
         if not 0.0 < self.t_end < math.inf or not 0.5 < self.t_end / self.dt < math.inf:
@@ -73,23 +80,12 @@ class SampleSet:
     eta: np.ndarray
 
 
-def _log_cosh(x):
-    ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
-
-
-def _arccosh_exp(y):
-    """arccosh(exp(y)) for y >= 0 without overflowing exp."""
-    big = y > 30.0
-    safe = np.where(big, 1.0, y)
-    small_val = np.arccosh(np.exp(safe))
-    return np.where(big, y + math.log(2.0), small_val)
-
-
 def _drift_flow(r, eta, tau):
     """Exact flow of the drift vector field over time tau."""
-    r_new = 0.5 * _arccosh_exp(_log_cosh(2.0 * r) + 28.0 * tau)
-    decay = np.exp(-6.0 * np.tanh(r_new) ** 2 * tau)
+    s = np.sinh(np.minimum(r, _R_SHIFT)) ** 2
+    s += math.expm1(28.0 * tau) * (s + 0.5)  # sinh^2 of the new r, up to the cutoff
+    r_new = np.where(r > _R_SHIFT, r + 14.0 * tau, np.arcsinh(np.sqrt(s)))
+    decay = np.exp(-6.0 * tau * (s / (1.0 + s)))  # tanh^2 of the new r is s / (1 + s)
     eta_new = np.arccos(np.clip(np.cos(eta) * decay, -1.0, 1.0))
     return r_new, eta_new
 
@@ -123,25 +119,17 @@ def _usable_cpus() -> int:
 
 def _simulate_chunk(cfg: SdeConfig, start: int, stop: int, steps_wanted: list[int]):
     """Paths start..stop-1 run to the last wanted step; their (r, eta) at each wanted step."""
-    gens = [Generator(Philox(SeedSequence(entropy=(cfg.seed, p))))
-            for p in range(start, stop)]
+    gen = Generator(Philox(SeedSequence(entropy=(cfg.seed, start // _CHUNK))))
+    noise = np.empty((2, _CHUNK))  # one step of the whole chunk's noise, drawn at full width
     c = stop - start
-    raw = np.empty((c, _WINDOW, 2))  # one window of each path's stream, path by path
-    noise = np.empty((_WINDOW, 2, c))  # the same window, step by step
     r = np.full(c, _EPS)
     eta = np.full(c, _EPS)
     out = []
-    done = 0
-    while done < steps_wanted[-1]:
-        window = min(_WINDOW, steps_wanted[-1] - done)
-        for i, g in enumerate(gens):
-            g.standard_normal(out=raw[i, :window])
-        noise[:window] = raw[:, :window].transpose(1, 2, 0)
-        for k in range(window):
-            r, eta = strang_step(r, eta, noise[k, 0], noise[k, 1], cfg.dt)
-            done += 1
-            if done == steps_wanted[len(out)]:
-                out.append((r, eta))
+    for step in range(1, steps_wanted[-1] + 1):
+        gen.standard_normal(out=noise)
+        r, eta = strang_step(r, eta, noise[0, :c], noise[1, :c], cfg.dt)
+        if step == steps_wanted[len(out)]:
+            out.append((r, eta))
     return out
 
 
@@ -167,12 +155,19 @@ def simulate_paths(cfg: SdeConfig, snapshot_times: tuple = ()) -> list[SampleSet
         parts = [_simulate_chunk(cfg, start, stop, steps_wanted) for start, stop in chunks]
     else:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         from multiprocessing import get_context
 
         starts, stops = zip(*chunks)
-        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
-            parts = list(pool.map(_simulate_chunk, [cfg] * len(chunks), starts, stops,
-                                  [steps_wanted] * len(chunks)))
+        try:
+            with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+                parts = list(pool.map(_simulate_chunk, [cfg] * len(chunks), starts, stops,
+                                      [steps_wanted] * len(chunks)))
+        except BrokenProcessPool as exc:
+            raise RuntimeError(
+                "a simulate_paths worker process died; a script that runs more than "
+                f"{_CHUNK} paths must guard its top level with "
+                "'if __name__ == \"__main__\":', because each worker imports it") from exc
 
     return [SampleSet(time=k * cfg.dt,
                       r=np.concatenate([part[j][0] for part in parts]),

@@ -294,6 +294,13 @@ class TestRefusedInput:
         assert code == 2 and payload == b""
         assert capsys.readouterr().err.startswith(f"error: time {times.split(',')[0]} ")
 
+    def test_mc_check_negative_seed_names_the_seed(self, tmp_path, capsys):
+        # numpy refused it with "expected non-negative integer", which names no option
+        code, payload = run_cli(["mc-check", "--seed", "-1", "--n-paths", "10", "--t", "0.05"],
+                                tmp_path)
+        assert code == 2 and payload == b""
+        assert capsys.readouterr().err.startswith("error: seed ")
+
     @pytest.mark.parametrize("args, value", [(["--t="], ""), (["--t", "1,x"], "1,x")],
                              ids=["empty", "not-a-number"])
     def test_bad_grid_names_a_float_list(self, capsys, args, value):

@@ -1,8 +1,13 @@
 import concurrent.futures
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 
 from octads import mc_oracle
 from octads.mc_oracle import (
@@ -13,6 +18,8 @@ from octads.mc_oracle import (
     strang_step,
 )
 from octads.subelliptic_kernel import total_mass, weighted_integral
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestConfig:
@@ -36,12 +43,41 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_paths"):
             SdeConfig(n_paths=2.5)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # -1 failed in simulate_paths with numpy's "expected non-negative integer", and 1.5
+        # with a TypeError
+        with pytest.raises(ValueError, match="seed"):
+            SdeConfig(seed=seed)
+
     @pytest.mark.parametrize("snapshots", [(0.5, -1.0), (0.5,), (-1.0,), (0.0,), (math.nan,)])
     def test_snapshot_outside_the_run_is_refused(self, snapshots):
         # (0.5, -1.0) used to be clamped to the times (0.0001, 0.001)
         cfg = SdeConfig(n_paths=4, t_end=0.001)
         with pytest.raises(ValueError, match="snapshot time"):
             simulate_paths(cfg, snapshot_times=snapshots)
+
+
+class TestDriftFlow:
+    @pytest.mark.parametrize("tau", [5e-5, 5e-4])
+    def test_matches_the_exact_flow(self, tau):
+        # cosh 2r' = e^(28 tau) cosh 2r, and cos eta decays by exp(-6 tau tanh^2 r'), at
+        # 30 digits; the r values straddle the shift cutoff and the overflow of sinh^2 r
+        mpmath = pytest.importorskip("mpmath")
+        cut = mc_oracle._R_SHIFT
+        rs = [1e-3, 0.1, 1.0, 10.0, cut - 0.1, cut + 0.1, 100.0, 354.0, 356.0, 700.0, 1e4]
+        with mpmath.workdps(30):
+            for eta in (1e-3, 1.0, 3.0):
+                with np.errstate(over="raise", invalid="raise"):
+                    r_new, eta_new = mc_oracle._drift_flow(np.array(rs), np.full(len(rs), eta),
+                                                           tau)
+                for r, got_r, got_eta in zip(rs, r_new, eta_new):
+                    want_r = mpmath.acosh(mpmath.exp(28 * mpmath.mpf(tau))
+                                          * mpmath.cosh(2 * mpmath.mpf(r))) / 2
+                    decay = mpmath.exp(-6 * mpmath.mpf(tau) * mpmath.tanh(want_r) ** 2)
+                    want_eta = mpmath.acos(mpmath.cos(mpmath.mpf(eta)) * decay)
+                    assert abs(got_r - want_r) <= 2e-13 * want_r, (r, eta)
+                    assert abs(got_eta - want_eta) <= 1e-13, (r, eta)
 
 
 class TestSimulation:
@@ -79,6 +115,26 @@ class TestSimulation:
         assert np.array_equal(big.r[:40], small.r)
         assert np.array_equal(big.eta[:40], small.eta)
 
+    def test_one_stream_per_chunk(self, monkeypatch):
+        # path k reads column k % _CHUNK of its chunk's stream, keyed by (seed, k // _CHUNK)
+        chunk, seed = mc_oracle._CHUNK, 5
+        step, calls = mc_oracle.strang_step, []
+
+        def recording_step(r, eta, xi_r, xi_eta, dt):
+            calls.append((xi_r.copy(), xi_eta.copy()))
+            return step(r, eta, xi_r, xi_eta, dt)
+
+        monkeypatch.setattr(mc_oracle, "strang_step", recording_step)
+        monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: 1)
+        # one step, so each chunk makes one call
+        simulate_paths(SdeConfig(n_paths=chunk + 3, dt=5e-4, seed=seed, t_end=5e-4))
+        assert [len(xi_r) for xi_r, _ in calls] == [chunk, 3]
+        for index, (xi_r, xi_eta) in enumerate(calls):
+            gen = Generator(Philox(SeedSequence(entropy=(seed, index))))
+            block = gen.standard_normal((2, chunk))
+            assert np.array_equal(xi_r, block[0, :len(xi_r)])
+            assert np.array_equal(xi_eta, block[1, :len(xi_eta)])
+
 
 class TestProcessPool:
     def test_pool_is_bitwise_identical_to_serial(self, monkeypatch):
@@ -109,6 +165,27 @@ class TestProcessPool:
         monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: 2)
         s = simulate_paths(SdeConfig(n_paths=mc_oracle._CHUNK, dt=5e-4, t_end=0.001))[-1]
         assert s.r.shape == (mc_oracle._CHUNK,)
+
+    def test_unguarded_script_names_the_main_guard(self, tmp_path):
+        # each spawned worker re-ran the script and died, and the caller got a bare
+        # BrokenProcessPool
+        script = tmp_path / "unguarded.py"
+        script.write_text("from octads import mc_oracle\n"
+                          "mc_oracle._usable_cpus = lambda: 2\n"
+                          "mc_oracle.simulate_paths(mc_oracle.SdeConfig(\n"
+                          "    n_paths=mc_oracle._CHUNK + 1, dt=5e-4, t_end=0.001))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode != 0
+        # multiprocessing's resource tracker, a process of its own, may warn on the same
+        # stderr about the semaphores that the dead workers left behind
+        last = [line for line in proc.stderr.splitlines()
+                if line.strip() and "resource_tracker" not in line][-1]
+        assert last.startswith("RuntimeError: ")
+        assert 'if __name__ == "__main__":' in last
 
 
 @pytest.fixture(scope="module")
