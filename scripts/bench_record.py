@@ -8,7 +8,8 @@ every run's end-to-end metrics with their medians.  One traced run per
 workload and checkout adds every per-layer metric of BENCHMARK.json.  Each
 command of CLI runs in a cold process CLI_RUNS times per checkout, the
 checkouts taking turns, and the file keeps the median; it also keeps each
-checkout's src/octads line count.
+checkout's src/octads line count, and criterion 08's z-values from one
+acceptance.mc_oracle() call per checkout.
 Then each checkout runs the tier-1 suite once, with pytest's --durations, for
 its wall time and the wall time of each acceptance criterion.  Run it on a
 machine that is otherwise idle; every figure is wall time.
@@ -36,6 +37,8 @@ SUMMARY = re.compile(r"^=* ?(\d+ (?:passed|failed).*?) in [\d.]+s")
 CLI = {"eval": ["eval"], "compare-reps": ["compare-reps"], "mass": ["mass"],
        "mc-check": ["mc-check", "--t", "0.05,0.1", "--n-paths", "16385", "--dt", "0.0005"]}
 CLI_RUNS = 3
+MC_Z = ("import json; from octads import acceptance; "
+        "print(json.dumps({row['function']: row['z'] for row in acceptance.mc_oracle()}))")
 
 
 def _env(root: Path) -> dict:
@@ -62,6 +65,13 @@ def cli_s(root: Path, args: list[str]) -> float:
                    env=_env(root), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                    check=True)
     return time.monotonic() - start
+
+
+def mc_z(root: Path) -> dict:
+    """Criterion 08's z-value per test function and time, for the checkout at root."""
+    proc = subprocess.run([sys.executable, "-c", MC_Z], cwd=root, env=_env(root),
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def src_lines(root: Path) -> int:
@@ -118,6 +128,8 @@ def main(argv=None) -> int:
                                  for side, runs in times.items()}
     print("cli: done", file=sys.stderr)
     record["src_lines"] = {side: src_lines(root) for side, root in sides.items()}
+    record["mc_z"] = {side: mc_z(root) for side, root in sides.items()}
+    print("mc_z: done", file=sys.stderr)
     record["tier1"] = {side: tier1(root) for side, root in sides.items()}
     record["machine"]["loadavg_1m_end"] = os.getloadavg()[0]
     args.output.write_text(json.dumps(record, indent=1) + "\n")

@@ -18,14 +18,20 @@ Instead each step splits drift and noise, applying the drift through its
 exact flow -- both coordinates have closed-form flows:
 
   cosh(2 r_tau)  = cosh(2 r_0) exp(28 tau)
-  cos(eta_tau)   = cos(eta_0) exp(-6 tanh^2(r) tau)
+  cos(eta_tau)   = cos(eta_0) exp(6 tau) (cosh r_0 / cosh r_tau)^(6/7)
 
-in Strang order (half drift, noise, half drift).  The r flow is applied as
-sinh^2(r_tau) = e^(28 tau) sinh^2(r_0) + (e^(28 tau) - 1)/2, and above
-r = 20, where cosh(2r) = e^(2r)/2 to double precision, as the shift
-r_tau = r_0 + 14 tau.  The scheme stays weak order one and is well behaved
-at the coordinate singularities; the remaining reflection thresholds are a
-safety net for noise overshoots.
+(the eta flow integrates d(cos eta)/dt = -6 tanh^2(r) cos(eta) along the r
+flow).  The r flow is applied as s_tau = s_0 + g with s = sinh^2(r) and
+g = (e^(28 tau) - 1)(s_0 + 1/2), and above r = 20, where cosh(2r) = e^(2r)/2
+to double precision, as the shift r_tau = r_0 + 14 tau; the eta factor is
+exp(6 tau - (3/7) log1p(g / (1 + s_0))).  Being exact, the drift flow
+composes: D(a) D(b) = D(a + b).  So the Strang chain of n steps (half drift,
+noise, half drift) is run fused, D(dt/2) [N D(dt)]^(n-1) N D(dt/2), with N
+the noise kick: one opening half drift, then per step the noise and one full
+drift, and at each wanted step a closing half drift on a copy of the chain.
+The scheme stays weak order one and is well behaved at the coordinate
+singularities; the reflections that end each step are a safety net for noise
+overshoots.
 
 The paths run in chunks of 8192.  Each chunk owns one counter-based (Philox)
 random stream keyed by (seed, chunk index), and each step draws a full
@@ -83,30 +89,35 @@ class SampleSet:
 def _drift_flow(r, eta, tau):
     """Exact flow of the drift vector field over time tau."""
     s = np.sinh(np.minimum(r, _R_SHIFT)) ** 2
-    s += math.expm1(28.0 * tau) * (s + 0.5)  # sinh^2 of the new r, up to the cutoff
-    r_new = np.where(r > _R_SHIFT, r + 14.0 * tau, np.arcsinh(np.sqrt(s)))
-    decay = np.exp(-6.0 * tau * (s / (1.0 + s)))  # tanh^2 of the new r is s / (1 + s)
-    eta_new = np.arccos(np.clip(np.cos(eta) * decay, -1.0, 1.0))
+    g = math.expm1(28.0 * tau) * (s + 0.5)  # sinh^2 of the new r is s + g, up to the cutoff
+    r_new = np.where(r > _R_SHIFT, r + 14.0 * tau, np.arcsinh(np.sqrt(s + g)))
+    # cos eta scales by e^(6 tau) (cosh r / cosh r')^(6/7), and (cosh r' / cosh r)^2 = 1 + g/(1 + s)
+    decay = np.exp(6.0 * tau - (3.0 / 7.0) * np.log1p(g / (1.0 + s)))
+    # cos eta through the half-angle tangent, to within 3.5e-16: numpy's float64 tan is
+    # vectorized and its cos is not (7 against 17 ns per value, numpy 2.4 on an AVX-512 Xeon)
+    t2 = np.tan(0.5 * eta) ** 2
+    eta_new = np.arccos(np.clip((1.0 - 2.0 * t2 / (1.0 + t2)) * decay, -1.0, 1.0))
     return r_new, eta_new
 
 
-def _reflect(x, lo, hi):
-    x = np.where(x < lo, 2.0 * lo - x, x)
-    return np.where(x > hi, 2.0 * hi - x, x)
+def _kick(r, eta, xi_r, xi_eta, dt):
+    """The noise of one step, folded back onto r, eta >= 0."""
+    root = math.sqrt(2.0 * dt)
+    return np.abs(r + root * xi_r), np.abs(eta + root * np.tanh(r) * xi_eta)
+
+
+def _drift(r, eta, tau):
+    """The drift flow over tau, then the reflections at r = _EPS and eta = _EPS, pi - _EPS."""
+    r, eta = _drift_flow(r, eta, tau)  # new arrays, reflected in place
+    np.copyto(r, 2.0 * _EPS - r, where=r < _EPS)
+    np.copyto(eta, 2.0 * _EPS - eta, where=eta < _EPS)
+    np.copyto(eta, 2.0 * (math.pi - _EPS) - eta, where=eta > math.pi - _EPS)
+    return r, eta
 
 
 def strang_step(r, eta, xi_r, xi_eta, dt):
-    """One splitting step driven by the given standard-normal increments."""
-    half = 0.5 * dt
-    root = math.sqrt(2.0 * dt)
-    r, eta = _drift_flow(r, eta, half)
-    coef = np.tanh(r)
-    r = r + root * xi_r
-    eta = eta + root * coef * xi_eta
-    r, eta = _drift_flow(np.abs(r), np.abs(eta), half)
-    r = _reflect(r, _EPS, np.inf)
-    eta = _reflect(eta, _EPS, math.pi - _EPS)
-    return r, eta
+    """One fused splitting step on the half-shifted state: the noise, then the full drift."""
+    return _drift(*_kick(r, eta, xi_r, xi_eta, dt), dt)
 
 
 def _usable_cpus() -> int:
@@ -122,14 +133,14 @@ def _simulate_chunk(cfg: SdeConfig, start: int, stop: int, steps_wanted: list[in
     gen = Generator(Philox(SeedSequence(entropy=(cfg.seed, start // _CHUNK))))
     noise = np.empty((2, _CHUNK))  # one step of the whole chunk's noise, drawn at full width
     c = stop - start
-    r = np.full(c, _EPS)
-    eta = np.full(c, _EPS)
+    r, eta = _drift_flow(np.full(c, _EPS), np.full(c, _EPS), 0.5 * cfg.dt)  # opening half drift
     out = []
     for step in range(1, steps_wanted[-1] + 1):
         gen.standard_normal(out=noise)
-        r, eta = strang_step(r, eta, noise[0, :c], noise[1, :c], cfg.dt)
-        if step == steps_wanted[len(out)]:
-            out.append((r, eta))
+        xi_r, xi_eta = noise[0, :c], noise[1, :c]
+        if step == steps_wanted[len(out)]:  # the closing half drift, on a copy of the chain
+            out.append(_drift(*_kick(r, eta, xi_r, xi_eta, cfg.dt), 0.5 * cfg.dt))
+        r, eta = strang_step(r, eta, xi_r, xi_eta, cfg.dt)
     return out
 
 

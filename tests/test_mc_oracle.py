@@ -58,26 +58,57 @@ class TestConfig:
             simulate_paths(cfg, snapshot_times=snapshots)
 
 
+_FLOW_RS = [1e-3, 0.1, 1.0, 10.0, mc_oracle._R_SHIFT - 0.1, mc_oracle._R_SHIFT + 0.1, 100.0,
+            354.0, 356.0, 700.0, 1e4]  # straddling the shift cutoff and the overflow of sinh^2 r
+
+
+def _exact_flow(mpmath, r, eta, tau):
+    """The drift flow in closed form: cosh 2r' = e^(28 tau) cosh 2r, and cos eta' = cos eta
+    e^(6 tau) (cosh r / cosh r')^(6/7), the integral of d(cos eta)/dt = -6 tanh^2 r cos eta."""
+    r, eta, tau = mpmath.mpf(r), mpmath.mpf(eta), mpmath.mpf(tau)
+    r_new = mpmath.acosh(mpmath.exp(28 * tau) * mpmath.cosh(2 * r)) / 2
+    decay = mpmath.exp(6 * tau) * (mpmath.cosh(r) / mpmath.cosh(r_new)) ** (mpmath.mpf(6) / 7)
+    return r_new, mpmath.acos(mpmath.cos(eta) * decay)
+
+
 class TestDriftFlow:
+    def test_closed_form_solves_the_drift_ode(self):
+        # dr/dt = 7 coth r + 7 tanh r, deta/dt = 6 tanh^2 r cot eta, integrated by mpmath
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for r, eta, tau in [(1.0, 3.0, 5e-5), (2.0, 1.0, 5e-4)]:
+                ode = mpmath.odefun(lambda t, y: [7 * mpmath.coth(y[0]) + 7 * mpmath.tanh(y[0]),
+                                                  6 * mpmath.tanh(y[0]) ** 2 * mpmath.cot(y[1])],
+                                    0, [mpmath.mpf(r), mpmath.mpf(eta)])
+                for got, want in zip(ode(tau), _exact_flow(mpmath, r, eta, tau)):
+                    assert abs(got - want) <= mpmath.mpf(1e-25), (r, eta, tau)
+
     @pytest.mark.parametrize("tau", [5e-5, 5e-4])
     def test_matches_the_exact_flow(self, tau):
-        # cosh 2r' = e^(28 tau) cosh 2r, and cos eta decays by exp(-6 tau tanh^2 r'), at
-        # 30 digits; the r values straddle the shift cutoff and the overflow of sinh^2 r
+        # the closed form at 30 digits; exp(-6 tau tanh^2 r') in place of the exact eta decay
+        # was off by 6.7e-8 at tau = 5e-5, eta = 1
         mpmath = pytest.importorskip("mpmath")
-        cut = mc_oracle._R_SHIFT
-        rs = [1e-3, 0.1, 1.0, 10.0, cut - 0.1, cut + 0.1, 100.0, 354.0, 356.0, 700.0, 1e4]
         with mpmath.workdps(30):
-            for eta in (1e-3, 1.0, 3.0):
+            for eta in (1e-3, 1.0, 3.0, math.pi - 1e-3):
                 with np.errstate(over="raise", invalid="raise"):
-                    r_new, eta_new = mc_oracle._drift_flow(np.array(rs), np.full(len(rs), eta),
-                                                           tau)
-                for r, got_r, got_eta in zip(rs, r_new, eta_new):
-                    want_r = mpmath.acosh(mpmath.exp(28 * mpmath.mpf(tau))
-                                          * mpmath.cosh(2 * mpmath.mpf(r))) / 2
-                    decay = mpmath.exp(-6 * mpmath.mpf(tau) * mpmath.tanh(want_r) ** 2)
-                    want_eta = mpmath.acos(mpmath.cos(mpmath.mpf(eta)) * decay)
+                    r_new, eta_new = mc_oracle._drift_flow(np.array(_FLOW_RS),
+                                                           np.full(len(_FLOW_RS), eta), tau)
+                for r, got_r, got_eta in zip(_FLOW_RS, r_new, eta_new):
+                    want_r, want_eta = _exact_flow(mpmath, r, eta, tau)
                     assert abs(got_r - want_r) <= 2e-13 * want_r, (r, eta)
                     assert abs(got_eta - want_eta) <= 1e-13, (r, eta)
+
+    @pytest.mark.parametrize("tau", [5e-5, 5e-4])
+    def test_is_a_flow(self, tau):
+        # two steps of tau are one step of 2 tau, which the fused chain relies on
+        rs = np.array(_FLOW_RS)
+        for eta in (1e-3, 1.0, 3.0, math.pi - 1e-3):
+            etas = np.full(len(rs), eta)
+            with np.errstate(over="raise", invalid="raise"):
+                twice = mc_oracle._drift_flow(*mc_oracle._drift_flow(rs, etas, tau), tau)
+                once = mc_oracle._drift_flow(rs, etas, 2.0 * tau)
+            assert np.all(np.abs(twice[0] - once[0]) <= 1e-13 * once[0]), eta
+            assert np.all(np.abs(twice[1] - once[1]) <= 1e-13), eta
 
 
 class TestSimulation:
@@ -134,6 +165,39 @@ class TestSimulation:
             block = gen.standard_normal((2, chunk))
             assert np.array_equal(xi_r, block[0, :len(xi_r)])
             assert np.array_equal(xi_eta, block[1, :len(xi_eta)])
+
+    def test_fused_chain_is_the_strang_chain(self):
+        # the unfused chain of half drifts D(dt/2) N D(dt/2), fed the same noise; where it
+        # reflects eta between two half drifts the fused chain need not follow it
+        n, dt, steps, seed, eps = 2000, 2e-4, 500, 12, mc_oracle._EPS
+        got = simulate_paths(SdeConfig(n_paths=n, dt=dt, seed=seed, t_end=steps * dt))[-1]
+        gen = Generator(Philox(SeedSequence(entropy=(seed, 0))))
+        root = math.sqrt(2.0 * dt)
+        r, eta = np.full(n, eps), np.full(n, eps)
+        reflected = np.zeros(n, dtype=bool)
+        for _ in range(steps):
+            xi_r, xi_eta = gen.standard_normal((2, mc_oracle._CHUNK))[:, :n]
+            r, eta = mc_oracle._drift_flow(r, eta, dt / 2.0)
+            r, eta = np.abs(r + root * xi_r), np.abs(eta + root * np.tanh(r) * xi_eta)
+            r, eta = mc_oracle._drift_flow(r, eta, dt / 2.0)
+            r = np.where(r < eps, 2.0 * eps - r, r)
+            low, high = eta < eps, eta > math.pi - eps
+            reflected |= low | high
+            eta = np.where(low, 2.0 * eps - eta, np.where(high, 2.0 * (math.pi - eps) - eta, eta))
+        assert np.all(np.abs(got.r - r) <= 1e-12 * r)
+        assert np.count_nonzero(~reflected) >= n // 2
+        assert np.all(np.abs(got.eta - eta)[~reflected] <= 1e-10)
+
+    def test_snapshots_do_not_perturb_the_chain(self):
+        # a snapshot closes a copy of the chain with a half drift; the chain runs on
+        cfg = dict(n_paths=300, dt=5e-4, seed=10)
+        long = simulate_paths(SdeConfig(t_end=0.02, **cfg), snapshot_times=(0.01,))
+        short = simulate_paths(SdeConfig(t_end=0.01, **cfg))[-1]
+        plain = simulate_paths(SdeConfig(t_end=0.02, **cfg))[-1]
+        for snapshot, alone in zip(long, (short, plain)):
+            assert snapshot.time == alone.time
+            assert np.array_equal(snapshot.r, alone.r)
+            assert np.array_equal(snapshot.eta, alone.eta)
 
 
 class TestProcessPool:
@@ -246,14 +310,17 @@ class TestBiasControl:
         n, dt, steps = 4000, 4e-4, 750
         rng = np.random.default_rng(123)
         noise = rng.standard_normal((steps, 2, n))
-        rf = np.full(n, 1e-3); ef = np.full(n, 1e-3)
-        rc = np.full(n, 1e-3); ec = np.full(n, 1e-3)
-        for k in range(steps):
-            rf, ef = strang_step(rf, ef, noise[k, 0], noise[k, 1], dt / 2.0)
-            if k % 2 == 1:
-                coarse_xi_r = (noise[k - 1, 0] + noise[k, 0]) / math.sqrt(2.0)
-                coarse_xi_e = (noise[k - 1, 1] + noise[k, 1]) / math.sqrt(2.0)
-                rc, ec = strang_step(rc, ec, coarse_xi_r, coarse_xi_e, dt)
+
+        def chain(noise, h):
+            # as simulate_paths runs it: the opening half drift, fused steps, and the closing
+            # half drift after the last noise
+            r, eta = mc_oracle._drift_flow(np.full(n, 1e-3), np.full(n, 1e-3), h / 2.0)
+            for xi_r, xi_eta in noise[:-1]:
+                r, eta = strang_step(r, eta, xi_r, xi_eta, h)
+            return mc_oracle._drift(*mc_oracle._kick(r, eta, *noise[-1], h), h / 2.0)
+
+        rf, ef = chain(noise, dt / 2.0)
+        rc, ec = chain((noise[0::2] + noise[1::2]) / math.sqrt(2.0), dt)
         for name, f, _ in MC_TEST_FUNCTIONS:
             fine = np.asarray(f(rf, ef), dtype=float)
             coarse = np.asarray(f(rc, ec), dtype=float)
