@@ -49,15 +49,15 @@ def fiber_mode_multiplicity(m: int) -> int:
     return num // 3
 
 
-def _series_matrix(t, etas, us, continued, m_fixed=None):
+def _series_matrix(t, etas, us, continued):
     """Spectral series evaluated on the grid etas x us.
 
     Returns (matrix, m_used, tail_bound).  Degree m carries the coefficient
     1/N_m.  The tail rule bounds the next term by exp(-m(m+6) t) P_m(x_max)
     P_m(1) / N_m, with P_m read at the largest second argument, one of the u
-    nodes; termination needs two consecutive passes.  With m_fixed the series
-    is summed to exactly that degree, which keeps grid sweeps smooth for
-    finite differencing.
+    nodes; termination needs two consecutive passes, and a series still
+    running at SERIES_M_CAP raises.  This is the only truncation rule: the
+    nodes and the cutoff are the caller's, and the degree always adapts.
     """
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     us = np.atleast_1d(np.asarray(us, dtype=float))
@@ -73,9 +73,8 @@ def _series_matrix(t, etas, us, continued, m_fixed=None):
     scale = 0.0
     below = 0
     last_bound = math.inf
-    cap = SERIES_M_CAP if m_fixed is None else m_fixed
 
-    for m in range(cap + 1):
+    for m in range(SERIES_M_CAP + 1):
         if m >= 1:
             pe, pe2 = jacobi_next(m, xe, pe, pe2), pe
             pu, pu2 = jacobi_next(m, xu, pu, pu2), pu
@@ -88,15 +87,12 @@ def _series_matrix(t, etas, us, continued, m_fixed=None):
         damp = (1.0 / jacobi_norm_sq(m)) * math.exp(-fiber_eigenvalue(m) * t)
         out += damp * np.outer(pe, pu)
         scale = max(scale, float(np.max(np.abs(out))))
-        if m_fixed is None:
-            last_bound = damp * abs(pb) * jacobi_end_value(m)
-            below = below + 1 if last_bound <= SERIES_TOL * max(scale, 1e-300) else 0
-            if m >= 2 and below >= 2:
-                return out, m, last_bound
-    if m_fixed is not None:
-        return out, cap, 0.0
+        last_bound = damp * abs(pb) * jacobi_end_value(m)
+        below = below + 1 if last_bound <= SERIES_TOL * max(scale, 1e-300) else 0
+        if m >= 2 and below >= 2:
+            return out, m, last_bound
     raise SeriesConvergenceError(
-        f"series not converged at degree cap {cap} (t={t}, bound={last_bound:.3e})"
+        f"series not converged at degree cap {SERIES_M_CAP} (t={t}, bound={last_bound:.3e})"
     )
 
 

@@ -28,25 +28,25 @@ def jacobi_next(n: int, x, p1, p2, alpha: float = 2.5, beta: float = 2.5):
     return ((b1 * x + b0) * p1 - c_n * p2) / a_n
 
 
-def jacobi_sequence(m_max: int, x, alpha: float = 2.5, beta: float = 2.5) -> np.ndarray:
-    """All degrees 0..m_max at once, stacked on a new leading axis."""
+def jacobi_sequence(m_max: int, x) -> np.ndarray:
+    """All (5/2, 5/2) degrees 0..m_max at once, stacked on a new leading axis."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((m_max + 1,) + x.shape)
     out[0] = 1.0
     for n in range(1, m_max + 1):
-        out[n] = jacobi_next(n, x, out[n - 1], out[n - 2], alpha, beta)
+        out[n] = jacobi_next(n, x, out[n - 1], out[n - 2])
     return out
 
 
-def jacobi_poly(m: int, x, alpha: float = 2.5, beta: float = 2.5):
-    """Degree-m Jacobi polynomial; scalar in, scalar out, or arrays."""
-    p = jacobi_sequence(m, x, alpha, beta)[m]
+def jacobi_poly(m: int, x):
+    """Degree-m (5/2, 5/2) Jacobi polynomial; scalar in, scalar out, or arrays."""
+    p = jacobi_sequence(m, x)[m]
     return p if np.ndim(x) else float(p[0])
 
 
-def jacobi_end_value(m: int, alpha: float = 2.5) -> float:
-    """Value at x = 1: Gamma(m+alpha+1) / (m! Gamma(alpha+1))."""
-    return math.exp(math.lgamma(m + alpha + 1.0) - math.lgamma(m + 1.0) - math.lgamma(alpha + 1.0))
+def jacobi_end_value(m: int) -> float:
+    """Value at x = 1 of degree m: Gamma(m + 7/2) / (m! Gamma(7/2))."""
+    return math.exp(math.lgamma(m + 3.5) - math.lgamma(m + 1.0) - math.lgamma(3.5))
 
 
 def jacobi_norm_sq(m: int) -> float:

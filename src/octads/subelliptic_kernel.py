@@ -176,7 +176,7 @@ def _at_point(grid, t, r, eta):
 # representation 1
 
 
-def _rep1_grid(t, rs, etas, n_u, u_max, m_fixed=None):
+def _rep1_grid(t, rs, etas, n_u, u_max):
     """Representation-1 values on an (r, eta) grid at a fixed u-cutoff.
 
     Returns (values[n_r, n_eta], m_used).  The fiber series is built once on
@@ -184,7 +184,7 @@ def _rep1_grid(t, rs, etas, n_u, u_max, m_fixed=None):
     """
     rs = np.asarray(rs, dtype=float)
     u, w = gl_nodes(n_u, 0.0, u_max)
-    fiber, m_used, _ = _series_matrix(t, etas, u, continued=True, m_fixed=m_fixed)
+    fiber, m_used, _ = _series_matrix(t, etas, u, continued=True)
     wsinh = w * np.sinh(u) ** 6
     out = np.empty((rs.size, fiber.shape[0]))
     for blk in _row_blocks(rs.size, n_u):
@@ -212,19 +212,20 @@ def _rep2_mode_coeffs(eta, m_top: int):
     return weights[:, None] * (pe / p1)
 
 
-def _rep2_grid(t, rs, etas, n_u, u_max, m_fixed=None):
+def _rep2_grid(t, rs, etas, n_u, u_max):
     """Representation-2 values on an (r, eta) grid at a fixed u-cutoff.
 
-    Returns (values[n_r, n_eta], m_used).  The mode loop runs once per block
-    of r rows.  Each row stops on its own, after two consecutive modes below
-    SERIES_TOL of its running sum: across r the values span hundreds of orders
-    of magnitude, so a rule for the whole grid would cut the small rows
-    short.  With m_fixed every row sums exactly the modes 0..m_fixed.
+    Returns (values[n_r, n_eta], m_used).  The nodes and the cutoff are the
+    caller's; the mode degree always adapts.  The mode loop runs once per
+    block of r rows.  Each row stops on its own, after two consecutive modes
+    below SERIES_TOL of its running sum: across r the values span hundreds of
+    orders of magnitude, so a rule for the whole grid would cut the small rows
+    short.  A row still summing at SERIES_M_CAP raises.
     """
     rs = np.asarray(rs, dtype=float)
     etas = np.asarray(etas, dtype=float)
     u, w = gl_nodes(n_u, 0.0, u_max)
-    cap = fiber_kernel.SERIES_M_CAP if m_fixed is None else m_fixed
+    cap = fiber_kernel.SERIES_M_CAP
     profiles = _rep2_mode_coeffs(etas, 64)
     out = np.zeros((rs.size, etas.size))
     m_used = 0
@@ -241,18 +242,16 @@ def _rep2_grid(t, rs, etas, n_u, u_max, m_fixed=None):
             j_m = wq @ (0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t)))
             term = j_m[:, None] * profiles[m]
             rows[live] += term
-            if m_fixed is None:
-                small = np.max(np.abs(term), axis=1) <= fiber_kernel.SERIES_TOL * np.maximum(
-                    np.max(np.abs(rows[live]), axis=1), 1e-300)
-                below = np.where(small, below + 1, 0)
-                if m >= 4:
-                    keep = below < 2
-                    live, below, wq = live[keep], below[keep], wq[keep]
-                    if live.size == 0:
-                        break
+            small = np.max(np.abs(term), axis=1) <= fiber_kernel.SERIES_TOL * np.maximum(
+                np.max(np.abs(rows[live]), axis=1), 1e-300)
+            below = np.where(small, below + 1, 0)
+            if m >= 4:
+                keep = below < 2
+                live, below, wq = live[keep], below[keep], wq[keep]
+                if live.size == 0:
+                    break
         else:
-            if m_fixed is None:
-                raise QuadratureConvergenceError(f"mode series not converged by degree {cap}")
+            raise QuadratureConvergenceError(f"mode series not converged by degree {cap}")
         m_used = max(m_used, m)
     out *= (REP2_CONSTANT / np.cosh(rs) ** 3)[:, None]
     return out, m_used
@@ -329,22 +328,22 @@ def heat_kernel_rep2(t: float, r: float, eta: float,
 
 
 def frozen_kernel(which: str, t: float, r: float, eta: float):
-    """Kernel evaluator with truncations frozen at the given center point.
+    """Kernel evaluator with its quadrature frozen at the given center point.
 
-    Adaptive truncation switches between neighboring evaluations would
-    dominate finite-difference stencils, so the returned callable uses fixed
-    quadrature nodes, fixed u_max, and a fixed series degree for every call.
+    A node count or cutoff that changed between neighboring evaluations would
+    dominate a finite-difference stencil, so the returned callable uses
+    2 POINT_N_U u-nodes and u_max = default_u_max(t, r) + 1 for every call.
+    Neither depends on eta.  The series degree is not frozen: every call
+    stops its series by the one rule of the grid evaluator.
     """
     if which not in ("rep1", "rep2"):
         raise ValueError(f"unknown representation {which!r}")
     u_max = default_u_max(t, r) + 1.0
     n_u = 2 * POINT_N_U
-    # the degree margin added to the probed truncation differs per series
-    grid, margin = (_rep1_grid, 8) if which == "rep1" else (_rep2_grid, 4)
-    _, m_probe = grid(t, [r], [eta], n_u, u_max)
+    grid = _rep1_grid if which == "rep1" else _rep2_grid
 
     def p(tt, rr, ee):
-        return float(grid(tt, [rr], [ee], n_u, u_max, m_fixed=m_probe + margin)[0][0, 0])
+        return float(grid(tt, [rr], [ee], n_u, u_max)[0][0, 0])
     return p
 
 

@@ -232,7 +232,8 @@ class TestHeatResidual:
             heat_residual("rep1", 1.0, 0.05, 1.0)
 
     def test_each_stencil_point_evaluated_once(self, monkeypatch):
-        # the probe, the centre, 4 points in time and 8 in space; 24 grid calls before
+        # the centre, 4 points in time and 8 in space; 24 grid calls before caching the
+        # centre, and 14 while a degree probe froze the series
         calls = []
         real = subelliptic_kernel._rep2_grid
 
@@ -242,7 +243,14 @@ class TestHeatResidual:
 
         monkeypatch.setattr(subelliptic_kernel, "_rep2_grid", grid)
         heat_residual("rep2", 1.0, 0.5, PI / 2.0)
-        assert len(calls) == 14
+        assert len(calls) == 13
+
+    @pytest.mark.parametrize("eta", [PI / 4.0, PI / 2.0])
+    def test_frozen_evaluator_past_the_old_margin(self, eta):
+        # a series summed to a frozen degree 8 past the probe overflowed P_m(cosh u_max)
+        # at degrees 67-73 here, though the kernel itself evaluates
+        res, scale, p = heat_residual("rep1", 0.1, 1.0, eta)
+        assert res <= 1e-4 * scale + 1e-8 * p
 
     def test_frozen_matches_adaptive(self):
         p = frozen_kernel("rep1", 1.0, 0.5, 1.0)
