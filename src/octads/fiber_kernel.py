@@ -76,8 +76,10 @@ def _series_matrix(t, etas, us, continued):
 
     for m in range(SERIES_M_CAP + 1):
         if m >= 1:
-            pe, pe2 = jacobi_next(m, xe, pe, pe2), pe
-            pu, pu2 = jacobi_next(m, xu, pu, pu2), pu
+            # an overflow here is caught by the isfinite check below, under any errstate
+            with np.errstate(over="ignore", invalid="ignore"):
+                pe, pe2 = jacobi_next(m, xe, pe, pe2), pe
+                pu, pu2 = jacobi_next(m, xu, pu, pu2), pu
             pb = float(pu[i_max])
         if not np.isfinite(pb):
             raise SeriesConvergenceError(

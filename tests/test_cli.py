@@ -2,7 +2,11 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ import octads.acceptance
 from octads.cli import main, write_records
 from octads.fiber_kernel import SeriesConvergenceError
 from octads.subelliptic_kernel import QuadratureConvergenceError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -318,6 +324,18 @@ class TestRefusedInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_polynomial_overflow_prints_one_error_line(self):
+        # numpy's "overflow encountered in multiply" warning came first, in a fresh process
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "octads", "eval", "--rep", "1", "--t", "0.1", "--r", "3",
+             "--eta", "1"], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert re.fullmatch(r"error: degree-\d+ polynomial overflowed [^\n]*\n", proc.stderr)
 
     @pytest.mark.parametrize("error", [SeriesConvergenceError, QuadratureConvergenceError])
     def test_convergence_failure_exits_2(self, tmp_path, monkeypatch, capsys, error):

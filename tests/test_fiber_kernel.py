@@ -80,6 +80,13 @@ class TestFiberHeatKernel:
         with pytest.raises(SeriesConvergenceError, match="degree cap 5"):
             fiber_heat_kernel(0.001, 0.5, 1.0)
 
+    @pytest.mark.parametrize("u", [12.0, 20.0])
+    def test_overflow_is_a_convergence_error_under_raise(self, u):
+        # the recurrence overflowed before P_m(x_max) was checked: a bare FloatingPointError
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(SeriesConvergenceError, match="overflowed"):
+                fiber_heat_kernel(0.1, 1.0, u, continued=True)
+
     def test_diagnostics(self):
         v = fiber_heat_kernel(0.5, 0.3, 1.0)
         assert v.m_used >= 2

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from octads import hyperbolic_kernel
 from octads.hyperbolic_kernel import (
     SMALL_S_SWITCH,
     TIME_FLOOR,
     composed_distance,
     hyperbolic_heat_kernel,
     hyperbolic_heat_kernel_composed,
+    _CHUNK,
+    _FAR,
     _SINH_POWER_MAX,
     _lowering_factor,
     _series_factor,
@@ -113,6 +116,49 @@ class TestTaylorBranch:
                 p2 = (s * s / (4.0 * t * t) + (s / math.tanh(s) - 1.0) / (2.0 * t)) * csch ** 2
                 got = [_taylor_mode_factor(k, t, np.array([s]))[0] for k in (1, 2)]
                 assert got == pytest.approx([p1, p2], rel=1e-12, abs=0), (t, s)
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestSlicing:
+    """Taylor mode runs _CHUNK nodes at a time; no value may depend on the slicing."""
+
+    @staticmethod
+    def nodes():
+        # from the switch through the sinh cap and _FAR to inf: three full slices and 17 nodes
+        s = np.geomspace(SMALL_S_SWITCH, 2.0 * _FAR, 3 * _CHUNK + 13)
+        s = np.concatenate([s, [_SINH_POWER_MAX, _SINH_POWER_MAX + 1e-9, _FAR, math.inf]])
+        return np.random.default_rng(19).permutation(s)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_taylor_mode_slices_match_single_nodes(self, k, monkeypatch):
+        s = self.nodes()
+        # every node next to a slice bound, and every 37th node, one at a time
+        near = [b + d for b in range(0, s.size + 1, _CHUNK) for d in (-2, -1, 0, 1)]
+        picks = sorted({i for i in near if 0 <= i < s.size} | set(range(0, s.size, 37))
+                       | {s.size - 1})
+        with np.errstate(over="raise", invalid="raise"):
+            for t in (0.05, 2.34):
+                sliced = _taylor_mode_factor(k, t, s)
+                single = np.array([_taylor_mode_factor(k, t, s[i:i + 1])[0] for i in picks])
+                assert _same_bits(sliced[picks], single), (k, t)
+                with monkeypatch.context() as m:
+                    m.setattr(hyperbolic_kernel, "_CHUNK", s.size)
+                    assert _same_bits(sliced, _taylor_mode_factor(k, t, s)), (k, t)
+
+    @pytest.mark.parametrize("n", [9, 15])
+    def test_composed_block_matches_its_rows(self, n):
+        # a density block: each row has nodes on both sides of the switch, and the
+        # block's Taylor-mode nodes run over several slices
+        n_u = 192
+        rs = np.linspace(0.0, 45.0, 3 * _CHUNK // n_u + 5)
+        u = np.linspace(0.0, 25.0, n_u)
+        with np.errstate(over="raise", invalid="raise"):
+            block = hyperbolic_heat_kernel_composed(n, 1.2, rs[:, None], u[None, :])
+            rows = np.array([hyperbolic_heat_kernel_composed(n, 1.2, r, u) for r in rs])
+        assert _same_bits(block, rows)
 
 
 class TestKernelValues:
