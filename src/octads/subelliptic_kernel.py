@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -437,11 +436,14 @@ def _n_panels(t: float, f_growth: float) -> int:
     return math.ceil(((14.0 + 2.0 * f_growth) * t + 10.0 * math.sqrt(t) + 2.0) / _PANEL_WIDTH)
 
 
+@functools.lru_cache(maxsize=_MEASURE_LEVELS)
 def _density_level(t: float, which: str, level: int):
     """The rules of one level and p_t (sinh r cosh r)^7 on its (r, eta) nodes, in one grid
     call over every panel that growth _MAX_GROWTH needs.
 
-    Returns (r, w_r, etas, w_eta, sin^6 eta, rows).
+    Returns (r, w_r, etas, w_eta, sin^6 eta, rows), all read-only.  The cache keeps the
+    _MEASURE_LEVELS levels used last, of any (t, which), and no module constant is in its key:
+    a caller that changes MEASURE_N_U, SERIES_TOL or SERIES_M_CAP calls cache_clear().
     """
     n_u = MEASURE_N_U
     for _ in range(level):
@@ -452,26 +454,25 @@ def _density_level(t: float, which: str, level: int):
     r = (_PANEL_WIDTH * np.arange(n_panels, dtype=float)[:, None] + x).ravel()
     grid = _rep1_grid if which == "rep1" else _rep2_grid
     p, _ = grid(t, r, etas, n_u, _measure_u_max(t))
-    return r, np.tile(w_x, n_panels), etas, w_eta, np.sin(etas) ** 6, _radial_measure_times(p, r)
-
-
-# The levels of the density of the last (t, which), under their key, which holds also every
-# constant their rows read.  The lock makes each integral's use of it atomic across threads.
-_DENSITY: dict[tuple, list] = {}
-_DENSITY_LOCK = threading.RLock()
+    arrays = (r, np.tile(w_x, n_panels), etas, w_eta, np.sin(etas) ** 6,
+              _radial_measure_times(p, r))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def weighted_integral(f, t: float, which: str = "rep1", f_growth: float = 0.0) -> float:
     """Integral of f(r, eta) against p_t and the reference measure.
 
-    f must accept numpy arrays and be bounded by C exp(a r) with a <= f_growth, where
-    f_growth lies in [0, 1]; 1 is the growth of the eigenfunction cosh r cos eta.  The radial
-    cutoff (14 + 2 f_growth) t + 10 sqrt(t) + 2 is rounded up to whole panels of width 2.
+    f is called once per level with r as a column and eta as a row, both read-only, and
+    returns a scalar or an array that broadcasts to their grid; a value that is not finite
+    raises ValueError.  f must be bounded by C exp(a r) with a <= f_growth, where f_growth
+    lies in [0, 1]; 1 is the growth of the eigenfunction cosh r cos eta.  The radial cutoff
+    (14 + 2 f_growth) t + 10 sqrt(t) + 2 is rounded up to whole panels of width 2.
     Convergence is checked by refining r, eta and u together, to a relative change of 1e-6;
-    the first level has MEASURE_N_U u-nodes.  Each level of the density of the last
-    (t, which) is evaluated once, out to the cutoff of growth 1, and kept: every integral
-    reads the prefix of rows its own cutoff needs, so a value does not depend on the
-    integrals before it.
+    the first level has MEASURE_N_U u-nodes.  Each level is evaluated out to the cutoff of
+    growth 1 and cached by _density_level: every integral reads the prefix of rows its own
+    cutoff needs, so a value does not depend on the integrals before it.
     """
     _check_time(t)
     if which not in ("rep1", "rep2"):
@@ -479,23 +480,18 @@ def weighted_integral(f, t: float, which: str = "rep1", f_growth: float = 0.0) -
     if not 0.0 <= f_growth <= _MAX_GROWTH:
         raise ValueError(f"f_growth {f_growth} is outside [0, {_MAX_GROWTH:g}]")
     n_panels = _n_panels(t, f_growth)
-    key = (t, which, MEASURE_N_U, fiber_kernel.SERIES_TOL, fiber_kernel.SERIES_M_CAP)
-    with _DENSITY_LOCK:
-        if key not in _DENSITY:
-            _DENSITY.clear()
-        levels = _DENSITY.setdefault(key, [])
-        prev = None
-        for level in range(_MEASURE_LEVELS):
-            if level == len(levels):
-                levels.append(_density_level(t, which, level))
-            r, w_r, etas, w_eta, sin6, rows = levels[level]
-            n = n_panels * (_PANEL_NODES << level)
-            rr, ee = np.meshgrid(r[:n], etas, indexing="ij")
-            integ = np.asarray(f(rr, ee), dtype=float) * rows[:n] * sin6[None, :]
-            cur = MEASURE_CONSTANT * float(np.einsum("i,j,ij->", w_r[:n], w_eta, integ))
-            if prev is not None and abs(cur - prev) <= _MEASURE_TOL * abs(cur) + 1e-280:
-                return cur
-            prev = cur
+    prev = None
+    for level in range(_MEASURE_LEVELS):
+        r, w_r, etas, w_eta, sin6, rows = _density_level(t, which, level)
+        n = n_panels * (_PANEL_NODES << level)
+        values = np.asarray(f(r[:n, None], etas[None, :]), dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError(f"integrand not finite on the level-{level} nodes at t = {t}")
+        integ = values * rows[:n] * sin6[None, :]
+        cur = MEASURE_CONSTANT * float(np.einsum("i,j,ij->", w_r[:n], w_eta, integ))
+        if prev is not None and abs(cur - prev) <= _MEASURE_TOL * abs(cur) + 1e-280:
+            return cur
+        prev = cur
     raise QuadratureConvergenceError("weighted integral did not converge under refinement")
 
 

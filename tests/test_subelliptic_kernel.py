@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,6 +17,8 @@ from octads.subelliptic_kernel import (
     MIN_TIME,
     QuadratureConvergenceError,
     REP2_CONSTANT,
+    _MEASURE_LEVELS,
+    _density_level,
     _measure_u_max,
     _rep1_grid,
     _rep2_grid,
@@ -302,14 +306,14 @@ class TestMeasureIntegrals:
 
 
 class TestDensityCache:
-    """weighted_integral evaluates each level of the density of the last (t, which) once and
-    reads prefixes of it."""
+    """weighted_integral evaluates each level of the density of a (t, which) once, through
+    _density_level's cache, and reads prefixes of it."""
 
     T = 0.5
 
     @staticmethod
-    def cold(f, t, monkeypatch, **kwargs):
-        monkeypatch.setattr(subelliptic_kernel, "_DENSITY", {})
+    def cold(f, t, **kwargs):
+        _density_level.cache_clear()
         return weighted_integral(f, t, **kwargs)
 
     @staticmethod
@@ -325,17 +329,17 @@ class TestDensityCache:
         monkeypatch.setattr(subelliptic_kernel, "_rep1_grid", grid)
         return calls
 
-    def test_history_independent(self, monkeypatch):
+    def test_history_independent(self):
         f = lambda r, eta: np.cosh(r / 2.0) * np.cos(eta) ** 2
-        want = self.cold(f, self.T, monkeypatch, f_growth=0.5)
+        want = self.cold(f, self.T, f_growth=0.5)
         for before in (dict(t=self.T, f_growth=1.0), dict(t=0.7), dict(t=self.T, which="rep2")):
-            self.cold(lambda r, eta: np.cosh(r), monkeypatch=monkeypatch, **before)
+            self.cold(lambda r, eta: np.cosh(r), **before)
             assert weighted_integral(f, self.T, f_growth=0.5) == want
 
     def test_one_grid_call_per_level(self, monkeypatch):
         t = 1.2  # the mass needs 15 panels, growth 1 needs 17
         calls = self.count_rows(monkeypatch)
-        self.cold(lambda r, eta: np.ones_like(r), t, monkeypatch)
+        self.cold(lambda r, eta: np.ones_like(r), t)
         # one call per level, each over the 17 panels of growth 1, with 20 * 2^L nodes each
         n_u = (MEASURE_N_U, MEASURE_N_U * 3 // 2, MEASURE_N_U * 9 // 4)
         assert len(calls) >= 2
@@ -346,35 +350,67 @@ class TestDensityCache:
             weighted_integral(lambda r, eta: np.cosh(g * r), t, f_growth=g)
         assert calls == cold
 
+    def test_f_gets_a_column_and_a_row(self):
+        shapes = []
+
+        def f(r, eta):
+            shapes.append((r.shape, eta.shape))
+            return np.ones_like(r)
+
+        self.cold(f, 1.2)
+        # once per level: the 15 panels of growth 0 at 20 * 2^L nodes, and 96 * 2^L etas
+        assert len(shapes) >= 2
+        assert shapes == [((15 * (20 << level), 1), (1, 96 << level))
+                          for level in range(len(shapes))]
+
+    @pytest.mark.parametrize("arg", [0, 1])
+    def test_f_cannot_write_the_density(self, arg):
+        f = lambda r, eta: np.cosh(r / 2.0) * np.cos(eta) ** 2
+        want = self.cold(f, self.T, f_growth=0.5)
+
+        def writer(*args):
+            args[arg][...] = 0.0
+            return f(*args)
+
+        with pytest.raises(ValueError, match="read-only"):
+            weighted_integral(writer, self.T, f_growth=0.5)
+        assert weighted_integral(f, self.T, f_growth=0.5) == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_integrand_raises_at_once(self, monkeypatch, bad):
+        calls = self.count_rows(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite on the level-0 nodes at t = 2.34"):
+                self.cold(lambda r, eta: np.full_like(r, bad), 2.34)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("growth", [-0.5, 1.5, math.nan, math.inf])
     def test_growth_outside_domain_raises(self, growth):
         with pytest.raises(ValueError, match="f_growth"):
             weighted_integral(lambda r, eta: np.ones_like(r), self.T, f_growth=growth)
 
-    def test_one_slot(self, monkeypatch):
-        monkeypatch.setattr(subelliptic_kernel, "_DENSITY", {})
-        held = []
-        for t, which in ((0.5, "rep1"), (0.5, "rep2"), (0.7, "rep1")):
+    def test_cache_is_bounded(self):
+        _density_level.cache_clear()
+        total_mass(0.5)
+        first = weakref.ref(_density_level(0.5, "rep1", 0)[-1])  # the rows of level 0
+        assert _density_level.cache_info().currsize <= _MEASURE_LEVELS
+        for t, which in ((0.5, "rep2"), (0.7, "rep1")):
             total_mass(t, which=which)
-            (levels,) = subelliptic_kernel._DENSITY.values()
-            held.append(weakref.ref(levels[0][-1]))  # the rows of level 0
-        assert [ref() is None for ref in held] == [True, True, False]
-        assert [key[:2] for key in subelliptic_kernel._DENSITY] == [(0.7, "rep1")]
+            assert _density_level.cache_info().currsize <= _MEASURE_LEVELS
+        assert first() is None
 
-    def test_changed_constant_is_a_new_density(self, monkeypatch):
-        f = lambda r, eta: np.cosh(r / 2.0)
-        want = self.cold(f, self.T, monkeypatch, f_growth=0.5)
-        monkeypatch.setattr(subelliptic_kernel, "MEASURE_N_U", 128)
-        warm = weighted_integral(f, self.T, f_growth=0.5)
-        assert warm == self.cold(f, self.T, monkeypatch, f_growth=0.5)
-        assert warm != want
-
-    def test_threads_share_the_slot(self, monkeypatch):
+    def test_threads_share_the_cache(self):
         jobs = [(t, g) for t in (0.5, 0.7) for g in (0.0, 0.5, 1.0)] * 2
         f = lambda g: (lambda r, eta: np.cosh(g * r))
-        want = {job: self.cold(f(job[1]), job[0], monkeypatch, f_growth=job[1]) for job in set(jobs)}
-        monkeypatch.setattr(subelliptic_kernel, "_DENSITY", {})
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(weighted_integral, f(g), t, f_growth=g) for t, g in jobs]
-            got = [future.result(timeout=60) for future in futures]
+        want = {job: self.cold(f(job[1]), job[0], f_growth=job[1]) for job in set(jobs)}
+        _density_level.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch often, so that threads miss the same level at once
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(weighted_integral, f(g), t, f_growth=g) for t, g in jobs]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
         assert got == [want[job] for job in jobs]
