@@ -52,12 +52,15 @@ def fiber_mode_multiplicity(m: int) -> int:
 def _series_matrix(t, etas, us, continued):
     """Spectral series evaluated on the grid etas x us.
 
-    Returns (matrix, m_used, tail_bound).  Degree m carries the coefficient
-    1/N_m.  The tail rule bounds the next term by exp(-m(m+6) t) P_m(x_max)
-    P_m(1) / N_m, with P_m read at the largest second argument, one of the u
-    nodes; termination needs two consecutive passes, and a series still
-    running at SERIES_M_CAP raises.  This is the only truncation rule: the
-    nodes and the cutoff are the caller's, and the degree always adapts.
+    Returns (matrix, m_used, tail_bound, terms), where terms[m] holds the
+    u-factor d_m P_m(x) of degree m, d_m = exp(-m(m+6) t) / N_m, at every u
+    node; the matrix sums d_m P_m(cos eta) P_m(x) over the degrees.  The tail
+    rule bounds the next term by d_m P_m(x_max) P_m(1), with P_m read at the
+    largest second argument, one of the u nodes, and compares it with the
+    largest partial sum on the grid; termination needs two consecutive passes,
+    and a series still running at SERIES_M_CAP raises.  This is the only
+    truncation rule: the nodes and the cutoff are the caller's, and the degree
+    always adapts.
     """
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     us = np.atleast_1d(np.asarray(us, dtype=float))
@@ -70,6 +73,7 @@ def _series_matrix(t, etas, us, continued):
     # degree m at the eta nodes, the u nodes and x_max (a u node); the *2 names hold m-1
     pe, pu, pb = np.ones_like(xe), np.ones_like(xu), 1.0
     pe2 = pu2 = None
+    terms = []
     scale = 0.0
     below = 0
     last_bound = math.inf
@@ -88,11 +92,12 @@ def _series_matrix(t, etas, us, continued):
             )
         damp = (1.0 / jacobi_norm_sq(m)) * math.exp(-fiber_eigenvalue(m) * t)
         out += damp * np.outer(pe, pu)
+        terms.append(damp * pu)
         scale = max(scale, float(np.max(np.abs(out))))
         last_bound = damp * abs(pb) * jacobi_end_value(m)
         below = below + 1 if last_bound <= SERIES_TOL * max(scale, 1e-300) else 0
         if m >= 2 and below >= 2:
-            return out, m, last_bound
+            return out, m, last_bound, np.array(terms)
     raise SeriesConvergenceError(
         f"series not converged at degree cap {SERIES_M_CAP} (t={t}, bound={last_bound:.3e})"
     )
@@ -117,7 +122,7 @@ def fiber_heat_kernel(t: float, eta: float, u: float,
             raise ValueError("continued coordinate must be nonnegative")
     elif not 0.0 <= u <= math.pi:
         raise ValueError("u must lie in [0, pi]")
-    mat, m_used, tail = _series_matrix(t, eta, u, continued)
+    mat, m_used, tail, _ = _series_matrix(t, eta, u, continued)
     return FiberKernelValue(value=float(mat[0, 0]), m_used=m_used, tail_bound=tail)
 
 

@@ -9,13 +9,12 @@ recurrences for its Taylor coefficients.  P_k is evaluated in floats: below
 SMALL_S_SWITCH as a power series in w = cosh s - 1, above it per node in
 Taylor mode about x0 = cosh s, P_k = (-1)^k k! [h^k] exp(-(F(x0+h) - F(x0))/4t).
 
-A density grid hands Taylor mode blocks of up to 2^15 nodes.  It runs them in
-slices of _CHUNK nodes, in place in 2k + 4 scratch rows, so that its working
-set stays in one core's L2 cache instead of streaming some 25 block-sized
-temporaries through memory.  Every element goes through the same operations
-in the same order, so no value depends on the slicing.  On 30k nodes of a
-2-vCPU Xeon VM, k = 7 takes about 130 ns per node (280 with whole-block
-temporaries) and k = 4 about 67 (167).
+Taylor mode runs a block of many nodes in slices of _CHUNK nodes, in place in
+2k + 4 scratch rows, so that its working set stays in one core's L2 cache
+instead of streaming some 25 block-sized temporaries through memory.  Every
+element goes through the same operations in the same order, so no value
+depends on the slicing.  On 30k nodes of a 2-vCPU Xeon VM, k = 7 takes about
+130 ns per node (280 with whole-block temporaries) and k = 4 about 67 (167).
 """
 
 from __future__ import annotations

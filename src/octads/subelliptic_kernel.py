@@ -43,9 +43,6 @@ from .hyperbolic_kernel import hyperbolic_heat_kernel_composed
 from .special_fn import gl_nodes, jacobi_sequence
 
 MEASURE_CONSTANT = math.pi ** 7 / 90.0
-# u-nodes of the first level of a measure integral, and its convergence tolerance
-MEASURE_N_U = 192
-_MEASURE_TOL = 1e-6
 
 # The point rule: u-nodes of the first level, doubled up to four times until two successive
 # values agree to POINT_TOL relative, at default_u_max and then once at twice it; the direct
@@ -119,22 +116,10 @@ def default_u_max(t: float, r: float) -> float:
 
 
 def _measure_u_max(t: float) -> float:
-    # One cutoff for every row of a measure integral.  At large r the u-integrand decays on
-    # the scale 2t/r, so the point cutoff's growth with r is unnecessary there and would
-    # overflow the continued fiber polynomials: this is the point cutoff at r = 6t, and
-    # every density reaches past r = 14t.
+    # The u cutoff of a measure integral, the same at every r.  At large r the u-integrand
+    # decays on the scale 2t/r, so the point cutoff's growth with r is unnecessary there and
+    # would overflow the continued fiber polynomials: this is the point cutoff at r = 6t.
     return 6.0 * t + 8.0 * math.sqrt(t) + 5.0
-
-
-# Rows of one (r, u) block hold at most this many nodes; each block is reduced
-# into the output before the next is built, so the full (r, u) matrix of a
-# density grid never exists.
-_BLOCK_NODES = 1 << 15
-
-
-def _row_blocks(n_rows: int, n_u: int):
-    step = max(1, _BLOCK_NODES // n_u)
-    return (slice(i, i + step) for i in range(0, n_rows, step))
 
 
 def _adaptive(what: str, t, r, eta, eval_at) -> KernelResult:
@@ -179,17 +164,13 @@ def _rep1_grid(t, rs, etas, n_u, u_max):
     """Representation-1 values on an (r, eta) grid at a fixed u-cutoff.
 
     Returns (values[n_r, n_eta], m_used).  The fiber series is built once on
-    (eta, u); the hyperbolic factor is evaluated block by block over (r, u).
+    (eta, u), the hyperbolic factor on (r, u).
     """
     rs = np.asarray(rs, dtype=float)
     u, w = gl_nodes(n_u, 0.0, u_max)
-    fiber, m_used, _ = _series_matrix(t, etas, u, continued=True)
-    wsinh = w * np.sinh(u) ** 6
-    out = np.empty((rs.size, fiber.shape[0]))
-    for blk in _row_blocks(rs.size, n_u):
-        q15 = hyperbolic_heat_kernel_composed(15, t, rs[blk, None], u[None, :])
-        out[blk] = (q15 * wsinh) @ fiber.T
-    return out, m_used
+    fiber, m_used, _, _ = _series_matrix(t, etas, u, continued=True)
+    q15 = hyperbolic_heat_kernel_composed(15, t, rs[:, None], u[None, :])
+    return (q15 * (w * np.sinh(u) ** 6)) @ fiber.T, m_used
 
 
 def heat_kernel_rep1(t: float, r: float, eta: float) -> KernelResult:
@@ -211,47 +192,60 @@ def _rep2_mode_coeffs(eta, m_top: int):
     return weights[:, None] * (pe / p1)
 
 
+def _damped_cosh(m: int, t, u):
+    """exp(-(m(m+6) + REP2_RATE_SHIFT) t) cosh((m+3) u), the u-factor of mode m."""
+    rate = fiber_eigenvalue(m) + REP2_RATE_SHIFT
+    b = m + 3
+    return 0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t))
+
+
+def _rep2_modes(t, coeff, n_rows: int, etas):
+    """Representation 2's mode series on n_rows rows at the angles etas.
+
+    coeff(m, live) gives the degree-m coefficients of the rows in live, and
+    w_m h_m(eta) multiplies them.  Each row stops on its own, after two
+    consecutive modes below SERIES_TOL of its running sum: across rows the
+    values span hundreds of orders of magnitude, so a rule for the whole grid
+    would cut the small rows short.  A row still summing at SERIES_M_CAP
+    raises.  Returns (sums[n_rows, n_eta], m_used, coeffs), where coeffs[m]
+    holds every row's degree-m coefficient, 0 once the row has stopped.
+    """
+    etas = np.atleast_1d(np.asarray(etas, dtype=float))
+    cap = fiber_kernel.SERIES_M_CAP
+    profiles = _rep2_mode_coeffs(etas, 64)
+    out = np.zeros((n_rows, etas.size))
+    coeffs = []
+    live = np.arange(n_rows)  # rows still summing
+    below = np.zeros(n_rows, dtype=int)
+    for m in range(cap + 1):
+        if m >= profiles.shape[0]:
+            profiles = _rep2_mode_coeffs(etas, 2 * m + 8)
+        coeffs.append(np.zeros(n_rows))
+        coeffs[m][live] = coeff(m, live)
+        term = coeffs[m][live, None] * profiles[m]
+        out[live] += term
+        small = np.max(np.abs(term), axis=1) <= fiber_kernel.SERIES_TOL * np.maximum(
+            np.max(np.abs(out[live]), axis=1), 1e-300)
+        below = np.where(small, below + 1, 0)
+        if m >= 4:
+            keep = below < 2
+            live, below = live[keep], below[keep]
+            if live.size == 0:
+                return out, m, np.array(coeffs)
+    raise QuadratureConvergenceError(f"mode series not converged by degree {cap}")
+
+
 def _rep2_grid(t, rs, etas, n_u, u_max):
     """Representation-2 values on an (r, eta) grid at a fixed u-cutoff.
 
     Returns (values[n_r, n_eta], m_used).  The nodes and the cutoff are the
-    caller's; the mode degree always adapts.  The mode loop runs once per
-    block of r rows.  Each row stops on its own, after two consecutive modes
-    below SERIES_TOL of its running sum: across r the values span hundreds of
-    orders of magnitude, so a rule for the whole grid would cut the small rows
-    short.  A row still summing at SERIES_M_CAP raises.
+    caller's; the mode degree always adapts, row by row (see _rep2_modes).
     """
     rs = np.asarray(rs, dtype=float)
-    etas = np.asarray(etas, dtype=float)
     u, w = gl_nodes(n_u, 0.0, u_max)
-    cap = fiber_kernel.SERIES_M_CAP
-    profiles = _rep2_mode_coeffs(etas, 64)
-    out = np.zeros((rs.size, etas.size))
-    m_used = 0
-    for blk in _row_blocks(rs.size, n_u):
-        rows = out[blk]
-        wq = w * hyperbolic_heat_kernel_composed(9, t, rs[blk, None], u[None, :])
-        live = np.arange(rows.shape[0])  # rows of the block still summing
-        below = np.zeros(live.size, dtype=int)
-        for m in range(cap + 1):
-            if m >= profiles.shape[0]:
-                profiles = _rep2_mode_coeffs(etas, 2 * m + 8)
-            rate = fiber_eigenvalue(m) + REP2_RATE_SHIFT
-            b = m + 3
-            j_m = wq @ (0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t)))
-            term = j_m[:, None] * profiles[m]
-            rows[live] += term
-            small = np.max(np.abs(term), axis=1) <= fiber_kernel.SERIES_TOL * np.maximum(
-                np.max(np.abs(rows[live]), axis=1), 1e-300)
-            below = np.where(small, below + 1, 0)
-            if m >= 4:
-                keep = below < 2
-                live, below, wq = live[keep], below[keep], wq[keep]
-                if live.size == 0:
-                    break
-        else:
-            raise QuadratureConvergenceError(f"mode series not converged by degree {cap}")
-        m_used = max(m_used, m)
+    wq = w * hyperbolic_heat_kernel_composed(9, t, rs[:, None], u[None, :])
+    out, m_used, _ = _rep2_modes(t, lambda m, live: wq[live] @ _damped_cosh(m, t, u),
+                                 rs.size, etas)
     out *= (REP2_CONSTANT / np.cosh(rs) ** 3)[:, None]
     return out, m_used
 
@@ -275,8 +269,7 @@ def _rep2_direct_2d(t, r, eta, u_max, n_u, n_phi):
         if b * u_max - rate * t + math.log(weight) > 700.0:
             raise QuadratureConvergenceError(
                 f"2d series term of degree {m} exceeds double range at u_max = {u_max:.6g}")
-        damped_cosh = 0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t))
-        g += weight * np.outer(damped_cosh, zpow)
+        g += weight * np.outer(_damped_cosh(m, t, u), zpow)
         scale = max(scale, float(np.max(np.abs(g))))
         bound = weight * 0.5 * (
             math.exp(b * u_max - rate * t) + math.exp(-rate * t)
@@ -407,55 +400,83 @@ def heat_residual(which: str, t: float, r: float, eta: float,
     return abs(time_deriv - spatial), abs(time_deriv), at_t(r, eta)
 
 
-def _radial_measure_times(p, r):
-    """p[i, :] (sinh r_i cosh r_i)^7, with no factor that overflows.
+def _radial_measure_times(p, s, a: int, b: int):
+    """p sinh^a(s) cosh^b(s), with no factor that overflows.
 
-    The power alone exceeds double range beyond r = 51.4, where p is
-    subnormal or zero, and inf * 0 is NaN.  So sinh and cosh enter as
-    mantissa and binary exponent: p is scaled by the exponent first, which is
-    exact, then by the mantissa.  Finite for every r < 710, where sinh is.
+    The powers alone exceed double range at large s, where p is subnormal or
+    zero, and inf * 0 is NaN.  So sinh and cosh enter as mantissa and binary
+    exponent: p is scaled by the exponents first, which is exact, then by the
+    mantissas.  Finite for every s < 710, where sinh is.
     """
-    ms, es = np.frexp(np.sinh(r))
-    mc, ec = np.frexp(np.cosh(r))
-    return np.ldexp(p, 7 * (es + ec)[:, None]) * ((ms * mc) ** 7)[:, None]
+    ms, es = np.frexp(np.sinh(s))
+    mc, ec = np.frexp(np.cosh(s))
+    return np.ldexp(p, a * es + b * ec) * (ms ** a * mc ** b)
 
 
-# The r axis of a measure integral is cut into panels [2k, 2k + 2].  Level L puts
-# _PANEL_NODES * 2^L Gauss-Legendre nodes on each panel, 96 * 2^L on eta in [0, pi] and
-# MEASURE_N_U * 1.5^L on u; an integral stops at the first level that agrees with the one
-# before to _MEASURE_TOL.  A level's rows cover the panels of the largest growth an integrand
-# may have, _MAX_GROWTH, that of the eigenfunction cosh r cos eta.
-_PANEL_WIDTH = 2.0
-_PANEL_NODES = 20
+# Level L of a measure integral puts _LEVEL_NODES * 1.5^L Gauss-Legendre nodes on s, y and
+# eta; an integral stops at the first level that agrees with the one before to _MEASURE_TOL.
+# Every level reaches the radial cutoff of the largest growth an integrand may have,
+# _MAX_GROWTH, that of the eigenfunction cosh r cos eta.
+_LEVEL_NODES = (64, 32, 32)
+_MEASURE_TOL = 1e-6
 _MEASURE_LEVELS = 3
 _MAX_GROWTH = 1.0
 
 
-def _n_panels(t: float, f_growth: float) -> int:
-    """Panels up to the radial cutoff (14 + 2 f_growth) t + 10 sqrt(t) + 2."""
-    return math.ceil(((14.0 + 2.0 * f_growth) * t + 10.0 * math.sqrt(t) + 2.0) / _PANEL_WIDTH)
-
-
 @functools.lru_cache(maxsize=_MEASURE_LEVELS)
 def _density_level(t: float, which: str, level: int):
-    """The rules of one level and p_t (sinh r cosh r)^7 on its (r, eta) nodes, in one grid
-    call over every panel that growth _MAX_GROWTH needs.
+    """The nodes of one level and the weight that p_t and the measure put on them.
 
-    Returns (r, w_r, etas, w_eta, sin^6 eta, rows), all read-only.  The cache keeps the
-    _MEASURE_LEVELS levels used last, of any (t, which), and no module constant is in its key:
-    a caller that changes MEASURE_N_U, SERIES_TOL or SERIES_M_CAP calls cache_clear().
+    The kernel depends on (r, u) only through s, cosh s = cosh r cosh u.  So
+    the level integrates over (s, y), with v = cosh r sinh u = y sinh s:
+    sinh r = sinh s sqrt(1 - y^2), tanh u = y tanh s and
+    dr du = sinh^2 s / (sinh r cosh r) ds dy.  s runs up to the radial cutoff
+    (14 + 2 _MAX_GROWTH) t + 10 sqrt(t) + 2, and y up to min(1, tanh U coth s),
+    which is the u cutoff U = _measure_u_max(t) exactly.  The integral of f is
+    then MEASURE_CONSTANT times that of f(r, eta) sin^6(eta) ds dy deta against,
+    for rep 1,
+      q15(s) sinh^14(s) y^6 (1 - y^2)^3 sum_m d_m P_m(cosh u) P_m(cos eta),
+    with d_m = exp(-m(m+6) t) / N_m, and for rep 2
+      REP2_CONSTANT q9(s) sinh^8(s) (1 - y^2)^3 cosh^3(r)
+      sum_m w_m exp(-(m(m+6) + 33) t) cosh((m+3) u) P_m(cos eta) / P_m(1).
+    The hyperbolic factor is evaluated once per s node.  Each series is summed
+    once per (s, y) node at the pole eta = 0, where it bounds its value at every
+    eta since |P_m(cos eta)| <= P_m(1), and the eta factors enter by one
+    matrix product.
+
+    Returns (r, etas, weight), all read-only: r on the (s, y) nodes as a
+    column, eta as a row, and the weight on their grid, quadrature weights
+    included.  The cache keeps the _MEASURE_LEVELS levels used last, of any
+    (t, which), and no module constant is in its key: a caller that changes
+    SERIES_TOL or SERIES_M_CAP calls cache_clear().
     """
-    n_u = MEASURE_N_U
-    for _ in range(level):
-        n_u += n_u // 2
-    x, w_x = gl_nodes(_PANEL_NODES << level, 0.0, _PANEL_WIDTH)
-    etas, w_eta = gl_nodes(96 << level, 0.0, math.pi)
-    n_panels = _n_panels(t, _MAX_GROWTH)
-    r = (_PANEL_WIDTH * np.arange(n_panels, dtype=float)[:, None] + x).ravel()
-    grid = _rep1_grid if which == "rep1" else _rep2_grid
-    p, _ = grid(t, r, etas, n_u, _measure_u_max(t))
-    arrays = (r, np.tile(w_x, n_panels), etas, w_eta, np.sin(etas) ** 6,
-              _radial_measure_times(p, r))
+    n_s, n_y, n_eta = (n * 3 ** level // 2 ** level for n in _LEVEL_NODES)
+    s, w_s = gl_nodes(n_s, 0.0, (14.0 + 2.0 * _MAX_GROWTH) * t + 10.0 * math.sqrt(t) + 2.0)
+    x, w_x = gl_nodes(n_y, 0.0, 1.0)
+    etas, w_eta = gl_nodes(n_eta, 0.0, math.pi)
+    y_max = np.minimum(1.0, math.tanh(_measure_u_max(t)) / np.tanh(s))
+    y = (y_max[:, None] * x).ravel()
+    s_y = np.repeat(s, n_y)
+    tanh_u = y * np.tanh(s_y)
+    u = np.arctanh(tanh_u)
+    one_minus_y2 = (1.0 - y) * (1.0 + y)
+    r = np.arcsinh(np.sinh(s_y) * np.sqrt(one_minus_y2))
+    if which == "rep1":
+        radial = _radial_measure_times(hyperbolic_heat_kernel_composed(15, t, s, 0.0), s, 14, 0)
+        inner = y ** 6 * one_minus_y2 ** 3
+        _, m_used, _, terms = _series_matrix(t, 0.0, u, continued=True)
+        eta_factors = jacobi_sequence(m_used, np.cos(etas))
+    else:
+        # cosh r = cosh s / cosh u, and 1 / cosh^2 u = 1 - tanh^2 u
+        radial = REP2_CONSTANT * _radial_measure_times(
+            hyperbolic_heat_kernel_composed(9, t, s, 0.0), s, 8, 3)
+        inner = one_minus_y2 ** 3 * ((1.0 - tanh_u) * (1.0 + tanh_u)) ** 1.5
+        _, m_used, terms = _rep2_modes(t, lambda m, live: _damped_cosh(m, t, u[live]), u.size, 0.0)
+        eta_factors = _rep2_mode_coeffs(etas, m_used)
+    weight = terms.T @ eta_factors
+    weight *= (((w_s * y_max * radial)[:, None] * w_x).ravel() * inner)[:, None]
+    weight *= w_eta * np.sin(etas) ** 6
+    arrays = (r[:, None], etas[None, :], weight)
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -467,28 +488,24 @@ def weighted_integral(f, t: float, which: str = "rep1", f_growth: float = 0.0) -
     f is called once per level with r as a column and eta as a row, both read-only, and
     returns a scalar or an array that broadcasts to their grid; a value that is not finite
     raises ValueError.  f must be bounded by C exp(a r) with a <= f_growth, where f_growth
-    lies in [0, 1]; 1 is the growth of the eigenfunction cosh r cos eta.  The radial cutoff
-    (14 + 2 f_growth) t + 10 sqrt(t) + 2 is rounded up to whole panels of width 2.
-    Convergence is checked by refining r, eta and u together, to a relative change of 1e-6;
-    the first level has MEASURE_N_U u-nodes.  Each level is evaluated out to the cutoff of
-    growth 1 and cached by _density_level: every integral reads the prefix of rows its own
-    cutoff needs, so a value does not depend on the integrals before it.
+    lies in [0, 1]; 1 is the growth of the eigenfunction cosh r cos eta, and every level
+    reaches the radial cutoff 16 t + 10 sqrt(t) + 2 that it needs.  Convergence is checked
+    by refining s, y and eta together, to a relative change of 1e-6 (see _density_level).
+    The levels are cached, and a value does not depend on the integrals before it.
     """
     _check_time(t)
     if which not in ("rep1", "rep2"):
         raise ValueError(f"unknown representation {which!r}")
     if not 0.0 <= f_growth <= _MAX_GROWTH:
         raise ValueError(f"f_growth {f_growth} is outside [0, {_MAX_GROWTH:g}]")
-    n_panels = _n_panels(t, f_growth)
     prev = None
     for level in range(_MEASURE_LEVELS):
-        r, w_r, etas, w_eta, sin6, rows = _density_level(t, which, level)
-        n = n_panels * (_PANEL_NODES << level)
-        values = np.asarray(f(r[:n, None], etas[None, :]), dtype=float)
+        r, etas, weight = _density_level(t, which, level)
+        values = np.asarray(f(r, etas), dtype=float)
         if not np.isfinite(values).all():
             raise ValueError(f"integrand not finite on the level-{level} nodes at t = {t}")
-        integ = values * rows[:n] * sin6[None, :]
-        cur = MEASURE_CONSTANT * float(np.einsum("i,j,ij->", w_r[:n], w_eta, integ))
+        cur = MEASURE_CONSTANT * float(
+            np.einsum("ij,ij->", np.broadcast_to(values, weight.shape), weight))
         if prev is not None and abs(cur - prev) <= _MEASURE_TOL * abs(cur) + 1e-280:
             return cur
         prev = cur

@@ -10,13 +10,16 @@ import pytest
 from octads import subelliptic_kernel
 from octads.fiber_kernel import fiber_heat_kernel
 from octads.hyperbolic_kernel import hyperbolic_heat_kernel
+from octads.mc_oracle import MC_TEST_FUNCTIONS
+from octads.special_fn import gl_nodes
 from octads.subelliptic_kernel import (
+    MEASURE_CONSTANT,
     KernelPoint,
     KernelRangeError,
-    MEASURE_N_U,
     MIN_TIME,
     QuadratureConvergenceError,
     REP2_CONSTANT,
+    _LEVEL_NODES,
     _MEASURE_LEVELS,
     _density_level,
     _measure_u_max,
@@ -184,17 +187,16 @@ class TestRepresentations:
 
 
 class TestGridEvaluators:
-    """Points, frozen stencils and density grids all go through _rep1_grid/_rep2_grid."""
+    """Points and frozen stencils go through _rep1_grid/_rep2_grid."""
 
     T = 2.34
     N_U = 192
 
     @pytest.mark.parametrize("grid", [_rep1_grid, _rep2_grid])
-    def test_blocked_rows_match_single_rows(self, grid):
-        # r up to the r_max of the mass integral at T; rows span three node blocks
+    def test_rows_match_single_rows(self, grid):
+        # r up to the radial cutoff of the mass integral at T
         r_max = 14.0 * self.T + 10.0 * math.sqrt(self.T) + 2.0
-        per_block = subelliptic_kernel._BLOCK_NODES // self.N_U
-        rs = np.linspace(0.0, r_max, 2 * per_block + 7)
+        rs = np.linspace(0.0, r_max, 23)
         etas = np.array([0.0, 1.0, PI])
         u_max = _measure_u_max(self.T)
         values, _ = grid(self.T, rs, etas, self.N_U, u_max)
@@ -282,13 +284,13 @@ class TestMeasureIntegrals:
         assert mom / mass == pytest.approx(math.exp(8.0 * t), rel=1e-4, abs=0)
 
     def test_mass_where_the_radial_measure_overflows(self):
-        # r_max = 54.5 here; (sinh r cosh r)^7 alone is inf beyond r = 51.4
+        # s reaches 59.7 here; sinh^14 s alone is inf beyond s = 51.4
         with np.errstate(over="raise", invalid="raise"):
             mass = total_mass(2.6)
         assert abs(32.0 * mass - 1.0) <= 1e-5
 
     def test_moment_where_the_radial_measure_overflows(self):
-        t = 2.34  # r_max = 54.7 for an integrand growing like exp(r)
+        t = 2.34  # s reaches 54.7, past the overflow of sinh^14 s at 51.4
         with np.errstate(over="raise", invalid="raise"):
             mom = weighted_integral(lambda r, eta: np.cosh(r) * np.cos(eta), t, f_growth=1.0)
             mass = total_mass(t)
@@ -306,8 +308,8 @@ class TestMeasureIntegrals:
 
 
 class TestDensityCache:
-    """weighted_integral evaluates each level of the density of a (t, which) once, through
-    _density_level's cache, and reads prefixes of it."""
+    """weighted_integral evaluates each level of a (t, which) once, through _density_level's
+    cache, and every integrand reads the same level."""
 
     T = 0.5
 
@@ -317,16 +319,19 @@ class TestDensityCache:
         return weighted_integral(f, t, **kwargs)
 
     @staticmethod
-    def count_rows(monkeypatch):
-        """(n_u, rows) of every _rep1_grid call from now on."""
+    def count_calls(monkeypatch):
+        """(layer, nodes) of every hyperbolic and fiber series call from now on."""
         calls = []
-        real = subelliptic_kernel._rep1_grid
+        for name, layer in (("hyperbolic_heat_kernel_composed", "hyperbolic"),
+                            ("_series_matrix", "fiber")):
+            real = getattr(subelliptic_kernel, name)
 
-        def grid(*args, **kwargs):
-            calls.append((args[3], len(args[1])))
-            return real(*args, **kwargs)
+            def traced(*args, real=real, layer=layer, **kwargs):
+                out = real(*args, **kwargs)
+                calls.append((layer, np.size(out if layer == "hyperbolic" else out[0])))
+                return out
 
-        monkeypatch.setattr(subelliptic_kernel, "_rep1_grid", grid)
+            monkeypatch.setattr(subelliptic_kernel, name, traced)
         return calls
 
     def test_history_independent(self):
@@ -337,17 +342,20 @@ class TestDensityCache:
             assert weighted_integral(f, self.T, f_growth=0.5) == want
 
     def test_one_grid_call_per_level(self, monkeypatch):
-        t = 1.2  # the mass needs 15 panels, growth 1 needs 17
-        calls = self.count_rows(monkeypatch)
-        self.cold(lambda r, eta: np.ones_like(r), t)
-        # one call per level, each over the 17 panels of growth 1, with 20 * 2^L nodes each
-        n_u = (MEASURE_N_U, MEASURE_N_U * 3 // 2, MEASURE_N_U * 9 // 4)
-        assert len(calls) >= 2
-        assert calls == [(n_u[level], 17 * (20 << level)) for level in range(len(calls))]
-        # every growth up to 1 reads a prefix of those rows
+        calls = self.count_calls(monkeypatch)
+        self.cold(lambda r, eta: np.ones_like(r), 1.2)
+        # per level: the hyperbolic factor on the s nodes, then the fiber series on the
+        # (s, y) nodes at the pole
+        n_s, n_y, _ = _LEVEL_NODES
+        levels = len(calls) // 2
+        assert levels >= 2
+        assert calls == [call for level in range(levels) for call in (
+            ("hyperbolic", n_s * 3 ** level // 2 ** level),
+            ("fiber", n_s * n_y * 9 ** level // 4 ** level))]
+        # every growth up to 1 reads the same levels
         cold = list(calls)
         for g in (0.0, 0.5, 1.0):
-            weighted_integral(lambda r, eta: np.cosh(g * r), t, f_growth=g)
+            weighted_integral(lambda r, eta: np.cosh(g * r), 1.2, f_growth=g)
         assert calls == cold
 
     def test_f_gets_a_column_and_a_row(self):
@@ -358,9 +366,11 @@ class TestDensityCache:
             return np.ones_like(r)
 
         self.cold(f, 1.2)
-        # once per level: the 15 panels of growth 0 at 20 * 2^L nodes, and 96 * 2^L etas
+        # once per level: r on the (s, y) nodes, and the eta nodes
+        n_s, n_y, n_eta = _LEVEL_NODES
         assert len(shapes) >= 2
-        assert shapes == [((15 * (20 << level), 1), (1, 96 << level))
+        assert shapes == [((n_s * n_y * 9 ** level // 4 ** level, 1),
+                           (1, n_eta * 3 ** level // 2 ** level))
                           for level in range(len(shapes))]
 
     @pytest.mark.parametrize("arg", [0, 1])
@@ -378,12 +388,12 @@ class TestDensityCache:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_integrand_raises_at_once(self, monkeypatch, bad):
-        calls = self.count_rows(monkeypatch)
+        calls = self.count_calls(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not finite on the level-0 nodes at t = 2.34"):
                 self.cold(lambda r, eta: np.full_like(r, bad), 2.34)
-        assert len(calls) == 1
+        assert [layer for layer, _ in calls] == ["hyperbolic", "fiber"]
 
     @pytest.mark.parametrize("growth", [-0.5, 1.5, math.nan, math.inf])
     def test_growth_outside_domain_raises(self, growth):
@@ -393,7 +403,7 @@ class TestDensityCache:
     def test_cache_is_bounded(self):
         _density_level.cache_clear()
         total_mass(0.5)
-        first = weakref.ref(_density_level(0.5, "rep1", 0)[-1])  # the rows of level 0
+        first = weakref.ref(_density_level(0.5, "rep1", 0)[-1])  # the weight of level 0
         assert _density_level.cache_info().currsize <= _MEASURE_LEVELS
         for t, which in ((0.5, "rep2"), (0.7, "rep1")):
             total_mass(t, which=which)
@@ -414,3 +424,63 @@ class TestDensityCache:
         finally:
             sys.setswitchinterval(interval)
         assert got == [want[job] for job in jobs]
+
+
+class TestComposedDistanceRule:
+    """The (s, y) rule of the measure integrals against closed forms and recorded values."""
+
+    def test_rep1_mass_closed_form(self):
+        # rep 1's mass has inner integral (16/3003) sinh^14 s, so the mass is
+        # MEASURE_CONSTANT (16/3003) / Omega_14 times the normalization of q15
+        y, w = gl_nodes(_LEVEL_NODES[1], 0.0, 1.0)
+        assert abs(np.sum(w * y ** 6 * (1.0 - y * y) ** 3) - 16.0 / 3003.0) <= 1e-15
+        omega_14 = 2.0 * PI ** 7.5 / math.gamma(7.5)
+        assert MEASURE_CONSTANT * 16.0 / 3003.0 / omega_14 == pytest.approx(1.0 / 32.0,
+                                                                           rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("which", ["rep1", "rep2"])
+    @pytest.mark.parametrize("t", [0.05, 0.25, 0.5, 1.0, 2.0, 2.34])
+    def test_mass_and_eigen_moment_exact(self, t, which):
+        with np.errstate(over="raise", invalid="raise"):
+            mass = total_mass(t, which=which)
+            moment = weighted_integral(lambda r, eta: np.cosh(r) * np.cos(eta), t, which=which,
+                                       f_growth=1.0)
+        assert abs(32.0 * mass - 1.0) <= 1e-12
+        assert abs(moment / mass - math.exp(8.0 * t)) <= 1e-8 * math.exp(8.0 * t)
+
+    # The values of the 2-d (r, eta) density that this rule replaced, to 12 digits: the
+    # integrals of the density_integrals benchmark and criterion 08's analytic means.
+    RECORDED = {
+        (0.25, "mass"): 0.03125, (0.25, "moment"): 0.230908003092,
+        (0.25, "cos_eta"): 0.00780706624551, (0.25, "cosh_half_r"): 0.117777613037,
+        (0.25, "sech_half_r"): 0.00919181683138,
+        (1.2, "mass"): 0.03125, (1.2, "moment"): 461.399423924,
+        (1.2, "cos_eta"): 1.01158329278e-05, (1.2, "cosh_half_r"): 113.092855744,
+        (1.2, "sech_half_r"): 1.55608450417e-05, (1.2, "mass_rep2"): 0.03125,
+        (2.34, "mass"): 0.03125, (2.34, "moment"): 4215438.13664,
+        (2.34, "cos_eta"): 3.46203681998e-09, (2.34, "cosh_half_r"): 439419.219859,
+        (2.34, "sech_half_r"): 7.0816962714e-09,
+        (2.6, "mass"): 0.0312499999988,
+    }
+    RECORDED_MEANS = {
+        (0.5, "cos_eta"): 0.0434703514267, (0.5, "cosh_half_r"): 22.6365356238,
+        (0.5, "sech_half_r"): 0.0560442052608,
+        (1.0, "cos_eta"): 0.00131269521128, (1.0, "cosh_half_r"): 848.903611099,
+        (1.0, "sech_half_r"): 0.00192078668953,
+    }
+
+    @pytest.mark.parametrize("t, name", sorted(RECORDED))
+    def test_recorded_integrals(self, t, name):
+        integrands = {"mass": (lambda r, eta: np.ones_like(r), 0.0),
+                      "moment": (lambda r, eta: np.cosh(r) * np.cos(eta), 1.0),
+                      **{n: (f, g) for n, f, g in MC_TEST_FUNCTIONS}}
+        f, growth = integrands[name.removesuffix("_rep2")]
+        which = "rep2" if name.endswith("_rep2") else "rep1"
+        value = weighted_integral(f, t, which=which, f_growth=growth)
+        assert value == pytest.approx(self.RECORDED[t, name], rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("t, name", sorted(RECORDED_MEANS))
+    def test_recorded_means(self, t, name):
+        f, growth = {n: (f, g) for n, f, g in MC_TEST_FUNCTIONS}[name]
+        mean = weighted_integral(f, t, f_growth=growth) / total_mass(t)
+        assert mean == pytest.approx(self.RECORDED_MEANS[t, name], rel=1e-8, abs=0.0)
