@@ -8,13 +8,6 @@ F(x) = arccosh(x)^2.  F obeys (x^2 - 1) F'' + x F' = 2, which gives two-term
 recurrences for its Taylor coefficients.  P_k is evaluated in floats: below
 SMALL_S_SWITCH as a power series in w = cosh s - 1, above it per node in
 Taylor mode about x0 = cosh s, P_k = (-1)^k k! [h^k] exp(-(F(x0+h) - F(x0))/4t).
-
-Taylor mode runs a block of many nodes in slices of _CHUNK nodes, in place in
-2k + 4 scratch rows, so that its working set stays in one core's L2 cache
-instead of streaming some 25 block-sized temporaries through memory.  Every
-element goes through the same operations in the same order, so no value
-depends on the slicing.  On 30k nodes of a 2-vCPU Xeon VM, k = 7 takes about
-130 ns per node (280 with whole-block temporaries) and k = 4 about 67 (167).
 """
 
 from __future__ import annotations
@@ -30,9 +23,6 @@ SMALL_S_SWITCH = 1.25
 _SERIES_LENGTH = 64
 _SINH_POWER_MAX = 100.0
 _FAR = 1e4
-# Taylor mode works on this many nodes at a time, in 2k + 4 scratch rows of 64 KiB
-# (1.1 MiB at k = 7, inside one core's L2), instead of whole-block temporaries.
-_CHUNK = 8192
 
 MAX_DIMENSION = 15
 # At dimension 15 the factor P_k grows like (1/4t)^7 and overflows below
@@ -64,57 +54,25 @@ def _taylor_mode_factor(k: int, t: float, s: np.ndarray) -> np.ndarray:
 
     The scaled coefficients c_n of F stay O(s) for every s:
     c_{n+2} = (2 [n = 0] - coth(s) (n+1)(2n+1) c_{n+1} - n^2 c_n) / ((n+2)(n+1)).
-    The nodes are taken _CHUNK at a time, in place in one scratch block, with
-    the operations in a fixed order, so a value does not depend on the slicing.
     """
-    out = np.empty(s.shape)
-    s_flat, out_flat = s.reshape(-1), out.reshape(-1)
-    # rows: x = min(s, _FAR), coth, tmp, c_1..c_k (then j g_j), e_0 = 1, e_1..e_k
-    scratch = np.empty((2 * k + 4, min(_CHUNK, s_flat.size)))
-    scratch[k + 3] = 1.0
-    for lo in range(0, s_flat.size, _CHUNK):
-        hi = min(lo + _CHUNK, s_flat.size)
-        x, coth, tmp, *rows = scratch[:, :hi - lo]
-        c, e = [None] + rows[:k], rows[k:]
-        # past _FAR every P_k with k >= 1 is below the smallest double, and at
-        # s = inf the recurrence below would meet inf - inf
-        np.minimum(s_flat[lo:hi], _FAR, out=x)
-        np.tanh(x, out=coth)
-        np.divide(1.0, coth, out=coth)
-        if k:
-            np.multiply(x, 2.0, out=c[1])
-        for n in range(k - 1):
-            np.multiply(coth, n + 1, out=tmp)
-            tmp *= 2 * n + 1
-            tmp *= c[n + 1]
-            np.subtract(2.0 if n == 0 else 0.0, tmp, out=c[n + 2])
-            if n:  # at n = 0 the term is 0 c_0 = 0, with c_0 = s^2 finite
-                np.multiply(c[n], n * n, out=tmp)
-                c[n + 2] -= tmp
-            c[n + 2] /= (n + 2) * (n + 1)
-        # e = exp(g) with g = -(F - F_0)/4t, from m e_m = sum_j j g_j e_{m-j};
-        # c_j becomes j g_j, and c_j/(-4t) rounds as (-c_j)/(4t) does
-        for j in range(1, k + 1):
-            c[j] /= -(4.0 * t)
-            c[j] *= j
-        for m in range(1, k + 1):
-            e[m].fill(0.0)  # the sum starts at +0.0, so a zero keeps its sign
-            for j in range(1, m + 1):
-                np.multiply(c[j], e[m - j], out=tmp)
-                e[m] += tmp
-            e[m] /= m
-        # sinh(s)**7 overflows beyond s = 102.9; past the cap, sinh s = sinh(cap) e^(s - cap)
-        # to double precision, and exp(-k (s - cap)) cannot overflow; coth's row takes the cap
-        np.minimum(x, _SINH_POWER_MAX, out=coth)
-        np.subtract(x, coth, out=x)
-        np.sinh(coth, out=coth)
-        coth **= k
-        np.multiply(e[k], (-1) ** k * math.factorial(k), out=tmp)
-        tmp /= coth
-        x *= -k
-        np.exp(x, out=x)
-        np.multiply(tmp, x, out=out_flat[lo:hi])
-    return out
+    # past _FAR every P_k with k >= 1 is below the smallest double, and at
+    # s = inf the recurrence below would meet inf - inf
+    s = np.minimum(s, _FAR)
+    coth = 1.0 / np.tanh(s)
+    c = [s * s, 2.0 * s]
+    for n in range(k - 1):
+        c.append(((2.0 if n == 0 else 0.0) - coth * (n + 1) * (2 * n + 1) * c[n + 1]
+                  - n * n * c[n]) / ((n + 2) * (n + 1)))
+    # e = exp(g) with g = -(F - F_0)/4t, from m e_m = sum_j j g_j e_{m-j}
+    jg = [None] + [c[j] / -(4.0 * t) * j for j in range(1, k + 1)]
+    e = [np.ones_like(s)]
+    for m in range(1, k + 1):
+        e.append(sum((jg[j] * e[m - j] for j in range(1, m + 1)), 0.0) / m)
+    # sinh(s)**7 overflows beyond s = 102.9; past the cap, sinh s = sinh(cap) e^(s - cap)
+    # to double precision, and exp(-k (s - cap)) cannot overflow
+    capped = np.minimum(s, _SINH_POWER_MAX)
+    return ((-1) ** k * math.factorial(k) * e[k] / np.sinh(capped) ** k
+            * np.exp(-k * (s - capped)))
 
 
 def _lowering_factor(k: int, t: float, s: np.ndarray) -> np.ndarray:
@@ -132,11 +90,12 @@ def _lowering_factor(k: int, t: float, s: np.ndarray) -> np.ndarray:
 
 
 def _check_dimension(n: int) -> int:
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"dimension must be a positive odd integer, got {n}")
+    # bool is an int subclass, and a float dimension would reach np.zeros as a length
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1 or n % 2 == 0:
+        raise ValueError(f"dimension must be a positive odd integer, got {n!r}")
     if n > MAX_DIMENSION:
         raise ValueError(f"dimensions above {MAX_DIMENSION} are not supported")
-    return (n - 1) // 2
+    return (int(n) - 1) // 2
 
 
 def hyperbolic_heat_kernel(n: int, t: float, s) -> float | np.ndarray:
@@ -163,6 +122,8 @@ def composed_distance(r, u) -> np.ndarray | float:
     """Distance s with cosh(s) = cosh(r) cosh(u), computed without cancellation."""
     r_arr = np.asarray(r, dtype=float)
     u_arr = np.asarray(u, dtype=float)
+    if not (np.all(r_arr >= 0) and np.all(u_arr >= 0)):
+        raise ValueError("distances must be nonnegative and not NaN")
     s = np.arcsinh(np.hypot(np.sinh(r_arr) * np.cosh(u_arr), np.sinh(u_arr)))
     s = np.where(u_arr == 0.0, r_arr, s)
     return s if (np.ndim(r) or np.ndim(u)) else float(s)
@@ -170,9 +131,5 @@ def composed_distance(r, u) -> np.ndarray | float:
 
 def hyperbolic_heat_kernel_composed(n: int, t: float, r, u) -> float | np.ndarray:
     """Kernel evaluated at the composed argument cosh(r) cosh(u)."""
-    r_arr = np.asarray(r, dtype=float)
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(r_arr < 0) or np.any(u_arr < 0):
-        raise ValueError("distances must be nonnegative")
     return hyperbolic_heat_kernel(n, t, composed_distance(r, u))
 

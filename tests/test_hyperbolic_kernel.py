@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from octads import hyperbolic_kernel
 from octads.hyperbolic_kernel import (
     SMALL_S_SWITCH,
     TIME_FLOOR,
     composed_distance,
     hyperbolic_heat_kernel,
     hyperbolic_heat_kernel_composed,
-    _CHUNK,
     _FAR,
     _SINH_POWER_MAX,
     _lowering_factor,
@@ -123,38 +121,26 @@ def _same_bits(a, b) -> bool:
 
 
 class TestSlicing:
-    """Taylor mode runs _CHUNK nodes at a time; no value may depend on the slicing."""
+    """No value may depend on the block a node is evaluated in."""
 
-    @staticmethod
-    def nodes():
-        # from the switch through the sinh cap and _FAR to inf: three full slices and 17 nodes
-        s = np.geomspace(SMALL_S_SWITCH, 2.0 * _FAR, 3 * _CHUNK + 13)
-        s = np.concatenate([s, [_SINH_POWER_MAX, _SINH_POWER_MAX + 1e-9, _FAR, math.inf]])
-        return np.random.default_rng(19).permutation(s)
-
-    @pytest.mark.parametrize("k", range(1, 8))
-    def test_taylor_mode_slices_match_single_nodes(self, k, monkeypatch):
-        s = self.nodes()
-        # every node next to a slice bound, and every 37th node, one at a time
-        near = [b + d for b in range(0, s.size + 1, _CHUNK) for d in (-2, -1, 0, 1)]
-        picks = sorted({i for i in near if 0 <= i < s.size} | set(range(0, s.size, 37))
-                       | {s.size - 1})
+    @pytest.mark.parametrize("k", range(8))
+    def test_block_matches_single_nodes(self, k):
+        # from below the switch through the sinh cap and _FAR to inf
+        s = np.geomspace(0.5, 2.0 * _FAR, 997)
+        s = np.concatenate([s, [SMALL_S_SWITCH, _SINH_POWER_MAX, _SINH_POWER_MAX + 1e-9, _FAR,
+                                math.inf]])
+        s = np.random.default_rng(19).permutation(s)
         with np.errstate(over="raise", invalid="raise"):
             for t in (0.05, 2.34):
-                sliced = _taylor_mode_factor(k, t, s)
-                single = np.array([_taylor_mode_factor(k, t, s[i:i + 1])[0] for i in picks])
-                assert _same_bits(sliced[picks], single), (k, t)
-                with monkeypatch.context() as m:
-                    m.setattr(hyperbolic_kernel, "_CHUNK", s.size)
-                    assert _same_bits(sliced, _taylor_mode_factor(k, t, s)), (k, t)
+                block = _taylor_mode_factor(k, t, s)
+                single = np.array([_taylor_mode_factor(k, t, s[i:i + 1])[0] for i in range(s.size)])
+                assert _same_bits(block, single), (k, t)
 
     @pytest.mark.parametrize("n", [9, 15])
     def test_composed_block_matches_its_rows(self, n):
-        # a density block: each row has nodes on both sides of the switch, and the
-        # block's Taylor-mode nodes run over several slices
-        n_u = 192
-        rs = np.linspace(0.0, 45.0, 3 * _CHUNK // n_u + 5)
-        u = np.linspace(0.0, 25.0, n_u)
+        # a density block: each row has nodes on both sides of the switch
+        rs = np.linspace(0.0, 45.0, 64)
+        u = np.linspace(0.0, 25.0, 192)
         with np.errstate(over="raise", invalid="raise"):
             block = hyperbolic_heat_kernel_composed(n, 1.2, rs[:, None], u[None, :])
             rows = np.array([hyperbolic_heat_kernel_composed(n, 1.2, r, u) for r in rs])
@@ -220,6 +206,15 @@ class TestKernelValues:
         with pytest.raises(ValueError):
             hyperbolic_heat_kernel(15, 1.0, -0.5)
 
+    def test_dimension_must_be_an_integer(self):
+        # 15.0 reached np.zeros as a series length, and True ran as dimension 1
+        for n in (15.0, True, np.float64(9.0)):
+            with pytest.raises(ValueError, match="odd integer"):
+                hyperbolic_heat_kernel(n, 1.0, 0.5)
+        s = np.array([0.0, 0.5, 2.0, 150.0])
+        assert _same_bits(hyperbolic_heat_kernel(np.int64(15), 1.0, s),
+                          hyperbolic_heat_kernel(15, 1.0, s))
+
     def test_time_floor(self):
         # below the floor, dimension 15 gave NaN from t = 1e-43 down, dimension 9 from 1e-70
         for n in (9, 15):
@@ -236,6 +231,15 @@ class TestComposedArgument:
     def test_u_zero_is_exact(self):
         for r in (0.0, 0.3, 2.0):
             assert composed_distance(r, 0.0) == r
+
+    def test_negative_distance_refused(self):
+        # at u = 0 the distance is r itself, and a negative r passed through
+        for r, u in [(-1.0, 0.0), (-1.0, 0.5), (0.5, -1.0), (math.nan, 0.0),
+                     (np.array([0.0, -1.0]), 0.0)]:
+            with pytest.raises(ValueError, match="nonnegative"):
+                composed_distance(r, u)
+            with pytest.raises(ValueError, match="nonnegative"):
+                hyperbolic_heat_kernel_composed(15, 1.0, r, u)
 
     def test_distance_value(self):
         # cosh(s) = cosh(1)^2
