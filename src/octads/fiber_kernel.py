@@ -3,7 +3,9 @@
 The kernel is the spectral series over Jacobi (5/2, 5/2) eigenfunctions with
 eigenvalues m(m+6).  Setting the second argument to cosh(u) instead of cos(u)
 continues the series to the hyperbolic range, which is how the fiber enters
-the first integral representation of the full kernel.
+the first integral representation of the full kernel.  Its mode loop,
+_series_matrix, also sums the second representation's modes: both are sums of
+a degree-m coefficient times the profile P_m(cos eta) / P_m(1).
 """
 
 from __future__ import annotations
@@ -13,15 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_fn import jacobi_end_value, jacobi_next, jacobi_norm_sq
+from .special_fn import jacobi_next, jacobi_norm_sq
 
 
 class SeriesConvergenceError(RuntimeError):
     """Spectral series failed to meet its tail bound within the degree cap."""
 
 
-# Truncation of every spectral series: it stops after two consecutive terms below SERIES_TOL
-# of the running sum and fails past degree SERIES_M_CAP.  Read at call time.
+# Truncation of every fiber series: a row stops after two consecutive terms below SERIES_TOL
+# of its sum and fails past degree SERIES_M_CAP (see _series_matrix).  Read at call time.
 SERIES_TOL = 1e-12
 SERIES_M_CAP = 256
 
@@ -49,58 +51,67 @@ def fiber_mode_multiplicity(m: int) -> int:
     return num // 3
 
 
-def _series_matrix(t, etas, us, continued):
-    """Spectral series evaluated on the grid etas x us.
+def _series_matrix(coeff, n_rows: int, etas):
+    """The one mode loop: sum_m c_m h_m(eta) on n_rows rows at the angles etas.
 
-    Returns (matrix, m_used, tail_bound, terms), where terms[m] holds the
-    u-factor d_m P_m(x) of degree m, d_m = exp(-m(m+6) t) / N_m, at every u
-    node; the matrix sums d_m P_m(cos eta) P_m(x) over the degrees.  The tail
-    rule bounds the next term by d_m P_m(x_max) P_m(1), with P_m read at the
-    largest second argument, one of the u nodes, and compares it with the
-    largest partial sum on the grid; termination needs two consecutive passes,
-    and a series still running at SERIES_M_CAP raises.  This is the only
-    truncation rule: the nodes and the cutoff are the caller's, and the degree
-    always adapts.
+    h_m = P_m(cos eta) / P_m(1) is the normalized mode profile, stepped here by
+    the Jacobi recurrence, P_m(1) included; coeff(m, live) returns the degree-m
+    coefficients c_m of the rows in live, for m = 0, 1, ... in turn.  Each row
+    stops on its own, at degree 4 at the earliest, after two consecutive
+    degrees whose bound |c_m| (at the pole, since |h_m| <= 1) is below
+    SERIES_TOL of its largest sum over eta: across rows the values span
+    hundreds of orders of magnitude, so a rule for the whole grid would cut the
+    small rows short.  A coefficient that is not finite, and a row still
+    summing at SERIES_M_CAP, raise.
+    Returns (sums[n_rows, n_eta], m_used, coeffs), where coeffs[m] holds every
+    row's c_m, 0 once the row has stopped.
     """
-    etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    us = np.atleast_1d(np.asarray(us, dtype=float))
-    xe = np.cos(etas)
-    xu = np.cosh(us) if continued else np.cos(us)
-    i_max = int(np.argmax(xu))
-    x_max = float(xu[i_max])
-
-    out = np.zeros((etas.size, us.size))
-    # degree m at the eta nodes, the u nodes and x_max (a u node); the *2 names hold m-1
-    pe, pu, pb = np.ones_like(xe), np.ones_like(xu), 1.0
-    pe2 = pu2 = None
-    terms = []
-    scale = 0.0
-    below = 0
-    last_bound = math.inf
-
+    x = np.cos(np.append(etas, 0.0))  # the last profile argument is the pole, cos 0 = 1
+    out = np.empty((n_rows, x.size - 1))
+    coeffs = []
+    # the rows still summing, their sums and whether their last term was small; live selects
+    # the rows for coeff, a slice until the first row stops
+    rows, live = np.arange(n_rows), slice(None)
+    sums = np.zeros(out.shape)
+    was_small = np.zeros(n_rows, dtype=bool)
+    p = p2 = None
     for m in range(SERIES_M_CAP + 1):
-        if m >= 1:
-            # an overflow here is caught by the isfinite check below, under any errstate
-            with np.errstate(over="ignore", invalid="ignore"):
-                pe, pe2 = jacobi_next(m, xe, pe, pe2), pe
-                pu, pu2 = jacobi_next(m, xu, pu, pu2), pu
-            pb = float(pu[i_max])
-        if not np.isfinite(pb):
+        p, p2 = (np.ones_like(x) if m == 0 else jacobi_next(m, x, p, p2)), p
+        # an overflow in c_m is reported by the isfinite check below, under any errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = coeff(m, live)
+        bound = abs(c)
+        if not np.isfinite(bound.max()):
             raise SeriesConvergenceError(
-                f"degree-{m} polynomial overflowed at argument {x_max:.3e}; "
-                "the requested (t, u_max) combination is outside the supported range"
-            )
-        damp = (1.0 / jacobi_norm_sq(m)) * math.exp(-fiber_eigenvalue(m) * t)
-        out += damp * np.outer(pe, pu)
-        terms.append(damp * pu)
-        scale = max(scale, float(np.max(np.abs(out))))
-        last_bound = damp * abs(pb) * jacobi_end_value(m)
-        below = below + 1 if last_bound <= SERIES_TOL * max(scale, 1e-300) else 0
-        if m >= 2 and below >= 2:
-            return out, m, last_bound, np.array(terms)
-    raise SeriesConvergenceError(
-        f"series not converged at degree cap {SERIES_M_CAP} (t={t}, bound={last_bound:.3e})"
-    )
+                f"degree-{m} polynomial overflowed in the series coefficients; "
+                "the requested t and u are outside the supported range")
+        coeffs.append(np.zeros(n_rows))
+        coeffs[m][live] = c
+        sums += c[:, None] * (p[:-1] / p[-1])
+        small = bound <= SERIES_TOL * abs(sums).max(axis=1, initial=1e-300)
+        done = small & was_small
+        was_small = small
+        if m >= 4 and done.any():
+            out[rows[done]] = sums[done]
+            keep = ~done
+            rows, sums, was_small = rows[keep], sums[keep], small[keep]
+            live = rows
+            if rows.size == 0:
+                return out, m, np.array(coeffs)
+    raise SeriesConvergenceError(f"series not converged at degree cap {SERIES_M_CAP}")
+
+
+def _fiber_coeff(t, x):
+    """coeff(m, live) of the fiber series at the second arguments x (cos u, or cosh u when
+    continued): exp(-m(m+6) t) P_m(1) P_m(x) / N_m, P_m stepped once per call."""
+    x = np.append(x, 1.0)
+    p = p2 = None
+
+    def coeff(m, live):
+        nonlocal p, p2
+        p, p2 = (np.ones_like(x) if m == 0 else jacobi_next(m, x, p, p2)), p
+        return ((1.0 / jacobi_norm_sq(m)) * math.exp(-fiber_eigenvalue(m) * t) * p[-1]) * p[:-1][live]
+    return coeff
 
 
 def fiber_heat_kernel(t: float, eta: float, u: float,
@@ -122,8 +133,10 @@ def fiber_heat_kernel(t: float, eta: float, u: float,
             raise ValueError("continued coordinate must be nonnegative")
     elif not 0.0 <= u <= math.pi:
         raise ValueError("u must lie in [0, pi]")
-    mat, m_used, tail, _ = _series_matrix(t, eta, u, continued)
-    return FiberKernelValue(value=float(mat[0, 0]), m_used=m_used, tail_bound=tail)
+    x = np.cosh(u) if continued else np.cos(u)
+    out, m_used, coeffs = _series_matrix(_fiber_coeff(t, [x]), 1, eta)
+    return FiberKernelValue(value=float(out[0, 0]), m_used=m_used,
+                            tail_bound=abs(float(coeffs[m_used, 0])))
 
 
 def fiber_mode_profile(m: int, eta: float) -> float:

@@ -119,12 +119,20 @@ def hyperbolic_heat_kernel(n: int, t: float, s) -> float | np.ndarray:
 
 
 def composed_distance(r, u) -> np.ndarray | float:
-    """Distance s with cosh(s) = cosh(r) cosh(u), computed without cancellation."""
+    """Distance s with cosh(s) = cosh(r) cosh(u), computed without cancellation.
+
+    Where sinh(r) cosh(u) overflows, s > 709 and s = log(2 cosh(r) cosh(u)) to
+    double precision, which is r + u - log 2 + log1p(exp(-2 min(r, u))).  At
+    (0, inf) the product is NaN, and hypot gives the right s = inf.
+    """
     r_arr = np.asarray(r, dtype=float)
     u_arr = np.asarray(u, dtype=float)
     if not (np.all(r_arr >= 0) and np.all(u_arr >= 0)):
         raise ValueError("distances must be nonnegative and not NaN")
-    s = np.arcsinh(np.hypot(np.sinh(r_arr) * np.cosh(u_arr), np.sinh(u_arr)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.arcsinh(np.hypot(np.sinh(r_arr) * np.cosh(u_arr), np.sinh(u_arr)))
+    far = r_arr + u_arr - math.log(2.0) + np.log1p(np.exp(-2.0 * np.minimum(r_arr, u_arr)))
+    s = np.where(np.isinf(s), far, s)
     s = np.where(u_arr == 0.0, r_arr, s)
     return s if (np.ndim(r) or np.ndim(u)) else float(s)
 

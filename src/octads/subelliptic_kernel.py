@@ -37,6 +37,7 @@ from . import fiber_kernel
 from .fiber_kernel import (
     fiber_eigenvalue,
     fiber_mode_multiplicity,
+    _fiber_coeff,
     _series_matrix,
 )
 from .hyperbolic_kernel import hyperbolic_heat_kernel_composed
@@ -168,9 +169,9 @@ def _rep1_grid(t, rs, etas, n_u, u_max):
     """
     rs = np.asarray(rs, dtype=float)
     u, w = gl_nodes(n_u, 0.0, u_max)
-    fiber, m_used, _, _ = _series_matrix(t, etas, u, continued=True)
+    fiber, m_used, _ = _series_matrix(_fiber_coeff(t, np.cosh(u)), u.size, etas)
     q15 = hyperbolic_heat_kernel_composed(15, t, rs[:, None], u[None, :])
-    return (q15 * (w * np.sinh(u) ** 6)) @ fiber.T, m_used
+    return (q15 * (w * np.sinh(u) ** 6)) @ fiber, m_used
 
 
 def heat_kernel_rep1(t: float, r: float, eta: float) -> KernelResult:
@@ -183,15 +184,6 @@ def heat_kernel_rep1(t: float, r: float, eta: float) -> KernelResult:
 # representation 2
 
 
-def _rep2_mode_coeffs(eta, m_top: int):
-    """Mode coefficients w_m * h_m(eta) for degrees 0..m_top: the eigenspace dimension
-    times the profile P_m(cos eta) / P_m(1)."""
-    pe = jacobi_sequence(m_top, np.cos(np.atleast_1d(eta)))
-    p1 = jacobi_sequence(m_top, np.array([1.0]))
-    weights = np.array([fiber_mode_multiplicity(m) for m in range(m_top + 1)], dtype=float)
-    return weights[:, None] * (pe / p1)
-
-
 def _damped_cosh(m: int, t, u):
     """exp(-(m(m+6) + REP2_RATE_SHIFT) t) cosh((m+3) u), the u-factor of mode m."""
     rate = fiber_eigenvalue(m) + REP2_RATE_SHIFT
@@ -199,53 +191,18 @@ def _damped_cosh(m: int, t, u):
     return 0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t))
 
 
-def _rep2_modes(t, coeff, n_rows: int, etas):
-    """Representation 2's mode series on n_rows rows at the angles etas.
-
-    coeff(m, live) gives the degree-m coefficients of the rows in live, and
-    w_m h_m(eta) multiplies them.  Each row stops on its own, after two
-    consecutive modes below SERIES_TOL of its running sum: across rows the
-    values span hundreds of orders of magnitude, so a rule for the whole grid
-    would cut the small rows short.  A row still summing at SERIES_M_CAP
-    raises.  Returns (sums[n_rows, n_eta], m_used, coeffs), where coeffs[m]
-    holds every row's degree-m coefficient, 0 once the row has stopped.
-    """
-    etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    cap = fiber_kernel.SERIES_M_CAP
-    profiles = _rep2_mode_coeffs(etas, 64)
-    out = np.zeros((n_rows, etas.size))
-    coeffs = []
-    live = np.arange(n_rows)  # rows still summing
-    below = np.zeros(n_rows, dtype=int)
-    for m in range(cap + 1):
-        if m >= profiles.shape[0]:
-            profiles = _rep2_mode_coeffs(etas, 2 * m + 8)
-        coeffs.append(np.zeros(n_rows))
-        coeffs[m][live] = coeff(m, live)
-        term = coeffs[m][live, None] * profiles[m]
-        out[live] += term
-        small = np.max(np.abs(term), axis=1) <= fiber_kernel.SERIES_TOL * np.maximum(
-            np.max(np.abs(out[live]), axis=1), 1e-300)
-        below = np.where(small, below + 1, 0)
-        if m >= 4:
-            keep = below < 2
-            live, below = live[keep], below[keep]
-            if live.size == 0:
-                return out, m, np.array(coeffs)
-    raise QuadratureConvergenceError(f"mode series not converged by degree {cap}")
-
-
 def _rep2_grid(t, rs, etas, n_u, u_max):
     """Representation-2 values on an (r, eta) grid at a fixed u-cutoff.
 
     Returns (values[n_r, n_eta], m_used).  The nodes and the cutoff are the
-    caller's; the mode degree always adapts, row by row (see _rep2_modes).
+    caller's; the mode degree always adapts, row by row (see _series_matrix).
     """
     rs = np.asarray(rs, dtype=float)
     u, w = gl_nodes(n_u, 0.0, u_max)
     wq = w * hyperbolic_heat_kernel_composed(9, t, rs[:, None], u[None, :])
-    out, m_used, _ = _rep2_modes(t, lambda m, live: wq[live] @ _damped_cosh(m, t, u),
-                                 rs.size, etas)
+    out, m_used, _ = _series_matrix(
+        lambda m, live: fiber_mode_multiplicity(m) * (wq[live] @ _damped_cosh(m, t, u)),
+        rs.size, etas)
     out *= (REP2_CONSTANT / np.cosh(rs) ** 3)[:, None]
     return out, m_used
 
@@ -464,16 +421,17 @@ def _density_level(t: float, which: str, level: int):
     if which == "rep1":
         radial = _radial_measure_times(hyperbolic_heat_kernel_composed(15, t, s, 0.0), s, 14, 0)
         inner = y ** 6 * one_minus_y2 ** 3
-        _, m_used, _, terms = _series_matrix(t, 0.0, u, continued=True)
-        eta_factors = jacobi_sequence(m_used, np.cos(etas))
+        coeff = _fiber_coeff(t, np.cosh(u))
     else:
         # cosh r = cosh s / cosh u, and 1 / cosh^2 u = 1 - tanh^2 u
         radial = REP2_CONSTANT * _radial_measure_times(
             hyperbolic_heat_kernel_composed(9, t, s, 0.0), s, 8, 3)
         inner = one_minus_y2 ** 3 * ((1.0 - tanh_u) * (1.0 + tanh_u)) ** 1.5
-        _, m_used, terms = _rep2_modes(t, lambda m, live: _damped_cosh(m, t, u[live]), u.size, 0.0)
-        eta_factors = _rep2_mode_coeffs(etas, m_used)
-    weight = terms.T @ eta_factors
+        def coeff(m, live):
+            return fiber_mode_multiplicity(m) * _damped_cosh(m, t, u[live])
+    _, m_used, coeffs = _series_matrix(coeff, u.size, 0.0)
+    profiles = jacobi_sequence(m_used, np.append(np.cos(etas), 1.0))
+    weight = coeffs.T @ (profiles[:, :-1] / profiles[:, -1:])
     weight *= (((w_s * y_max * radial)[:, None] * w_x).ravel() * inner)[:, None]
     weight *= w_eta * np.sin(etas) ** 6
     arrays = (r[:, None], etas[None, :], weight)

@@ -325,14 +325,20 @@ class TestRefusedInput:
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_polynomial_overflow_prints_one_error_line(self):
+    @pytest.mark.parametrize("point", [
         # numpy's "overflow encountered in multiply" warning came first, in a fresh process
+        pytest.param(["--rep", "1", "--t", "0.1", "--r", "3", "--eta", "1"], id="rep1"),
+        # "overflow encountered in exp" and "invalid value encountered in matmul" came first,
+        # then "mode series not converged by degree 256"
+        pytest.param(["--rep", "2", "--t", "0.1", "--r", "1", "--eta", "3.141592653589793"],
+                     id="rep2"),
+    ])
+    def test_polynomial_overflow_prints_one_error_line(self, point):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                           env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "octads", "eval", "--rep", "1", "--t", "0.1", "--r", "3",
-             "--eta", "1"], env=env, capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-m", "octads", "eval"] + point,
+                              env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert re.fullmatch(r"error: degree-\d+ polynomial overflowed [^\n]*\n", proc.stderr)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -86,6 +87,42 @@ class TestFiberHeatKernel:
         with np.errstate(over="raise", invalid="raise"):
             with pytest.raises(SeriesConvergenceError, match="overflowed"):
                 fiber_heat_kernel(0.1, 1.0, u, continued=True)
+
+    @pytest.mark.parametrize("continued", [False, True], ids=["angle", "continued"])
+    def test_against_mpmath_oracle(self, continued):
+        # the series summed in 50 digits; a float sum can do no better than rounding
+        # against the sum of |term_m|, which at (0.1, pi, u = 2) continued is 4e9 times the value
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        for t, eta, u in itertools.product((0.1, 0.5, 2.0), (0.0, 0.8, 2.0, math.pi),
+                                           (0.0, 0.5, 2.0)):
+            x = mp.cosh(u) if continued else mp.cos(u)
+            total = scale = mp.mpf(0)
+            for m in range(200):
+                norm = (mp.mpf(64) / (2 * m + 6) * mp.gamma(m + mp.mpf(3.5)) ** 2
+                        / (mp.gamma(m + 6) * mp.factorial(m)))
+                term = (mp.exp(-m * (m + 6) * mp.mpf(t)) / norm
+                        * mp.jacobi(m, 2.5, 2.5, mp.cos(eta)) * mp.jacobi(m, 2.5, 2.5, x))
+                total += term
+                scale += abs(term)
+                if m > 10 and abs(term) < mp.mpf(10) ** -40 * scale:
+                    break
+            value = fiber_heat_kernel(t, eta, u, continued=continued).value
+            assert abs(value - total) <= 1e-14 * scale, (t, eta, u)
+
+    def test_rows_stop_on_their_own(self):
+        # the continued series at u = 8 runs to a higher degree than at u = 0; each row of
+        # one call must give the bits of its own call
+        x = np.cosh([0.0, 8.0])
+        etas = [0.0, 1.0, math.pi]
+        both, m_both, coeffs = fiber_kernel._series_matrix(
+            fiber_kernel._fiber_coeff(0.5, x), 2, etas)
+        for row, xi in zip(both, x):
+            alone, m_alone, _ = fiber_kernel._series_matrix(
+                fiber_kernel._fiber_coeff(0.5, [xi]), 1, etas)
+            np.testing.assert_array_equal(row, alone[0])
+            assert m_alone <= m_both
+        assert coeffs[-1, 0] == 0.0 and coeffs[-1, 1] != 0.0
 
     def test_diagnostics(self):
         v = fiber_heat_kernel(0.5, 0.3, 1.0)

@@ -241,6 +241,17 @@ class TestComposedArgument:
             with pytest.raises(ValueError, match="nonnegative"):
                 hyperbolic_heat_kernel_composed(15, 1.0, r, u)
 
+    def test_far_and_infinite_arguments(self):
+        # sinh(0) cosh(inf) was 0 * inf ("invalid value"), and sinh(800) overflowed to an
+        # infinite distance where cosh s = cosh(800) cosh(1) gives s = 800 + log cosh 1
+        with np.errstate(over="raise", invalid="raise"):
+            assert composed_distance(0.0, math.inf) == math.inf
+            for r, u in [(800.0, 1.0), (1.0, 800.0)]:
+                s = composed_distance(r, u)
+                assert s == pytest.approx(800.0 + math.log(math.cosh(1.0)), rel=1e-15, abs=0)
+                assert hyperbolic_heat_kernel_composed(15, 1.0, r, u) == 0.0
+            assert hyperbolic_heat_kernel_composed(15, 1.0, 0.0, math.inf) == 0.0
+
     def test_distance_value(self):
         # cosh(s) = cosh(1)^2
         expected = math.acosh(math.cosh(1.0) ** 2)

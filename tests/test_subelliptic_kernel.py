@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from octads import subelliptic_kernel
-from octads.fiber_kernel import fiber_heat_kernel
+from octads.fiber_kernel import SeriesConvergenceError, fiber_heat_kernel
 from octads.hyperbolic_kernel import hyperbolic_heat_kernel
 from octads.mc_oracle import MC_TEST_FUNCTIONS
 from octads.special_fn import gl_nodes
@@ -164,6 +164,15 @@ class TestRepresentations:
         with pytest.raises(QuadratureConvergenceError, match=match):
             heat_kernel_rep2(*point, path="direct_2d")
 
+    @pytest.mark.parametrize("rep", [heat_kernel_rep1, heat_kernel_rep2])
+    def test_overflow_is_a_series_error_under_raise(self, rep):
+        # rep 2's cosh((m+3) u) overflowed in exp and then in its matmul: a bare
+        # FloatingPointError, and without raise a QuadratureConvergenceError at the degree cap
+        point = (0.1, 3.0, 1.0) if rep is heat_kernel_rep1 else (0.1, 1.0, PI)
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(SeriesConvergenceError, match="polynomial overflowed "):
+                rep(*point)
+
     def test_mode_series_against_independent_quadrature(self):
         quad = pytest.importorskip("scipy.integrate").quad
         from octads.fiber_kernel import (fiber_eigenvalue, fiber_mode_multiplicity,
@@ -207,17 +216,22 @@ class TestGridEvaluators:
             alone, _ = grid(self.T, [r], etas, self.N_U, u_max)
             np.testing.assert_allclose(row, alone[0], rtol=1e-13, atol=floor)
 
-    def test_rep2_rows_stop_on_their_own(self):
+    @pytest.mark.parametrize("grid", [_rep1_grid, _rep2_grid])
+    def test_rows_stop_on_their_own(self, grid):
         # the measure weight sinh^7 cosh^7 is ~e^280 at r = 20, where the kernel
         # is ~1e-230 times its r = 0 value; a stopping rule that measured the
-        # r = 20 terms against the whole grid would end that row at degree 4
-        # instead of 10 (1.4e-4 off)
+        # r = 20 terms of rep 2 against the whole grid would end that row at degree 4
+        # instead of 10 (1.4e-4 off).  The u-sums are BLAS products, whose summation order
+        # depends on the row count, so a row may differ from its own call by an ulp or two;
+        # test_fiber_kernel checks the loop's rows bit for bit.
         t = 0.25
+        rs = [0.0, 20.0]
         u_max = _measure_u_max(t)
-        both, _ = _rep2_grid(t, [0.0, 20.0], [0.5], self.N_U, u_max)
-        alone, _ = _rep2_grid(t, [20.0], [0.5], self.N_U, u_max)
-        assert alone[0, 0] > 0
-        assert both[1, 0] == pytest.approx(alone[0, 0], rel=1e-13, abs=0.0)
+        both, _ = grid(t, rs, [0.5], self.N_U, u_max)
+        for r, row in zip(rs, both):
+            alone, _ = grid(t, [r], [0.5], self.N_U, u_max)
+            assert alone[0, 0] > 0
+            assert row[0] == pytest.approx(alone[0, 0], rel=1e-15, abs=0.0)
 
 
 class TestHeatResidual:
