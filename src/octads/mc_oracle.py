@@ -33,11 +33,21 @@ The scheme stays weak order one and is well behaved at the coordinate
 singularities; the reflections that end each step are a safety net for noise
 overshoots.
 
+The noise of a step is a pair of random signs per path, xi = +-1 with equal
+odds, in place of a pair of standard normals: the simplified weak scheme of
+Kloeden and Platen (Numerical Solution of SDEs, sec. 14.1).  The signs match
+the first three moments of a normal (0, 1, 0), which is all a weak order one
+scheme asks of its increments, and only expectations are read from the paths.
+A sign is one random bit, where a normal is a ziggurat draw.
+
 The paths run in chunks of 8192.  Each chunk owns one counter-based (Philox)
-random stream keyed by (seed, chunk index), and each step draws a full
-(2, 8192) block of normals from it, of which path start + j reads column j.
-The block is always full width, so a path's noise depends only on (seed,
-path index) and not on how many paths run; the one reused block is 128 KiB.
+random stream keyed by (seed, chunk index), and each step takes 256 raw 64-bit
+words from it, 128 per noise row: column j of row i is bit j % 64 of word
+128 i + j // 64, unpacked in little-endian byte and bit order on every
+platform, and path start + j reads column j.  The words are always drawn at
+full width, so a path's noise depends only on (seed, path index) and not on
+how many paths run, but a chunk of c paths unpacks only the first ceil(c / 8)
+bytes of each row, into one reused (2, c) buffer of at most 128 KiB.
 When there is more than one chunk and more than one usable CPU, the chunks
 run in a pool of min(chunks, usable CPUs) processes started by "spawn", and
 the results are joined in path-index order; the output is bitwise identical
@@ -51,7 +61,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Philox, SeedSequence
 
 _CHUNK = 8192
 _R_SHIFT = 20.0  # above this r the drift flow of r is the shift r + 14 tau
@@ -128,16 +138,27 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _signs(bits: Philox, out: np.ndarray):
+    """One step of sign noise into out, (2, c): 256 words of the stream, whatever c is, and
+    out[i, j] = +1 where bit j % 64 of word 128 i + j // 64 is set, -1 where not."""
+    c = out.shape[1]
+    rows = bits.random_raw(2 * _CHUNK // 64).astype("<u8", copy=False).view(np.uint8)
+    ones = np.unpackbits(rows.reshape(2, _CHUNK // 8)[:, :(c + 7) // 8], axis=1, count=c,
+                         bitorder="little")
+    np.multiply(ones, 2.0, out=out)
+    np.subtract(out, 1.0, out=out)
+
+
 def _simulate_chunk(cfg: SdeConfig, start: int, stop: int, steps_wanted: list[int]):
     """Paths start..stop-1 run to the last wanted step; their (r, eta) at each wanted step."""
-    gen = Generator(Philox(SeedSequence(entropy=(cfg.seed, start // _CHUNK))))
-    noise = np.empty((2, _CHUNK))  # one step of the whole chunk's noise, drawn at full width
+    bits = Philox(SeedSequence(entropy=(cfg.seed, start // _CHUNK)))
     c = stop - start
+    noise = np.empty((2, c))  # one step of the chunk's noise, refilled in place
+    xi_r, xi_eta = noise
     r, eta = _drift_flow(np.full(c, _EPS), np.full(c, _EPS), 0.5 * cfg.dt)  # opening half drift
     out = []
     for step in range(1, steps_wanted[-1] + 1):
-        gen.standard_normal(out=noise)
-        xi_r, xi_eta = noise[0, :c], noise[1, :c]
+        _signs(bits, noise)
         if step == steps_wanted[len(out)]:  # the closing half drift, on a copy of the chain
             out.append(_drift(*_kick(r, eta, xi_r, xi_eta, cfg.dt), 0.5 * cfg.dt))
         r, eta = strang_step(r, eta, xi_r, xi_eta, cfg.dt)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Philox, SeedSequence
 
 from octads import mc_oracle
 from octads.mc_oracle import (
@@ -20,6 +20,13 @@ from octads.mc_oracle import (
 from octads.subelliptic_kernel import total_mass, weighted_integral
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _replayed_signs(bits):
+    """The next step of a chunk's sign noise, (2, _CHUNK), replayed from its Philox stream."""
+    words = bits.random_raw(2 * mc_oracle._CHUNK // 64)
+    ones = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
+    return 2.0 * ones.reshape(2, mc_oracle._CHUNK) - 1.0
 
 
 class TestConfig:
@@ -146,9 +153,9 @@ class TestSimulation:
         assert np.array_equal(big.r[:40], small.r)
         assert np.array_equal(big.eta[:40], small.eta)
 
-    def test_one_stream_per_chunk(self, monkeypatch):
-        # path k reads column k % _CHUNK of its chunk's stream, keyed by (seed, k // _CHUNK)
-        chunk, seed = mc_oracle._CHUNK, 5
+    @staticmethod
+    def _recorded_noise(monkeypatch, cfg):
+        """The (xi_r, xi_eta) of every strang_step call of a serial run, in call order."""
         step, calls = mc_oracle.strang_step, []
 
         def recording_step(r, eta, xi_r, xi_eta, dt):
@@ -157,26 +164,49 @@ class TestSimulation:
 
         monkeypatch.setattr(mc_oracle, "strang_step", recording_step)
         monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: 1)
+        simulate_paths(cfg)
+        return calls
+
+    def test_one_stream_per_chunk(self, monkeypatch):
+        # path k reads column k % _CHUNK of its chunk's stream, keyed by (seed, k // _CHUNK)
+        chunk, seed = mc_oracle._CHUNK, 5
         # one step, so each chunk makes one call
-        simulate_paths(SdeConfig(n_paths=chunk + 3, dt=5e-4, seed=seed, t_end=5e-4))
+        calls = self._recorded_noise(monkeypatch, SdeConfig(n_paths=chunk + 3, dt=5e-4,
+                                                            seed=seed, t_end=5e-4))
         assert [len(xi_r) for xi_r, _ in calls] == [chunk, 3]
         for index, (xi_r, xi_eta) in enumerate(calls):
-            gen = Generator(Philox(SeedSequence(entropy=(seed, index))))
-            block = gen.standard_normal((2, chunk))
+            block = _replayed_signs(Philox(SeedSequence(entropy=(seed, index))))
             assert np.array_equal(xi_r, block[0, :len(xi_r)])
             assert np.array_equal(xi_eta, block[1, :len(xi_eta)])
+
+    def test_noise_is_signs_in_stream_order(self, monkeypatch):
+        # each step takes 256 words of the chunk's stream, whatever its width, and column j
+        # of row i is +1 where bit j % 64 of word 128 i + j // 64 is set, and -1 where not
+        chunk, seed, steps = mc_oracle._CHUNK, 3, 2
+        calls = self._recorded_noise(monkeypatch, SdeConfig(n_paths=chunk + 70, dt=5e-4,
+                                                            seed=seed, t_end=steps * 5e-4))
+        assert [len(xi_r) for xi_r, _ in calls] == [chunk] * steps + [70] * steps
+        for k, noise in enumerate(calls):
+            index, step = divmod(k, steps)
+            words = Philox(SeedSequence(entropy=(seed, index))).random_raw(256 * steps)
+            words = words[256 * step:256 * (step + 1)]
+            for i, xi in enumerate(noise):
+                assert np.all(np.abs(xi) == 1.0)
+                j = np.arange(len(xi))
+                bit = (words[128 * i + j // 64] >> (j % 64).astype(np.uint64)) & np.uint64(1)
+                assert np.array_equal(xi, np.where(bit == 1, 1.0, -1.0)), (index, step, i)
 
     def test_fused_chain_is_the_strang_chain(self):
         # the unfused chain of half drifts D(dt/2) N D(dt/2), fed the same noise; where it
         # reflects eta between two half drifts the fused chain need not follow it
         n, dt, steps, seed, eps = 2000, 2e-4, 500, 12, mc_oracle._EPS
         got = simulate_paths(SdeConfig(n_paths=n, dt=dt, seed=seed, t_end=steps * dt))[-1]
-        gen = Generator(Philox(SeedSequence(entropy=(seed, 0))))
+        bits = Philox(SeedSequence(entropy=(seed, 0)))
         root = math.sqrt(2.0 * dt)
         r, eta = np.full(n, eps), np.full(n, eps)
         reflected = np.zeros(n, dtype=bool)
         for _ in range(steps):
-            xi_r, xi_eta = gen.standard_normal((2, mc_oracle._CHUNK))[:, :n]
+            xi_r, xi_eta = _replayed_signs(bits)[:, :n]
             r, eta = mc_oracle._drift_flow(r, eta, dt / 2.0)
             r, eta = np.abs(r + root * xi_r), np.abs(eta + root * np.tanh(r) * xi_eta)
             r, eta = mc_oracle._drift_flow(r, eta, dt / 2.0)
@@ -304,12 +334,12 @@ class TestExpectations:
 
 
 class TestBiasControl:
-    def test_halving_dt_with_common_noise(self):
-        # couple fine and coarse chains through the same Brownian increments;
-        # the mean shift then isolates the discretization bias
-        n, dt, steps = 4000, 4e-4, 750
-        rng = np.random.default_rng(123)
-        noise = rng.standard_normal((steps, 2, n))
+    # couple fine and coarse chains through the same increments; the mean shift then
+    # isolates the discretization bias
+    n, dt, steps = 4000, 4e-4, 750
+
+    def _assert_halving_dt_within_stderr(self, noise):
+        n = self.n
 
         def chain(noise, h):
             # as simulate_paths runs it: the opening half drift, fused steps, and the closing
@@ -319,10 +349,21 @@ class TestBiasControl:
                 r, eta = strang_step(r, eta, xi_r, xi_eta, h)
             return mc_oracle._drift(*mc_oracle._kick(r, eta, *noise[-1], h), h / 2.0)
 
-        rf, ef = chain(noise, dt / 2.0)
-        rc, ec = chain((noise[0::2] + noise[1::2]) / math.sqrt(2.0), dt)
+        rf, ef = chain(noise, self.dt / 2.0)
+        rc, ec = chain((noise[0::2] + noise[1::2]) / math.sqrt(2.0), self.dt)
         for name, f, _ in MC_TEST_FUNCTIONS:
             fine = np.asarray(f(rf, ef), dtype=float)
             coarse = np.asarray(f(rc, ec), dtype=float)
             stderr = float(np.std(fine, ddof=1)) / math.sqrt(n)
             assert abs(float(np.mean(fine - coarse))) <= stderr, name
+
+    def test_halving_dt_with_common_noise(self):
+        rng = np.random.default_rng(123)
+        self._assert_halving_dt_within_stderr(rng.standard_normal((self.steps, 2, self.n)))
+
+    def test_halving_dt_with_common_sign_noise(self):
+        # the fine chain reads +-1 signs, as simulate_paths does, and the coarse chain their
+        # pair sums over sqrt 2, which take the values -sqrt 2, 0 and sqrt 2
+        rng = np.random.default_rng(123)
+        signs = 2.0 * rng.integers(0, 2, (self.steps, 2, self.n)) - 1.0
+        self._assert_halving_dt_within_stderr(signs)
