@@ -6,10 +6,10 @@ For each workload of BENCHMARK.json and each seed 0..runs-1, both checkouts run
 perfbench/run.py (--trace 0), taking turns at going first, and the file keeps
 every run's end-to-end metrics with their medians.  One traced run per
 workload and checkout adds every per-layer metric of BENCHMARK.json.  Each
-command of CLI runs in a cold process CLI_RUNS times per checkout, the
-checkouts taking turns, and the file keeps the median; it also keeps each
-checkout's src/octads line count, and criterion 08's z-values from one
-acceptance.mc_oracle() call per checkout.
+command of CLI runs in a cold process `runs` times per checkout, the
+checkouts taking turns, and the file keeps every time with their median; it
+also keeps each checkout's src/octads line count, and criterion 08's z-values
+from one acceptance.mc_oracle() call per checkout.
 Then each checkout runs the tier-1 suite once, with pytest's --durations, for
 its wall time and the wall time of each acceptance criterion.  Run it on a
 machine that is otherwise idle; every figure is wall time.
@@ -36,7 +36,6 @@ SUMMARY = re.compile(r"^=* ?(\d+ (?:passed|failed).*?) in [\d.]+s")
 # The octads commands timed in a cold process, each with its default grid unless given.
 CLI = {"eval": ["eval"], "compare-reps": ["compare-reps"], "mass": ["mass"],
        "mc-check": ["mc-check", "--t", "0.05,0.1", "--n-paths", "16385", "--dt", "0.0005"]}
-CLI_RUNS = 3
 MC_Z = ("import json; from octads import acceptance; "
         "print(json.dumps({row['function']: row['z'] for row in acceptance.mc_oracle()}))")
 
@@ -121,7 +120,7 @@ def main(argv=None) -> int:
     record["cli_s"] = {}
     for name, cli_args in CLI.items():
         times = {side: [] for side in sides}
-        for run in range(CLI_RUNS):
+        for run in range(args.runs):
             for side in (list(sides) if run % 2 == 0 else list(reversed(sides))):
                 times[side].append(round(cli_s(sides[side], cli_args), 3))
         record["cli_s"][name] = {side: {"median": statistics.median(runs), "runs": runs}

@@ -4,8 +4,8 @@ The kernel is the spectral series over Jacobi (5/2, 5/2) eigenfunctions with
 eigenvalues m(m+6).  Setting the second argument to cosh(u) instead of cos(u)
 continues the series to the hyperbolic range, which is how the fiber enters
 the first integral representation of the full kernel.  Its mode loop,
-_series_matrix, also sums the second representation's modes: both are sums of
-a degree-m coefficient times the profile P_m(cos eta) / P_m(1).
+_series_matrix, sums the modes of both representations: term m is a mode factor
+c_m f_m(u), read per u node or integrated over u, times P_m(cos eta) / P_m(1).
 """
 
 from __future__ import annotations
@@ -51,43 +51,45 @@ def fiber_mode_multiplicity(m: int) -> int:
     return num // 3
 
 
-def _series_matrix(coeff, n_rows: int, etas):
-    """The one mode loop: sum_m c_m h_m(eta) on n_rows rows at the angles etas.
+def _series_matrix(factor, n_rows: int, etas, wq=None):
+    """The one mode loop: sum_m a_m h_m(eta) on n_rows rows at the angles etas.
 
     h_m = P_m(cos eta) / P_m(1) is the normalized mode profile, stepped here by
-    the Jacobi recurrence, P_m(1) included; coeff(m, live) returns the degree-m
-    coefficients c_m of the rows in live, for m = 0, 1, ... in turn.  Each row
-    stops on its own, at degree 4 at the earliest, after two consecutive
-    degrees whose bound |c_m| (at the pole, since |h_m| <= 1) is below
-    SERIES_TOL of its largest sum over eta: across rows the values span
-    hundreds of orders of magnitude, so a rule for the whole grid would cut the
-    small rows short.  A coefficient that is not finite, and a row still
-    summing at SERIES_M_CAP, raise.
+    the Jacobi recurrence, P_m(1) included.  factor(m) returns the mode factor
+    (c_m, f_m), a scalar and an array on the u nodes, for m = 0, 1, ... in turn.
+    Row i's coefficient a_m is c_m f_m[i], one row per u node, or, given the
+    weights wq[n_rows, n_u], the u-integral c_m (wq[i] @ f_m).  Each row stops
+    on its own, at degree 4 at the earliest, after two consecutive degrees
+    whose bound |a_m| (at the pole, since |h_m| <= 1) is below SERIES_TOL of
+    its largest sum over eta: across rows the values span hundreds of orders of
+    magnitude, so a rule for the whole grid would cut the small rows short.  A
+    non-finite coefficient, and a row still summing at SERIES_M_CAP, raise.
     Returns (sums[n_rows, n_eta], m_used, coeffs), where coeffs[m] holds every
-    row's c_m, 0 once the row has stopped.
+    row's a_m, 0 once the row has stopped.
     """
     x = np.cos(np.append(etas, 0.0))  # the last profile argument is the pole, cos 0 = 1
     out = np.empty((n_rows, x.size - 1))
     coeffs = []
     # the rows still summing, their sums and whether their last term was small; live selects
-    # the rows for coeff, a slice until the first row stops
+    # the rows whose coefficients are formed, a slice until the first row stops
     rows, live = np.arange(n_rows), slice(None)
     sums = np.zeros(out.shape)
     was_small = np.zeros(n_rows, dtype=bool)
     p = p2 = None
     for m in range(SERIES_M_CAP + 1):
         p, p2 = (np.ones_like(x) if m == 0 else jacobi_next(m, x, p, p2)), p
-        # an overflow in c_m is reported by the isfinite check below, under any errstate
+        # an overflow in a_m is reported by the isfinite check below, under any errstate
         with np.errstate(over="ignore", invalid="ignore"):
-            c = coeff(m, live)
-        bound = abs(c)
+            c_m, f_m = factor(m)
+            a = c_m * (f_m[live] if wq is None else wq[live] @ f_m)
+        bound = abs(a)
         if not np.isfinite(bound.max()):
             raise SeriesConvergenceError(
                 f"degree-{m} polynomial overflowed in the series coefficients; "
                 "the requested t and u are outside the supported range")
         coeffs.append(np.zeros(n_rows))
-        coeffs[m][live] = c
-        sums += c[:, None] * (p[:-1] / p[-1])
+        coeffs[m][live] = a
+        sums += a[:, None] * (p[:-1] / p[-1])
         small = bound <= SERIES_TOL * abs(sums).max(axis=1, initial=1e-300)
         done = small & was_small
         was_small = small
@@ -102,16 +104,16 @@ def _series_matrix(coeff, n_rows: int, etas):
 
 
 def _fiber_coeff(t, x):
-    """coeff(m, live) of the fiber series at the second arguments x (cos u, or cosh u when
-    continued): exp(-m(m+6) t) P_m(1) P_m(x) / N_m, P_m stepped once per call."""
+    """factor(m) of the fiber series at the second arguments x (cos u, or cosh u when
+    continued): (exp(-m(m+6) t) P_m(1) / N_m, P_m(x)), P_m stepped once per call."""
     x = np.append(x, 1.0)
     p = p2 = None
 
-    def coeff(m, live):
+    def factor(m):
         nonlocal p, p2
         p, p2 = (np.ones_like(x) if m == 0 else jacobi_next(m, x, p, p2)), p
-        return ((1.0 / jacobi_norm_sq(m)) * math.exp(-fiber_eigenvalue(m) * t) * p[-1]) * p[:-1][live]
-    return coeff
+        return (1.0 / jacobi_norm_sq(m)) * math.exp(-fiber_eigenvalue(m) * t) * p[-1], p[:-1]
+    return factor
 
 
 def fiber_heat_kernel(t: float, eta: float, u: float,

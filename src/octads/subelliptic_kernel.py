@@ -158,30 +158,7 @@ def _at_point(grid, t, r, eta):
 
 
 # ---------------------------------------------------------------------------
-# representation 1
-
-
-def _rep1_grid(t, rs, etas, n_u, u_max):
-    """Representation-1 values on an (r, eta) grid at a fixed u-cutoff.
-
-    Returns (values[n_r, n_eta], m_used).  The fiber series is built once on
-    (eta, u), the hyperbolic factor on (r, u).
-    """
-    rs = np.asarray(rs, dtype=float)
-    u, w = gl_nodes(n_u, 0.0, u_max)
-    fiber, m_used, _ = _series_matrix(_fiber_coeff(t, np.cosh(u)), u.size, etas)
-    q15 = hyperbolic_heat_kernel_composed(15, t, rs[:, None], u[None, :])
-    return (q15 * (w * np.sinh(u) ** 6)) @ fiber, m_used
-
-
-def heat_kernel_rep1(t: float, r: float, eta: float) -> KernelResult:
-    """First integral representation; the reference evaluation path."""
-    KernelPoint(t, r, eta)
-    return _adaptive("representation 1", t, r, eta, _at_point(_rep1_grid, t, r, eta))
-
-
-# ---------------------------------------------------------------------------
-# representation 2
+# the grid evaluator of both representations
 
 
 def _damped_cosh(m: int, t, u):
@@ -191,20 +168,40 @@ def _damped_cosh(m: int, t, u):
     return 0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t))
 
 
-def _rep2_grid(t, rs, etas, n_u, u_max):
-    """Representation-2 values on an (r, eta) grid at a fixed u-cutoff.
+def _rep2_coeff(t, u):
+    """factor(m) of representation 2 at the u nodes: (w_m, _damped_cosh(m, t, u))."""
+    return lambda m: (fiber_mode_multiplicity(m), _damped_cosh(m, t, u))
 
-    Returns (values[n_r, n_eta], m_used).  The nodes and the cutoff are the
-    caller's; the mode degree always adapts, row by row (see _series_matrix).
+
+def _grid(which, t, rs, etas, n_u, u_max):
+    """Values of representation `which` on an (r, eta) grid at a fixed u-cutoff.
+
+    Both sum c_m P_m(cos eta)/P_m(1) times the u-integral of w(r, u) f_m(u) over
+    modes m: rep 1 with (c_m, f_m) = _fiber_coeff at cosh u and w = sinh^6(u) q15,
+    rep 2 with _rep2_coeff and w = q9, times REP2_CONSTANT / cosh^3(r).  The
+    degree adapts row by row (see _series_matrix).  Returns (values[n_r, n_eta], m_used).
     """
     rs = np.asarray(rs, dtype=float)
     u, w = gl_nodes(n_u, 0.0, u_max)
-    wq = w * hyperbolic_heat_kernel_composed(9, t, rs[:, None], u[None, :])
-    out, m_used, _ = _series_matrix(
-        lambda m, live: fiber_mode_multiplicity(m) * (wq[live] @ _damped_cosh(m, t, u)),
-        rs.size, etas)
-    out *= (REP2_CONSTANT / np.cosh(rs) ** 3)[:, None]
-    return out, m_used
+    if which == "rep1":
+        wq = hyperbolic_heat_kernel_composed(15, t, rs[:, None], u[None, :]) * (w * np.sinh(u) ** 6)
+        factor, scale = _fiber_coeff(t, np.cosh(u)), 1.0
+    else:
+        wq = w * hyperbolic_heat_kernel_composed(9, t, rs[:, None], u[None, :])
+        factor, scale = _rep2_coeff(t, u), REP2_CONSTANT / np.cosh(rs)[:, None] ** 3
+    out, m_used, _ = _series_matrix(factor, rs.size, etas, wq)
+    return out * scale, m_used
+
+
+# the names that points, frozen stencils and the benchmark's tracer call
+_rep1_grid = functools.partial(_grid, "rep1")
+_rep2_grid = functools.partial(_grid, "rep2")
+
+
+def heat_kernel_rep1(t: float, r: float, eta: float) -> KernelResult:
+    """First integral representation; the reference evaluation path."""
+    KernelPoint(t, r, eta)
+    return _adaptive("representation 1", t, r, eta, _at_point(_rep1_grid, t, r, eta))
 
 
 def _rep2_direct_2d(t, r, eta, u_max, n_u, n_phi):
@@ -421,15 +418,14 @@ def _density_level(t: float, which: str, level: int):
     if which == "rep1":
         radial = _radial_measure_times(hyperbolic_heat_kernel_composed(15, t, s, 0.0), s, 14, 0)
         inner = y ** 6 * one_minus_y2 ** 3
-        coeff = _fiber_coeff(t, np.cosh(u))
+        factor = _fiber_coeff(t, np.cosh(u))
     else:
         # cosh r = cosh s / cosh u, and 1 / cosh^2 u = 1 - tanh^2 u
         radial = REP2_CONSTANT * _radial_measure_times(
             hyperbolic_heat_kernel_composed(9, t, s, 0.0), s, 8, 3)
         inner = one_minus_y2 ** 3 * ((1.0 - tanh_u) * (1.0 + tanh_u)) ** 1.5
-        def coeff(m, live):
-            return fiber_mode_multiplicity(m) * _damped_cosh(m, t, u[live])
-    _, m_used, coeffs = _series_matrix(coeff, u.size, 0.0)
+        factor = _rep2_coeff(t, u)
+    _, m_used, coeffs = _series_matrix(factor, u.size, 0.0)
     profiles = jacobi_sequence(m_used, np.append(np.cos(etas), 1.0))
     weight = coeffs.T @ (profiles[:, :-1] / profiles[:, -1:])
     weight *= (((w_s * y_max * radial)[:, None] * w_x).ravel() * inner)[:, None]

@@ -327,7 +327,8 @@ class TestRefusedInput:
 
     @pytest.mark.parametrize("point", [
         # numpy's "overflow encountered in multiply" warning came first, in a fresh process
-        pytest.param(["--rep", "1", "--t", "0.1", "--r", "3", "--eta", "1"], id="rep1"),
+        pytest.param(["--rep", "1", "--t", "0.1", "--r", "1", "--eta", "3.141592653589793"],
+                     id="rep1"),
         # "overflow encountered in exp" and "invalid value encountered in matmul" came first,
         # then "mode series not converged by degree 256"
         pytest.param(["--rep", "2", "--t", "0.1", "--r", "1", "--eta", "3.141592653589793"],

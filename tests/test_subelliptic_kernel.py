@@ -68,7 +68,9 @@ class TestRepresentations:
     # kernel values here are 1e-15 to 1e-50, so every approx sets abs=0.0:
     # pytest's default abs=1e-12 would accept any value
     def test_cross_agreement_spot(self):
-        for (t, r, eta) in [(1.0, 0.0, 0.0), (0.5, 0.5, 3.0), (2.0, 1.0, PI / 2.0)]:
+        # rep 1 raised at (0.1, 3, 0.8) while it stopped its series per u node
+        for (t, r, eta) in [(1.0, 0.0, 0.0), (0.5, 0.5, 3.0), (2.0, 1.0, PI / 2.0),
+                            (0.1, 3.0, 0.8)]:
             k1 = heat_kernel_rep1(t, r, eta)
             k2 = heat_kernel_rep2(t, r, eta)
             assert k1.value == pytest.approx(k2.value, rel=1e-6, abs=0.0)
@@ -148,7 +150,15 @@ class TestRepresentations:
             assert info.value.result.value == 0.0
 
     def test_nonconvergence_raises(self, monkeypatch):
-        monkeypatch.setattr(subelliptic_kernel, "POINT_TOL", 1e-300)
+        # a grid whose error shrinks only like 1/n_u: each doubling changes the value by
+        # 1/(2 n_u) relative, at least 1e-3 here, far above POINT_TOL
+        real = subelliptic_kernel._rep1_grid
+
+        def grid(t, rs, etas, n_u, u_max):
+            values, m_used = real(t, rs, etas, n_u, u_max)
+            return values * (1.0 + 1.0 / n_u), m_used
+
+        monkeypatch.setattr(subelliptic_kernel, "_rep1_grid", grid)
         monkeypatch.setattr(subelliptic_kernel, "POINT_N_U", 16)
         with pytest.raises(QuadratureConvergenceError):
             heat_kernel_rep1(1.0, 0.5, 1.0)
@@ -167,11 +177,11 @@ class TestRepresentations:
     @pytest.mark.parametrize("rep", [heat_kernel_rep1, heat_kernel_rep2])
     def test_overflow_is_a_series_error_under_raise(self, rep):
         # rep 2's cosh((m+3) u) overflowed in exp and then in its matmul: a bare
-        # FloatingPointError, and without raise a QuadratureConvergenceError at the degree cap
-        point = (0.1, 3.0, 1.0) if rep is heat_kernel_rep1 else (0.1, 1.0, PI)
+        # FloatingPointError, and without raise a QuadratureConvergenceError at the degree cap;
+        # rep 1's P_m(cosh u) overflows at degree 41
         with np.errstate(over="raise", invalid="raise"):
             with pytest.raises(SeriesConvergenceError, match="polynomial overflowed "):
-                rep(*point)
+                rep(0.1, 1.0, PI)
 
     def test_mode_series_against_independent_quadrature(self):
         quad = pytest.importorskip("scipy.integrate").quad
@@ -201,7 +211,7 @@ class TestGridEvaluators:
     T = 2.34
     N_U = 192
 
-    @pytest.mark.parametrize("grid", [_rep1_grid, _rep2_grid])
+    @pytest.mark.parametrize("grid", [_rep1_grid, _rep2_grid], ids=["_rep1_grid", "_rep2_grid"])
     def test_rows_match_single_rows(self, grid):
         # r up to the radial cutoff of the mass integral at T
         r_max = 14.0 * self.T + 10.0 * math.sqrt(self.T) + 2.0
@@ -216,7 +226,7 @@ class TestGridEvaluators:
             alone, _ = grid(self.T, [r], etas, self.N_U, u_max)
             np.testing.assert_allclose(row, alone[0], rtol=1e-13, atol=floor)
 
-    @pytest.mark.parametrize("grid", [_rep1_grid, _rep2_grid])
+    @pytest.mark.parametrize("grid", [_rep1_grid, _rep2_grid], ids=["_rep1_grid", "_rep2_grid"])
     def test_rows_stop_on_their_own(self, grid):
         # the measure weight sinh^7 cosh^7 is ~e^280 at r = 20, where the kernel
         # is ~1e-230 times its r = 0 value; a stopping rule that measured the
@@ -265,11 +275,13 @@ class TestHeatResidual:
         heat_residual("rep2", 1.0, 0.5, PI / 2.0)
         assert len(calls) == 13
 
+    @pytest.mark.parametrize("r", [1.0, 2.0])
     @pytest.mark.parametrize("eta", [PI / 4.0, PI / 2.0])
-    def test_frozen_evaluator_past_the_old_margin(self, eta):
+    def test_frozen_evaluator_past_the_old_margin(self, r, eta):
         # a series summed to a frozen degree 8 past the probe overflowed P_m(cosh u_max)
-        # at degrees 67-73 here, though the kernel itself evaluates
-        res, scale, p = heat_residual("rep1", 0.1, 1.0, eta)
+        # at degrees 67-73 at r = 1, though the kernel itself evaluates; at r = 2 a series
+        # stopped per u node overflowed at degree 67
+        res, scale, p = heat_residual("rep1", 0.1, r, eta)
         assert res <= 1e-4 * scale + 1e-8 * p
 
     def test_frozen_matches_adaptive(self):
