@@ -8,6 +8,9 @@ F(x) = arccosh(x)^2.  F obeys (x^2 - 1) F'' + x F' = 2, which gives two-term
 recurrences for its Taylor coefficients.  P_k is evaluated in floats: below
 SMALL_S_SWITCH as a power series in w = cosh s - 1, above it per node in
 Taylor mode about x0 = cosh s, P_k = (-1)^k k! [h^k] exp(-(F(x0+h) - F(x0))/4t).
+The kernel is formed as its log, log pref + log P_k - s^2/4t, with Taylor mode's
+1/sinh^k s as -k log sinh s, so no factor leaves double range; a caller adds the
+logs of its own factors, sinh^14 s say, before the one exp.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 # dropped tail is below 1e-14 relative for every k <= 7 and t >= 0.05.
 SMALL_S_SWITCH = 1.25
 _SERIES_LENGTH = 64
-_SINH_POWER_MAX = 100.0
 _FAR = 1e4
 
 MAX_DIMENSION = 15
@@ -30,13 +32,9 @@ MAX_DIMENSION = 15
 TIME_FLOOR = 1e-30
 
 
-def _arccosh_sq_slope(n_terms: int) -> np.ndarray:
-    """F' for F = arccosh(1 + w)^2 in powers of w: F'_0 = 2, F'_n = -n F'_{n-1}/(2n+1)."""
-    n = np.arange(1.0, n_terms)
-    return 2.0 * np.cumprod(np.concatenate(([1.0], -n / (2.0 * n + 1.0))))
-
-
-_DF_SERIES = _arccosh_sq_slope(_SERIES_LENGTH + 7)  # room for k = 7 derivatives
+# F' for F = arccosh(1 + w)^2 in powers of w, F'_n = -n F'_{n-1}/(2n+1) from F'_0 = 2, with
+# room for k = 7 derivatives
+_DF_SERIES = 2.0 * np.cumprod([1.0] + [-n / (2.0 * n + 1.0) for n in range(1, _SERIES_LENGTH + 7)])
 
 
 def _series_factor(k: int, t: float, w: np.ndarray) -> np.ndarray:
@@ -49,13 +47,18 @@ def _series_factor(k: int, t: float, w: np.ndarray) -> np.ndarray:
     return np.polynomial.polynomial.polyval(w, p)
 
 
+def _log_sinh(s):
+    """log sinh s for s > 0, finite wherever s is: s - log 2 + log(1 - e^(-2s))."""
+    return s - math.log(2.0) + np.log(-np.expm1(-2.0 * s))
+
+
 def _taylor_mode_factor(k: int, t: float, s: np.ndarray) -> np.ndarray:
-    """P_k at x0 = cosh s by Taylor mode, in the scaled step (x - x0)/sinh s.
+    """log P_k at x0 = cosh s by Taylor mode, in the scaled step (x - x0)/sinh s.
 
     The scaled coefficients c_n of F stay O(s) for every s:
     c_{n+2} = (2 [n = 0] - coth(s) (n+1)(2n+1) c_{n+1} - n^2 c_n) / ((n+2)(n+1)).
     """
-    # past _FAR every P_k with k >= 1 is below the smallest double, and at
+    # past _FAR the kernel is below the smallest double for every k >= 1 and t, and at
     # s = inf the recurrence below would meet inf - inf
     s = np.minimum(s, _FAR)
     coth = 1.0 / np.tanh(s)
@@ -68,19 +71,15 @@ def _taylor_mode_factor(k: int, t: float, s: np.ndarray) -> np.ndarray:
     e = [np.ones_like(s)]
     for m in range(1, k + 1):
         e.append(sum((jg[j] * e[m - j] for j in range(1, m + 1)), 0.0) / m)
-    # sinh(s)**7 overflows beyond s = 102.9; past the cap, sinh s = sinh(cap) e^(s - cap)
-    # to double precision, and exp(-k (s - cap)) cannot overflow
-    capped = np.minimum(s, _SINH_POWER_MAX)
-    return ((-1) ** k * math.factorial(k) * e[k] / np.sinh(capped) ** k
-            * np.exp(-k * (s - capped)))
+    return np.log((-1) ** k * math.factorial(k) * e[k]) - k * _log_sinh(s)
 
 
-def _lowering_factor(k: int, t: float, s: np.ndarray) -> np.ndarray:
-    """The factor P_k in front of exp(-s^2/4t), stable down to s = 0."""
+def _log_lowering_factor(k: int, t: float, s: np.ndarray) -> np.ndarray:
+    """log P_k, of the factor in front of exp(-s^2/4t), stable down to s = 0."""
     small = s < SMALL_S_SWITCH
     out = np.empty_like(s)
     if small.any():
-        out[small] = _series_factor(k, t, 2.0 * np.sinh(0.5 * s[small]) ** 2)
+        out[small] = np.log(_series_factor(k, t, 2.0 * np.sinh(0.5 * s[small]) ** 2))
     out[~small] = _taylor_mode_factor(k, t, s[~small])
     return out
 
@@ -98,23 +97,27 @@ def _check_dimension(n: int) -> int:
     return (int(n) - 1) // 2
 
 
-def hyperbolic_heat_kernel(n: int, t: float, s) -> float | np.ndarray:
-    """Heat kernel of n-dimensional hyperbolic space at distance s, n odd.
-
-    Normalized against the Riemannian volume: integrating the result times
-    the sphere area Omega_{n-1} sinh^{n-1}(s) over s gives 1.
-    """
+def _log_kernel(n: int, t: float, s) -> np.ndarray:
+    """log of the kernel of hyperbolic_heat_kernel at the distances s, as a 1-d array."""
     k = _check_dimension(n)
     if not TIME_FLOOR <= t < math.inf:
         raise ValueError(f"time must be finite and at least {TIME_FLOOR}, got {t}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all(s_arr >= 0):
         raise ValueError("distance must be nonnegative and not NaN")
-    pref = math.exp(-k * k * t) / ((2.0 * math.pi) ** k * math.sqrt(4.0 * math.pi * t))
+    log_pref = -k * k * t - k * math.log(2.0 * math.pi) - 0.5 * math.log(4.0 * math.pi * t)
     # past s = 1.3e154 (sooner at small t) the exponent is -inf, and exp gives the exact 0
     with np.errstate(over="ignore"):
-        gauss = np.exp(-s_arr * s_arr / (4.0 * t))
-    val = pref * _lowering_factor(k, t, s_arr) * gauss
+        return log_pref + _log_lowering_factor(k, t, s_arr) - s_arr * s_arr / (4.0 * t)
+
+
+def hyperbolic_heat_kernel(n: int, t: float, s) -> float | np.ndarray:
+    """Heat kernel of n-dimensional hyperbolic space at distance s, n odd.
+
+    Normalized against the Riemannian volume: integrating the result times
+    the sphere area Omega_{n-1} sinh^{n-1}(s) over s gives 1.
+    """
+    val = np.exp(_log_kernel(n, t, s))
     return val if np.ndim(s) else float(val[0])
 
 

@@ -40,7 +40,7 @@ from .fiber_kernel import (
     _fiber_coeff,
     _series_matrix,
 )
-from .hyperbolic_kernel import hyperbolic_heat_kernel_composed
+from .hyperbolic_kernel import _log_kernel, _log_sinh, hyperbolic_heat_kernel_composed
 from .special_fn import gl_nodes, jacobi_sequence
 
 MEASURE_CONSTANT = math.pi ** 7 / 90.0
@@ -354,23 +354,10 @@ def heat_residual(which: str, t: float, r: float, eta: float,
     return abs(time_deriv - spatial), abs(time_deriv), at_t(r, eta)
 
 
-def _radial_measure_times(p, s, a: int, b: int):
-    """p sinh^a(s) cosh^b(s), with no factor that overflows.
-
-    The powers alone exceed double range at large s, where p is subnormal or
-    zero, and inf * 0 is NaN.  So sinh and cosh enter as mantissa and binary
-    exponent: p is scaled by the exponents first, which is exact, then by the
-    mantissas.  Finite for every s < 710, where sinh is.
-    """
-    ms, es = np.frexp(np.sinh(s))
-    mc, ec = np.frexp(np.cosh(s))
-    return np.ldexp(p, a * es + b * ec) * (ms ** a * mc ** b)
-
-
-# Level L of a measure integral puts _LEVEL_NODES * 1.5^L Gauss-Legendre nodes on s, y and
-# eta; an integral stops at the first level that agrees with the one before to _MEASURE_TOL.
-# Every level reaches the radial cutoff of the largest growth an integrand may have,
-# _MAX_GROWTH, that of the eigenfunction cosh r cos eta.
+# Level L of a measure integral puts _LEVEL_NODES * 1.5^L Gauss-Legendre nodes on s (more at
+# large t), y and eta; an integral stops at the first level that agrees with the one before
+# to _MEASURE_TOL.  Every level reaches the radial cutoff of the largest growth an integrand
+# may have, _MAX_GROWTH, that of the eigenfunction cosh r cos eta.
 _LEVEL_NODES = (64, 32, 32)
 _MEASURE_TOL = 1e-6
 _MEASURE_LEVELS = 3
@@ -385,18 +372,20 @@ def _density_level(t: float, which: str, level: int):
     the level integrates over (s, y), with v = cosh r sinh u = y sinh s:
     sinh r = sinh s sqrt(1 - y^2), tanh u = y tanh s and
     dr du = sinh^2 s / (sinh r cosh r) ds dy.  s runs up to the radial cutoff
-    (14 + 2 _MAX_GROWTH) t + 10 sqrt(t) + 2, and y up to min(1, tanh U coth s),
-    which is the u cutoff U = _measure_u_max(t) exactly.  The integral of f is
-    then MEASURE_CONSTANT times that of f(r, eta) sin^6(eta) ds dy deta against,
-    for rep 1,
+    (14 + 2 _MAX_GROWTH) t + 10 sqrt(t) + 2 on the level's n nodes, or on n per
+    40 sqrt(t) where that is more (the kernel's width grows like sqrt(t)), and y
+    up to min(1, tanh U coth s), which is the u cutoff U = _measure_u_max(t)
+    exactly.  A cutoff past s = 709, where sinh overflows, raises ValueError, as
+    does rep 2 past 33 t = 709, where its radial factor overflows.  The integral
+    of f is then MEASURE_CONSTANT times that of f(r, eta) sin^6(eta) ds dy deta
+    against, for rep 1,
       q15(s) sinh^14(s) y^6 (1 - y^2)^3 sum_m d_m P_m(cosh u) P_m(cos eta),
     with d_m = exp(-m(m+6) t) / N_m, and for rep 2
       REP2_CONSTANT q9(s) sinh^8(s) (1 - y^2)^3 cosh^3(r)
       sum_m w_m exp(-(m(m+6) + 33) t) cosh((m+3) u) P_m(cos eta) / P_m(1).
-    The hyperbolic factor is evaluated once per s node.  Each series is summed
-    once per (s, y) node at the pole eta = 0, where it bounds its value at every
-    eta since |P_m(cos eta)| <= P_m(1), and the eta factors enter by one
-    matrix product.
+    q and the powers of sinh s and cosh s are one exp of a sum of logs per s node.  Each
+    series is summed once per (s, y) node at the pole eta = 0, where it bounds its value
+    at every eta since |P_m(cos eta)| <= P_m(1); the eta factors enter by one matrix product.
 
     Returns (r, etas, weight), all read-only: r on the (s, y) nodes as a
     column, eta as a row, and the weight on their grid, quadrature weights
@@ -404,8 +393,12 @@ def _density_level(t: float, which: str, level: int):
     (t, which), and no module constant is in its key: a caller that changes
     SERIES_TOL or SERIES_M_CAP calls cache_clear().
     """
+    s_max = (14.0 + 2.0 * _MAX_GROWTH) * t + 10.0 * math.sqrt(t) + 2.0
+    if max(s_max, REP2_RATE_SHIFT * t if which == "rep2" else 0.0) > 709.0:
+        raise ValueError(f"the {which} density at t = {t} leaves double range")
     n_s, n_y, n_eta = (n * 3 ** level // 2 ** level for n in _LEVEL_NODES)
-    s, w_s = gl_nodes(n_s, 0.0, (14.0 + 2.0 * _MAX_GROWTH) * t + 10.0 * math.sqrt(t) + 2.0)
+    n_s = max(n_s, math.ceil(n_s * s_max / (40.0 * math.sqrt(t))))
+    s, w_s = gl_nodes(n_s, 0.0, s_max)
     x, w_x = gl_nodes(n_y, 0.0, 1.0)
     etas, w_eta = gl_nodes(n_eta, 0.0, math.pi)
     y_max = np.minimum(1.0, math.tanh(_measure_u_max(t)) / np.tanh(s))
@@ -416,13 +409,13 @@ def _density_level(t: float, which: str, level: int):
     one_minus_y2 = (1.0 - y) * (1.0 + y)
     r = np.arcsinh(np.sinh(s_y) * np.sqrt(one_minus_y2))
     if which == "rep1":
-        radial = _radial_measure_times(hyperbolic_heat_kernel_composed(15, t, s, 0.0), s, 14, 0)
+        radial = np.exp(_log_kernel(15, t, s) + 14.0 * _log_sinh(s))
         inner = y ** 6 * one_minus_y2 ** 3
         factor = _fiber_coeff(t, np.cosh(u))
     else:
         # cosh r = cosh s / cosh u, and 1 / cosh^2 u = 1 - tanh^2 u
-        radial = REP2_CONSTANT * _radial_measure_times(
-            hyperbolic_heat_kernel_composed(9, t, s, 0.0), s, 8, 3)
+        log_cosh = np.logaddexp(s, -s) - math.log(2.0)
+        radial = REP2_CONSTANT * np.exp(_log_kernel(9, t, s) + 8.0 * _log_sinh(s) + 3.0 * log_cosh)
         inner = one_minus_y2 ** 3 * ((1.0 - tanh_u) * (1.0 + tanh_u)) ** 1.5
         factor = _rep2_coeff(t, u)
     _, m_used, coeffs = _series_matrix(factor, u.size, 0.0)
@@ -445,6 +438,7 @@ def weighted_integral(f, t: float, which: str = "rep1", f_growth: float = 0.0) -
     lies in [0, 1]; 1 is the growth of the eigenfunction cosh r cos eta, and every level
     reaches the radial cutoff 16 t + 10 sqrt(t) + 2 that it needs.  Convergence is checked
     by refining s, y and eta together, to a relative change of 1e-6 (see _density_level).
+    A level sum that is not finite, or 0 where f is not, raises QuadratureConvergenceError.
     The levels are cached, and a value does not depend on the integrals before it.
     """
     _check_time(t)
@@ -460,6 +454,8 @@ def weighted_integral(f, t: float, which: str = "rep1", f_growth: float = 0.0) -
             raise ValueError(f"integrand not finite on the level-{level} nodes at t = {t}")
         cur = MEASURE_CONSTANT * float(
             np.einsum("ij,ij->", np.broadcast_to(values, weight.shape), weight))
+        if not math.isfinite(cur) or (cur == 0.0 and values.any()):
+            raise QuadratureConvergenceError(f"the level-{level} sum is {cur} at t = {t}")
         if prev is not None and abs(cur - prev) <= _MEASURE_TOL * abs(cur) + 1e-280:
             return cur
         prev = cur

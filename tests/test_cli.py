@@ -224,6 +224,12 @@ class TestOtherCommands:
         assert code == 1
         assert all(line.endswith(",nan") for line in payload.decode().splitlines()[1:])
 
+    def test_mass_at_large_time(self, tmp_path):
+        # rep 1's mass raised from t = 3, with exit code 2
+        code, payload = run_cli(["mass", "--t", "3,4,6,10", "--no-moment"], tmp_path)
+        assert code == 0
+        assert len(payload.decode().splitlines()) == 5
+
 
 class TestRefusedInput:
     @pytest.mark.parametrize("args", [
@@ -343,6 +349,24 @@ class TestRefusedInput:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert re.fullmatch(r"error: degree-\d+ polynomial overflowed [^\n]*\n", proc.stderr)
+
+    @pytest.mark.parametrize("args", [
+        # a ZeroDivisionError traceback each, after a mass of 0.0
+        pytest.param(["mass", "--t", "15"], id="mass"),
+        pytest.param(["mc-check", "--t", "15", "--n-paths", "10", "--dt", "0.001"],
+                     id="mc-check"),
+        # RuntimeWarnings from np.sinh past s = 710, then a QuadratureConvergenceError
+        pytest.param(["mass", "--t", "100", "--no-moment"], id="past-the-range"),
+    ])
+    def test_large_time_prints_one_error_line(self, args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "octads"] + args,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert re.fullmatch(r"error: [^\n]*\n", proc.stderr)
 
     @pytest.mark.parametrize("error", [SeriesConvergenceError, QuadratureConvergenceError])
     def test_convergence_failure_exits_2(self, tmp_path, monkeypatch, capsys, error):

@@ -10,14 +10,19 @@ from octads.hyperbolic_kernel import (
     hyperbolic_heat_kernel,
     hyperbolic_heat_kernel_composed,
     _FAR,
-    _SINH_POWER_MAX,
-    _lowering_factor,
+    _log_kernel,
+    _log_lowering_factor,
     _series_factor,
     _taylor_mode_factor,
 )
 
-# both sides of SMALL_S_SWITCH, below the sinh cap
+# both sides of SMALL_S_SWITCH
 _S_GRID = np.array([0.05, 0.2, 0.7, 1.24, 1.26, 1.9, 3.3, 8.0])
+
+
+def _lowering_factor(k, t, s):
+    """P_k, as exp of the log form that the kernel is built from."""
+    return np.exp(_log_lowering_factor(k, t, s))
 
 
 class TestLoweringOperator:
@@ -93,7 +98,7 @@ class TestTaylorBranch:
         s = np.array([0.8, 1.0, 1.1, SMALL_S_SWITCH - 1e-9])
         for t in (0.5, 2.0):
             series = _series_factor(k, t, 2.0 * np.sinh(0.5 * s) ** 2)
-            taylor_mode = _taylor_mode_factor(k, t, s)
+            taylor_mode = np.exp(_taylor_mode_factor(k, t, s))
             assert np.all(np.abs(series - taylor_mode) <= 1e-11 * np.abs(series)), (k, t)
 
     def test_no_overflow_at_large_distance(self):
@@ -106,14 +111,40 @@ class TestTaylorBranch:
                     assert np.all(np.isfinite(q) & (q >= 0)), (n, t)
 
     def test_closed_forms_on_both_sides_of_the_cap(self):
-        # P_1 = s csch(s) / 2t and P_2 = (s^2/4t^2 + (s coth s - 1)/2t) csch(s)^2
+        # P_1 = s csch(s) / 2t and P_2 = (s^2/4t^2 + (s coth s - 1)/2t) csch(s)^2, on both
+        # sides of s = 100, where a cap on sinh s used to hold sinh^k s in double range
         for t in (0.5, 3.0):
-            for s in (50.0, _SINH_POWER_MAX, _SINH_POWER_MAX + 1e-9, 101.0, 150.0, 300.0):
+            for s in (50.0, 100.0, 100.0 + 1e-9, 101.0, 150.0, 300.0):
                 csch = 2.0 * math.exp(-s) / -math.expm1(-2.0 * s)
                 p1 = s * csch / (2.0 * t)
                 p2 = (s * s / (4.0 * t * t) + (s / math.tanh(s) - 1.0) / (2.0 * t)) * csch ** 2
-                got = [_taylor_mode_factor(k, t, np.array([s]))[0] for k in (1, 2)]
+                got = [math.exp(_taylor_mode_factor(k, t, np.array([s]))[0]) for k in (1, 2)]
                 assert got == pytest.approx([p1, p2], rel=1e-12, abs=0), (t, s)
+
+
+class TestLogForm:
+    """The kernel's log, which the measure integrals use where the kernel itself underflows."""
+
+    @pytest.mark.parametrize("n", [9, 15])
+    def test_against_symbolic_differentiation(self, n):
+        sp = pytest.importorskip("sympy")
+        mp = pytest.importorskip("mpmath")
+        k = (n - 1) // 2
+        s, t = sp.symbols("s t", positive=True)
+        expr = sp.exp(-s ** 2 / (4 * t))
+        for _ in range(k):
+            expr = -sp.diff(expr, s) / sp.sinh(s)
+        reference = sp.lambdify((t, s), sp.log(expr), "mpmath")
+        # the kernel underflows to 0 at most of these points
+        ss = np.array([0.05, 0.7, 5.0, 30.0, 80.0, 200.0])
+        for tv in (0.5, 3.0, 10.0):
+            mine = _log_kernel(n, tv, ss)
+            for sv, value in zip(ss, mine):
+                with mp.workdps(60):
+                    ref = float(-k * k * mp.mpf(tv) - k * mp.log(2 * mp.pi)
+                                - mp.log(4 * mp.pi * mp.mpf(tv)) / 2
+                                + reference(mp.mpf(tv), mp.mpf(sv)))
+                assert abs(value - ref) <= 1e-15 * abs(ref), (n, tv, sv)
 
 
 def _same_bits(a, b) -> bool:
@@ -125,10 +156,9 @@ class TestSlicing:
 
     @pytest.mark.parametrize("k", range(8))
     def test_block_matches_single_nodes(self, k):
-        # from below the switch through the sinh cap and _FAR to inf
+        # from below the switch through s = 100 and _FAR to inf
         s = np.geomspace(0.5, 2.0 * _FAR, 997)
-        s = np.concatenate([s, [SMALL_S_SWITCH, _SINH_POWER_MAX, _SINH_POWER_MAX + 1e-9, _FAR,
-                                math.inf]])
+        s = np.concatenate([s, [SMALL_S_SWITCH, 100.0, 100.0 + 1e-9, _FAR, math.inf]])
         s = np.random.default_rng(19).permutation(s)
         with np.errstate(over="raise", invalid="raise"):
             for t in (0.05, 2.34):

@@ -348,8 +348,7 @@ class TestDensityCache:
     def count_calls(monkeypatch):
         """(layer, nodes) of every hyperbolic and fiber series call from now on."""
         calls = []
-        for name, layer in (("hyperbolic_heat_kernel_composed", "hyperbolic"),
-                            ("_series_matrix", "fiber")):
+        for name, layer in (("_log_kernel", "hyperbolic"), ("_series_matrix", "fiber")):
             real = getattr(subelliptic_kernel, name)
 
             def traced(*args, real=real, layer=layer, **kwargs):
@@ -510,3 +509,60 @@ class TestComposedDistanceRule:
         f, growth = {n: (f, g) for n, f, g in MC_TEST_FUNCTIONS}[name]
         mean = weighted_integral(f, t, f_growth=growth) / total_mass(t)
         assert mean == pytest.approx(self.RECORDED_MEANS[t, name], rel=1e-8, abs=0.0)
+
+
+class TestLargeTime:
+    """The density formed as one exp of a sum of logs: q15 alone underflowed past s = 51,
+    before sinh^14 s was multiplied in, and the integrals raised or returned 0.0."""
+
+    @pytest.mark.parametrize("which", ["rep1", "rep2"])
+    @pytest.mark.parametrize("t", [2.6, 3.0, 4.0, 6.0, 10.0])
+    def test_mass_exact(self, t, which):
+        # rep 1 raised at t >= 3, and rep 2 at t >= 6
+        with np.errstate(over="raise", invalid="raise"):
+            mass = total_mass(t, which=which)
+        assert abs(32.0 * mass - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("which", ["rep1", "rep2"])
+    @pytest.mark.parametrize("t", [2.6, 3.0])
+    def test_eigen_moment(self, t, which):
+        # rep 1's moment raised at both
+        with np.errstate(over="raise", invalid="raise"):
+            mass = total_mass(t, which=which)
+            moment = weighted_integral(lambda r, eta: np.cosh(r) * np.cos(eta), t, which=which,
+                                       f_growth=1.0)
+        assert abs(moment / mass - math.exp(8.0 * t)) <= 1e-6 * math.exp(8.0 * t)
+
+    @pytest.mark.parametrize("which", ["rep1", "rep2"])
+    @pytest.mark.parametrize("t", [15.0, 20.0, 30.0, 45.0, 100.0])
+    def test_mass_is_exact_or_refused(self, t, which):
+        # the mass was 0.0 at t = 15, 20 and 30 (rep 1) and 30 (rep 2), and at t = 45 and 100
+        # np.sinh overflowed with a RuntimeWarning; `octads mass --t 15` died in a
+        # ZeroDivisionError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                mass = total_mass(t, which=which)
+            except (ValueError, SeriesConvergenceError, QuadratureConvergenceError):
+                return
+        assert abs(32.0 * mass - 1.0) <= 1e-12
+
+    def test_refusal_past_the_range(self):
+        for t, which in [(45.0, "rep1"), (100.0, "rep1"), (21.5, "rep2"), (30.0, "rep2")]:
+            with pytest.raises(ValueError, match="leaves double range"):
+                total_mass(t, which=which)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_zero_or_nonfinite_level_raises(self, monkeypatch, bad):
+        # a level whose weight underflowed to 0 summed to a silent 0.0
+        real = subelliptic_kernel._density_level
+
+        def spoiled(*args):
+            r, etas, weight = real(*args)
+            return r, etas, np.full_like(weight, bad)
+
+        monkeypatch.setattr(subelliptic_kernel, "_density_level", spoiled)
+        with pytest.raises(QuadratureConvergenceError, match="level-0 sum"):
+            total_mass(1.2)
+        if bad == 0.0:  # where f is 0 on every node, 0 is the exact value and no failure
+            assert weighted_integral(lambda r, eta: np.zeros_like(r), 1.2) == 0.0
