@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_fn import jacobi_next, jacobi_norm_sq
+from .special_fn import jacobi_next, jacobi_norm_sq, jacobi_sequence
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -120,11 +120,12 @@ def fiber_heat_kernel(t: float, eta: float, u: float,
                       continued: bool = False) -> FiberKernelValue:
     """Fiber kernel at angles (eta, u), or at (eta, iu) when continued.
 
-    For the continued branch u is the hyperbolic coordinate (second argument
-    cosh u); otherwise u is an angle in [0, pi] like eta.  The coefficients
-    are 1/N_m from the orthogonality norms, so the kernel integrates to 1
-    against the sin^6 weight.  The display with 2/N_m, which integrates to 2,
-    is kept and checked in scripts/reconcile_constants.py.
+    For the continued branch u is the hyperbolic coordinate (second argument cosh u);
+    otherwise u is an angle in [0, pi] like eta.  The coefficients are 1/N_m from the
+    orthogonality norms, so the kernel integrates to 1 against the sin^6 weight.  The display
+    with 2/N_m, which integrates to 2, is kept and checked in scripts/reconcile_constants.py.
+    tail_bound is the last term plus the rounding floor (m_used + 1) eps sum_m |a_m h_m(eta)|;
+    a value not above it, as at small t and eta near pi, raises SeriesConvergenceError.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t}")
@@ -137,8 +138,12 @@ def fiber_heat_kernel(t: float, eta: float, u: float,
         raise ValueError("u must lie in [0, pi]")
     x = np.cosh(u) if continued else np.cos(u)
     out, m_used, coeffs = _series_matrix(_fiber_coeff(t, [x]), 1, eta)
-    return FiberKernelValue(value=float(out[0, 0]), m_used=m_used,
-                            tail_bound=abs(float(coeffs[m_used, 0])))
+    a, h = coeffs[:, 0], jacobi_sequence(m_used, [math.cos(eta), 1.0])
+    bound = abs(a[-1]) + (m_used + 1) * np.finfo(float).eps * np.abs(a * h[:, 0] / h[:, 1]).sum()
+    if not bound < abs(out[0, 0]):
+        raise SeriesConvergenceError(f"fiber series value {out[0, 0]:.3e} at (t={t}, eta={eta}, "
+                                     f"u={u}) is within its tail and rounding bound {bound:.1e}")
+    return FiberKernelValue(value=float(out[0, 0]), m_used=m_used, tail_bound=float(bound))
 
 
 def fiber_mode_profile(m: int, eta: float) -> float:

@@ -34,13 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fiber_kernel
-from .fiber_kernel import (
-    fiber_eigenvalue,
-    fiber_mode_multiplicity,
-    _fiber_coeff,
-    _series_matrix,
-)
-from .hyperbolic_kernel import _log_kernel, _log_sinh, hyperbolic_heat_kernel_composed
+from .fiber_kernel import _fiber_coeff, _series_matrix, fiber_eigenvalue, fiber_mode_multiplicity
+from .hyperbolic_kernel import (_log_kernel, _log_sinh, composed_distance,
+                                hyperbolic_heat_kernel_composed)
 from .special_fn import gl_nodes, jacobi_sequence
 
 MEASURE_CONSTANT = math.pi ** 7 / 90.0
@@ -168,29 +164,37 @@ def _damped_cosh(m: int, t, u):
     return 0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t))
 
 
-def _rep2_coeff(t, u):
-    """factor(m) of representation 2 at the u nodes: (w_m, _damped_cosh(m, t, u))."""
-    return lambda m: (fiber_mode_multiplicity(m), _damped_cosh(m, t, u))
+def _integrand(which, t, r, u):
+    """Representation `which` as (n, log_g, factor): its u-integrand at (r, u) is
+    q_n(s) exp(log_g) sum_m c_m f_m(u) P_m(cos eta) / P_m(1), cosh s = cosh r cosh u, with
+    factor(m) = (c_m, f_m) (see _series_matrix).  Rep 1: n = 15, g = sinh^6 u and the
+    continued fiber series.  Rep 2: n = 9, g = REP2_CONSTANT exp(3u - 33 t) / cosh^3 r and
+    (w_m, (exp(m u - m(m+6) t) + exp(-(m+6) u - m(m+6) t)) / 2), each exponent in one exp:
+    exp(m u) alone overflows at small t.
+    """
+    if which == "rep1":
+        return 15, 6.0 * _log_sinh(u), _fiber_coeff(t, np.cosh(u))
+
+    def factor(m):
+        d = fiber_eigenvalue(m) * t
+        return fiber_mode_multiplicity(m), 0.5 * (np.exp(m * u - d) + np.exp(-(m + 6) * u - d))
+    log_cosh_r = np.logaddexp(r, -r) - math.log(2.0)
+    return 9, math.log(REP2_CONSTANT) - REP2_RATE_SHIFT * t + 3.0 * u - 3.0 * log_cosh_r, factor
 
 
 def _grid(which, t, rs, etas, n_u, u_max):
     """Values of representation `which` on an (r, eta) grid at a fixed u-cutoff.
 
-    Both sum c_m P_m(cos eta)/P_m(1) times the u-integral of w(r, u) f_m(u) over
-    modes m: rep 1 with (c_m, f_m) = _fiber_coeff at cosh u and w = sinh^6(u) q15,
-    rep 2 with _rep2_coeff and w = q9, times REP2_CONSTANT / cosh^3(r).  The
-    degree adapts row by row (see _series_matrix).  Returns (values[n_r, n_eta], m_used).
+    Mode m's coefficient is c_m times the u-integral of q_n exp(log_g) f_m (see
+    _integrand); q_n and g are one exp of a sum of logs per (r, u) node.  The degree
+    adapts row by row (see _series_matrix).  Returns (values[n_r, n_eta], m_used).
     """
-    rs = np.asarray(rs, dtype=float)
+    rs = np.asarray(rs, dtype=float)[:, None]
     u, w = gl_nodes(n_u, 0.0, u_max)
-    if which == "rep1":
-        wq = hyperbolic_heat_kernel_composed(15, t, rs[:, None], u[None, :]) * (w * np.sinh(u) ** 6)
-        factor, scale = _fiber_coeff(t, np.cosh(u)), 1.0
-    else:
-        wq = w * hyperbolic_heat_kernel_composed(9, t, rs[:, None], u[None, :])
-        factor, scale = _rep2_coeff(t, u), REP2_CONSTANT / np.cosh(rs)[:, None] ** 3
+    n, log_g, factor = _integrand(which, t, rs, u)
+    wq = w * np.exp(_log_kernel(n, t, composed_distance(rs, u)) + log_g)
     out, m_used, _ = _series_matrix(factor, rs.size, etas, wq)
-    return out * scale, m_used
+    return out, m_used
 
 
 # the names that points, frozen stencils and the benchmark's tracer call
@@ -375,17 +379,12 @@ def _density_level(t: float, which: str, level: int):
     (14 + 2 _MAX_GROWTH) t + 10 sqrt(t) + 2 on the level's n nodes, or on n per
     40 sqrt(t) where that is more (the kernel's width grows like sqrt(t)), and y
     up to min(1, tanh U coth s), which is the u cutoff U = _measure_u_max(t)
-    exactly.  A cutoff past s = 709, where sinh overflows, raises ValueError, as
-    does rep 2 past 33 t = 709, where its radial factor overflows.  The integral
-    of f is then MEASURE_CONSTANT times that of f(r, eta) sin^6(eta) ds dy deta
-    against, for rep 1,
-      q15(s) sinh^14(s) y^6 (1 - y^2)^3 sum_m d_m P_m(cosh u) P_m(cos eta),
-    with d_m = exp(-m(m+6) t) / N_m, and for rep 2
-      REP2_CONSTANT q9(s) sinh^8(s) (1 - y^2)^3 cosh^3(r)
-      sum_m w_m exp(-(m(m+6) + 33) t) cosh((m+3) u) P_m(cos eta) / P_m(1).
-    q and the powers of sinh s and cosh s are one exp of a sum of logs per s node.  Each
-    series is summed once per (s, y) node at the pole eta = 0, where it bounds its value
-    at every eta since |P_m(cos eta)| <= P_m(1); the eta factors enter by one matrix product.
+    exactly.  A cutoff past s = 709 (t > 40.3), where sinh overflows, raises ValueError.
+    The integral of f is MEASURE_CONSTANT times that of f(r, eta) sin^6(eta) ds dy deta
+    against _integrand's integrand times sinh^2 s sinh^6 r cosh^6 r, one exp of a sum of
+    logs per (s, y) node whose large terms are summed once per s node.  Each series is
+    summed once per (s, y) node at the pole eta = 0, where it bounds its value at every eta
+    since |P_m(cos eta)| <= P_m(1); the eta factors enter by one matrix product.
 
     Returns (r, etas, weight), all read-only: r on the (s, y) nodes as a
     column, eta as a row, and the weight on their grid, quadrature weights
@@ -394,7 +393,7 @@ def _density_level(t: float, which: str, level: int):
     SERIES_TOL or SERIES_M_CAP calls cache_clear().
     """
     s_max = (14.0 + 2.0 * _MAX_GROWTH) * t + 10.0 * math.sqrt(t) + 2.0
-    if max(s_max, REP2_RATE_SHIFT * t if which == "rep2" else 0.0) > 709.0:
+    if s_max > 709.0:
         raise ValueError(f"the {which} density at t = {t} leaves double range")
     n_s, n_y, n_eta = (n * 3 ** level // 2 ** level for n in _LEVEL_NODES)
     n_s = max(n_s, math.ceil(n_s * s_max / (40.0 * math.sqrt(t))))
@@ -408,20 +407,15 @@ def _density_level(t: float, which: str, level: int):
     u = np.arctanh(tanh_u)
     one_minus_y2 = (1.0 - y) * (1.0 + y)
     r = np.arcsinh(np.sinh(s_y) * np.sqrt(one_minus_y2))
-    if which == "rep1":
-        radial = np.exp(_log_kernel(15, t, s) + 14.0 * _log_sinh(s))
-        inner = y ** 6 * one_minus_y2 ** 3
-        factor = _fiber_coeff(t, np.cosh(u))
-    else:
-        # cosh r = cosh s / cosh u, and 1 / cosh^2 u = 1 - tanh^2 u
-        log_cosh = np.logaddexp(s, -s) - math.log(2.0)
-        radial = REP2_CONSTANT * np.exp(_log_kernel(9, t, s) + 8.0 * _log_sinh(s) + 3.0 * log_cosh)
-        inner = one_minus_y2 ** 3 * ((1.0 - tanh_u) * (1.0 + tanh_u)) ** 1.5
-        factor = _rep2_coeff(t, u)
+    n, log_g, factor = _integrand(which, t, r, u)
+    # sinh^2 s sinh^6 r cosh^6 r = sinh^14 s / tanh^6 s (1 - y^2)^3 / cosh^6 u
+    log_s = _log_kernel(n, t, s) + 14.0 * _log_sinh(s) - 6.0 * np.log(np.tanh(s))
+    log_w = (np.repeat(log_s, n_y) + log_g
+             + 3.0 * np.log(one_minus_y2 * (1.0 - tanh_u) * (1.0 + tanh_u)))
     _, m_used, coeffs = _series_matrix(factor, u.size, 0.0)
     profiles = jacobi_sequence(m_used, np.append(np.cos(etas), 1.0))
     weight = coeffs.T @ (profiles[:, :-1] / profiles[:, -1:])
-    weight *= (((w_s * y_max * radial)[:, None] * w_x).ravel() * inner)[:, None]
+    weight *= (((w_s * y_max)[:, None] * w_x).ravel() * np.exp(log_w))[:, None]
     weight *= w_eta * np.sin(etas) ** 6
     arrays = (r[:, None], etas[None, :], weight)
     for a in arrays:

@@ -323,6 +323,13 @@ class TestRefusedInput:
         err = capsys.readouterr().err
         assert f"error: argument --t: invalid float list value: {value!r}" in err
 
+    @pytest.mark.parametrize("eta, code", [("3", 2), ("2", 0)])
+    def test_fiber_value_within_its_rounding_floor_exits_2(self, tmp_path, capsys, eta, code):
+        # at eta = 3 the series printed -9.746e-14, against the true 3.18e-14, with exit code 0
+        assert run_cli(["fiber", "--t", "0.05", "--eta", eta, "--u", "0"], tmp_path)[0] == code
+        err = capsys.readouterr().err
+        assert err == "" if code == 0 else re.fullmatch(r"error: fiber series [^\n]*\n", err)
+
     @pytest.mark.parametrize("r, eta", [("2", "3.141592653589793"), ("0", "2.0943951023931953")])
     def test_rep2_direct_2d_failure_exits_2(self, capsys, r, eta):
         # an OverflowError and an AssertionError traceback, with exit code 1
@@ -336,8 +343,9 @@ class TestRefusedInput:
         pytest.param(["--rep", "1", "--t", "0.1", "--r", "1", "--eta", "3.141592653589793"],
                      id="rep1"),
         # "overflow encountered in exp" and "invalid value encountered in matmul" came first,
-        # then "mode series not converged by degree 256"
-        pytest.param(["--rep", "2", "--t", "0.1", "--r", "1", "--eta", "3.141592653589793"],
+        # then "mode series not converged by degree 256"; rep 2's mode factor, one exp per
+        # exponent, stays finite at t = 0.1, where the point ends in "did not stabilize"
+        pytest.param(["--rep", "2", "--t", "0.05", "--r", "1", "--eta", "3.141592653589793"],
                      id="rep2"),
     ])
     def test_polynomial_overflow_prints_one_error_line(self, point):

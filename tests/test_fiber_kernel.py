@@ -16,6 +16,25 @@ from octads.fiber_kernel import (
 from octads.special_fn import gl_nodes, jacobi_end_value, jacobi_norm_sq, jacobi_sequence
 
 
+def _mp_series(t, eta, u, continued, dps):
+    """The fiber series and the sum of |term_m| in dps digits; m(m+6) t is formed in mpmath
+    from the float t, since in floats its rounding moves a small-t sum by tens of percent."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        x = mp.cosh(u) if continued else mp.cos(u)
+        total = scale = mp.mpf(0)
+        for m in range(400):
+            norm = (mp.mpf(64) / (2 * m + 6) * mp.gamma(m + mp.mpf(3.5)) ** 2
+                    / (mp.gamma(m + 6) * mp.factorial(m)))
+            term = (mp.exp(-m * (m + 6) * mp.mpf(t)) / norm
+                    * mp.jacobi(m, 2.5, 2.5, mp.cos(eta)) * mp.jacobi(m, 2.5, 2.5, x))
+            total += term
+            scale += abs(term)
+            if m > 10 and abs(term) < mp.mpf(10) ** (10 - dps) * scale:
+                break
+        return +total, +scale
+
+
 class TestSpectralCoeff:
     def test_m0_normalized(self):
         # the series coefficient 1/N_m at m = 0
@@ -92,23 +111,28 @@ class TestFiberHeatKernel:
     def test_against_mpmath_oracle(self, continued):
         # the series summed in 50 digits; a float sum can do no better than rounding
         # against the sum of |term_m|, which at (0.1, pi, u = 2) continued is 4e9 times the value
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 50
         for t, eta, u in itertools.product((0.1, 0.5, 2.0), (0.0, 0.8, 2.0, math.pi),
                                            (0.0, 0.5, 2.0)):
-            x = mp.cosh(u) if continued else mp.cos(u)
-            total = scale = mp.mpf(0)
-            for m in range(200):
-                norm = (mp.mpf(64) / (2 * m + 6) * mp.gamma(m + mp.mpf(3.5)) ** 2
-                        / (mp.gamma(m + 6) * mp.factorial(m)))
-                term = (mp.exp(-m * (m + 6) * mp.mpf(t)) / norm
-                        * mp.jacobi(m, 2.5, 2.5, mp.cos(eta)) * mp.jacobi(m, 2.5, 2.5, x))
-                total += term
-                scale += abs(term)
-                if m > 10 and abs(term) < mp.mpf(10) ** -40 * scale:
-                    break
+            total, scale = _mp_series(t, eta, u, continued, dps=50)
             value = fiber_heat_kernel(t, eta, u, continued=continued).value
             assert abs(value - total) <= 1e-14 * scale, (t, eta, u)
+
+    @pytest.mark.parametrize("t, eta, u, continued", [
+        (0.05, 3.0, 0.0, False),  # returned -9.7e-14; the true value is 3.2e-14
+        (0.01, 3.0, 0.0, False),  # returned 9.3e-11 for 8.2e-90
+        (0.05, 3.0, 1.0, True),  # returned 2.8e4 times the true 1.8e-15
+    ])
+    def test_value_within_its_rounding_floor_raises(self, t, eta, u, continued):
+        with pytest.raises(SeriesConvergenceError, match="tail and rounding bound"):
+            fiber_heat_kernel(t, eta, u, continued=continued)
+
+    @pytest.mark.parametrize("t, eta, u, continued", [
+        (0.05, 2.0, 0.0, False), (0.1, 3.0, 2.0, True), (0.1, math.pi, 2.0, True)])
+    def test_tail_bound_covers_the_error(self, t, eta, u, continued):
+        # the last term alone (3e-28 at (0.05, 2, 0)) did not cover these errors
+        total, _ = _mp_series(t, eta, u, continued, dps=60)
+        v = fiber_heat_kernel(t, eta, u, continued=continued)
+        assert abs(v.value - float(total)) <= v.tail_bound
 
     def test_rows_stop_on_their_own(self):
         # the continued series at u = 8 runs to a higher degree than at u = 0; each row of

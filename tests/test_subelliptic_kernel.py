@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import warnings
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 from octads import subelliptic_kernel
-from octads.fiber_kernel import SeriesConvergenceError, fiber_heat_kernel
-from octads.hyperbolic_kernel import hyperbolic_heat_kernel
+from octads.acceptance import GRID_ETA, GRID_R, GRID_T
+from octads.fiber_kernel import (SeriesConvergenceError, _fiber_coeff, _series_matrix,
+                                 fiber_heat_kernel, fiber_mode_multiplicity)
+from octads.hyperbolic_kernel import hyperbolic_heat_kernel, hyperbolic_heat_kernel_composed
 from octads.mc_oracle import MC_TEST_FUNCTIONS
 from octads.special_fn import gl_nodes
 from octads.subelliptic_kernel import (
@@ -174,14 +177,16 @@ class TestRepresentations:
         with pytest.raises(QuadratureConvergenceError, match=match):
             heat_kernel_rep2(*point, path="direct_2d")
 
-    @pytest.mark.parametrize("rep", [heat_kernel_rep1, heat_kernel_rep2])
-    def test_overflow_is_a_series_error_under_raise(self, rep):
+    @pytest.mark.parametrize("rep, t", [(heat_kernel_rep1, 0.1), (heat_kernel_rep2, 0.05)],
+                             ids=["heat_kernel_rep1", "heat_kernel_rep2"])
+    def test_overflow_is_a_series_error_under_raise(self, rep, t):
         # rep 2's cosh((m+3) u) overflowed in exp and then in its matmul: a bare
         # FloatingPointError, and without raise a QuadratureConvergenceError at the degree cap;
-        # rep 1's P_m(cosh u) overflows at degree 41
+        # rep 1's P_m(cosh u) overflows at degree 41.  Rep 2's mode factor, one exp per
+        # exponent, stays finite at t = 0.1 and overflows at t = 0.05 (degree 58)
         with np.errstate(over="raise", invalid="raise"):
             with pytest.raises(SeriesConvergenceError, match="polynomial overflowed "):
-                rep(0.1, 1.0, PI)
+                rep(t, 1.0, PI)
 
     def test_mode_series_against_independent_quadrature(self):
         quad = pytest.importorskip("scipy.integrate").quad
@@ -242,6 +247,27 @@ class TestGridEvaluators:
             alone, _ = grid(t, [r], [0.5], self.N_U, u_max)
             assert alone[0, 0] > 0
             assert row[0] == pytest.approx(alone[0, 0], rel=1e-15, abs=0.0)
+
+
+    @pytest.mark.parametrize("which", ["rep1", "rep2"])
+    def test_log_form_matches_the_float_product(self, which):
+        # the integrand as a product of floats, each factor formed apart: q15 sinh^6 u times
+        # the continued fiber series, or q9 times w_m _damped_cosh, then REP2_CONSTANT / cosh^3 r
+        rs = np.array(GRID_R)[:, None]
+        for t in GRID_T:
+            u_max = default_u_max(t, max(GRID_R))
+            u, w = gl_nodes(self.N_U, 0.0, u_max)
+            if which == "rep1":
+                wq = hyperbolic_heat_kernel_composed(15, t, rs, u) * (w * np.sinh(u) ** 6)
+                factor, scale = _fiber_coeff(t, np.cosh(u)), 1.0
+            else:
+                wq = w * hyperbolic_heat_kernel_composed(9, t, rs, u)
+                factor = lambda m: (fiber_mode_multiplicity(m),
+                                    subelliptic_kernel._damped_cosh(m, t, u))
+                scale = REP2_CONSTANT / np.cosh(rs) ** 3
+            product, _, _ = _series_matrix(factor, rs.size, GRID_ETA, wq)
+            values, _ = subelliptic_kernel._grid(which, t, GRID_R, GRID_ETA, self.N_U, u_max)
+            np.testing.assert_allclose(values, product * scale, rtol=1e-14, atol=0.0)
 
 
 class TestHeatResidual:
@@ -548,9 +574,17 @@ class TestLargeTime:
         assert abs(32.0 * mass - 1.0) <= 1e-12
 
     def test_refusal_past_the_range(self):
-        for t, which in [(45.0, "rep1"), (100.0, "rep1"), (21.5, "rep2"), (30.0, "rep2")]:
+        # both refuse only past t = 40.3, where the s cutoff passes 709
+        for t, which in itertools.product([45.0, 100.0], ["rep1", "rep2"]):
             with pytest.raises(ValueError, match="leaves double range"):
                 total_mass(t, which=which)
+
+    @pytest.mark.parametrize("t", [21.5, 25.0, 30.0, 40.0])
+    def test_rep2_mass_up_to_the_range(self, t):
+        # refused from t = 21.5 while e^(33 t) and e^(-33 t) were formed apart
+        with np.errstate(over="raise", invalid="raise"):
+            mass = total_mass(t, which="rep2")
+        assert abs(32.0 * mass - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
     def test_zero_or_nonfinite_level_raises(self, monkeypatch, bad):
