@@ -64,16 +64,20 @@ def _series_matrix(factor, n_rows: int, etas, wq=None):
     its largest sum over eta: across rows the values span hundreds of orders of
     magnitude, so a rule for the whole grid would cut the small rows short.  A
     non-finite coefficient, and a row still summing at SERIES_M_CAP, raise.
+    The u-integrals, profiles and sums are formed in the dtype of wq: a grid
+    passes long double, since its sums near eta = pi cancel to 1e-7 of their
+    terms, and the finite-difference stencils of heat_residual read that rounding.
     Returns (sums[n_rows, n_eta], m_used, coeffs), where coeffs[m] holds every
     row's a_m, 0 once the row has stopped.
     """
-    x = np.cos(np.append(etas, 0.0))  # the last profile argument is the pole, cos 0 = 1
+    # the last profile argument is the pole, cos 0 = 1
+    x = np.cos(np.append(etas, 0.0).astype(float if wq is None else wq.dtype))
     out = np.empty((n_rows, x.size - 1))
     coeffs = []
     # the rows still summing, their sums and whether their last term was small; live selects
     # the rows whose coefficients are formed, a slice until the first row stops
     rows, live = np.arange(n_rows), slice(None)
-    sums = np.zeros(out.shape)
+    sums = np.zeros(out.shape, x.dtype)
     was_small = np.zeros(n_rows, dtype=bool)
     p = p2 = None
     for m in range(SERIES_M_CAP + 1):
@@ -116,21 +120,27 @@ def _fiber_coeff(t, x):
     return factor
 
 
-def fiber_heat_kernel(t: float, eta: float, u: float,
-                      continued: bool = False) -> FiberKernelValue:
-    """Fiber kernel at angles (eta, u), or at (eta, iu) when continued.
-
-    For the continued branch u is the hyperbolic coordinate (second argument cosh u);
-    otherwise u is an angle in [0, pi] like eta.  The coefficients are 1/N_m from the
-    orthogonality norms, so the kernel integrates to 1 against the sin^6 weight.  The display
-    with 2/N_m, which integrates to 2, is kept and checked in scripts/reconcile_constants.py.
-    tail_bound is the last term plus the rounding floor (m_used + 1) eps sum_m |a_m h_m(eta)|;
-    a value not above it, as at small t and eta near pi, raises SeriesConvergenceError.
-    """
+def _check_fiber_args(t: float, eta: float):
     if not 0.0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t}")
     if not 0.0 <= eta <= math.pi:
         raise ValueError("eta must lie in [0, pi]")
+
+
+def fiber_heat_kernel(t: float, eta: float, u: float,
+                      continued: bool = False) -> FiberKernelValue:
+    """Fiber kernel at angles (eta, u), or at (eta, iu) when continued.
+
+    For the continued branch u is the hyperbolic coordinate (second argument
+    cosh u); otherwise u is an angle in [0, pi] like eta.  The coefficients
+    are 1/N_m from the orthogonality norms, so the kernel integrates to 1
+    against the sin^6 weight.  The display with 2/N_m, which integrates to 2,
+    is kept and checked in scripts/reconcile_constants.py.  tail_bound is the
+    last term plus the rounding floor (m_used + 1) eps sum_m |a_m h_m(eta)|; a
+    value not above it, as at small t and eta near pi, raises
+    SeriesConvergenceError.
+    """
+    _check_fiber_args(t, eta)
     if continued:
         if not u >= 0.0:
             raise ValueError("continued coordinate must be nonnegative")

@@ -34,7 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fiber_kernel
-from .fiber_kernel import _fiber_coeff, _series_matrix, fiber_eigenvalue, fiber_mode_multiplicity
+from .fiber_kernel import (
+    fiber_eigenvalue,
+    fiber_mode_multiplicity,
+    _fiber_coeff,
+    _series_matrix,
+)
 from .hyperbolic_kernel import (_log_kernel, _log_sinh, composed_distance,
                                 hyperbolic_heat_kernel_composed)
 from .special_fn import gl_nodes, jacobi_sequence
@@ -192,7 +197,7 @@ def _grid(which, t, rs, etas, n_u, u_max):
     rs = np.asarray(rs, dtype=float)[:, None]
     u, w = gl_nodes(n_u, 0.0, u_max)
     n, log_g, factor = _integrand(which, t, rs, u)
-    wq = w * np.exp(_log_kernel(n, t, composed_distance(rs, u)) + log_g)
+    wq = (w * np.exp(_log_kernel(n, t, composed_distance(rs, u)) + log_g)).astype(np.longdouble)
     out, m_used, _ = _series_matrix(factor, rs.size, etas, wq)
     return out, m_used
 

@@ -330,6 +330,12 @@ class TestRefusedInput:
         err = capsys.readouterr().err
         assert err == "" if code == 0 else re.fullmatch(r"error: fiber series [^\n]*\n", err)
 
+    def test_fiber_normalization_keeps_nodes_within_their_rounding_floor(self, tmp_path):
+        # the u node nearest 0 is such a node; it contributes its floor times w sin^6 u
+        code, out = run_cli(["fiber-normalization", "--t", "0.05", "--eta", "3"], tmp_path)
+        assert code == 0
+        assert out.decode().splitlines()[1].endswith(",pass")
+
     @pytest.mark.parametrize("r, eta", [("2", "3.141592653589793"), ("0", "2.0943951023931953")])
     def test_rep2_direct_2d_failure_exits_2(self, capsys, r, eta):
         # an OverflowError and an AssertionError traceback, with exit code 1

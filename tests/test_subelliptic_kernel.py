@@ -276,6 +276,14 @@ class TestHeatResidual:
         res, scale, p = heat_residual(which, 1.0, 0.5, PI / 2.0)
         assert res <= 1e-4 * scale + 1e-8 * p
 
+    @pytest.mark.parametrize("which", ["rep1", "rep2"])
+    @pytest.mark.parametrize("dr", [0.0, 1e-7, -1e-7, 1e-6, 3e-6])
+    def test_residual_near_eta_pi_is_not_rounding(self, which, dr):
+        # the mode sums at (0.1, 2, 3 pi/4) cancel to ~1e-7 of their terms; summed in doubles,
+        # their rounding read 0.03 to 1.4 of the bound as r moved by up to 3e-6
+        res, scale, p = heat_residual(which, 0.1, 2.0 + dr, 3.0 * PI / 4.0)
+        assert res <= 0.01 * (1e-4 * scale + 1e-8 * p)
+
     def test_residual_decreases_under_refinement(self):
         res_h, _, p = heat_residual("rep1", 1.0, 0.7, 1.2, h_r=4e-3, h_eta=4e-3, h_t_rel=4e-3)
         res_h2 = heat_residual("rep1", 1.0, 0.7, 1.2, h_r=2e-3, h_eta=2e-3, h_t_rel=2e-3)[0]
