@@ -116,7 +116,7 @@ def _cmd_eval(opts: dict, out):
     values = ("p_rep1", "p_rep2") if opts["rep"] == "both" else ("value",)
     bad = sum(not acc.usable(row[k]) for row in rows for k in values)
     if bad:
-        print(f"{bad} kernel values are zero or not finite", file=sys.stderr)
+        print(f"{bad} kernel values are zero, subnormal or not finite", file=sys.stderr)
     return 1 if bad else 0
 
 

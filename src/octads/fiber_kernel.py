@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_fn import jacobi_next, jacobi_norm_sq, jacobi_sequence
+from .special_fn import gl_nodes, jacobi_next, jacobi_norm_sq, jacobi_sequence
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -156,22 +156,23 @@ def fiber_heat_kernel(t: float, eta: float, u: float,
     return FiberKernelValue(value=float(out[0, 0]), m_used=m_used, tail_bound=float(bound))
 
 
+def _s5_rule(degree: int):
+    """Nodes x = cos phi and weights of the sin^5 phi average on S^5, exact for every
+    polynomial in x of degree <= degree, such as (cos eta + i sin eta x)^degree."""
+    x, w = gl_nodes(degree // 2 + 3, -1.0, 1.0)
+    return x, (15.0 / 16.0) * w * (1.0 - x * x) ** 2
+
+
 def fiber_mode_profile(m: int, eta: float) -> float:
     """Normalized angular profile of degree-m modes, equal to 1 at the pole.
 
-    Computed from the integral of (cos eta + i sin eta cos phi)^m against
-    sin^5(phi), rewritten with x = cos(phi) so the integrand is a polynomial
-    and the Gauss-Legendre rule is exact.  The imaginary residue vanishes by
-    symmetry and is asserted small.
+    The sin^5 phi average of (cos eta + i sin eta cos phi)^m by _s5_rule(m); the
+    imaginary residue vanishes by symmetry and is asserted small.
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    from .special_fn import gl_nodes
-
-    n_nodes = (m + 7) // 2 + 8
-    x, w = gl_nodes(n_nodes, -1.0, 1.0)
-    z = np.cos(eta) + 1j * np.sin(eta) * x
-    val = (15.0 / 16.0) * np.sum(w * z ** m * (1.0 - x * x) ** 2)
+    x, w = _s5_rule(m)
+    val = np.sum(w * (np.cos(eta) + 1j * np.sin(eta) * x) ** m)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise AssertionError(f"imaginary residue {val.imag:.3e} exceeds tolerance")
     return float(val.real)

@@ -38,6 +38,7 @@ from .fiber_kernel import (
     fiber_eigenvalue,
     fiber_mode_multiplicity,
     _fiber_coeff,
+    _s5_rule,
     _series_matrix,
 )
 from .hyperbolic_kernel import (_log_kernel, _log_sinh, composed_distance,
@@ -47,11 +48,9 @@ from .special_fn import gl_nodes, jacobi_sequence
 MEASURE_CONSTANT = math.pi ** 7 / 90.0
 
 # The point rule: u-nodes of the first level, doubled up to four times until two successive
-# values agree to POINT_TOL relative, at default_u_max and then once at twice it; the direct
-# 2-d path of representation 2 starts its angular rule at POINT_N_PHI nodes.  The series
+# values agree to POINT_TOL relative, at default_u_max and then once at twice it.  The series
 # truncation is fiber_kernel's SERIES_TOL and SERIES_M_CAP.  All are read at call time.
 POINT_N_U = 96
-POINT_N_PHI = 64
 POINT_TOL = 1e-9
 
 # Global normalization of representation 2 against representation 1;
@@ -77,7 +76,7 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 class KernelRangeError(ArithmeticError):
-    """A point value underflowed to zero or is not finite.
+    """A point value is not usable: zero, subnormal or not finite.
 
     The kernel is positive everywhere, so such a value carries no
     information; `result` holds the refused evaluation for reporting.
@@ -124,13 +123,18 @@ def _measure_u_max(t: float) -> float:
     return 6.0 * t + 8.0 * math.sqrt(t) + 5.0
 
 
+def usable(v: float) -> bool:
+    """A kernel value that carries information: finite, and neither zero nor subnormal."""
+    return math.isfinite(v) and abs(v) >= np.finfo(float).tiny
+
+
 def _adaptive(what: str, t, r, eta, eval_at) -> KernelResult:
     """The point rule (see POINT_N_U).  eval_at(n_u, u_max) returns (value,
-    m_used); a value that is zero or not finite raises KernelRangeError at once.
+    m_used); a value that is not usable raises KernelRangeError at once.
     """
     def checked(n, u_max):
         value, m_used = eval_at(n, u_max)
-        if value == 0.0 or not math.isfinite(value):
+        if not usable(value):
             raise KernelRangeError(
                 f"{what} is {value} at (t={t}, r={r}, eta={eta})",
                 KernelResult(value=value, est_error=math.nan, m_used=m_used, u_max_used=u_max))
@@ -144,7 +148,7 @@ def _adaptive(what: str, t, r, eta, eval_at) -> KernelResult:
             n *= 2
             value, m_used = checked(n, u_max)
             est = abs(value - prev)
-            if est <= POINT_TOL * abs(value) + 1e-280:
+            if est <= POINT_TOL * abs(value):
                 return KernelResult(value=value, est_error=est, m_used=m_used, u_max_used=u_max)
             prev = value
     raise QuadratureConvergenceError(f"{what} did not stabilize at (t={t}, r={r}, eta={eta})")
@@ -213,20 +217,20 @@ def heat_kernel_rep1(t: float, r: float, eta: float) -> KernelResult:
     return _adaptive("representation 1", t, r, eta, _at_point(_rep1_grid, t, r, eta))
 
 
-def _rep2_direct_2d(t, r, eta, u_max, n_u, n_phi):
-    u, wu = gl_nodes(n_u, 0.0, u_max)
-    x, wx = gl_nodes(n_phi, -1.0, 1.0)
-    z = np.cos(eta) + 1j * np.sin(eta) * x
-    g = np.zeros((n_u, n_phi), dtype=complex)
-    zpow = np.ones_like(z)
-    scale = 0.0
-    below = 0
-    m = 0
+def _rep2_direct_2d(t, r, eta, n_u, u_max):
+    """Criterion 02's reference: the u-integral of the S^5 average, by the one exact rule
+    _s5_rule(SERIES_M_CAP), of sum_m w_m _damped_cosh(m, t, u) z^m, z = cos eta + i sin eta x."""
     cap = fiber_kernel.SERIES_M_CAP
-    while m <= cap:
+    u, wu = gl_nodes(n_u, 0.0, u_max)
+    x, wx = _s5_rule(cap)
+    z = np.cos(eta) + 1j * np.sin(eta) * x
+    g = np.zeros((n_u, x.size), dtype=complex)
+    zpow = np.ones_like(z)
+    scale, below = 0.0, 0
+    for m in range(cap + 1):
         rate = fiber_eigenvalue(m) + REP2_RATE_SHIFT
         b = m + 3
-        weight = 15.0 / 16.0 * fiber_mode_multiplicity(m)
+        weight = fiber_mode_multiplicity(m)
         # the term's largest entry is weight exp(b u_max - rate t); the sum of up to cap + 1
         # such terms must stay below the largest double, exp(709.78)
         if b * u_max - rate * t + math.log(weight) > 700.0:
@@ -234,18 +238,15 @@ def _rep2_direct_2d(t, r, eta, u_max, n_u, n_phi):
                 f"2d series term of degree {m} exceeds double range at u_max = {u_max:.6g}")
         g += weight * np.outer(_damped_cosh(m, t, u), zpow)
         scale = max(scale, float(np.max(np.abs(g))))
-        bound = weight * 0.5 * (
-            math.exp(b * u_max - rate * t) + math.exp(-rate * t)
-        )
+        bound = weight * 0.5 * (math.exp(b * u_max - rate * t) + math.exp(-rate * t))
         below = below + 1 if bound <= fiber_kernel.SERIES_TOL * max(scale, 1e-300) else 0
         if m >= 4 and below >= 2:
             break
         zpow = zpow * z
-        m += 1
     else:
         raise QuadratureConvergenceError(f"2d series not converged by degree {cap}")
 
-    fold = g @ (wx * (1.0 - x * x) ** 2)
+    fold = g @ wx
     imag_scale = float(np.max(np.abs(fold.real))) + 1e-300
     imag = float(np.max(np.abs(fold.imag)))
     if imag > 1e-10 * imag_scale:
@@ -266,16 +267,11 @@ def heat_kernel_rep2(t: float, r: float, eta: float,
     of the acceptance checks.
     """
     KernelPoint(t, r, eta)
-    if path not in ("mode_series", "direct_2d"):
+    routes = {"mode_series": _at_point(_rep2_grid, t, r, eta),
+              "direct_2d": functools.partial(_rep2_direct_2d, t, r, eta)}
+    if path not in routes:
         raise ValueError(f"unknown path {path!r}")
-    if path == "mode_series":
-        eval_at = _at_point(_rep2_grid, t, r, eta)
-    else:
-        def eval_at(n, u_max):
-            # refine the angular rule together with the radial one
-            n_phi = max(POINT_N_PHI, POINT_N_PHI * n // POINT_N_U)
-            return _rep2_direct_2d(t, r, eta, u_max, n, n_phi)
-    return _adaptive("representation 2", t, r, eta, eval_at)
+    return _adaptive("representation 2", t, r, eta, routes[path])
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +320,11 @@ def richardson(diff, h: float) -> float:
     return fine + (fine - coarse) / 3.0
 
 
+def _time_derivative(f, t: float, h_rel: float = 1e-3) -> float:
+    """df/dt by richardson at the step h_rel min(t, 1); a step h_rel t errs like t^4."""
+    return richardson(lambda h: (f(t + h) - f(t - h)) / (2.0 * h), h_rel * min(t, 1.0))
+
+
 def apply_radial_sublaplacian(f, r: float, eta: float,
                               h_r: float = 1e-3, h_eta: float = 1e-3) -> float:
     """Generator applied to f(r, eta) by central differences, with both steps
@@ -355,8 +356,7 @@ def heat_residual(which: str, t: float, r: float, eta: float,
     _check_interior(r, eta)
     p = frozen_kernel(which, t, r, eta)
 
-    time_deriv = richardson(lambda h: (p(t + h, r, eta) - p(t - h, r, eta)) / (2.0 * h),
-                            h_t_rel * t)
+    time_deriv = _time_derivative(lambda tt: p(tt, r, eta), t, h_t_rel)
     # the centre is a stencil point and also the p returned; each point is evaluated once
     at_t = functools.lru_cache(maxsize=None)(lambda rr, ee: p(t, rr, ee))
     spatial = apply_radial_sublaplacian(at_t, r, eta, h_r, h_eta)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,11 @@ class TestEval:
         code, payload = run_cli(["eval", "--t", "16", "--r", "0", "--eta", "0"], tmp_path)
         assert code == 1
         assert payload.decode().splitlines()[1].endswith(",inf")
+
+    def test_point_rows_refuses_an_unknown_rep(self):
+        # "rep1" evaluated both representations and returned rep 2's values
+        with pytest.raises(ValueError, match="unknown representation"):
+            octads.acceptance.point_rows(rep="rep1")
 
 
 class TestCompareReps:
@@ -166,6 +172,31 @@ class TestOtherCommands:
         for row in rows:
             if row[0].startswith("pde_residual"):
                 assert float(row[3]) <= 1e-5 and row[4] == "pass"
+
+    def test_hyperbolic_suite_at_large_time(self, tmp_path):
+        # the normalization's float product q Omega sinh^(n-1) printed nan at t = 3, with two
+        # RuntimeWarnings; a time step of 1e-3 t failed the n = 15 residual at t = 6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, payload = run_cli(["hyperbolic-suite", "--t", "3,6,10"], tmp_path)
+        assert code == 0
+        assert all(line.endswith(",pass") for line in payload.decode().splitlines()[1:])
+
+    @pytest.mark.parametrize("args", [
+        # every row read 0,0,0,pass with exit code 0
+        pytest.param(["residual", "--t", "15"], id="residual"),
+        # a ZeroDivisionError traceback from the n = 15 residual, whose q underflows to 0
+        pytest.param(["hyperbolic-suite", "--t", "20"], id="hyperbolic-suite"),
+    ])
+    def test_underflowed_kernel_fails_its_row(self, args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "octads"] + args,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert ",fail" in proc.stdout
 
     def test_hyperbolic_values(self, tmp_path):
         code, payload = run_cli(["hyperbolic", "--n", "3", "--t", "1", "--s", "1"], tmp_path)

@@ -8,12 +8,13 @@ from octads import fiber_kernel
 from octads.fiber_kernel import (
     SERIES_TOL,
     SeriesConvergenceError,
+    _s5_rule,
     fiber_eigenvalue,
     fiber_heat_kernel,
     fiber_mode_multiplicity,
     fiber_mode_profile,
 )
-from octads.special_fn import gl_nodes, jacobi_end_value, jacobi_norm_sq, jacobi_sequence
+from octads.special_fn import jacobi_end_value, jacobi_norm_sq, jacobi_sequence
 
 
 def _mp_series(t, eta, u, continued, dps):
@@ -188,9 +189,16 @@ class TestModeProfile:
     def test_imaginary_residue_small(self):
         # raw quadrature before discarding the imaginary part
         for m in range(31):
-            n_nodes = (m + 7) // 2 + 8
-            x, w = gl_nodes(n_nodes, -1.0, 1.0)
+            x, w = _s5_rule(m)
             for eta in (0.3, 1.4, 2.9):
-                z = np.cos(eta) + 1j * np.sin(eta) * x
-                val = (15.0 / 16.0) * np.sum(w * z ** m * (1.0 - x * x) ** 2)
+                val = np.sum(w * (np.cos(eta) + 1j * np.sin(eta) * x) ** m)
                 assert abs(val.imag) <= 1e-12 * max(1.0, abs(val.real))
+
+    @pytest.mark.parametrize("m", [0, 15, 64, 128, 256])
+    @pytest.mark.parametrize("eta", [0.3, 1.5, 3.0])
+    def test_s5_rule_is_exact_to_its_degree(self, m, eta):
+        # the smallest rule of degree m, m // 2 + 3 nodes, against the Jacobi recurrence
+        x, w = _s5_rule(m)
+        profile = np.sum(w * (math.cos(eta) + 1j * math.sin(eta) * x) ** m)
+        p = jacobi_sequence(m, [math.cos(eta), 1.0])[m]
+        assert abs(profile - p[0] / p[1]) <= 1e-13

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from octads import subelliptic_kernel
+from octads import acceptance, fiber_kernel, subelliptic_kernel
 from octads.acceptance import GRID_ETA, GRID_R, GRID_T
 from octads.fiber_kernel import (SeriesConvergenceError, _fiber_coeff, _series_matrix,
                                  fiber_heat_kernel, fiber_mode_multiplicity)
@@ -152,6 +152,13 @@ class TestRepresentations:
             assert isinstance(info.value, ArithmeticError)
             assert info.value.result.value == 0.0
 
+    @pytest.mark.parametrize("rep", [heat_kernel_rep1, heat_kernel_rep2])
+    def test_subnormal_value_raises(self, rep):
+        # rep 1 returned 6.126e-322 here, with an est_error 1.6% of it, under a 1e-280 floor
+        with pytest.raises(KernelRangeError) as info:
+            rep(14.8, 0.5, PI / 4.0)
+        assert 0.0 < info.value.result.value < np.finfo(float).tiny
+
     def test_nonconvergence_raises(self, monkeypatch):
         # a grid whose error shrinks only like 1/n_u: each doubling changes the value by
         # 1/(2 n_u) relative, at least 1e-3 here, far above POINT_TOL
@@ -176,6 +183,20 @@ class TestRepresentations:
     def test_direct_2d_failure_is_a_convergence_error(self, point, match):
         with pytest.raises(QuadratureConvergenceError, match=match):
             heat_kernel_rep2(*point, path="direct_2d")
+
+    def test_direct_2d_builds_one_angular_rule(self, monkeypatch):
+        # the angular rule doubled with the u rule, 64 to 1024 nodes; the series is a
+        # polynomial of degree at most SERIES_M_CAP in x, which one rule integrates exactly
+        calls = []
+        for module in (fiber_kernel, subelliptic_kernel):
+            def record(n, a, b, real=module.gl_nodes):
+                calls.append((n, a, b))
+                return real(n, a, b)
+            monkeypatch.setattr(module, "gl_nodes", record)
+        heat_kernel_rep2(0.5, 2.0, 2.9, path="direct_2d")
+        assert len([n for n, a, _ in calls if a == 0.0]) >= 2
+        assert {n for n, a, b in calls if (a, b) == (-1.0, 1.0)} == {
+            fiber_kernel.SERIES_M_CAP // 2 + 3}
 
     @pytest.mark.parametrize("rep, t", [(heat_kernel_rep1, 0.1), (heat_kernel_rep2, 0.05)],
                              ids=["heat_kernel_rep1", "heat_kernel_rep2"])
@@ -283,6 +304,12 @@ class TestHeatResidual:
         # their rounding read 0.03 to 1.4 of the bound as r moved by up to 3e-6
         res, scale, p = heat_residual(which, 0.1, 2.0 + dr, 3.0 * PI / 4.0)
         assert res <= 0.01 * (1e-4 * scale + 1e-8 * p)
+
+    @pytest.mark.parametrize("which", ["rep1", "rep2"])
+    def test_criterion_03_at_large_time(self, which):
+        # a time step of 1e-3 t read 1.0e-2, 0.16, 1.23 and 4.7 of the bound at (t, 0.5, pi/4)
+        rows = acceptance.heat_equation_residual(t=(3.0, 6.0, 10.0, 14.0), which=which)
+        assert all(row["status"] == "pass" for row in rows)
 
     def test_residual_decreases_under_refinement(self):
         res_h, _, p = heat_residual("rep1", 1.0, 0.7, 1.2, h_r=4e-3, h_eta=4e-3, h_t_rel=4e-3)
