@@ -2,14 +2,14 @@
 
   python scripts/bench_record.py --before PARENT_CHECKOUT --after . --output BENCH_<n>.json
 
-For each workload of BENCHMARK.json and each seed 0..runs-1, both checkouts run
-perfbench/run.py (--trace 0), taking turns at going first, and the file keeps
-every run's end-to-end metrics with their medians.  One traced run per
-workload and checkout adds every per-layer metric of BENCHMARK.json.  Each
-command of CLI runs in a cold process `runs` times per checkout, the
-checkouts taking turns, and the file keeps every time with their median; it
-also keeps each checkout's src/octads line count, and criterion 08's z-values
-from one acceptance.mc_oracle() call per checkout.
+For each workload of BENCHMARK.json and each seed 0..runs-2 and the held-out seed
+7919, both checkouts run perfbench/run.py (--trace 0), taking turns at going
+first, and the file keeps the seeds and every run's end-to-end metrics with
+their medians.  One traced run per workload and checkout adds every per-layer
+metric of BENCHMARK.json.  Each command of CLI runs in a cold process `runs`
+times per checkout, the checkouts taking turns, and the file keeps every time
+with their median; it also keeps each checkout's src/octads line count, and
+criterion 08's z-values from one acceptance.mc_oracle() call per checkout.
 Then each checkout runs the tier-1 suite once, with pytest's --durations, for
 its wall time and the wall time of each acceptance criterion.  Run it on a
 machine that is otherwise idle; every figure is wall time.
@@ -36,6 +36,7 @@ SUMMARY = re.compile(r"^=* ?(\d+ (?:passed|failed).*?) in [\d.]+s")
 # The octads commands timed in a cold process, each with its default grid unless given.
 CLI = {"eval": ["eval"], "compare-reps": ["compare-reps"], "mass": ["mass"],
        "mc-check": ["mc-check", "--t", "0.05,0.1", "--n-paths", "16385", "--dt", "0.0005"]}
+HELD_OUT_SEED = 7919  # perfbench/README.md: no change may tune on it, and every claim runs it
 MC_Z = ("import json; from octads import acceptance; "
         "print(json.dumps({row['function']: row['z'] for row in acceptance.mc_oracle()}))")
 
@@ -93,7 +94,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--after", type=Path, required=True, help="checkout of the change")
-    ap.add_argument("--runs", type=int, default=3)
+    ap.add_argument("--runs", type=int, default=3, help="pairs of runs per workload, the "
+                    "last at the held-out seed")
     ap.add_argument("--output", type=Path, required=True)
     args = ap.parse_args(argv)
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
@@ -105,11 +107,11 @@ def main(argv=None) -> int:
                     "loadavg_1m_start": os.getloadavg()[0]},
         "benchmark": {},
     }
+    seeds = record["seeds"] = [*range(args.runs - 1), HELD_OUT_SEED]
     for wl in (w["name"] for w in spec["workloads"]):
         runs = {side: [] for side in sides}
-        for seed in range(args.runs):
-            order = list(sides) if seed % 2 == 0 else list(reversed(sides))
-            for side in order:
+        for run, seed in enumerate(seeds):
+            for side in (list(sides) if run % 2 == 0 else list(reversed(sides))):
                 runs[side].append(bench(sides[side], wl, seed, trace=0))
         out = record["benchmark"][wl] = {}
         for side, metrics in runs.items():
