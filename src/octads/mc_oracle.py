@@ -43,9 +43,9 @@ A sign is one random bit, where a normal is a ziggurat draw.
 The chain runs in float32.  The start state and the noise buffer are float32,
 and the step functions keep them so, since their constants are Python floats,
 which numpy casts to the array's type; each snapshot becomes float64 when the
-chunks are joined.  One 8192-path chunk takes about 20 ns per path-step in
-float32 against 34 ns in float64, 2-3 ns of either being the sign noise (numpy
-2.4.6, 2 vCPUs).  Over 500 steps rounding moves a path by about 3e-6 relative in
+chunks are joined.  One 8192-path chunk takes 15-25 ns per path-step in float32
+against 43-65 ns in float64, where numpy's cos is not vectorized, 2-4 ns of either
+being the sign noise (numpy 2.4.6, 2 shared vCPUs).  Over 500 steps rounding moves a path by about 3e-6 relative in
 r and 1.4e-5 in eta, and at 100000 paths the means of the test functions by
 under 0.005 standard errors.  Near the poles float32 arccos has no value between
 0 and 3.5e-4, nor between pi - 3.5e-4 and pi, since there 1 - |cos eta| is under
@@ -114,11 +114,7 @@ def _drift_flow(r, eta, tau):
     r_new = np.where(r > _R_SHIFT, r + 14.0 * tau, np.arcsinh(np.sqrt(s + g)))
     # cos eta scales by e^(6 tau) (cosh r / cosh r')^(6/7), and (cosh r' / cosh r)^2 = 1 + g/(1 + s)
     decay = np.exp(6.0 * tau - (3.0 / 7.0) * np.log1p(g / (1.0 + s)))
-    # cos eta through the half-angle tangent, to within 3.5e-16 in float64, where numpy's tan
-    # is vectorized and its cos is not (7 against 17 ns per value, numpy 2.4 on an AVX-512
-    # Xeon), and 2.3e-7 in float32
-    t2 = np.tan(0.5 * eta) ** 2
-    eta_new = np.arccos(np.clip((1.0 - 2.0 * t2 / (1.0 + t2)) * decay, -1.0, 1.0))
+    eta_new = np.arccos(np.clip(np.cos(eta) * decay, -1.0, 1.0))
     return r_new, eta_new
 
 

@@ -47,9 +47,9 @@ from .special_fn import gl_nodes, jacobi_sequence
 
 MEASURE_CONSTANT = math.pi ** 7 / 90.0
 
-# The point rule: u-nodes of the first level, doubled up to four times until two successive
-# values agree to POINT_TOL relative, at default_u_max and then once at twice it.  The series
-# truncation is fiber_kernel's SERIES_TOL and SERIES_M_CAP.  All are read at call time.
+# The point rule: u-nodes of the first level, doubled up to four times at default_u_max until
+# two successive values agree to POINT_TOL relative.  The series truncation is fiber_kernel's
+# SERIES_TOL and SERIES_M_CAP.  All are read at call time.
 POINT_N_U = 96
 POINT_TOL = 1e-9
 
@@ -132,25 +132,18 @@ def _adaptive(what: str, t, r, eta, eval_at) -> KernelResult:
     """The point rule (see POINT_N_U).  eval_at(n_u, u_max) returns (value,
     m_used); a value that is not usable raises KernelRangeError at once.
     """
-    def checked(n, u_max):
-        value, m_used = eval_at(n, u_max)
+    u_max = default_u_max(t, r)
+    prev = math.inf  # the first value agrees with nothing
+    for k in range(5):
+        value, m_used = eval_at(POINT_N_U << k, u_max)
         if not usable(value):
             raise KernelRangeError(
                 f"{what} is {value} at (t={t}, r={r}, eta={eta})",
                 KernelResult(value=value, est_error=math.nan, m_used=m_used, u_max_used=u_max))
-        return value, m_used
-
-    base_u = default_u_max(t, r)
-    for u_max in (base_u, 2.0 * base_u):
-        n = POINT_N_U
-        prev, _ = checked(n, u_max)
-        for _ in range(4):
-            n *= 2
-            value, m_used = checked(n, u_max)
-            est = abs(value - prev)
-            if est <= POINT_TOL * abs(value):
-                return KernelResult(value=value, est_error=est, m_used=m_used, u_max_used=u_max)
-            prev = value
+        est = abs(value - prev)
+        if est <= POINT_TOL * abs(value):
+            return KernelResult(value=value, est_error=est, m_used=m_used, u_max_used=u_max)
+        prev = value
     raise QuadratureConvergenceError(f"{what} did not stabilize at (t={t}, r={r}, eta={eta})")
 
 

@@ -161,10 +161,14 @@ class TestRepresentations:
 
     def test_nonconvergence_raises(self, monkeypatch):
         # a grid whose error shrinks only like 1/n_u: each doubling changes the value by
-        # 1/(2 n_u) relative, at least 1e-3 here, far above POINT_TOL
+        # 1/(2 n_u) relative, at least 1e-3 here, far above POINT_TOL.  The point rule
+        # refuses after its five node counts at the one cutoff default_u_max; it used to
+        # retry all five at twice that cutoff
         real = subelliptic_kernel._rep1_grid
+        calls = []
 
         def grid(t, rs, etas, n_u, u_max):
+            calls.append((n_u, u_max))
             values, m_used = real(t, rs, etas, n_u, u_max)
             return values * (1.0 + 1.0 / n_u), m_used
 
@@ -172,11 +176,13 @@ class TestRepresentations:
         monkeypatch.setattr(subelliptic_kernel, "POINT_N_U", 16)
         with pytest.raises(QuadratureConvergenceError):
             heat_kernel_rep1(1.0, 0.5, 1.0)
+        assert calls == [(16 << k, default_u_max(1.0, 0.5)) for k in range(5)]
 
     @pytest.mark.parametrize("point, match", [
-        # the tail bound exp(b u_max - rate t) overflowed: OverflowError
-        ((0.05, 2.0, PI), "degree"),
-        ((0.07, 2.0, 2.0 * PI / 3.0), "degree"),
+        # the tail bound exp(b u_max - rate t) overflowed: OverflowError; at
+        # default_u_max = 11.79 the term of degree 98 exceeds double range
+        ((0.05, 5.0, 2.0 * PI / 3.0), "degree"),
+        ((0.05, 5.0, PI), "degree"),
         # the angular integral kept an imaginary part: AssertionError
         ((0.05, 0.0, 2.0 * PI / 3.0), "imaginary residue"),
     ])
@@ -198,16 +204,19 @@ class TestRepresentations:
         assert {n for n, a, b in calls if (a, b) == (-1.0, 1.0)} == {
             fiber_kernel.SERIES_M_CAP // 2 + 3}
 
-    @pytest.mark.parametrize("rep, t", [(heat_kernel_rep1, 0.1), (heat_kernel_rep2, 0.05)],
-                             ids=["heat_kernel_rep1", "heat_kernel_rep2"])
-    def test_overflow_is_a_series_error_under_raise(self, rep, t):
+    @pytest.mark.parametrize("evaluate", [
+        # rep 1's P_m(cosh u) overflows at degree 90 at default_u_max
+        lambda: heat_kernel_rep1(0.05, 1.0, PI),
         # rep 2's cosh((m+3) u) overflowed in exp and then in its matmul: a bare
-        # FloatingPointError, and without raise a QuadratureConvergenceError at the degree cap;
-        # rep 1's P_m(cosh u) overflows at degree 41.  Rep 2's mode factor, one exp per
-        # exponent, stays finite at t = 0.1 and overflows at t = 0.05 (degree 58)
+        # FloatingPointError, and without raise a QuadratureConvergenceError at the degree cap.
+        # Its mode factor, one exp per exponent, stays finite at every point's cutoff, and
+        # overflows at degree 58 at twice it
+        lambda: _rep2_grid(0.05, [1.0], [PI], 96, 2.0 * default_u_max(0.05, 1.0)),
+    ], ids=["heat_kernel_rep1", "heat_kernel_rep2"])
+    def test_overflow_is_a_series_error_under_raise(self, evaluate):
         with np.errstate(over="raise", invalid="raise"):
             with pytest.raises(SeriesConvergenceError, match="polynomial overflowed "):
-                rep(t, 1.0, PI)
+                evaluate()
 
     def test_mode_series_against_independent_quadrature(self):
         quad = pytest.importorskip("scipy.integrate").quad
