@@ -43,7 +43,6 @@ from .subelliptic_kernel import (
     MEASURE_CONSTANT,
     QuadratureConvergenceError,
     REP2_CONSTANT,
-    apply_radial_sublaplacian,
     default_u_max,
     heat_kernel_rep1,
     heat_kernel_rep2,

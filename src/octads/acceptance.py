@@ -17,15 +17,15 @@ import math
 import numpy as np
 
 from . import octonion as oct
-from .fiber_kernel import (_check_fiber_args, _fiber_coeff, _series_matrix, fiber_heat_kernel,
-                           fiber_mode_profile)
+from .fiber_kernel import (SeriesConvergenceError, _check_fiber_args, _fiber_coeff,
+                           _series_matrix, fiber_heat_kernel, fiber_mode_profile)
 from .hyperbolic_kernel import _log_kernel, _log_sinh, hyperbolic_heat_kernel
 from .mc_oracle import MC_TEST_FUNCTIONS, SdeConfig, estimate_expectation, simulate_paths
 from .special_fn import (gl_nodes, hyp2f1_terminating, jacobi_end_value, jacobi_norm_sq,
                          jacobi_sequence)
-from .subelliptic_kernel import (KernelRangeError, _check_time, _time_derivative,
-                                 heat_kernel_rep1, heat_kernel_rep2, heat_residual, richardson,
-                                 total_mass, usable, weighted_integral)
+from .subelliptic_kernel import (KernelRangeError, _check_time, heat_kernel_rep1,
+                                 heat_kernel_rep2, heat_residual, total_mass, usable,
+                                 weighted_integral)
 
 GRID_T = (0.5, 1.0, 2.0)
 GRID_R = (0.0, 0.5, 1.0, 2.0)
@@ -99,13 +99,19 @@ def heat_equation_residual(t=(1.0,), r=(0.5, 1.0),
     """Criterion 03: |dp/dt - L p| <= rel_tol |dp/dt| + abs_tol p at interior points.
 
     The floor scales with p, 1e-15 to 1e-50 here, so that no fixed floor decides the check.
-    A row whose p is not usable (zero or subnormal, from t near 14.5) fails.
+    A row whose p is not usable (zero or subnormal, from t near 14.5) fails.  A row whose
+    residual cannot be resolved, its rounding floor (see heat_residual) above its bound,
+    raises SeriesConvergenceError.
     """
     rows = []
     for tt, rr, ee in itertools.product(t, r, eta):
         for rep in ("rep1", "rep2") if which == "both" else (which,):
-            res, scale, p = heat_residual(rep, tt, rr, ee)
+            res, scale, p, floor = heat_residual(rep, tt, rr, ee)
             bound = rel_tol * scale + abs_tol * p
+            if floor > bound:
+                raise SeriesConvergenceError(
+                    f"the {rep} heat residual at (t={tt}, r={rr}, eta={ee}) has rounding floor "
+                    f"{floor:.1e}, above its bound {bound:.1e}")
             rows.append(_row(res <= bound and usable(p), t=tt, r=rr, eta=ee, which=rep,
                              residual=res, dt_scale=scale, bound=bound))
     return rows
@@ -162,11 +168,19 @@ def fiber_normalization(t=_FIBER_T, eta=_FIBER_ETA):
     return rows
 
 
+def richardson(diff, h: float) -> float:
+    """diff(h) extrapolated from the steps h and h/2, which cancels the h^2 term of a
+    second-order difference."""
+    coarse, fine = diff(h), diff(h / 2.0)
+    return fine + (fine - coarse) / 3.0
+
+
 def _radial_pde_residual(n: int, t: float, s: float) -> float:
     """|dq/dt - radial Laplacian q| / (|dq/dt| + 1e-5 q), or inf where q is not usable, by
     central differences with one Richardson step: a bound of 1e-5 is 1e-5 relative plus 1e-10 q."""
     q = functools.partial(hyperbolic_heat_kernel, n)
-    time_deriv = _time_derivative(lambda tt: q(tt, s), t)
+    # the time step is 1e-3 min(t, 1): a step 1e-3 t errs like t^4
+    time_deriv = richardson(lambda h: (q(t + h, s) - q(t - h, s)) / (2.0 * h), 1e-3 * min(t, 1.0))
     spatial = richardson(lambda h: (q(t, s + h) - 2.0 * q(t, s) + q(t, s - h)) / h ** 2
                          + (n - 1.0) / math.tanh(s) * (q(t, s + h) - q(t, s - h)) / (2.0 * h), 1e-3)
     return (abs(time_deriv - spatial) / (abs(time_deriv) + 1e-5 * q(t, s))

@@ -66,7 +66,8 @@ def _series_matrix(factor, n_rows: int, etas, wq=None):
     non-finite coefficient, and a row still summing at SERIES_M_CAP, raise.
     The u-integrals, profiles and sums are formed in the dtype of wq: a grid
     passes long double, since its sums near eta = pi cancel to 1e-7 of their
-    terms, and the finite-difference stencils of heat_residual read that rounding.
+    terms; summed in double, point values at t <= 0.2 moved by up to 2.8e-9
+    relative, above POINT_TOL, and 4 of 504 points flipped to or from a refusal.
     Returns (sums[n_rows, n_eta], m_used, coeffs), where coeffs[m] holds every
     row's a_m, 0 once the row has stopped.
     """

@@ -20,21 +20,21 @@ import math
 import numpy as np
 
 # Below the switch P_k is a power series of _SERIES_LENGTH terms in
-# w = cosh s - 1 <= 0.89; arccosh(1 + w)^2 has radius 2 in w, so the
-# dropped tail is below 1e-14 relative for every k <= 7 and t >= 0.05.
+# w = cosh s - 1 <= 0.89; arccosh(1 + w)^2 has radius 2 in w, so the dropped tail is below
+# 2e-14 relative for every k <= 7, 2e-13 at k = 8 and 2e-12 at k = 9, for 0.05 <= t <= 40.
 SMALL_S_SWITCH = 1.25
 _SERIES_LENGTH = 64
 _FAR = 1e4
 
-MAX_DIMENSION = 15
-# At dimension 15 the factor P_k grows like (1/4t)^7 and overflows below
-# t = 3e-41 (dimension 9: 2e-70); the floor keeps ten orders of margin.
+MAX_DIMENSION = 19
+# At dimension 19 the factor P_k grows like (1/4t)^9 and overflows below t = 2.5e-31
+# (dimension 15: 4.5e-41, dimension 9: 2e-70); the floor lies a factor 4 above it.
 TIME_FLOOR = 1e-30
 
 
 # F' for F = arccosh(1 + w)^2 in powers of w, F'_n = -n F'_{n-1}/(2n+1) from F'_0 = 2, with
-# room for k = 7 derivatives
-_DF_SERIES = 2.0 * np.cumprod([1.0] + [-n / (2.0 * n + 1.0) for n in range(1, _SERIES_LENGTH + 7)])
+# room for k = 9 derivatives
+_DF_SERIES = 2.0 * np.cumprod([1.0] + [-n / (2.0 * n + 1.0) for n in range(1, _SERIES_LENGTH + 9)])
 
 
 def _series_factor(k: int, t: float, w: np.ndarray) -> np.ndarray:

@@ -199,7 +199,7 @@ def _grid(which, t, rs, etas, n_u, u_max):
     return out, m_used
 
 
-# the names that points, frozen stencils and the benchmark's tracer call
+# the names that points and the benchmark's tracer call
 _rep1_grid = functools.partial(_grid, "rep1")
 _rep2_grid = functools.partial(_grid, "rep2")
 
@@ -268,31 +268,7 @@ def heat_kernel_rep2(t: float, r: float, eta: float,
 
 
 # ---------------------------------------------------------------------------
-# frozen evaluators for finite differencing
-
-
-def frozen_kernel(which: str, t: float, r: float, eta: float):
-    """Kernel evaluator with its quadrature frozen at the given center point.
-
-    A node count or cutoff that changed between neighboring evaluations would
-    dominate a finite-difference stencil, so the returned callable uses
-    2 POINT_N_U u-nodes and u_max = default_u_max(t, r) + 1 for every call.
-    Neither depends on eta.  The series degree is not frozen: every call
-    stops its series by the one rule of the grid evaluator.
-    """
-    if which not in ("rep1", "rep2"):
-        raise ValueError(f"unknown representation {which!r}")
-    u_max = default_u_max(t, r) + 1.0
-    n_u = 2 * POINT_N_U
-    grid = _rep1_grid if which == "rep1" else _rep2_grid
-
-    def p(tt, rr, ee):
-        return float(grid(tt, [rr], [ee], n_u, u_max)[0][0, 0])
-    return p
-
-
-# ---------------------------------------------------------------------------
-# generator, residual, and measure integrals
+# the heat residual, and measure integrals
 
 INTERIOR_R_MIN = 0.2
 INTERIOR_ETA_MARGIN = 0.2
@@ -300,60 +276,69 @@ INTERIOR_ETA_MARGIN = 0.2
 
 def _check_interior(r: float, eta: float):
     if r < INTERIOR_R_MIN or not (INTERIOR_ETA_MARGIN <= eta <= math.pi - INTERIOR_ETA_MARGIN):
-        raise ValueError(
-            f"({r}, {eta}) is inside the excluded boundary strips; finite differences "
-            "need r >= 0.2 and eta in [0.2, pi - 0.2]"
-        )
+        raise ValueError(f"({r}, {eta}) is inside the excluded boundary strips; the heat "
+                         "residual needs r >= 0.2 and eta in [0.2, pi - 0.2]")
 
 
-def richardson(diff, h: float) -> float:
-    """diff(h) extrapolated from the steps h and h/2, which cancels the h^2 term of a
-    second-order difference."""
-    coarse, fine = diff(h), diff(h / 2.0)
-    return fine + (fine - coarse) / 3.0
+def _mode_residual(which, t, r, eta):
+    """p = sum_m h_m(eta) A_m at (t, r, eta), the profiles h_m, and d/dt A_m and L_m A_m, the
+    generator on mode m, in double, all without finite differences.
 
-
-def _time_derivative(f, t: float, h_rel: float = 1e-3) -> float:
-    """df/dt by richardson at the step h_rel min(t, 1); a step h_rel t errs like t^4."""
-    return richardson(lambda h: (f(t + h) - f(t - h)) / (2.0 * h), h_rel * min(t, 1.0))
-
-
-def apply_radial_sublaplacian(f, r: float, eta: float,
-                              h_r: float = 1e-3, h_eta: float = 1e-3) -> float:
-    """Generator applied to f(r, eta) by central differences, with both steps
-    extrapolated together by one Richardson step."""
-    _check_interior(r, eta)
-
-    f0 = f(r, eta)
-
-    def op(hr, he):
-        rp, rm, ep, em = f(r + hr, eta), f(r - hr, eta), f(r, eta + he), f(r, eta - he)
-        d2r = (rp - 2.0 * f0 + rm) / hr ** 2
-        dr = (rp - rm) / (2.0 * hr)
-        d2e = (ep - 2.0 * f0 + em) / he ** 2
-        de = (ep - em) / (2.0 * he)
-        drift = 7.0 / math.tanh(r) + 7.0 * math.tanh(r)
-        return d2r + drift * dr + math.tanh(r) ** 2 * (d2e + 6.0 * de / math.tan(eta))
-
-    return richardson(lambda c: op(c * h_r, c * h_eta), 1.0)
-
-
-def heat_residual(which: str, t: float, r: float, eta: float,
-                  h_r: float = 1e-3, h_eta: float = 1e-3,
-                  h_t_rel: float = 1e-3) -> tuple[float, float, float]:
-    """|d/dt p - L p| at an interior point, with the scales of its bound.
-
-    Returns (absolute residual, |d/dt p|, p) so callers can apply the bound
-    rel |d/dt p| + abs p, whose floor scales with the kernel itself.
+    With x = cosh r cosh u the lowering operator gives d/dx q_n = -2 pi e^(nt) q_{n+2}, so
+    d^2/dx^2 q_n = (2 pi)^2 e^((2n+2)t) q_{n+4} and d/dt q_n = (x^2 - 1) d^2/dx^2 q_n +
+    n x d/dx q_n; d/dr x = sinh r cosh u and d^2/dr^2 x = x.  The u-integrands of A_m and of
+    its t, r and rr derivatives are then four weight rows times c_m f_m (see _integrand), on
+    2 POINT_N_U nodes up to default_u_max(t, r) + 1.  The value row, summed by _grid's rule,
+    sets the degree and gives p; the other rows reuse its (c_m, f_m) up to that degree.
     """
-    _check_interior(r, eta)
-    p = frozen_kernel(which, t, r, eta)
+    u, w = gl_nodes(2 * POINT_N_U, 0.0, default_u_max(t, r) + 1.0)
+    n, log_g, factor = _integrand(which, t, r, u)
+    # d/dt log g, d/dr log g and (d^2/dr^2 g) / g: rep 1's sinh^6 u has none, rep 2's
+    # exp(-33 t) / cosh^3 r gives these
+    g_t, g_r, g_rr = ((0.0, 0.0, 0.0) if which == "rep1" else
+                      (-REP2_RATE_SHIFT, -3.0 * math.tanh(r),
+                       9.0 * math.tanh(r) ** 2 - 3.0 / math.cosh(r) ** 2))
+    s = composed_distance(r, u)
+    # w g d^j/dx^j q_n = (-2 pi)^j e^(j(n+j-1)t) w g q_{n+2j}, one exp each
+    q0, q1, q2 = ((-1) ** j * w * np.exp(_log_kernel(n + 2 * j, t, s) + log_g
+                                          + j * (math.log(2.0 * math.pi) + (n + j - 1) * t))
+                  for j in range(3))
+    x, x_r = math.cosh(r) * np.cosh(u), math.sinh(r) * np.cosh(u)
+    rows = np.array([q0,
+                     (x_r ** 2 + np.sinh(u) ** 2) * q2 + n * x * q1 + g_t * q0,
+                     x_r * q1 + g_r * q0,
+                     x_r ** 2 * q2 + (x + 2.0 * g_r * x_r) * q1 + g_rr * q0])
+    factors = []
 
-    time_deriv = _time_derivative(lambda tt: p(tt, r, eta), t, h_t_rel)
-    # the centre is a stencil point and also the p returned; each point is evaluated once
-    at_t = functools.lru_cache(maxsize=None)(lambda rr, ee: p(t, rr, ee))
-    spatial = apply_radial_sublaplacian(at_t, r, eta, h_r, h_eta)
-    return abs(time_deriv - spatial), abs(time_deriv), at_t(r, eta)
+    def recorded(m):
+        factors.append(factor(m))
+        return factors[-1]
+    value, m_used, _ = _series_matrix(recorded, 1, [eta], rows[:1].astype(np.longdouble))
+    a = np.array([c_m * (rows @ f_m) for c_m, f_m in factors])
+    decay = fiber_eigenvalue(np.arange(m_used + 1))
+    dt = a[:, 1] - decay * a[:, 0]
+    generator = (a[:, 3] + (7.0 / math.tanh(r) + 7.0 * math.tanh(r)) * a[:, 2]
+                 - math.tanh(r) ** 2 * decay * a[:, 0])
+    h = jacobi_sequence(m_used, [math.cos(eta), 1.0])
+    return float(value[0, 0]), h[:, 0] / h[:, 1], dt, generator
+
+
+def heat_residual(which: str, t: float, r: float,
+                  eta: float) -> tuple[float, float, float, float]:
+    """|d/dt p - L p| at an interior point, with the scales of its bound and its floor.
+
+    Returns (residual, |d/dt p|, p, floor) so callers can apply the bound rel |d/dt p| + abs p,
+    whose floor scales with the kernel itself.  The residual is sum_m h_m R_m with
+    R_m = d/dt A_m - L_m A_m (see _mode_residual), and floor = eps sum_m |h_m|
+    (|d/dt A_m| + |L_m A_m|) is the rounding of those sums, eps of their dtype: a residual
+    that does not exceed its floor is not resolved.
+    """
+    if which not in ("rep1", "rep2"):
+        raise ValueError(f"unknown representation {which!r}")
+    _check_interior(r, eta)
+    p, h, dt, generator = _mode_residual(which, t, r, eta)
+    floor = np.finfo(dt.dtype).eps * float(np.abs(h) @ (np.abs(dt) + np.abs(generator)))
+    return abs(float(h @ (dt - generator))), abs(float(h @ dt)), p, floor
 
 
 # Level L of a measure integral puts _LEVEL_NODES * 1.5^L Gauss-Legendre nodes on s (more at

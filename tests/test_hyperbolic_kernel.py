@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from octads.acceptance import richardson
 from octads.hyperbolic_kernel import (
+    MAX_DIMENSION,
     SMALL_S_SWITCH,
     TIME_FLOOR,
     composed_distance,
@@ -42,20 +45,22 @@ class TestLoweringOperator:
             ref = ((s / np.tanh(s) - 1.0) / (2.0 * t) + s * s / (4.0 * t * t)) / np.sinh(s) ** 2
             assert _lowering_factor(2, t, s) == pytest.approx(ref, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("k", [2, 4, 7])
+    @pytest.mark.parametrize("k", [2, 4, 7, 9])
     def test_against_symbolic_differentiation(self, k):
         sp = pytest.importorskip("sympy")
         mp = pytest.importorskip("mpmath")
-        s, t = sp.symbols("s t", positive=True)
-        expr = sp.exp(-s ** 2 / (4 * t))
+        x, t = sp.symbols("x t", positive=True)
+        # -(1/sinh s) d/ds is -d/dx in x = cosh s, where the expression at k = 9 is 200 times
+        # smaller: this test took 63 s at k = 9 in s, and 1.5 s in x
+        expr = sp.exp(-sp.acosh(x) ** 2 / (4 * t))
         for _ in range(k):
-            expr = -sp.diff(expr, s) / sp.sinh(s)
-        reference = sp.lambdify((t, s), expr * sp.exp(s ** 2 / (4 * t)), "mpmath")
+            expr = -sp.diff(expr, x)
+        reference = sp.lambdify((t, x), expr * sp.exp(sp.acosh(x) ** 2 / (4 * t)), "mpmath")
         # the symbolic expression cancels catastrophically at small s, so it is
         # evaluated at 60 digits; the points lie on both sides of SMALL_S_SWITCH
         for tv, sv in [(0.5, 0.7), (1.0, 1.9), (2.0, 3.3), (0.7, 0.2), (0.05, 1.24), (3.0, 1.26)]:
             with mp.workdps(60):
-                ref = float(reference(mp.mpf(tv), mp.mpf(sv)))
+                ref = float(reference(mp.mpf(tv), mp.cosh(mp.mpf(sv))))
             mine = _lowering_factor(k, tv, np.array([sv]))[0]
             assert mine == pytest.approx(ref, rel=1e-12, abs=0), (k, tv, sv)
 
@@ -125,16 +130,17 @@ class TestTaylorBranch:
 class TestLogForm:
     """The kernel's log, which the measure integrals use where the kernel itself underflows."""
 
-    @pytest.mark.parametrize("n", [9, 15])
+    @pytest.mark.parametrize("n", [9, 15, 19])
     def test_against_symbolic_differentiation(self, n):
         sp = pytest.importorskip("sympy")
         mp = pytest.importorskip("mpmath")
         k = (n - 1) // 2
-        s, t = sp.symbols("s t", positive=True)
-        expr = sp.exp(-s ** 2 / (4 * t))
+        x, t = sp.symbols("x t", positive=True)
+        # in x = cosh s, as in TestLoweringOperator
+        expr = sp.exp(-sp.acosh(x) ** 2 / (4 * t))
         for _ in range(k):
-            expr = -sp.diff(expr, s) / sp.sinh(s)
-        reference = sp.lambdify((t, s), sp.log(expr), "mpmath")
+            expr = -sp.diff(expr, x)
+        reference = sp.lambdify((t, x), sp.log(expr), "mpmath")
         # the kernel underflows to 0 at most of these points
         ss = np.array([0.05, 0.7, 5.0, 30.0, 80.0, 200.0])
         for tv in (0.5, 3.0, 10.0):
@@ -143,7 +149,7 @@ class TestLogForm:
                 with mp.workdps(60):
                     ref = float(-k * k * mp.mpf(tv) - k * mp.log(2 * mp.pi)
                                 - mp.log(4 * mp.pi * mp.mpf(tv)) / 2
-                                + reference(mp.mpf(tv), mp.mpf(sv)))
+                                + reference(mp.mpf(tv), mp.cosh(mp.mpf(sv))))
                 assert abs(value - ref) <= 1e-15 * abs(ref), (n, tv, sv)
 
 
@@ -208,6 +214,25 @@ class TestKernelValues:
                 target = hyperbolic_heat_kernel(n + 2, t, s)
                 assert lifted == pytest.approx(target, rel=1e-7, abs=0.0), (n, t, s)
 
+    @pytest.mark.parametrize("n", [3, 5, 9, 13, 15])
+    def test_x_derivatives_by_dimension_shift(self, n):
+        # with x = cosh s: d/dx q_n = -2 pi e^(nt) q_{n+2} and
+        # d^2/dx^2 q_n = (2 pi)^2 e^((2n+2)t) q_{n+4}, against central differences in x
+        for t, s in itertools.product((0.1, 1.0), (0.3, 1.0, 2.5)):
+            x = math.cosh(s)
+
+            def q(dx):
+                return hyperbolic_heat_kernel(n, t, math.acosh(x + dx))
+
+            h = 2e-3 * math.sinh(s)
+            first = richardson(lambda h: (q(h) - q(-h)) / (2.0 * h), h)
+            second = richardson(lambda h: (q(h) - 2.0 * q(0.0) + q(-h)) / h ** 2, h)
+            shifted = [hyperbolic_heat_kernel(n + 2 * j, t, s) for j in (1, 2)]
+            assert first == pytest.approx(-2.0 * math.pi * math.exp(n * t) * shifted[0],
+                                          rel=3e-8, abs=0.0), (t, s)
+            assert second == pytest.approx((2.0 * math.pi) ** 2 * math.exp((2 * n + 2) * t)
+                                           * shifted[1], rel=3e-8, abs=0.0), (t, s)
+
     def test_infinite_distance_is_zero(self):
         with np.errstate(over="raise", invalid="raise"):
             for n in (1, 3, 9, 15):
@@ -230,7 +255,7 @@ class TestKernelValues:
         with pytest.raises(ValueError):
             hyperbolic_heat_kernel(-3, 1.0, 0.5)
         with pytest.raises(ValueError):
-            hyperbolic_heat_kernel(17, 1.0, 0.5)
+            hyperbolic_heat_kernel(21, 1.0, 0.5)
         with pytest.raises(ValueError):
             hyperbolic_heat_kernel(15, -1.0, 0.5)
         with pytest.raises(ValueError):
@@ -253,7 +278,7 @@ class TestKernelValues:
                     hyperbolic_heat_kernel(n, t, np.array([0.0, 2.0]))
         s = np.array([0.0, 1e-3, 1.0, SMALL_S_SWITCH, 30.0, 1e4, math.inf])
         with np.errstate(over="raise", invalid="raise"):
-            for n in range(1, 16, 2):
+            for n in range(1, MAX_DIMENSION + 1, 2):
                 assert np.all(np.isfinite(hyperbolic_heat_kernel(n, TIME_FLOOR, s))), n
 
 

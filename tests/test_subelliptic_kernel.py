@@ -28,9 +28,7 @@ from octads.subelliptic_kernel import (
     _measure_u_max,
     _rep1_grid,
     _rep2_grid,
-    apply_radial_sublaplacian,
     default_u_max,
-    frozen_kernel,
     heat_kernel_rep1,
     heat_kernel_rep2,
     heat_residual,
@@ -39,32 +37,6 @@ from octads.subelliptic_kernel import (
 )
 
 PI = math.pi
-
-
-class TestGenerator:
-    def test_eigenfunction_cosh_cos(self):
-        f = lambda r, eta: math.cosh(r) * math.cos(eta)
-        for (r, eta) in [(0.5, 1.0), (1.3, 2.1), (2.0, 0.4)]:
-            val = apply_radial_sublaplacian(f, r, eta)
-            assert val == pytest.approx(8.0 * f(r, eta), rel=1e-6, abs=0)
-
-    def test_constant(self):
-        val = apply_radial_sublaplacian(lambda r, eta: 1.0, 1.0, 1.0)
-        assert abs(val) <= 1e-9
-
-    def test_fiber_eigenfunction(self):
-        f = lambda r, eta: math.cos(eta)
-        for (r, eta) in [(0.7, 0.9), (1.5, 2.2)]:
-            val = apply_radial_sublaplacian(f, r, eta)
-            assert val == pytest.approx(-7.0 * math.tanh(r) ** 2 * math.cos(eta), rel=1e-6, abs=0)
-
-    def test_boundary_strips_rejected(self):
-        with pytest.raises(ValueError):
-            apply_radial_sublaplacian(lambda r, eta: 1.0, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            apply_radial_sublaplacian(lambda r, eta: 1.0, 1.0, 0.05)
-        with pytest.raises(ValueError):
-            apply_radial_sublaplacian(lambda r, eta: 1.0, 1.0, PI - 0.05)
 
 
 class TestRepresentations:
@@ -303,7 +275,7 @@ class TestGridEvaluators:
 class TestHeatResidual:
     @pytest.mark.parametrize("which", ["rep1", "rep2"])
     def test_residual_small(self, which):
-        res, scale, p = heat_residual(which, 1.0, 0.5, PI / 2.0)
+        res, scale, p, _ = heat_residual(which, 1.0, 0.5, PI / 2.0)
         assert res <= 1e-4 * scale + 1e-8 * p
 
     @pytest.mark.parametrize("which", ["rep1", "rep2"])
@@ -311,7 +283,7 @@ class TestHeatResidual:
     def test_residual_near_eta_pi_is_not_rounding(self, which, dr):
         # the mode sums at (0.1, 2, 3 pi/4) cancel to ~1e-7 of their terms; summed in doubles,
         # their rounding read 0.03 to 1.4 of the bound as r moved by up to 3e-6
-        res, scale, p = heat_residual(which, 0.1, 2.0 + dr, 3.0 * PI / 4.0)
+        res, scale, p, _ = heat_residual(which, 0.1, 2.0 + dr, 3.0 * PI / 4.0)
         assert res <= 0.01 * (1e-4 * scale + 1e-8 * p)
 
     @pytest.mark.parametrize("which", ["rep1", "rep2"])
@@ -320,30 +292,49 @@ class TestHeatResidual:
         rows = acceptance.heat_equation_residual(t=(3.0, 6.0, 10.0, 14.0), which=which)
         assert all(row["status"] == "pass" for row in rows)
 
-    def test_residual_decreases_under_refinement(self):
-        res_h, _, p = heat_residual("rep1", 1.0, 0.7, 1.2, h_r=4e-3, h_eta=4e-3, h_t_rel=4e-3)
-        res_h2 = heat_residual("rep1", 1.0, 0.7, 1.2, h_r=2e-3, h_eta=2e-3, h_t_rel=2e-3)[0]
-        # Richardson leaves 4th order; allow slack for roundoff-dominated
-        # values, measured against the kernel (p is ~1e-26 here)
-        assert res_h2 <= res_h * 0.5 or res_h2 <= 1e-8 * p
+    @pytest.mark.parametrize("which", ["rep1", "rep2"])
+    def test_residual_value_is_the_kernel(self, which):
+        # p is the value row of the residual's own u-integrals, on 2 POINT_N_U nodes out to
+        # default_u_max + 1
+        kernel = heat_kernel_rep1 if which == "rep1" else heat_kernel_rep2
+        for t, r, eta in [(1.0, 0.5, 1.0), (0.5, 1.0, 2.0), (2.0, 2.0, PI / 4.0)]:
+            p = heat_residual(which, t, r, eta)[2]
+            assert p == pytest.approx(kernel(t, r, eta).value, rel=1e-9, abs=0.0)
 
     def test_interior_enforced(self):
-        with pytest.raises(ValueError):
-            heat_residual("rep1", 1.0, 0.05, 1.0)
+        for r, eta in [(0.05, 1.0), (1.0, 0.05), (1.0, PI - 0.05)]:
+            with pytest.raises(ValueError, match="boundary strips"):
+                heat_residual("rep1", 1.0, r, eta)
 
-    def test_each_stencil_point_evaluated_once(self, monkeypatch):
-        # the centre, 4 points in time and 8 in space; 24 grid calls before caching the
-        # centre, and 14 while a degree probe froze the series
-        calls = []
-        real = subelliptic_kernel._rep2_grid
+    def test_unknown_representation_raises(self):
+        # the residual's integrand would otherwise be representation 2's
+        with pytest.raises(ValueError, match="unknown representation"):
+            heat_residual("rep3", 1.0, 0.5, 1.0)
 
+    def test_no_grid_call(self, monkeypatch):
+        # the stencil made 13 grid calls per residual; the mode sums are formed in place
         def grid(*args, **kwargs):
-            calls.append(args[:3])
-            return real(*args, **kwargs)
+            raise AssertionError("grid evaluator called")
 
-        monkeypatch.setattr(subelliptic_kernel, "_rep2_grid", grid)
-        heat_residual("rep2", 1.0, 0.5, PI / 2.0)
-        assert len(calls) == 13
+        for name in ("_rep1_grid", "_rep2_grid", "_grid"):
+            monkeypatch.setattr(subelliptic_kernel, name, grid)
+        for which in ("rep1", "rep2"):
+            heat_residual(which, 1.0, 0.5, PI / 2.0)
+
+    def test_rounding_floor_refuses(self):
+        # the mode sums at (0.1, 1, 2.94) cancel by ~2e15: the residual's
+        # rounding floor is 9.9e3 times its bound, where the stencil read 1.3e4 of it as a fail
+        res, scale, p, floor = heat_residual("rep1", 0.1, 1.0, 2.94)
+        assert floor > 1e-4 * scale + 1e-8 * p
+        with pytest.raises(SeriesConvergenceError, match=r"\(t=0\.1, r=1\.0, eta=2\.94\)"):
+            acceptance.heat_equation_residual(t=(0.1,), r=(1.0,), eta=(2.94,), which="rep1")
+
+    def test_wrong_rate_fails_criterion_03(self, monkeypatch):
+        # a mutant rep 2 that relaxes like exp(-34 t): its residual is p itself, ~190 bounds
+        monkeypatch.setattr(subelliptic_kernel, "REP2_RATE_SHIFT", 34)
+        rows = acceptance.heat_equation_residual(which="rep2")
+        assert all(row["residual"] > 100.0 * row["bound"] for row in rows)
+        assert all(row["status"] == "fail" for row in rows)
 
     @pytest.mark.parametrize("r", [1.0, 2.0])
     @pytest.mark.parametrize("eta", [PI / 4.0, PI / 2.0])
@@ -351,13 +342,8 @@ class TestHeatResidual:
         # a series summed to a frozen degree 8 past the probe overflowed P_m(cosh u_max)
         # at degrees 67-73 at r = 1, though the kernel itself evaluates; at r = 2 a series
         # stopped per u node overflowed at degree 67
-        res, scale, p = heat_residual("rep1", 0.1, r, eta)
+        res, scale, p, _ = heat_residual("rep1", 0.1, r, eta)
         assert res <= 1e-4 * scale + 1e-8 * p
-
-    def test_frozen_matches_adaptive(self):
-        p = frozen_kernel("rep1", 1.0, 0.5, 1.0)
-        adaptive = heat_kernel_rep1(1.0, 0.5, 1.0).value
-        assert p(1.0, 0.5, 1.0) == pytest.approx(adaptive, rel=1e-9, abs=0.0)
 
 
 class TestMeasureIntegrals:
