@@ -39,6 +39,16 @@ from octads.subelliptic_kernel import (
 PI = math.pi
 
 
+class TestGenerator:
+    # the generator is applied per mode inside heat_residual, which refuses the strips
+    # r < INTERIOR_R_MIN and eta within INTERIOR_ETA_MARGIN of 0 or pi
+    def test_boundary_strips_rejected(self):
+        for which in ("rep1", "rep2"):
+            for r, eta in [(0.1, 1.0), (1.0, 0.05), (1.0, PI - 0.05)]:
+                with pytest.raises(ValueError, match="boundary strips"):
+                    heat_residual(which, 1.0, r, eta)
+
+
 class TestRepresentations:
     # kernel values here are 1e-15 to 1e-50, so every approx sets abs=0.0:
     # pytest's default abs=1e-12 would accept any value
