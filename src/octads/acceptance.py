@@ -23,7 +23,7 @@ from .hyperbolic_kernel import _log_kernel, _log_sinh, hyperbolic_heat_kernel
 from .mc_oracle import MC_TEST_FUNCTIONS, SdeConfig, estimate_expectation, simulate_paths
 from .special_fn import (gl_nodes, hyp2f1_terminating, jacobi_end_value, jacobi_norm_sq,
                          jacobi_sequence)
-from .subelliptic_kernel import (KernelRangeError, _check_time, heat_kernel_rep1,
+from .subelliptic_kernel import (KernelRangeError, _check_time, _rep2_direct, heat_kernel_rep1,
                                  heat_kernel_rep2, heat_residual, total_mass, usable,
                                  weighted_integral)
 
@@ -47,10 +47,10 @@ def _rel_diff(a: float, b: float) -> float:
     return abs(a - b) / abs(b) if usable(a) and usable(b) else math.inf
 
 
-def _evaluate(kernel, *args, **kwargs):
+def _evaluate(kernel, *args):
     """The kernel's result, or the unusable one it refused, for its row."""
     try:
-        return kernel(*args, **kwargs)
+        return kernel(*args)
     except KernelRangeError as exc:
         return exc.result
 
@@ -85,8 +85,8 @@ def rep2_path_agreement(t=GRID_T, r=GRID_R, eta=GRID_ETA, threshold=1e-8):
     """Criterion 02: representation 2's direct 2-d quadrature against its mode series."""
     rows = []
     for tt, rr, ee in itertools.product(t, r, eta):
-        a = _evaluate(heat_kernel_rep2, tt, rr, ee, path="direct_2d")
-        b = _evaluate(heat_kernel_rep2, tt, rr, ee, path="mode_series")
+        a = _evaluate(_rep2_direct, tt, rr, ee)
+        b = _evaluate(heat_kernel_rep2, tt, rr, ee)
         diff = _rel_diff(a.value, b.value)
         rows.append(_row(diff <= threshold, t=tt, r=rr, eta=ee, direct_2d=a.value,
                          mode_series=b.value, rel_diff=diff))
@@ -96,12 +96,12 @@ def rep2_path_agreement(t=GRID_T, r=GRID_R, eta=GRID_ETA, threshold=1e-8):
 def heat_equation_residual(t=(1.0,), r=(0.5, 1.0),
                            eta=(math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0),
                            which="both", rel_tol=1e-4, abs_tol=1e-8):
-    """Criterion 03: |dp/dt - L p| <= rel_tol |dp/dt| + abs_tol p at interior points.
+    """Criterion 03: |dp/dt - L p| <= rel_tol |dp/dt| + abs_tol p on the grid t x r x eta.
 
     The floor scales with p, 1e-15 to 1e-50 here, so that no fixed floor decides the check.
-    A row whose p is not usable (zero or subnormal, from t near 14.5) fails.  A row whose
-    residual cannot be resolved, its rounding floor (see heat_residual) above its bound,
-    raises SeriesConvergenceError.
+    A row whose p is not usable (not positive, or subnormal from t near 14.5) fails.  A row
+    whose residual cannot be resolved, its rounding floor (see heat_residual) above its
+    bound, raises SeriesConvergenceError.
     """
     rows = []
     for tt, rr, ee in itertools.product(t, r, eta):

@@ -116,7 +116,7 @@ def _cmd_eval(opts: dict, out):
     values = ("p_rep1", "p_rep2") if opts["rep"] == "both" else ("value",)
     bad = sum(not acc.usable(row[k]) for row in rows for k in values)
     if bad:
-        print(f"{bad} kernel values are zero, subnormal or not finite", file=sys.stderr)
+        print(f"{bad} kernel values are not positive, subnormal or not finite", file=sys.stderr)
     return 1 if bad else 0
 
 
@@ -149,7 +149,7 @@ _COMMANDS = {
                      _cmd_compare_reps),
     "rep2-paths": ("representation 2's two paths against each other", acc.rep2_path_agreement,
                    _cmd_compare_reps),
-    "residual": ("heat equation residual at interior points", acc.heat_equation_residual,
+    "residual": ("heat equation residual on a grid", acc.heat_equation_residual,
                  _cmd_check),
     "mass": ("total mass and eigen-moment checks", acc.mass_moment, _cmd_mass),
     "mc-check": ("Monte Carlo oracle against quadrature", acc.mc_oracle, _cmd_check),

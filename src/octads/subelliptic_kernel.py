@@ -76,7 +76,7 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 class KernelRangeError(ArithmeticError):
-    """A point value is not usable: zero, subnormal or not finite.
+    """A point value is not usable: not positive, subnormal or not finite.
 
     The kernel is positive everywhere, so such a value carries no
     information; `result` holds the refused evaluation for reporting.
@@ -124,8 +124,8 @@ def _measure_u_max(t: float) -> float:
 
 
 def usable(v: float) -> bool:
-    """A kernel value that carries information: finite, and neither zero nor subnormal."""
-    return math.isfinite(v) and abs(v) >= np.finfo(float).tiny
+    """A kernel value that carries information: finite, positive and not subnormal."""
+    return math.isfinite(v) and v >= np.finfo(float).tiny
 
 
 def _adaptive(what: str, t, r, eta, eval_at) -> KernelResult:
@@ -250,34 +250,20 @@ def _rep2_direct_2d(t, r, eta, n_u, u_max):
     return total, m
 
 
-def heat_kernel_rep2(t: float, r: float, eta: float,
-                     path: str = "mode_series") -> KernelResult:
-    """Second integral representation.
-
-    path selects the evaluation route: "mode_series" sums explicit fiber
-    modes, "direct_2d" does the double integral with the complex generating
-    series inside.  Both converge to the same value; their agreement is one
-    of the acceptance checks.
-    """
+def heat_kernel_rep2(t: float, r: float, eta: float) -> KernelResult:
+    """Second integral representation, summed over explicit fiber modes."""
     KernelPoint(t, r, eta)
-    routes = {"mode_series": _at_point(_rep2_grid, t, r, eta),
-              "direct_2d": functools.partial(_rep2_direct_2d, t, r, eta)}
-    if path not in routes:
-        raise ValueError(f"unknown path {path!r}")
-    return _adaptive("representation 2", t, r, eta, routes[path])
+    return _adaptive("representation 2", t, r, eta, _at_point(_rep2_grid, t, r, eta))
+
+
+def _rep2_direct(t: float, r: float, eta: float) -> KernelResult:
+    """Representation 2 by _rep2_direct_2d under the point rule: criterion 02's reference."""
+    KernelPoint(t, r, eta)
+    return _adaptive("representation 2", t, r, eta, functools.partial(_rep2_direct_2d, t, r, eta))
 
 
 # ---------------------------------------------------------------------------
 # the heat residual, and measure integrals
-
-INTERIOR_R_MIN = 0.2
-INTERIOR_ETA_MARGIN = 0.2
-
-
-def _check_interior(r: float, eta: float):
-    if r < INTERIOR_R_MIN or not (INTERIOR_ETA_MARGIN <= eta <= math.pi - INTERIOR_ETA_MARGIN):
-        raise ValueError(f"({r}, {eta}) is inside the excluded boundary strips; the heat "
-                         "residual needs r >= 0.2 and eta in [0.2, pi - 0.2]")
 
 
 def _mode_residual(which, t, r, eta):
@@ -286,18 +272,21 @@ def _mode_residual(which, t, r, eta):
 
     With x = cosh r cosh u the lowering operator gives d/dx q_n = -2 pi e^(nt) q_{n+2}, so
     d^2/dx^2 q_n = (2 pi)^2 e^((2n+2)t) q_{n+4} and d/dt q_n = (x^2 - 1) d^2/dx^2 q_n +
-    n x d/dx q_n; d/dr x = sinh r cosh u and d^2/dr^2 x = x.  The u-integrands of A_m and of
-    its t, r and rr derivatives are then four weight rows times c_m f_m (see _integrand), on
-    2 POINT_N_U nodes up to default_u_max(t, r) + 1.  The value row, summed by _grid's rule,
-    sets the degree and gives p; the other rows reuse its (c_m, f_m) up to that degree.
+    n x d/dx q_n; d/dr x = sinh r cosh u and d^2/dr^2 x = x.  The u-integrands of A_m,
+    d/dt A_m, the drift (coth r + tanh r) d/dr A_m and d^2/dr^2 A_m are then four weight rows
+    times c_m f_m (see _integrand), on 2 POINT_N_U nodes up to default_u_max(t, r) + 1.  The
+    drift row has no coth, since coth r d/dr x = x, so L_m A_m holds on the axis r = 0 too.
+    The value row, summed by _grid's rule, sets the degree and gives p; the other rows reuse
+    its (c_m, f_m) up to that degree.
     """
     u, w = gl_nodes(2 * POINT_N_U, 0.0, default_u_max(t, r) + 1.0)
     n, log_g, factor = _integrand(which, t, r, u)
-    # d/dt log g, d/dr log g and (d^2/dr^2 g) / g: rep 1's sinh^6 u has none, rep 2's
-    # exp(-33 t) / cosh^3 r gives these
-    g_t, g_r, g_rr = ((0.0, 0.0, 0.0) if which == "rep1" else
-                      (-REP2_RATE_SHIFT, -3.0 * math.tanh(r),
-                       9.0 * math.tanh(r) ** 2 - 3.0 / math.cosh(r) ** 2))
+    tanh_r = math.tanh(r)
+    # d/dt log g, d/dr log g, (coth r + tanh r) d/dr log g and (d^2/dr^2 g) / g: rep 1's
+    # sinh^6 u has none, rep 2's exp(-33 t) / cosh^3 r gives these
+    g_t, g_r, g_d, g_rr = ((0.0, 0.0, 0.0, 0.0) if which == "rep1" else
+                           (-REP2_RATE_SHIFT, -3.0 * tanh_r, -3.0 * (1.0 + tanh_r ** 2),
+                            9.0 * tanh_r ** 2 - 3.0 / math.cosh(r) ** 2))
     s = composed_distance(r, u)
     # w g d^j/dx^j q_n = (-2 pi)^j e^(j(n+j-1)t) w g q_{n+2j}, one exp each
     q0, q1, q2 = ((-1) ** j * w * np.exp(_log_kernel(n + 2 * j, t, s) + log_g
@@ -306,7 +295,7 @@ def _mode_residual(which, t, r, eta):
     x, x_r = math.cosh(r) * np.cosh(u), math.sinh(r) * np.cosh(u)
     rows = np.array([q0,
                      (x_r ** 2 + np.sinh(u) ** 2) * q2 + n * x * q1 + g_t * q0,
-                     x_r * q1 + g_r * q0,
+                     (x + tanh_r * x_r) * q1 + g_d * q0,
                      x_r ** 2 * q2 + (x + 2.0 * g_r * x_r) * q1 + g_rr * q0])
     factors = []
 
@@ -317,15 +306,14 @@ def _mode_residual(which, t, r, eta):
     a = np.array([c_m * (rows @ f_m) for c_m, f_m in factors])
     decay = fiber_eigenvalue(np.arange(m_used + 1))
     dt = a[:, 1] - decay * a[:, 0]
-    generator = (a[:, 3] + (7.0 / math.tanh(r) + 7.0 * math.tanh(r)) * a[:, 2]
-                 - math.tanh(r) ** 2 * decay * a[:, 0])
+    generator = a[:, 3] + 7.0 * a[:, 2] - tanh_r ** 2 * decay * a[:, 0]
     h = jacobi_sequence(m_used, [math.cos(eta), 1.0])
     return float(value[0, 0]), h[:, 0] / h[:, 1], dt, generator
 
 
 def heat_residual(which: str, t: float, r: float,
                   eta: float) -> tuple[float, float, float, float]:
-    """|d/dt p - L p| at an interior point, with the scales of its bound and its floor.
+    """|d/dt p - L p| at (t, r, eta), with the scales of its bound and its floor.
 
     Returns (residual, |d/dt p|, p, floor) so callers can apply the bound rel |d/dt p| + abs p,
     whose floor scales with the kernel itself.  The residual is sum_m h_m R_m with
@@ -335,7 +323,7 @@ def heat_residual(which: str, t: float, r: float,
     """
     if which not in ("rep1", "rep2"):
         raise ValueError(f"unknown representation {which!r}")
-    _check_interior(r, eta)
+    KernelPoint(t, r, eta)
     p, h, dt, generator = _mode_residual(which, t, r, eta)
     floor = np.finfo(dt.dtype).eps * float(np.abs(h) @ (np.abs(dt) + np.abs(generator)))
     return abs(float(h @ (dt - generator))), abs(float(h @ dt)), p, floor

@@ -82,6 +82,16 @@ class TestEval:
         assert code == 1
         assert payload.decode().splitlines()[1].endswith(",inf")
 
+    def test_negative_value_fails(self, tmp_path, capsys):
+        # rep 1 printed -6.729e-08 here with exit code 0
+        code, payload = run_cli(
+            ["eval", "--rep", "1", "--t", "0.05", "--r", "0.05", "--eta", "1.0471975511965976"],
+            tmp_path)
+        assert code == 1
+        assert ",-6.729" in payload.decode().splitlines()[1]
+        err = capsys.readouterr().err
+        assert err == "1 kernel values are not positive, subnormal or not finite\n"
+
     def test_point_rows_refuses_an_unknown_rep(self):
         # "rep1" evaluated both representations and returned rep 2's values
         with pytest.raises(ValueError, match="unknown representation"):
@@ -129,15 +139,13 @@ class TestCompareReps:
 
     def test_rep2_paths_default_threshold(self, tmp_path, monkeypatch, capsys):
         # a 1e-7 gap between the two rep-2 paths passes 1e-6 but not the default 1e-8
-        real = octads.acceptance.heat_kernel_rep2
+        real = octads.acceptance._rep2_direct
 
-        def rep2(t, r, eta, *args, path="mode_series", **kwargs):
-            k = real(t, r, eta, *args, path=path, **kwargs)
-            if path == "direct_2d":
-                return dataclasses.replace(k, value=k.value * (1.0 + 1e-7))
-            return k
+        def direct(t, r, eta):
+            k = real(t, r, eta)
+            return dataclasses.replace(k, value=k.value * (1.0 + 1e-7))
 
-        monkeypatch.setattr(octads.acceptance, "heat_kernel_rep2", rep2)
+        monkeypatch.setattr(octads.acceptance, "_rep2_direct", direct)
         args = ["rep2-paths", "--t", "1", "--r", "0.5", "--eta", "0"]
         code, _ = run_cli(args, tmp_path)
         assert code == 1
@@ -367,9 +375,11 @@ class TestRefusedInput:
         assert code == 0
         assert out.decode().splitlines()[1].endswith(",pass")
 
-    @pytest.mark.parametrize("r, eta", [("2", "3.141592653589793"), ("0", "2.0943951023931953")])
+    @pytest.mark.parametrize("r, eta", [("1", "3.141592653589793"), ("0", "2.0943951023931953")])
     def test_rep2_direct_2d_failure_exits_2(self, capsys, r, eta):
-        # an OverflowError and an AssertionError traceback, with exit code 1
+        # the direct route does not stabilize at the first point; at the second its angular
+        # integral keeps an imaginary residue, which was an AssertionError traceback with
+        # exit code 1
         code = main(["rep2-paths", "--t", "0.05", "--r", r, "--eta", eta])
         err = capsys.readouterr().err
         assert code == 2
@@ -382,7 +392,8 @@ class TestRefusedInput:
         # "overflow encountered in exp" and "invalid value encountered in matmul" came first,
         # then "mode series not converged by degree 256"; rep 2's mode factor, one exp per
         # exponent, stays finite at every point's cutoff, and the point does not stabilize
-        pytest.param(["--rep", "2", "--t", "0.05", "--r", "1", "--eta", "3.141592653589793"],
+        # (at eta = pi a level is negative: KernelRangeError, exit code 1)
+        pytest.param(["--rep", "2", "--t", "0.05", "--r", "1", "--eta", "2.356194490192345"],
                      r"representation 2 did not stabilize ", id="rep2"),
     ])
     def test_polynomial_overflow_prints_one_error_line(self, point, error):

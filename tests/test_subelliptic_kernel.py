@@ -27,6 +27,7 @@ from octads.subelliptic_kernel import (
     _density_level,
     _measure_u_max,
     _rep1_grid,
+    _rep2_direct,
     _rep2_grid,
     default_u_max,
     heat_kernel_rep1,
@@ -37,16 +38,6 @@ from octads.subelliptic_kernel import (
 )
 
 PI = math.pi
-
-
-class TestGenerator:
-    # the generator is applied per mode inside heat_residual, which refuses the strips
-    # r < INTERIOR_R_MIN and eta within INTERIOR_ETA_MARGIN of 0 or pi
-    def test_boundary_strips_rejected(self):
-        for which in ("rep1", "rep2"):
-            for r, eta in [(0.1, 1.0), (1.0, 0.05), (1.0, PI - 0.05)]:
-                with pytest.raises(ValueError, match="boundary strips"):
-                    heat_residual(which, 1.0, r, eta)
 
 
 class TestRepresentations:
@@ -62,8 +53,8 @@ class TestRepresentations:
 
     def test_rep2_paths_agree(self):
         for (t, r, eta) in [(1.0, 0.5, PI / 4.0), (0.5, 2.0, 2.9)]:
-            a = heat_kernel_rep2(t, r, eta, path="direct_2d")
-            b = heat_kernel_rep2(t, r, eta, path="mode_series")
+            a = _rep2_direct(t, r, eta)
+            b = heat_kernel_rep2(t, r, eta)
             assert a.value == pytest.approx(b.value, rel=1e-8, abs=0.0)
 
     def test_positivity_on_grid(self):
@@ -97,8 +88,6 @@ class TestRepresentations:
         with pytest.raises(ValueError):
             heat_kernel_rep1(1.0, 0.0, 5.0)
         with pytest.raises(ValueError):
-            heat_kernel_rep2(1.0, 0.0, 0.0, path="nope")
-        with pytest.raises(ValueError):
             KernelPoint(1.0, 0.0, -0.1)
 
     @pytest.mark.parametrize("call", [
@@ -127,10 +116,9 @@ class TestRepresentations:
 
     def test_underflow_raises(self):
         # at t = 16 the kernel underflows to exactly 0.0 on every route
-        for rep, kwargs in ((heat_kernel_rep1, {}), (heat_kernel_rep2, {}),
-                            (heat_kernel_rep2, {"path": "direct_2d"})):
+        for rep in (heat_kernel_rep1, heat_kernel_rep2, _rep2_direct):
             with pytest.raises(KernelRangeError, match="is 0.0") as info:
-                rep(16.0, 0.0, 0.0, **kwargs)
+                rep(16.0, 0.0, 0.0)
             assert isinstance(info.value, ArithmeticError)
             assert info.value.result.value == 0.0
 
@@ -140,6 +128,12 @@ class TestRepresentations:
         with pytest.raises(KernelRangeError) as info:
             rep(14.8, 0.5, PI / 4.0)
         assert 0.0 < info.value.result.value < np.finfo(float).tiny
+
+    def test_negative_value_raises(self):
+        # rep 1 returned -6.729e-08 here, with an est_error of 5.5e-17; the kernel is positive
+        with pytest.raises(KernelRangeError, match="is -6.7") as info:
+            heat_kernel_rep1(0.05, 0.05, PI / 3.0)
+        assert info.value.result.value < 0.0
 
     def test_nonconvergence_raises(self, monkeypatch):
         # a grid whose error shrinks only like 1/n_u: each doubling changes the value by
@@ -170,7 +164,7 @@ class TestRepresentations:
     ])
     def test_direct_2d_failure_is_a_convergence_error(self, point, match):
         with pytest.raises(QuadratureConvergenceError, match=match):
-            heat_kernel_rep2(*point, path="direct_2d")
+            _rep2_direct(*point)
 
     def test_direct_2d_builds_one_angular_rule(self, monkeypatch):
         # the angular rule doubled with the u rule, 64 to 1024 nodes; the series is a
@@ -181,7 +175,7 @@ class TestRepresentations:
                 calls.append((n, a, b))
                 return real(n, a, b)
             monkeypatch.setattr(module, "gl_nodes", record)
-        heat_kernel_rep2(0.5, 2.0, 2.9, path="direct_2d")
+        _rep2_direct(0.5, 2.0, 2.9)
         assert len([n for n, a, _ in calls if a == 0.0]) >= 2
         assert {n for n, a, b in calls if (a, b) == (-1.0, 1.0)} == {
             fiber_kernel.SERIES_M_CAP // 2 + 3}
@@ -223,7 +217,7 @@ class TestRepresentations:
 
 
 class TestGridEvaluators:
-    """Points and frozen stencils go through _rep1_grid/_rep2_grid."""
+    """Points go through _rep1_grid/_rep2_grid."""
 
     T = 2.34
     N_U = 192
@@ -307,14 +301,31 @@ class TestHeatResidual:
         # p is the value row of the residual's own u-integrals, on 2 POINT_N_U nodes out to
         # default_u_max + 1
         kernel = heat_kernel_rep1 if which == "rep1" else heat_kernel_rep2
-        for t, r, eta in [(1.0, 0.5, 1.0), (0.5, 1.0, 2.0), (2.0, 2.0, PI / 4.0)]:
+        for t, r, eta in [(1.0, 0.5, 1.0), (0.5, 1.0, 2.0), (2.0, 2.0, PI / 4.0), (1.0, 0.0, PI)]:
             p = heat_residual(which, t, r, eta)[2]
             assert p == pytest.approx(kernel(t, r, eta).value, rel=1e-9, abs=0.0)
 
-    def test_interior_enforced(self):
-        for r, eta in [(0.05, 1.0), (1.0, 0.05), (1.0, PI - 0.05)]:
-            with pytest.raises(ValueError, match="boundary strips"):
-                heat_residual("rep1", 1.0, r, eta)
+    @pytest.mark.parametrize("which", ["rep1", "rep2"])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_closed_domain(self, which, t):
+        # the residual refused r < 0.2 and eta within 0.2 of either pole; the drift row
+        # (coth r + tanh r) d/dr A_m has no coth, so the axis and the poles are exact rows
+        points = list(itertools.product([0.0, 1e-8, 0.1, 0.5], [0.0, 0.1, PI / 2.0, PI - 0.1, PI]))
+        points += [(0.05, 1.0), (0.1, 1.0), (1.0, 0.05), (1.0, PI - 0.05)]
+        for r, eta in points:
+            res, scale, p, floor = heat_residual(which, t, r, eta)
+            assert res <= 1e-4 * scale + 1e-8 * p, (r, eta)
+            assert floor <= 1e-4 * scale + 1e-8 * p
+
+    @pytest.mark.parametrize("point", [(1.0, 0.5, -0.1), (1.0, 0.5, 4.0), (1.0, -1.0, 1.0),
+                                       (1.0, math.nan, 1.0), (1.0, math.inf, 1.0),
+                                       (0.01, 0.5, 1.0)])
+    def test_point_outside_the_domain_raises(self, point):
+        # the point is checked as the kernel's is; the strips let r = inf and t = 0.01 through
+        # to a SeriesConvergenceError, and r = nan to a ValueError of the hyperbolic factor
+        for which in ("rep1", "rep2"):
+            with pytest.raises(ValueError):
+                heat_residual(which, *point)
 
     def test_unknown_representation_raises(self):
         # the residual's integrand would otherwise be representation 2's
