@@ -92,13 +92,9 @@ def _call(check, opts: dict):
     return check(**{k: opts[k] for k in _check_defaults(check)})
 
 
-_NO_STATUS_COLUMN = ("compare-reps", "rep2-paths", "mass", "mc-check")  # exit code is verdict
-
-
 def _write_rows(rows, opts: dict, out) -> int:
     """Write rows with their fields as columns; the exit code is 1 if any row failed."""
-    fields = [k for k in rows[0] if k != "status" or opts["command"] not in _NO_STATUS_COLUMN]
-    write_records(rows, fields, opts["format"], out)
+    write_records(rows, list(rows[0]), opts["format"], out)
     return 1 if any(row.get("status") == "fail" for row in rows) else 0
 
 
@@ -122,8 +118,9 @@ def _cmd_eval(opts: dict, out):
 
 def _cmd_compare_reps(opts: dict, out):
     rows = _call(_COMMANDS[opts["command"]][1], opts)
+    threshold = acc._REPS_TOL if opts["command"] == "compare-reps" else acc._PATHS_TOL
     print(f"max relative difference = {max(row['rel_diff'] for row in rows):.6e} "
-          f"(threshold {opts['threshold']:.1e})", file=sys.stderr)
+          f"(threshold {threshold:.1e})", file=sys.stderr)
     return _write_rows(rows, opts, out)
 
 
@@ -165,9 +162,7 @@ _COMMANDS = {
     "octonion-check": ("algebra and coordinate checks", acc.octonion_algebra, _cmd_check),
 }
 
-_HELP = {"output": "output path (default stdout)",
-         "abs_tol": "absolute floor of the bound as a multiple of the kernel value p "
-                    "(bound = rel_tol |dp/dt| + abs_tol p; default 1e-8)"}
+_HELP = {"output": "output path (default stdout)"}
 
 
 def build_parser() -> argparse.ArgumentParser:

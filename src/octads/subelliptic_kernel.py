@@ -116,13 +116,6 @@ def default_u_max(t: float, r: float) -> float:
     return r + 8.0 * math.sqrt(t) + 5.0
 
 
-def _measure_u_max(t: float) -> float:
-    # The u cutoff of a measure integral, the same at every r.  At large r the u-integrand
-    # decays on the scale 2t/r, so the point cutoff's growth with r is unnecessary there and
-    # would overflow the continued fiber polynomials: this is the point cutoff at r = 6t.
-    return 6.0 * t + 8.0 * math.sqrt(t) + 5.0
-
-
 def usable(v: float) -> bool:
     """A kernel value that carries information: finite, positive and not subnormal."""
     return math.isfinite(v) and v >= np.finfo(float).tiny
@@ -172,10 +165,12 @@ def _integrand(which, t, r, u):
     factor(m) = (c_m, f_m) (see _series_matrix).  Rep 1: n = 15, g = sinh^6 u and the
     continued fiber series.  Rep 2: n = 9, g = REP2_CONSTANT exp(3u - 33 t) / cosh^3 r and
     (w_m, (exp(m u - m(m+6) t) + exp(-(m+6) u - m(m+6) t)) / 2), each exponent in one exp:
-    exp(m u) alone overflows at small t.
+    exp(m u) alone overflows at small t.  Any other name raises ValueError.
     """
     if which == "rep1":
         return 15, 6.0 * _log_sinh(u), _fiber_coeff(t, np.cosh(u))
+    if which != "rep2":
+        raise ValueError(f"unknown representation {which!r}")
 
     def factor(m):
         d = fiber_eigenvalue(m) * t
@@ -321,8 +316,6 @@ def heat_residual(which: str, t: float, r: float,
     (|d/dt A_m| + |L_m A_m|) is the rounding of those sums, eps of their dtype: a residual
     that does not exceed its floor is not resolved.
     """
-    if which not in ("rep1", "rep2"):
-        raise ValueError(f"unknown representation {which!r}")
     KernelPoint(t, r, eta)
     p, h, dt, generator = _mode_residual(which, t, r, eta)
     floor = np.finfo(dt.dtype).eps * float(np.abs(h) @ (np.abs(dt) + np.abs(generator)))
@@ -349,8 +342,10 @@ def _density_level(t: float, which: str, level: int):
     dr du = sinh^2 s / (sinh r cosh r) ds dy.  s runs up to the radial cutoff
     (14 + 2 _MAX_GROWTH) t + 10 sqrt(t) + 2 on the level's n nodes, or on n per
     40 sqrt(t) where that is more (the kernel's width grows like sqrt(t)), and y
-    up to min(1, tanh U coth s), which is the u cutoff U = _measure_u_max(t)
-    exactly.  A cutoff past s = 709 (t > 40.3), where sinh overflows, raises ValueError.
+    up to min(1, tanh U coth s), which is the u cutoff U = default_u_max(t, 6 t)
+    exactly, the same at every r: at large r the u-integrand decays on the scale 2t/r, so
+    the point cutoff's growth with r is unnecessary there and would overflow the continued
+    fiber polynomials.  A cutoff past s = 709 (t > 40.3), where sinh overflows, raises ValueError.
     The integral of f is MEASURE_CONSTANT times that of f(r, eta) sin^6(eta) ds dy deta
     against _integrand's integrand times sinh^2 s sinh^6 r cosh^6 r, one exp of a sum of
     logs per (s, y) node whose large terms are summed once per s node.  Each series is
@@ -371,7 +366,7 @@ def _density_level(t: float, which: str, level: int):
     s, w_s = gl_nodes(n_s, 0.0, s_max)
     x, w_x = gl_nodes(n_y, 0.0, 1.0)
     etas, w_eta = gl_nodes(n_eta, 0.0, math.pi)
-    y_max = np.minimum(1.0, math.tanh(_measure_u_max(t)) / np.tanh(s))
+    y_max = np.minimum(1.0, math.tanh(default_u_max(t, 6.0 * t)) / np.tanh(s))
     y = (y_max[:, None] * x).ravel()
     s_y = np.repeat(s, n_y)
     tanh_u = y * np.tanh(s_y)
@@ -407,8 +402,6 @@ def weighted_integral(f, t: float, which: str = "rep1", f_growth: float = 0.0) -
     The levels are cached, and a value does not depend on the integrals before it.
     """
     _check_time(t)
-    if which not in ("rep1", "rep2"):
-        raise ValueError(f"unknown representation {which!r}")
     if not 0.0 <= f_growth <= _MAX_GROWTH:
         raise ValueError(f"f_growth {f_growth} is outside [0, {_MAX_GROWTH:g}]")
     prev = None

@@ -25,7 +25,6 @@ from octads.subelliptic_kernel import (
     _LEVEL_NODES,
     _MEASURE_LEVELS,
     _density_level,
-    _measure_u_max,
     _rep1_grid,
     _rep2_direct,
     _rep2_grid,
@@ -228,7 +227,7 @@ class TestGridEvaluators:
         r_max = 14.0 * self.T + 10.0 * math.sqrt(self.T) + 2.0
         rs = np.linspace(0.0, r_max, 23)
         etas = np.array([0.0, 1.0, PI])
-        u_max = _measure_u_max(self.T)
+        u_max = default_u_max(self.T, 6.0 * self.T)
         values, _ = grid(self.T, rs, etas, self.N_U, u_max)
         assert np.all(values[rs < 40.0] > 0)
         # the last rows are subnormal (~1e-318), where 1e-13 relative is below one ulp
@@ -247,7 +246,7 @@ class TestGridEvaluators:
         # test_fiber_kernel checks the loop's rows bit for bit.
         t = 0.25
         rs = [0.0, 20.0]
-        u_max = _measure_u_max(t)
+        u_max = default_u_max(t, 6.0 * t)
         both, _ = grid(t, rs, [0.5], self.N_U, u_max)
         for r, row in zip(rs, both):
             alone, _ = grid(t, [r], [0.5], self.N_U, u_max)
