@@ -86,7 +86,6 @@ def rep2_raw_mode(m, t, r):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--m-max", type=int, default=6)
     ap.add_argument("--quick", action="store_true", help="skip the mass integrals")
     args = ap.parse_args()
     failures = []
@@ -99,7 +98,7 @@ def main():
     for m in range(61):
         shipped = 1.0 / jacobi_norm_sq(m)  # the coefficient of the fiber series
         ratio = raw_coeff(m) / shipped
-        if m <= args.m_max:
+        if m <= 6:
             print(f"  m={m}: raw/normalized = {ratio:.15f}")
         # 1e-11 relative beyond m = 6, where the lgamma sum loses digits
         require(f"raw/normalized - 2 at m={m}", abs(ratio - 2.0), 1e-13 if m <= 6 else 2e-11)
@@ -110,18 +109,17 @@ def main():
     print(f"  reference 3/pi^4 = {3.0 / math.pi ** 4:.15f}")
     probes = [(0.5, 0.5), (1.0, 1.0)]
     rho0 = None
-    for m in range(args.m_max + 1):
+    # beyond m = 6 the probes' spread is no longer negligible
+    for m in range(7):
         ratios = [rep1_mode(m, t, r) / rep2_raw_mode(m, t, r) for (t, r) in probes]
         if rho0 is None:
             rho0 = ratios[0]
         spread = max(ratios) - min(ratios)
+        dim = fiber_mode_multiplicity(m)
         print(f"  m={m}: ratio = {ratios[0]:.12e} (spread over (t,r) probes {spread:.1e}), "
-              f"ratio/ratio0 = {ratios[0] / rho0:.10f}, eigenspace dim = {fiber_mode_multiplicity(m)}")
-        # beyond m = 6 the probes' spread is no longer negligible
-        if m <= 6:
-            dim = fiber_mode_multiplicity(m)
-            require(f"ratio/ratio0 against dim {dim} at m={m}",
-                    abs(ratios[0] / rho0 - dim) / dim, 1e-6)
+              f"ratio/ratio0 = {ratios[0] / rho0:.10f}, eigenspace dim = {dim}")
+        require(f"ratio/ratio0 against dim {dim} at m={m}",
+                abs(ratios[0] / rho0 - dim) / dim, 1e-6)
 
     print("\n== sech^3 structure at large t (single surviving mode) ==")
     t, eta = 6.0, 0.8

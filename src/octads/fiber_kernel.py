@@ -147,7 +147,8 @@ def fiber_heat_kernel(t: float, eta: float, u: float,
             raise ValueError("continued coordinate must be nonnegative")
     elif not 0.0 <= u <= math.pi:
         raise ValueError("u must lie in [0, pi]")
-    x = np.cosh(u) if continued else np.cos(u)
+    with np.errstate(over="ignore"):  # past u = 710 _series_matrix reports the overflow
+        x = np.cosh(u) if continued else np.cos(u)
     out, m_used, coeffs = _series_matrix(_fiber_coeff(t, [x]), 1, eta)
     a, h = coeffs[:, 0], jacobi_sequence(m_used, [math.cos(eta), 1.0])
     bound = abs(a[-1]) + (m_used + 1) * np.finfo(float).eps * np.abs(a * h[:, 0] / h[:, 1]).sum()

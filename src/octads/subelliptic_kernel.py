@@ -35,6 +35,7 @@ import numpy as np
 
 from . import fiber_kernel
 from .fiber_kernel import (
+    SeriesConvergenceError,
     fiber_eigenvalue,
     fiber_mode_multiplicity,
     _fiber_coeff,
@@ -122,13 +123,15 @@ def usable(v: float) -> bool:
 
 
 def _adaptive(what: str, t, r, eta, eval_at) -> KernelResult:
-    """The point rule (see POINT_N_U).  eval_at(n_u, u_max) returns (value,
-    m_used); a value that is not usable raises KernelRangeError at once.
-    """
+    """The point rule (see POINT_N_U) at (t, r, eta), checked by KernelPoint.  eval_at(n_u,
+    u_max) returns (value, m_used), the value a float or a 1x1 grid; a value that is not
+    usable raises KernelRangeError at once."""
+    KernelPoint(t, r, eta)
     u_max = default_u_max(t, r)
     prev = math.inf  # the first value agrees with nothing
     for k in range(5):
         value, m_used = eval_at(POINT_N_U << k, u_max)
+        value = np.asarray(value).item()
         if not usable(value):
             raise KernelRangeError(
                 f"{what} is {value} at (t={t}, r={r}, eta={eta})",
@@ -140,23 +143,8 @@ def _adaptive(what: str, t, r, eta, eval_at) -> KernelResult:
     raise QuadratureConvergenceError(f"{what} did not stabilize at (t={t}, r={r}, eta={eta})")
 
 
-def _at_point(grid, t, r, eta):
-    """eval_at(n_u, u_max) of one point: the grid evaluator on a 1x1 grid."""
-    def eval_at(n_u, u_max):
-        values, m_used = grid(t, [r], [eta], n_u, u_max)
-        return float(values[0, 0]), m_used
-    return eval_at
-
-
 # ---------------------------------------------------------------------------
 # the grid evaluator of both representations
-
-
-def _damped_cosh(m: int, t, u):
-    """exp(-(m(m+6) + REP2_RATE_SHIFT) t) cosh((m+3) u), the u-factor of mode m."""
-    rate = fiber_eigenvalue(m) + REP2_RATE_SHIFT
-    b = m + 3
-    return 0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t))
 
 
 def _integrand(which, t, r, u):
@@ -168,7 +156,9 @@ def _integrand(which, t, r, u):
     exp(m u) alone overflows at small t.  Any other name raises ValueError.
     """
     if which == "rep1":
-        return 15, 6.0 * _log_sinh(u), _fiber_coeff(t, np.cosh(u))
+        with np.errstate(over="ignore"):  # past u = 710 _series_matrix reports the overflow
+            cosh_u = np.cosh(u)
+        return 15, 6.0 * _log_sinh(u), _fiber_coeff(t, cosh_u)
     if which != "rep2":
         raise ValueError(f"unknown representation {which!r}")
 
@@ -201,13 +191,12 @@ _rep2_grid = functools.partial(_grid, "rep2")
 
 def heat_kernel_rep1(t: float, r: float, eta: float) -> KernelResult:
     """First integral representation; the reference evaluation path."""
-    KernelPoint(t, r, eta)
-    return _adaptive("representation 1", t, r, eta, _at_point(_rep1_grid, t, r, eta))
+    return _adaptive("representation 1", t, r, eta, functools.partial(_rep1_grid, t, [r], [eta]))
 
 
 def _rep2_direct_2d(t, r, eta, n_u, u_max):
-    """Criterion 02's reference: the u-integral of the S^5 average, by the one exact rule
-    _s5_rule(SERIES_M_CAP), of sum_m w_m _damped_cosh(m, t, u) z^m, z = cos eta + i sin eta x."""
+    """Criterion 02's reference: the u-integral of the S^5 average, by _s5_rule(SERIES_M_CAP),
+    of sum_m w_m e^(-(m(m+6)+33) t) cosh((m+3) u) z^m, z = cos eta + i sin eta x."""
     cap = fiber_kernel.SERIES_M_CAP
     u, wu = gl_nodes(n_u, 0.0, u_max)
     x, wx = _s5_rule(cap)
@@ -224,7 +213,7 @@ def _rep2_direct_2d(t, r, eta, n_u, u_max):
         if b * u_max - rate * t + math.log(weight) > 700.0:
             raise QuadratureConvergenceError(
                 f"2d series term of degree {m} exceeds double range at u_max = {u_max:.6g}")
-        g += weight * np.outer(_damped_cosh(m, t, u), zpow)
+        g += weight * np.outer(0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t)), zpow)
         scale = max(scale, float(np.max(np.abs(g))))
         bound = weight * 0.5 * (math.exp(b * u_max - rate * t) + math.exp(-rate * t))
         below = below + 1 if bound <= fiber_kernel.SERIES_TOL * max(scale, 1e-300) else 0
@@ -247,14 +236,13 @@ def _rep2_direct_2d(t, r, eta, n_u, u_max):
 
 def heat_kernel_rep2(t: float, r: float, eta: float) -> KernelResult:
     """Second integral representation, summed over explicit fiber modes."""
-    KernelPoint(t, r, eta)
-    return _adaptive("representation 2", t, r, eta, _at_point(_rep2_grid, t, r, eta))
+    return _adaptive("representation 2", t, r, eta, functools.partial(_rep2_grid, t, [r], [eta]))
 
 
 def _rep2_direct(t: float, r: float, eta: float) -> KernelResult:
     """Representation 2 by _rep2_direct_2d under the point rule: criterion 02's reference."""
-    KernelPoint(t, r, eta)
-    return _adaptive("representation 2", t, r, eta, functools.partial(_rep2_direct_2d, t, r, eta))
+    return _adaptive("representation 2's direct 2-d route", t, r, eta,
+                     functools.partial(_rep2_direct_2d, t, r, eta))
 
 
 # ---------------------------------------------------------------------------
@@ -277,21 +265,29 @@ def _mode_residual(which, t, r, eta):
     u, w = gl_nodes(2 * POINT_N_U, 0.0, default_u_max(t, r) + 1.0)
     n, log_g, factor = _integrand(which, t, r, u)
     tanh_r = math.tanh(r)
-    # d/dt log g, d/dr log g, (coth r + tanh r) d/dr log g and (d^2/dr^2 g) / g: rep 1's
-    # sinh^6 u has none, rep 2's exp(-33 t) / cosh^3 r gives these
-    g_t, g_r, g_d, g_rr = ((0.0, 0.0, 0.0, 0.0) if which == "rep1" else
-                           (-REP2_RATE_SHIFT, -3.0 * tanh_r, -3.0 * (1.0 + tanh_r ** 2),
-                            9.0 * tanh_r ** 2 - 3.0 / math.cosh(r) ** 2))
     s = composed_distance(r, u)
     # w g d^j/dx^j q_n = (-2 pi)^j e^(j(n+j-1)t) w g q_{n+2j}, one exp each
     q0, q1, q2 = ((-1) ** j * w * np.exp(_log_kernel(n + 2 * j, t, s) + log_g
                                           + j * (math.log(2.0 * math.pi) + (n + j - 1) * t))
                   for j in range(3))
-    x, x_r = math.cosh(r) * np.cosh(u), math.sinh(r) * np.cosh(u)
-    rows = np.array([q0,
-                     (x_r ** 2 + np.sinh(u) ** 2) * q2 + n * x * q1 + g_t * q0,
-                     (x + tanh_r * x_r) * q1 + g_d * q0,
-                     x_r ** 2 * q2 + (x + 2.0 * g_r * x_r) * q1 + g_rr * q0])
+    # math's cosh r and sinh r (numpy's differ in the last bit) overflow past r = 710, cosh^2 r
+    # past r = 355 and x past r + u = 710; there every q_n is 0 (q_n <= e^(-4 s)), and a point
+    # whose rows leave double range is refused below
+    cosh_r, sinh_r = (math.cosh(r), math.sinh(r)) if r < 710.0 else (math.inf, math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # d/dt log g, d/dr log g, (coth r + tanh r) d/dr log g and (d^2/dr^2 g) / g: rep 1's
+        # sinh^6 u has none, rep 2's exp(-33 t) / cosh^3 r gives these
+        g_t, g_r, g_d, g_rr = ((0.0, 0.0, 0.0, 0.0) if which == "rep1" else
+                               (-REP2_RATE_SHIFT, -3.0 * tanh_r, -3.0 * (1.0 + tanh_r ** 2),
+                                9.0 * tanh_r ** 2 - 3.0 / np.float64(cosh_r) ** 2))
+        x, x_r = cosh_r * np.cosh(u), sinh_r * np.cosh(u)
+        rows = np.array([q0,
+                         (x_r ** 2 + np.sinh(u) ** 2) * q2 + n * x * q1 + g_t * q0,
+                         (x + tanh_r * x_r) * q1 + g_d * q0,
+                         x_r ** 2 * q2 + (x + 2.0 * g_r * x_r) * q1 + g_rr * q0])
+    if not np.isfinite(rows).all():
+        raise SeriesConvergenceError(
+            f"the residual's u-integrands leave double range at (t={t}, r={r}, eta={eta})")
     factors = []
 
     def recorded(m):

@@ -410,6 +410,9 @@ class TestRefusedInput:
         # (at eta = pi a level is negative: KernelRangeError, exit code 1)
         pytest.param(["--rep", "2", "--t", "0.05", "--r", "1", "--eta", "2.356194490192345"],
                      r"representation 2 did not stabilize ", id="rep2"),
+        # numpy's "overflow encountered in cosh" warning and its source line came first
+        pytest.param(["--rep", "1", "--t", "1", "--r", "705", "--eta", "1"],
+                     r"degree-1 polynomial overflowed ", id="rep1-cosh-u"),
     ])
     def test_polynomial_overflow_prints_one_error_line(self, point, error):
         env = dict(os.environ)

@@ -80,14 +80,12 @@ class TestRepresentations:
         assert k.u_max_used >= default_u_max(1.0, 0.5)
 
     def test_point_validation(self):
-        with pytest.raises(ValueError):
-            heat_kernel_rep1(-1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            heat_kernel_rep1(1.0, -0.5, 0.0)
-        with pytest.raises(ValueError):
-            heat_kernel_rep1(1.0, 0.0, 5.0)
-        with pytest.raises(ValueError):
-            KernelPoint(1.0, 0.0, -0.1)
+        # every route is checked by the point rule itself
+        points = [(-1.0, 0.0, 0.0), (1.0, -0.5, 0.0), (1.0, 0.0, 5.0), (1.0, 0.0, -0.1)]
+        for rep, point in itertools.product([heat_kernel_rep1, heat_kernel_rep2, _rep2_direct],
+                                            points):
+            with pytest.raises(ValueError):
+                rep(*point)
 
     @pytest.mark.parametrize("call", [
         lambda: hyperbolic_heat_kernel(9, math.nan, 1.0),
@@ -187,7 +185,12 @@ class TestRepresentations:
         # Its mode factor, one exp per exponent, stays finite at every point's cutoff, and
         # overflows at degree 58 at twice it
         lambda: _rep2_grid(0.05, [1.0], [PI], 96, 2.0 * default_u_max(0.05, 1.0)),
-    ], ids=["heat_kernel_rep1", "heat_kernel_rep2"])
+        # cosh u overflowed past u = 710, a bare FloatingPointError and without raise a
+        # RuntimeWarning before the error
+        lambda: heat_kernel_rep1(1.0, 705.0, 1.0),
+        lambda: fiber_heat_kernel(1.0, 1.0, 711.0, continued=True),
+    ], ids=["heat_kernel_rep1", "heat_kernel_rep2", "heat_kernel_rep1-cosh-u",
+            "fiber_heat_kernel-cosh-u"])
     def test_overflow_is_a_series_error_under_raise(self, evaluate):
         with np.errstate(over="raise", invalid="raise"):
             with pytest.raises(SeriesConvergenceError, match="polynomial overflowed "):
@@ -257,7 +260,8 @@ class TestGridEvaluators:
     @pytest.mark.parametrize("which", ["rep1", "rep2"])
     def test_log_form_matches_the_float_product(self, which):
         # the integrand as a product of floats, each factor formed apart: q15 sinh^6 u times
-        # the continued fiber series, or q9 times w_m _damped_cosh, then REP2_CONSTANT / cosh^3 r
+        # the continued fiber series, or q9 times w_m exp(-(m(m+6) + 33) t) cosh((m+3) u), then
+        # REP2_CONSTANT / cosh^3 r
         rs = np.array(GRID_R)[:, None]
         for t in GRID_T:
             u_max = default_u_max(t, max(GRID_R))
@@ -267,8 +271,10 @@ class TestGridEvaluators:
                 factor, scale = _fiber_coeff(t, np.cosh(u)), 1.0
             else:
                 wq = w * hyperbolic_heat_kernel_composed(9, t, rs, u)
-                factor = lambda m: (fiber_mode_multiplicity(m),
-                                    subelliptic_kernel._damped_cosh(m, t, u))
+                def factor(m):
+                    b, rate = m + 3, m * (m + 6) + 33
+                    return (fiber_mode_multiplicity(m),
+                            0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t)))
                 scale = REP2_CONSTANT / np.cosh(rs) ** 3
             product, _, _ = _series_matrix(factor, rs.size, GRID_ETA, wq)
             values, _ = subelliptic_kernel._grid(which, t, GRID_R, GRID_ETA, self.N_U, u_max)
@@ -325,6 +331,13 @@ class TestHeatResidual:
         for which in ("rep1", "rep2"):
             with pytest.raises(ValueError):
                 heat_residual(which, *point)
+
+    @pytest.mark.parametrize("which, r", [("rep2", 400.0), ("rep1", 800.0), ("rep2", 800.0)])
+    def test_rows_past_double_range_raise(self, which, r):
+        # cosh^2 r in rep 2's g_rr, and cosh r and sinh r in x and x_r, raised a bare
+        # OverflowError; there every q_n is 0 in double
+        with pytest.raises(SeriesConvergenceError, match=rf"\(t=1\.0, r={r}, eta=1\.0\)"):
+            heat_residual(which, 1.0, r, 1.0)
 
     def test_unknown_representation_raises(self):
         # the residual's integrand would otherwise be representation 2's
