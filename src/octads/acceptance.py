@@ -220,7 +220,7 @@ def hyperbolic_suite(t=GRID_T, s=_HYPERBOLIC_S):
     for tt, ss in itertools.product(t, (1e-8, 0.3, 1.0, 2.5, 5.0)):
         ref = (math.exp(-tt) / (4.0 * math.pi * tt) ** 1.5 * (ss / math.sinh(ss))
                * math.exp(-ss * ss / (4.0 * tt)))
-        worst = max(worst, abs(hyperbolic_heat_kernel(3, tt, ss) - ref) / ref)
+        worst = max(worst, _rel_diff(hyperbolic_heat_kernel(3, tt, ss), ref))
     rows.append(_row(worst <= 1e-12, check="closed_form_n3", t=0.0, value=worst,
                      deviation=worst))
     return rows

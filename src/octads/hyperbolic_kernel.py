@@ -10,7 +10,9 @@ SMALL_S_SWITCH as a power series in w = cosh s - 1, above it per node in
 Taylor mode about x0 = cosh s, P_k = (-1)^k k! [h^k] exp(-(F(x0+h) - F(x0))/4t).
 The kernel is formed as its log, log pref + log P_k - s^2/4t, with Taylor mode's
 1/sinh^k s as -k log sinh s, so no factor leaves double range; a caller adds the
-logs of its own factors, sinh^14 s say, before the one exp.
+logs of its own factors, sinh^14 s say, before the one exp.  Taylor mode reads s at most at
+max(1e4, 100 t), where -s^2/4t <= -25 s outweighs any caller's (n - 1) log sinh s <= 18 s, so
+the kernel and its products past it are 0; and at most at 1e150, where s^2 still fits.
 """
 
 from __future__ import annotations
@@ -58,9 +60,7 @@ def _taylor_mode_factor(k: int, t: float, s: np.ndarray) -> np.ndarray:
     The scaled coefficients c_n of F stay O(s) for every s:
     c_{n+2} = (2 [n = 0] - coth(s) (n+1)(2n+1) c_{n+1} - n^2 c_n) / ((n+2)(n+1)).
     """
-    # past _FAR the kernel is below the smallest double for every k >= 1 and t, and at
-    # s = inf the recurrence below would meet inf - inf
-    s = np.minimum(s, _FAR)
+    s = np.minimum(s, min(max(_FAR, 100.0 * t), 1e150))  # the far clamp; no inf - inf below
     coth = 1.0 / np.tanh(s)
     c = [s * s, 2.0 * s]
     for n in range(k - 1):

@@ -29,9 +29,10 @@ composes: D(a) D(b) = D(a + b).  So the Strang chain of n steps (half drift,
 noise, half drift) is run fused, D(dt/2) [N D(dt)]^(n-1) N D(dt/2), with N
 the noise kick: one opening half drift, then per step the noise and one full
 drift, and at each wanted step a closing half drift on a copy of the chain.
-The scheme stays weak order one and is well behaved at the coordinate
-singularities; the reflections that end each step are a safety net for noise
-overshoots.
+The scheme stays weak order one and is well behaved at the coordinate singularities.  The
+flow is even in r and in eta, and arccos folds eta at pi alike, so the kick folds neither at
+0; and a drift of tau leaves r >= arcsinh(sqrt(expm1(28 tau) / 2)), above 1e-3 for tau >=
+7.15e-8, so r has no boundary (below dt = 1.43e-7, which no caller uses, r may stay under it).
 
 The noise of a step is a pair of random signs per path, xi = +-1 with equal
 odds, in place of a pair of standard normals: the simplified weak scheme of
@@ -40,16 +41,15 @@ the first three moments of a normal (0, 1, 0), which is all a weak order one
 scheme asks of its increments, and only expectations are read from the paths.
 A sign is one random bit, where a normal is a ziggurat draw.
 
-The chain runs in float32.  The start state and the noise buffer are float32,
-and the step functions keep them so, since their constants are Python floats,
-which numpy casts to the array's type; each snapshot becomes float64 when the
-chunks are joined.  One 8192-path chunk takes 15-25 ns per path-step in float32
-against 43-65 ns in float64, where numpy's cos is not vectorized, 2-4 ns of either
-being the sign noise (numpy 2.4.6, 2 shared vCPUs).  Over 500 steps rounding moves a path by about 3e-6 relative in
-r and 1.4e-5 in eta, and at 100000 paths the means of the test functions by
-under 0.005 standard errors.  Near the poles float32 arccos has no value between
-0 and 3.5e-4, nor between pi - 3.5e-4 and pi, since there 1 - |cos eta| is under
-one ulp; at _EPS = 1e-3 from a pole its values lie 6.3e-5 apart.
+The chain runs in float32.  The start state and the noise buffer are float32, and the step
+functions keep them so, since their constants are Python floats, which numpy casts to the
+array's type; each snapshot becomes float64 when the chunks are joined.  One 8192-path chunk
+takes 15-25 ns per path-step in float32 against 43-65 ns in float64, where numpy's cos is
+not vectorized, 2-4 ns of either being the sign noise (numpy 2.4.6, 2 shared vCPUs).  Over
+500 steps rounding moves a path by about 3e-6 relative in r and 1.4e-5 in eta, and at 100000
+paths the means of the test functions by under 0.005 standard errors.  Near the poles float32
+arccos has no value between 0 and 3.5e-4, nor between pi - 3.5e-4 and pi, where 1 - |cos eta|
+is under one ulp; eta reflects at _EPS = 1e-3 from each pole, where its values lie 6.3e-5 apart.
 
 The paths run in chunks of 8192.  Each chunk owns one counter-based (Philox)
 random stream keyed by (seed, chunk index), and each step takes 256 raw 64-bit
@@ -76,7 +76,7 @@ from numpy.random import Philox, SeedSequence
 
 _CHUNK = 8192
 _R_SHIFT = 20.0  # above this r the drift flow of r is the shift r + 14 tau
-_EPS = 1e-3  # every path starts at r = eta = _EPS; r reflects at _EPS, eta at _EPS, pi - _EPS
+_EPS = 1e-3  # paths start at r = eta = _EPS; eta reflects at _EPS, pi - _EPS; r has no boundary
 
 
 @dataclass(frozen=True)
@@ -119,15 +119,14 @@ def _drift_flow(r, eta, tau):
 
 
 def _kick(r, eta, xi_r, xi_eta, dt):
-    """The noise of one step, folded back onto r, eta >= 0."""
+    """The noise of one step, unfolded: the drift flow after it is even in r and in eta."""
     root = math.sqrt(2.0 * dt)
-    return np.abs(r + root * xi_r), np.abs(eta + root * np.tanh(r) * xi_eta)
+    return r + root * xi_r, eta + root * np.tanh(r) * xi_eta
 
 
 def _drift(r, eta, tau):
-    """The drift flow over tau, then the reflections at r = _EPS and eta = _EPS, pi - _EPS."""
-    r, eta = _drift_flow(r, eta, tau)  # new arrays, reflected in place
-    np.copyto(r, 2.0 * _EPS - r, where=r < _EPS)
+    """The drift flow over tau, then eta's reflections at _EPS and pi - _EPS."""
+    r, eta = _drift_flow(r, eta, tau)  # new arrays, eta reflected in place
     np.copyto(eta, 2.0 * _EPS - eta, where=eta < _EPS)
     np.copyto(eta, 2.0 * (math.pi - _EPS) - eta, where=eta > math.pi - _EPS)
     return r, eta

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from octads.acceptance import richardson
+from octads.acceptance import hyperbolic_suite, richardson
 from octads.hyperbolic_kernel import (
     MAX_DIMENSION,
     SMALL_S_SWITCH,
@@ -248,6 +248,26 @@ class TestKernelValues:
         with np.errstate(over="raise"):
             assert hyperbolic_heat_kernel(n, t, s) == 0.0
             assert hyperbolic_heat_kernel(n, t, np.array([0.5, s]))[1] == 0.0
+
+    def test_huge_time_and_distance_are_zero(self):
+        # a clamp at 1e150 alone gave NaN here, since s^2 overflows past it
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert hyperbolic_heat_kernel(15, 1e200, [1e200, math.inf]).tolist() == [0, 0]
+
+    def test_normalization_past_the_old_far_clamp(self):
+        # n = 15's nodes pass s = 1e4 from t = 690, where a clamp of s at 1e4 overflowed exp
+        # and normalization_n15 read inf
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rows = hyperbolic_suite(t=(700.0, 1000.0))
+        norm = [row for row in rows if row["check"].startswith("normalization")]
+        assert len(norm) == 4 and all(row["status"] == "pass" for row in norm)
+
+    def test_underflowed_closed_form_fails_its_row(self):
+        # the n = 3 reference underflows to 0 at s = 5 from t = 729; its row divided by it
+        rows = hyperbolic_suite(t=(730.0,))
+        assert len(rows) == 5
+        assert rows[-1]["check"] == "closed_form_n3"
+        assert rows[-1]["status"] == "fail" and rows[-1]["value"] == math.inf
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

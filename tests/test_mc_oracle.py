@@ -132,6 +132,29 @@ class TestDriftFlow:
             assert np.all(np.abs(twice[0] - once[0]) <= 1e-13 * once[0]), eta
             assert np.all(np.abs(twice[1] - once[1]) <= 1e-13), eta
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_is_even_in_r_and_eta(self, dtype):
+        # the flow reads r only through sinh^2 r and eta only through cos eta, so the kick need
+        # not fold either at 0.  Bit for bit only up to the shift cutoff, where -r takes the
+        # sinh branch and r the shift; a kick leaves r >= 0 from every r >= sqrt(2 dt)
+        rs, etas = np.linspace(0.0, mc_oracle._R_SHIFT, 2001), np.linspace(0.0, math.pi, 181)
+        r, eta = (grid.ravel().astype(dtype) for grid in np.meshgrid(rs, etas))
+        for tau in (5e-8, 5e-5, 5e-4):
+            with np.errstate(over="raise", invalid="raise"):
+                plus = mc_oracle._drift_flow(r, eta, tau)
+                minus = mc_oracle._drift_flow(-r, -eta, tau)
+            for got, want in zip(minus, plus):
+                assert got.dtype == dtype and np.array_equal(got, want), tau
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dt", [1.5e-7, 1e-6, 1e-4, 1e-3])
+    def test_half_drift_lifts_r_above_eps(self, dt, dtype):
+        # r needs no reflection: a drift of tau leaves r >= arcsinh(sqrt(expm1(28 tau) / 2)),
+        # above _EPS for tau >= 7.15e-8; the negative starts are those of an unfolded kick
+        r = np.linspace(-0.05, 0.05, 10001).astype(dtype)
+        r_new, _ = mc_oracle._drift_flow(r, np.full_like(r, 1.0), dt / 2.0)
+        assert r_new.dtype == dtype and np.all(r_new >= mc_oracle._EPS)
+
 
 class TestSimulation:
     def test_deterministic_replay(self):
