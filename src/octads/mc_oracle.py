@@ -59,16 +59,18 @@ platform, and path start + j reads column j.  The words are always drawn at
 full width, so a path's noise depends only on (seed, path index) and not on
 how many paths run, but a chunk of c paths unpacks only the first ceil(c / 8)
 bytes of each row, into one reused (2, c) buffer of at most 64 KiB.
-When there is more than one chunk and more than one usable CPU, the chunks
-run in a pool of min(chunks, usable CPUs) processes started by "spawn", and
-the results are joined in path-index order; the output is bitwise identical
-for any worker count.
+With more than one chunk and usable CPU, the chunks run in a pool of min(chunks, usable CPUs)
+processes, joined in path-index order; the output is bitwise identical for any worker count and
+start method.  The pool forks on Linux, so workers inherit the imported package and need no
+__main__ guard, and spawns elsewhere (fork is unsafe on macOS, absent on Windows).  Fork from no
+process whose other threads may hold locks; Python >= 3.12 may warn of numpy's BLAS thread.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,13 +202,14 @@ def simulate_paths(cfg: SdeConfig, snapshot_times: tuple = ()) -> list[SampleSet
 
         starts, stops = zip(*chunks)
         try:
-            with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+            context = get_context("fork" if sys.platform == "linux" else "spawn")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
                 parts = list(pool.map(_simulate_chunk, [cfg] * len(chunks), starts, stops,
                                       [steps_wanted] * len(chunks)))
         except BrokenProcessPool as exc:
             raise RuntimeError(
                 "a simulate_paths worker process died; a script that runs more than "
-                f"{_CHUNK} paths must guard its top level with "
+                f"{_CHUNK} paths off Linux must guard its top level with "
                 "'if __name__ == \"__main__\":', because each worker imports it") from exc
 
     return [SampleSet(time=k * cfg.dt,

@@ -55,7 +55,8 @@ def test_criterion_06_hyperbolic_kernels():
     rows = acc.hyperbolic_suite()
     _verdict(6, rows, f"normalization {_worst(rows, 'deviation', 'normalization'):.3e} (1e-6), "
                       f"pde residual {_worst(rows, 'deviation', 'pde_residual'):.3e} (1e-5), "
-                      f"3-dim closed form {_worst(rows, 'deviation', 'closed_form'):.3e} (1e-12)")
+                      f"3-dim closed form {_worst(rows, 'deviation', 'closed_form'):.3e} "
+                      f"(1e-12 + 4 eps |log ref|)")
 
 
 def test_criterion_07_measure_and_moment_identities():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import math
 import os
 import subprocess
@@ -304,19 +305,57 @@ class TestProcessPool:
         s = simulate_paths(SdeConfig(n_paths=mc_oracle._CHUNK, dt=5e-4, t_end=0.001))[-1]
         assert s.r.shape == (mc_oracle._CHUNK,)
 
-    def test_unguarded_script_names_the_main_guard(self, tmp_path):
-        # each spawned worker re-ran the script and died, and the caller got a bare
-        # BrokenProcessPool
+    @pytest.mark.parametrize("platform", [sys.platform, "darwin"], ids=["native", "darwin"])
+    def test_pool_forks_on_linux_and_spawns_elsewhere(self, monkeypatch, platform):
+        cfg = SdeConfig(n_paths=mc_oracle._CHUNK + 1, dt=5e-4, seed=4, t_end=0.001)
+        monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: 1)
+        serial = simulate_paths(cfg)[-1]
+        methods, pool = [], concurrent.futures.ProcessPoolExecutor
+
+        def counted_pool(workers, **kwargs):
+            methods.append(kwargs["mp_context"].get_start_method())
+            return pool(workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
+        monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sys, "platform", platform)
+        pooled = simulate_paths(cfg)[-1]
+        assert methods == ["fork" if platform == "linux" else "spawn"]
+        assert np.array_equal(serial.r, pooled.r)
+        assert np.array_equal(serial.eta, pooled.eta)
+
+    @staticmethod
+    def _run_unguarded(tmp_path, *lines):
+        """Run a script of two 8192-path chunks on two workers, its top level unguarded."""
         script = tmp_path / "unguarded.py"
-        script.write_text("from octads import mc_oracle\n"
-                          "mc_oracle._usable_cpus = lambda: 2\n"
-                          "mc_oracle.simulate_paths(mc_oracle.SdeConfig(\n"
-                          "    n_paths=mc_oracle._CHUNK + 1, dt=5e-4, t_end=0.001))\n")
+        script.write_text("\n".join([
+            "import hashlib, sys",
+            "from octads import mc_oracle",
+            *lines,
+            "mc_oracle._usable_cpus = lambda: 2",
+            "s = mc_oracle.simulate_paths(mc_oracle.SdeConfig(",
+            "    n_paths=mc_oracle._CHUNK + 1, dt=5e-4, t_end=0.001))[-1]",
+            "print(hashlib.sha1(s.r.tobytes() + s.eta.tobytes()).hexdigest())", ""]))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                           env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+        return subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
+    def test_unguarded_script_runs_on_linux(self, tmp_path, monkeypatch):
+        # forked workers inherit the imported script instead of re-running it
+        proc = self._run_unguarded(tmp_path)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: 1)
+        s = simulate_paths(SdeConfig(n_paths=mc_oracle._CHUNK + 1, dt=5e-4, t_end=0.001))[-1]
+        assert proc.stdout.strip() == hashlib.sha1(s.r.tobytes() + s.eta.tobytes()).hexdigest()
+
+    def test_unguarded_script_names_the_main_guard(self, tmp_path):
+        # each spawned worker re-ran the script and died, and the caller got a bare
+        # BrokenProcessPool
+        proc = self._run_unguarded(tmp_path, 'sys.platform = "darwin"  # the spawn path')
         assert proc.returncode != 0
         # multiprocessing's resource tracker, a process of its own, may warn on the same
         # stderr about the semaphores that the dead workers left behind
