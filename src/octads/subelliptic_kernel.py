@@ -328,42 +328,38 @@ _MEASURE_LEVELS = 3
 _MAX_GROWTH = 1.0
 
 
-@functools.lru_cache(maxsize=_MEASURE_LEVELS)
-def _density_level(t: float, which: str, level: int):
-    """The nodes of one level and the weight that p_t and the measure put on them.
+def _density_levels(t: float, which: str, levels):
+    """The nodes of the given levels, in one pass, and the weight p_t and the measure put there.
 
-    The kernel depends on (r, u) only through s, cosh s = cosh r cosh u.  So
-    the level integrates over (s, y), with v = cosh r sinh u = y sinh s:
-    sinh r = sinh s sqrt(1 - y^2), tanh u = y tanh s and
-    dr du = sinh^2 s / (sinh r cosh r) ds dy.  s runs up to the radial cutoff
-    (14 + 2 _MAX_GROWTH) t + 10 sqrt(t) + 2 on the level's n nodes, or on n per
-    40 sqrt(t) where that is more (the kernel's width grows like sqrt(t)), and y
-    up to min(1, tanh U coth s), which is the u cutoff U = default_u_max(t, 6 t)
-    exactly, the same at every r: at large r the u-integrand decays on the scale 2t/r, so
-    the point cutoff's growth with r is unnecessary there and would overflow the continued
-    fiber polynomials.  A cutoff past s = 709 (t > 40.3), where sinh overflows, raises ValueError.
-    The integral of f is MEASURE_CONSTANT times that of f(r, eta) sin^6(eta) ds dy deta
-    against _integrand's integrand times sinh^2 s sinh^6 r cosh^6 r, one exp of a sum of
-    logs per (s, y) node whose large terms are summed once per s node.  Each series is
-    summed once per (s, y) node at the pole eta = 0, where it bounds its value at every eta
-    since |P_m(cos eta)| <= P_m(1); the eta factors enter by one matrix product.
-
-    Returns (r, etas, weight), all read-only: r on the (s, y) nodes as a
-    column, eta as a row, and the weight on their grid, quadrature weights
-    included.  The cache keeps the _MEASURE_LEVELS levels used last, of any
-    (t, which), and no module constant is in its key: a caller that changes
-    SERIES_TOL or SERIES_M_CAP calls cache_clear().
+    The kernel depends on (r, u) only through s, cosh s = cosh r cosh u, so a level integrates
+    over (s, y), with v = cosh r sinh u = y sinh s: sinh r = sinh s sqrt(1 - y^2),
+    tanh u = y tanh s and dr du = sinh^2 s / (sinh r cosh r) ds dy.  s runs up to the cutoff
+    (14 + 2 _MAX_GROWTH) t + 10 sqrt(t) + 2 on the level's n nodes, or on n per 40 sqrt(t)
+    where that is more (the kernel's width grows like sqrt(t)); past s = 709 (t > 40.3), where
+    sinh overflows, it raises ValueError.  y runs up to min(1, tanh U coth s), the u cutoff
+    U = default_u_max(t, 6 t) at every r: at large r the u-integrand decays on the scale 2t/r,
+    and the point cutoff would overflow the continued fiber polynomials.  The integrand is
+    _integrand's times sinh^2 s sinh^6 r cosh^6 r, one exp of a sum of logs per (s, y) node
+    whose large terms are summed once per s node.  Each series is summed at the pole eta = 0,
+    where it bounds its value at every eta as |P_m(cos eta)| <= P_m(1), and stops node by
+    node, so a level has the same bits whichever levels it is built with.  Returns per level
+    (r, etas, rows, cols, radial, angular), read-only: r on the (s, y) nodes as a column, eta
+    as a row, rows[i, m] node i's weight times c_m, cols[m, j] P_m(cos eta_j) / P_m(1) times
+    eta_j's weight, so that an integral is MEASURE_CONSTANT sum f (rows @ cols) on the grid,
+    and the contractions radial = rows @ cols.sum(1) and angular = rows.sum(0) @ cols.
     """
     s_max = (14.0 + 2.0 * _MAX_GROWTH) * t + 10.0 * math.sqrt(t) + 2.0
     if s_max > 709.0:
         raise ValueError(f"the {which} density at t = {t} leaves double range")
-    n_s, n_y, n_eta = (n * 3 ** level // 2 ** level for n in _LEVEL_NODES)
-    n_s = max(n_s, math.ceil(n_s * s_max / (40.0 * math.sqrt(t))))
-    s, w_s = gl_nodes(n_s, 0.0, s_max)
-    x, w_x = gl_nodes(n_y, 0.0, 1.0)
-    etas, w_eta = gl_nodes(n_eta, 0.0, math.pi)
-    y_max = np.minimum(1.0, math.tanh(default_u_max(t, 6.0 * t)) / np.tanh(s))
-    y = (y_max[:, None] * x).ravel()
+    parts = []  # per level: s nodes, y nodes per s node, y nodes, (s, y) weights, eta rule
+    for level in levels:
+        n_s, n_y, n_eta = (n * 3 ** level // 2 ** level for n in _LEVEL_NODES)
+        s, w_s = gl_nodes(max(n_s, math.ceil(n_s * s_max / (40.0 * math.sqrt(t)))), 0.0, s_max)
+        x, w_x = gl_nodes(n_y, 0.0, 1.0)
+        y_max = np.minimum(1.0, math.tanh(default_u_max(t, 6.0 * t)) / np.tanh(s))
+        parts.append((s, np.full(s.size, n_y), np.outer(y_max, x).ravel(),
+                      np.outer(w_s * y_max, w_x).ravel(), *gl_nodes(n_eta, 0.0, math.pi)))
+    s, n_y, y, w_sy, etas, w_eta = (np.concatenate(a) for a in zip(*parts))
     s_y = np.repeat(s, n_y)
     tanh_u = y * np.tanh(s_y)
     u = np.arctanh(tanh_u)
@@ -372,48 +368,63 @@ def _density_level(t: float, which: str, level: int):
     n, log_g, factor = _integrand(which, t, r, u)
     # sinh^2 s sinh^6 r cosh^6 r = sinh^14 s / tanh^6 s (1 - y^2)^3 / cosh^6 u
     log_s = _log_kernel(n, t, s) + 14.0 * _log_sinh(s) - 6.0 * np.log(np.tanh(s))
-    log_w = (np.repeat(log_s, n_y) + log_g
-             + 3.0 * np.log(one_minus_y2 * (1.0 - tanh_u) * (1.0 + tanh_u)))
+    w_sy = w_sy * np.exp(np.repeat(log_s, n_y) + log_g
+                         + 3.0 * np.log(one_minus_y2 * (1.0 - tanh_u) * (1.0 + tanh_u)))
     _, m_used, coeffs = _series_matrix(factor, u.size, 0.0)
     profiles = jacobi_sequence(m_used, np.append(np.cos(etas), 1.0))
-    weight = coeffs.T @ (profiles[:, :-1] / profiles[:, -1:])
-    weight *= (((w_s * y_max)[:, None] * w_x).ravel() * np.exp(log_w))[:, None]
-    weight *= w_eta * np.sin(etas) ** 6
-    arrays = (r[:, None], etas[None, :], weight)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    w_eta = profiles[:, :-1] / profiles[:, -1:] * (w_eta * np.sin(etas) ** 6)
+    cut = lambda a, k: np.split(a, np.cumsum([p[k].size for p in parts])[:-1], axis=-1)
+    out = []
+    for r, c, etas, h in zip(cut(r, 2), cut(coeffs * w_sy, 2), cut(etas, 4), cut(w_eta, 4)):
+        m = np.flatnonzero(c.any(axis=1))[-1]  # the level's degree, where its last node stops
+        rows, cols = c[:m + 1].T, h[:m + 1]
+        out.append((r[:, None], etas[None, :], rows, cols, rows @ cols.sum(1), rows.sum(0) @ cols))
+        for a in out[-1]:
+            a.flags.writeable = False
+    return tuple(out)
+
+
+# Levels 0 and 1, read by every integral, are cached together and level 2 alone: at most
+# _MEASURE_LEVELS levels.  Changing SERIES_TOL or SERIES_M_CAP needs cache_clear() on both.
+_first_levels = functools.lru_cache(maxsize=1)(lambda t, which: _density_levels(t, which, (0, 1)))
+_last_level = functools.lru_cache(maxsize=1)(lambda t, which: _density_levels(t, which, (2,)))
 
 
 def weighted_integral(f, t: float, which: str = "rep1", f_growth: float = 0.0) -> float:
     """Integral of f(r, eta) against p_t and the reference measure.
 
-    f is called once per level with r as a column and eta as a row, both read-only, and
-    returns a scalar or an array that broadcasts to their grid; a value that is not finite
-    raises ValueError.  f must be bounded by C exp(a r) with a <= f_growth, where f_growth
-    lies in [0, 1]; 1 is the growth of the eigenfunction cosh r cos eta, and every level
-    reaches the radial cutoff 16 t + 10 sqrt(t) + 2 that it needs.  Convergence is checked
-    by refining s, y and eta together, to a relative change of 1e-6 (see _density_level).
-    A level sum that is not finite, or 0 where f is not, raises QuadratureConvergenceError.
-    The levels are cached, and a value does not depend on the integrals before it.
+    f is called once per level with r as a column and eta as a row, both read-only, and returns
+    a finite scalar, column, row or full grid that broadcasts to their grid, else ValueError.  A
+    column is summed with the level's radial weight, a scalar or a row with its angular one, a
+    grid through cols and rows.  f is bounded by C exp(a r) with a <= f_growth in [0, 1], 1 the
+    growth of cosh r cos eta; each level reaches the cutoff 16 t + 10 sqrt(t) + 2 it needs.
+    Levels refine s, y and eta until two agree to 1e-6; a level sum that is not finite, or 0
+    where f is not, and no agreement raise QuadratureConvergenceError.  No call affects another.
     """
     _check_time(t)
     if not 0.0 <= f_growth <= _MAX_GROWTH:
         raise ValueError(f"f_growth {f_growth} is outside [0, {_MAX_GROWTH:g}]")
-    prev = None
+    sums = []
     for level in range(_MEASURE_LEVELS):
-        r, etas, weight = _density_level(t, which, level)
+        r, etas, rows, cols, radial, angular = (
+            _first_levels(t, which)[level] if level < 2 else _last_level(t, which)[0])
         values = np.asarray(f(r, etas), dtype=float)
+        v, grid = np.atleast_2d(values), (r.size, etas.size)
+        if v.ndim > 2 or any(a not in (1, b) for a, b in zip(v.shape, grid)):
+            raise ValueError(f"integrand of shape {values.shape} does not broadcast to {grid}")
         if not np.isfinite(values).all():
             raise ValueError(f"integrand not finite on the level-{level} nodes at t = {t}")
-        cur = MEASURE_CONSTANT * float(
-            np.einsum("ij,ij->", np.broadcast_to(values, weight.shape), weight))
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite raises
+            cur = MEASURE_CONSTANT * float(  # scalar or row (a broadcast skips BLAS), column, grid
+                np.broadcast_to(v[0], angular.shape) @ angular if v.shape[0] == 1 else
+                v[:, 0] @ radial if v.shape[1] == 1 else np.vdot(rows.T @ v, cols))
         if not math.isfinite(cur) or (cur == 0.0 and values.any()):
             raise QuadratureConvergenceError(f"the level-{level} sum is {cur} at t = {t}")
-        if prev is not None and abs(cur - prev) <= _MEASURE_TOL * abs(cur) + 1e-280:
+        if sums and abs(cur - sums[-1]) <= _MEASURE_TOL * abs(cur) + 1e-280:
             return cur
-        prev = cur
-    raise QuadratureConvergenceError("weighted integral did not converge under refinement")
+        sums.append(cur)
+    raise QuadratureConvergenceError(f"the {which} integral at t = {t} did not converge: its "
+                                     f"last two level sums are {sums[-2]:.10g}, {sums[-1]:.10g}")
 
 
 def total_mass(t: float, which: str = "rep1") -> float:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import warnings
 import weakref
@@ -24,7 +25,6 @@ from octads.subelliptic_kernel import (
     REP2_CONSTANT,
     _LEVEL_NODES,
     _MEASURE_LEVELS,
-    _density_level,
     _rep1_grid,
     _rep2_direct,
     _rep2_grid,
@@ -422,15 +422,20 @@ class TestMeasureIntegrals:
         assert a == pytest.approx(b, rel=1e-7, abs=0)
 
 
+def _clear_density_cache():
+    subelliptic_kernel._first_levels.cache_clear()
+    subelliptic_kernel._last_level.cache_clear()
+
+
 class TestDensityCache:
-    """weighted_integral evaluates each level of a (t, which) once, through _density_level's
-    cache, and every integrand reads the same level."""
+    """weighted_integral builds levels 0 and 1 of a (t, which) in one pass and level 2 alone,
+    each once, through its two caches, and every integrand reads the same levels."""
 
     T = 0.5
 
     @staticmethod
     def cold(f, t, **kwargs):
-        _density_level.cache_clear()
+        _clear_density_cache()
         return weighted_integral(f, t, **kwargs)
 
     @staticmethod
@@ -455,22 +460,35 @@ class TestDensityCache:
             self.cold(lambda r, eta: np.cosh(r), **before)
             assert weighted_integral(f, self.T, f_growth=0.5) == want
 
-    def test_one_grid_call_per_level(self, monkeypatch):
+    def test_one_call_per_layer_and_build(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
-        self.cold(lambda r, eta: np.ones_like(r), 1.2)
-        # per level: the hyperbolic factor on the s nodes, then the fiber series on the
-        # (s, y) nodes at the pole
-        n_s, n_y, _ = _LEVEL_NODES
-        levels = len(calls) // 2
-        assert levels >= 2
-        assert calls == [call for level in range(levels) for call in (
-            ("hyperbolic", n_s * 3 ** level // 2 ** level),
-            ("fiber", n_s * n_y * 9 ** level // 4 ** level))]
+        with pytest.raises(QuadratureConvergenceError):  # reaches level 2
+            self.cold(lambda r, eta: np.cosh(r) * np.cos(eta), 4.0, f_growth=1.0)
+        # per build: the hyperbolic factor on the s nodes, then the fiber series on the (s, y)
+        # nodes at the pole, of levels 0 and 1 together, then of level 2
+        # at t = 4 the s cutoff 16 t + 10 sqrt(t) + 2 = 86 exceeds 40 sqrt(t) = 80
+        n_s = [max(n, math.ceil(n * 86.0 / 80.0)) for n in (64, 96, 144)]
+        n_y = (32, 48, 72)
+        assert _LEVEL_NODES == (64, 32, 32)
+        assert calls == [("hyperbolic", n_s[0] + n_s[1]),
+                         ("fiber", n_s[0] * n_y[0] + n_s[1] * n_y[1]),
+                         ("hyperbolic", n_s[2]), ("fiber", n_s[2] * n_y[2])]
         # every growth up to 1 reads the same levels
         cold = list(calls)
         for g in (0.0, 0.5, 1.0):
-            weighted_integral(lambda r, eta: np.cosh(g * r), 1.2, f_growth=g)
+            try:
+                weighted_integral(lambda r, eta: np.cosh(g * r), 4.0, f_growth=g)
+            except QuadratureConvergenceError:
+                pass
         assert calls == cold
+
+    def test_joint_build_keeps_the_bits(self):
+        for t, which in ((0.25, "rep1"), (2.34, "rep2")):
+            joint = subelliptic_kernel._density_levels(t, which, (0, 1))
+            for level in (0, 1):
+                alone = subelliptic_kernel._density_levels(t, which, (level,))[0]
+                for a, b in zip(joint[level], alone, strict=True):
+                    assert a.shape == b.shape and np.array_equal(a, b), (t, which, level)
 
     def test_f_gets_a_column_and_a_row(self):
         shapes = []
@@ -499,6 +517,10 @@ class TestDensityCache:
         with pytest.raises(ValueError, match="read-only"):
             weighted_integral(writer, self.T, f_growth=0.5)
         assert weighted_integral(f, self.T, f_growth=0.5) == want
+        levels = (subelliptic_kernel._first_levels(self.T, "rep1")
+                  + subelliptic_kernel._last_level(self.T, "rep1"))
+        assert len(levels) == _MEASURE_LEVELS
+        assert not any(a.flags.writeable for level in levels for a in level)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_integrand_raises_at_once(self, monkeypatch, bad):
@@ -509,26 +531,53 @@ class TestDensityCache:
                 self.cold(lambda r, eta: np.full_like(r, bad), 2.34)
         assert [layer for layer, _ in calls] == ["hyperbolic", "fiber"]
 
+    @pytest.mark.parametrize("shape", ["rows", "two_rows", "grid_and_axis"])
+    def test_value_that_does_not_broadcast_raises(self, shape):
+        # an (n_rows,) vector broadcasts as a row only if n_rows = n_eta, which it never is
+        _, _, n_eta = _LEVEL_NODES
+        n_rows = _LEVEL_NODES[0] * _LEVEL_NODES[1]
+        shape = {"rows": (n_rows,), "two_rows": (2, n_eta),
+                 "grid_and_axis": (n_rows, n_eta, 1)}[shape]
+        with pytest.raises(ValueError, match=re.escape(f"of shape {shape} does not broadcast "
+                                                       f"to {(n_rows, n_eta)}")):
+            weighted_integral(lambda r, eta: np.ones(shape), 1.2)
+
     @pytest.mark.parametrize("growth", [-0.5, 1.5, math.nan, math.inf])
     def test_growth_outside_domain_raises(self, growth):
         with pytest.raises(ValueError, match="f_growth"):
             weighted_integral(lambda r, eta: np.ones_like(r), self.T, f_growth=growth)
 
-    def test_cache_is_bounded(self):
-        _density_level.cache_clear()
-        total_mass(0.5)
-        first = weakref.ref(_density_level(0.5, "rep1", 0)[-1])  # the weight of level 0
-        assert _density_level.cache_info().currsize <= _MEASURE_LEVELS
-        for t, which in ((0.5, "rep2"), (0.7, "rep1")):
-            total_mass(t, which=which)
-            assert _density_level.cache_info().currsize <= _MEASURE_LEVELS
-        assert first() is None
+    def test_cache_is_bounded(self, monkeypatch):
+        built = []  # (t, which, level) and weakrefs to the arrays of every level built
+        real = subelliptic_kernel._density_levels
+
+        def recorded(t, which, levels):
+            arrays = real(t, which, levels)
+            built.extend(((t, which, level), [weakref.ref(a) for a in level_arrays])
+                         for level, level_arrays in zip(levels, arrays, strict=True))
+            return arrays
+
+        def alive():
+            return [key for key, refs in built if any(ref() is not None for ref in refs)]
+
+        monkeypatch.setattr(subelliptic_kernel, "_density_levels", recorded)
+        _clear_density_cache()
+        moment = lambda r, eta: np.cosh(r) * np.cos(eta)
+        for t, which in ((0.5, "rep1"), (4.0, "rep1"), (0.5, "rep2"), (4.0, "rep2"),
+                         (0.7, "rep1")):
+            try:  # the moment at t = 4 reaches level 2 and raises
+                weighted_integral(moment, t, which=which, f_growth=1.0)
+            except QuadratureConvergenceError:
+                pass
+            assert len(alive()) <= _MEASURE_LEVELS, (t, which)
+        assert len(built) == 2 + 3 + 2 + 3 + 2
+        assert alive() == [(4.0, "rep2", 2), (0.7, "rep1", 0), (0.7, "rep1", 1)]
 
     def test_threads_share_the_cache(self):
         jobs = [(t, g) for t in (0.5, 0.7) for g in (0.0, 0.5, 1.0)] * 2
         f = lambda g: (lambda r, eta: np.cosh(g * r))
         want = {job: self.cold(f(job[1]), job[0], f_growth=job[1]) for job in set(jobs)}
-        _density_level.cache_clear()
+        _clear_density_cache()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch often, so that threads miss the same level at once
         try:
@@ -538,6 +587,46 @@ class TestDensityCache:
         finally:
             sys.setswitchinterval(interval)
         assert got == [want[job] for job in jobs]
+
+    def test_nonconvergence_names_t_which_and_the_last_sums(self):
+        moment = lambda r, eta: np.cosh(r) * np.cos(eta)
+        for which in ("rep1", "rep2"):
+            with pytest.raises(QuadratureConvergenceError) as info:
+                weighted_integral(moment, 4.0, which=which, f_growth=1.0)
+            match = re.fullmatch(f"the {which} integral at t = 4.0 did not converge: its last "
+                                 f"two level sums are (\\S+), (\\S+)", str(info.value))
+            assert match, str(info.value)
+            last = [float(x) for x in match.groups()]
+            assert all(math.isfinite(x) and x > 0.0 for x in last)
+            assert abs(last[1] - last[0]) > 1e-6 * abs(last[1])
+
+
+class TestLevelContractions:
+    """Each contraction of a level's factors against the dense sum of f times the weight
+    rows @ cols, formed in long double."""
+
+    INTEGRANDS = {"scalar": lambda r, eta: 1.7, "column": lambda r, eta: np.cosh(r / 2.0),
+                  "row": lambda r, eta: np.cos(eta),
+                  "grid": lambda r, eta: np.cosh(r) * np.cos(eta)}
+
+    @pytest.mark.parametrize("which", ["rep1", "rep2"])
+    @pytest.mark.parametrize("t", [0.05, 0.25, 1.2, 2.34])
+    @pytest.mark.parametrize("shape", sorted(INTEGRANDS))
+    def test_contraction_matches_the_dense_sum(self, monkeypatch, t, which, shape):
+        f = self.INTEGRANDS[shape]
+        for level in (0, 1):
+            arrays = subelliptic_kernel._first_levels(t, which)[level]
+            r, etas, rows, cols = arrays[:4]
+            terms = (np.broadcast_to(f(r, etas), (r.size, etas.size)).astype(np.longdouble)
+                     * (rows.astype(np.longdouble) @ cols.astype(np.longdouble)))
+            want, scale = MEASURE_CONSTANT * terms.sum(), MEASURE_CONSTANT * abs(terms).sum()
+            # levels 0 and 1 are this one, so the integral returns its sum at the second level
+            monkeypatch.setattr(subelliptic_kernel, "_first_levels", lambda *args: [arrays] * 2)
+            got = weighted_integral(f, t, which=which, f_growth=1.0)
+            monkeypatch.undo()
+            # measured worst: 4.0e-16 (scalar), 2.0e-16 (column), 1.4e-16 (row) and
+            # 9.8e-16 (grid) of the sum of |f| times |weight|
+            assert abs(got - float(want)) <= 2e-15 * float(scale), (level, got, float(want))
 
 
 class TestComposedDistanceRule:
@@ -651,15 +740,17 @@ class TestLargeTime:
 
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
     def test_zero_or_nonfinite_level_raises(self, monkeypatch, bad):
-        # a level whose weight underflowed to 0 summed to a silent 0.0
-        real = subelliptic_kernel._density_level
+        # a level whose weight underflowed to 0 summed to a silent 0.0; every contraction of the
+        # factors (scalar, column, row and grid) reads a spoiled level as one
+        real = subelliptic_kernel._first_levels
 
         def spoiled(*args):
-            r, etas, weight = real(*args)
-            return r, etas, np.full_like(weight, bad)
+            return [(r, etas, *(np.full_like(a, bad) for a in (rows, cols, radial, angular)))
+                    for r, etas, rows, cols, radial, angular in real(*args)]
 
-        monkeypatch.setattr(subelliptic_kernel, "_density_level", spoiled)
-        with pytest.raises(QuadratureConvergenceError, match="level-0 sum"):
-            total_mass(1.2)
+        monkeypatch.setattr(subelliptic_kernel, "_first_levels", spoiled)
+        for f in TestLevelContractions.INTEGRANDS.values():
+            with pytest.raises(QuadratureConvergenceError, match="level-0 sum"):
+                weighted_integral(f, 1.2, f_growth=1.0)
         if bad == 0.0:  # where f is 0 on every node, 0 is the exact value and no failure
             assert weighted_integral(lambda r, eta: np.zeros_like(r), 1.2) == 0.0
