@@ -17,7 +17,6 @@ the kernel and its products past it are 0; and at most at 1e150, where s^2 still
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -40,16 +39,14 @@ TIME_FLOOR = 1e-30
 _DF_SERIES = 2.0 * np.cumprod([1.0] + [-n / (2.0 * n + 1.0) for n in range(1, _SERIES_LENGTH + 9)])
 
 
-@functools.lru_cache(maxsize=64)
-def _series_factor(k: int, t: float) -> np.ndarray:
-    """P_k's read-only coefficients in w = cosh s - 1, k terms longer, one per derivative."""
+def _series_factor(k: int, t: float, w: np.ndarray) -> np.ndarray:
+    """P_k at w = cosh s - 1; the series starts k terms longer, one per derivative."""
     p = np.zeros(_SERIES_LENGTH + k)
     p[0] = 1.0
     for _ in range(k):
         n = p.size - 1
         p = np.convolve(p[:n], _DF_SERIES[:n])[:n] / (4.0 * t) - np.arange(1, n + 1) * p[1:]
-    p.flags.writeable = False
-    return p
+    return np.polynomial.polynomial.polyval(w, p)
 
 
 def _log_sinh(s):
@@ -82,8 +79,7 @@ def _log_lowering_factor(k: int, t: float, s: np.ndarray) -> np.ndarray:
     small = s < SMALL_S_SWITCH
     out = np.empty_like(s)
     if small.any():
-        w = 2.0 * np.sinh(0.5 * s[small]) ** 2
-        out[small] = np.log(np.polynomial.polynomial.polyval(w, _series_factor(k, t)))
+        out[small] = np.log(_series_factor(k, t, 2.0 * np.sinh(0.5 * s[small]) ** 2))
     out[~small] = _taylor_mode_factor(k, t, s[~small])
     return out
 

@@ -12,7 +12,6 @@ from octads.hyperbolic_kernel import (
     composed_distance,
     hyperbolic_heat_kernel,
     hyperbolic_heat_kernel_composed,
-    _DF_SERIES,
     _FAR,
     _log_kernel,
     _log_lowering_factor,
@@ -103,35 +102,9 @@ class TestTaylorBranch:
         # about cosh s loses at most two digits
         s = np.array([0.8, 1.0, 1.1, SMALL_S_SWITCH - 1e-9])
         for t in (0.5, 2.0):
-            series = np.polynomial.polynomial.polyval(2.0 * np.sinh(0.5 * s) ** 2,
-                                                      _series_factor(k, t))
+            series = _series_factor(k, t, 2.0 * np.sinh(0.5 * s) ** 2)
             taylor_mode = np.exp(_taylor_mode_factor(k, t, s))
             assert np.all(np.abs(series - taylor_mode) <= 1e-11 * np.abs(series)), (k, t)
-
-    @pytest.mark.parametrize("k", [0, 4, 7, 9])
-    def test_cached_series_keeps_its_bits(self, k):
-        s = np.array([0.0, 0.3, 0.9, SMALL_S_SWITCH - 1e-9])
-        for t in (0.05, 0.5, 2.34, 40.0):
-            p = np.zeros(64 + k)  # the recurrence as it ran before its coefficients were cached
-            p[0] = 1.0
-            for _ in range(k):
-                n = p.size - 1
-                p = np.convolve(p[:n], _DF_SERIES[:n])[:n] / (4.0 * t) - np.arange(1, n + 1) * p[1:]
-            want = np.log(np.polynomial.polynomial.polyval(2.0 * np.sinh(0.5 * s) ** 2, p))
-            for _ in range(2):  # a miss, then a hit
-                assert np.array_equal(_series_factor(k, t), p), (k, t)
-                assert np.array_equal(_log_lowering_factor(k, t, s), want), (k, t)
-
-    def test_series_recurrence_runs_once_per_k_and_t(self, monkeypatch):
-        calls = []
-        convolve = np.convolve
-        monkeypatch.setattr(np, "convolve", lambda *a: calls.append(1) or convolve(*a))
-        _series_factor.cache_clear()
-        for k, t in [(7, 0.5), (7, 0.5), (7, 1.2), (4, 0.5), (7, 0.5), (4, 0.5)]:
-            _log_lowering_factor(k, t, np.array([0.1, 0.5]))
-        assert len(calls) == 7 + 7 + 4
-        with pytest.raises(ValueError, match="read-only"):
-            _series_factor(7, 0.5)[0] = 0.0
 
     def test_no_overflow_at_large_distance(self):
         # sinh(s)**7 alone overflows beyond s = 102.9, and sinh(s) beyond 710.5

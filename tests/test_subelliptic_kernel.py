@@ -754,3 +754,19 @@ class TestLargeTime:
                 weighted_integral(f, 1.2, f_growth=1.0)
         if bad == 0.0:  # where f is 0 on every node, 0 is the exact value and no failure
             assert weighted_integral(lambda r, eta: np.zeros_like(r), 1.2) == 0.0
+
+    def test_underflowed_level_raises(self, monkeypatch):
+        # a kernel that underflows on every node builds levels with no nonzero mode, and each
+        # contraction of them sums to 0, which the integral refuses
+        monkeypatch.setattr(subelliptic_kernel, "_log_kernel",
+                            lambda n, t, s: np.full(np.shape(s), -np.inf))
+        _clear_density_cache()
+        try:
+            for f in TestLevelContractions.INTEGRANDS.values():
+                with pytest.raises(QuadratureConvergenceError, match="level-0 sum is 0.0"):
+                    weighted_integral(f, 1.2, f_growth=1.0)
+            for _, _, rows, cols, radial, angular in subelliptic_kernel._first_levels(1.2, "rep1"):
+                assert rows.shape[1] == cols.shape[0] == 1
+                assert not (rows.any() or radial.any() or angular.any())
+        finally:
+            _clear_density_cache()
