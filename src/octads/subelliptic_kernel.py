@@ -376,7 +376,7 @@ def _density_levels(t: float, which: str, levels):
     cut = lambda a, k: np.split(a, np.cumsum([p[k].size for p in parts])[:-1], axis=-1)
     out = []
     for r, c, etas, h in zip(cut(r, 2), cut(coeffs * w_sy, 2), cut(etas, 4), cut(w_eta, 4)):
-        m = max(np.flatnonzero(c.any(axis=1)), default=0)  # where its last node stops, or 0
+        m = max(np.flatnonzero(c.any(axis=1)), default=0)  # its degree; 0 if all underflowed
         rows, cols = c[:m + 1].T, h[:m + 1]
         out.append((r[:, None], etas[None, :], rows, cols, rows @ cols.sum(1), rows.sum(0) @ cols))
         for a in out[-1]:
