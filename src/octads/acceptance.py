@@ -165,7 +165,7 @@ def fiber_normalization(t=_FIBER_T, eta=_FIBER_ETA):
     rows = []
     for tt, ee in itertools.product(t, eta):
         _check_fiber_args(tt, ee)
-        vals = _series_matrix(_fiber_coeff(tt, np.cos(u)), u.size, ee)[0][:, 0]
+        vals = _series_matrix(_fiber_coeff(tt, np.cos(u)), u.size, ee)[0]
         integral = float(np.dot(w, vals * np.sin(u) ** 6))
         dev = abs(integral - 1.0)
         rows.append(_row(dev <= _FIBER_TOL, t=tt, eta=ee, integral=integral, deviation=dev))
@@ -254,11 +254,13 @@ def mass_moment(t=GRID_T, moment=True):
 def mc_oracle(t=(0.5, 1.0), n_paths=100_000, dt=1e-4, seed=0):
     """Criterion 08: MC means of the test functions within 3 standard errors of quadrature.
 
-    Every time must be finite, at least MIN_TIME and a whole number of steps dt; that is
-    checked before any path is simulated.
+    Every time must be finite, at least MIN_TIME and a whole number of steps dt, and there
+    must be at least two paths; that is checked before any path is simulated.
     """
     times = sorted(t)
     cfg = SdeConfig(n_paths=n_paths, dt=dt, seed=seed, t_end=times[-1])
+    if n_paths < 2:
+        raise ValueError(f"{n_paths} path(s) cannot estimate a standard error; need 2")
     for tt in times:
         _check_time(tt)
         if not math.isclose(tt, round(tt / dt) * dt, rel_tol=1e-9):

@@ -51,8 +51,8 @@ def fiber_mode_multiplicity(m: int) -> int:
     return num // 3
 
 
-def _series_matrix(factor, n_rows: int, etas, wq=None):
-    """The one mode loop: sum_m a_m h_m(eta) on n_rows rows at the angles etas.
+def _series_matrix(factor, n_rows: int, eta, wq=None):
+    """The one mode loop: sum_m a_m h_m(eta) on n_rows rows at the angle eta.
 
     h_m = P_m(cos eta) / P_m(1) is the normalized mode profile, stepped here by
     the Jacobi recurrence, P_m(1) included.  factor(m) returns the mode factor
@@ -61,24 +61,24 @@ def _series_matrix(factor, n_rows: int, etas, wq=None):
     weights wq[n_rows, n_u], the u-integral c_m (wq[i] @ f_m).  Each row stops
     on its own, at degree 4 at the earliest, after two consecutive degrees
     whose bound |a_m| (at the pole, since |h_m| <= 1) is below SERIES_TOL of
-    its largest sum over eta: across rows the values span hundreds of orders of
-    magnitude, so a rule for the whole grid would cut the small rows short.  A
-    non-finite coefficient, and a row still summing at SERIES_M_CAP, raise.
-    The u-integrals, profiles and sums are formed in the dtype of wq: a grid
+    its own sum: across rows the values span hundreds of orders of magnitude,
+    so a rule for all rows would cut the small rows short.  A non-finite
+    coefficient, and a row still summing at SERIES_M_CAP, raise.
+    The u-integrals, profiles and sums are formed in the dtype of wq: a point
     passes long double, since its sums near eta = pi cancel to 1e-7 of their
     terms; summed in double, point values at t <= 0.2 moved by up to 2.8e-9
     relative, above POINT_TOL, and 4 of 504 points flipped to or from a refusal.
-    Returns (sums[n_rows, n_eta], m_used, coeffs), where coeffs[m] holds every
-    row's a_m, 0 once the row has stopped.
+    Returns (sums[n_rows], m_used, coeffs), where coeffs[m] holds every row's
+    a_m, 0 once the row has stopped.
     """
-    # the last profile argument is the pole, cos 0 = 1
-    x = np.cos(np.append(etas, 0.0).astype(float if wq is None else wq.dtype))
-    out = np.empty((n_rows, x.size - 1))
+    # the profile's arguments: eta and the pole, cos 0 = 1
+    x = np.cos(np.array([eta, 0.0], dtype=float if wq is None else wq.dtype))
+    out = np.empty(n_rows)
     coeffs = []
     # the rows still summing, their sums and whether their last term was small; live selects
     # the rows whose coefficients are formed, a slice until the first row stops
     rows, live = np.arange(n_rows), slice(None)
-    sums = np.zeros(out.shape, x.dtype)
+    sums = np.zeros(n_rows, x.dtype)
     was_small = np.zeros(n_rows, dtype=bool)
     p = p2 = None
     for m in range(SERIES_M_CAP + 1):
@@ -94,8 +94,8 @@ def _series_matrix(factor, n_rows: int, etas, wq=None):
                 "the requested t and u are outside the supported range")
         coeffs.append(np.zeros(n_rows))
         coeffs[m][live] = a
-        sums += a[:, None] * (p[:-1] / p[-1])
-        small = bound <= SERIES_TOL * abs(sums).max(axis=1, initial=1e-300)
+        sums += a * (p[0] / p[1])
+        small = bound <= SERIES_TOL * np.maximum(abs(sums), 1e-300)
         done = small & was_small
         was_small = small
         if m >= 4 and done.any():
@@ -152,10 +152,10 @@ def fiber_heat_kernel(t: float, eta: float, u: float,
     out, m_used, coeffs = _series_matrix(_fiber_coeff(t, [x]), 1, eta)
     a, h = coeffs[:, 0], jacobi_sequence(m_used, [math.cos(eta), 1.0])
     bound = abs(a[-1]) + (m_used + 1) * np.finfo(float).eps * np.abs(a * h[:, 0] / h[:, 1]).sum()
-    if not bound < abs(out[0, 0]):
-        raise SeriesConvergenceError(f"fiber series value {out[0, 0]:.3e} at (t={t}, eta={eta}, "
+    if not bound < abs(out[0]):
+        raise SeriesConvergenceError(f"fiber series value {out[0]:.3e} at (t={t}, eta={eta}, "
                                      f"u={u}) is within its tail and rounding bound {bound:.1e}")
-    return FiberKernelValue(value=float(out[0, 0]), m_used=m_used, tail_bound=float(bound))
+    return FiberKernelValue(value=float(out[0]), m_used=m_used, tail_bound=float(bound))
 
 
 def _s5_rule(degree: int):

@@ -132,9 +132,9 @@ def composed_distance(r, u) -> np.ndarray | float:
     u_arr = np.asarray(u, dtype=float)
     if not (np.all(r_arr >= 0) and np.all(u_arr >= 0)):
         raise ValueError("distances must be nonnegative and not NaN")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # far is inf past r + u = 1.8e308
         s = np.arcsinh(np.hypot(np.sinh(r_arr) * np.cosh(u_arr), np.sinh(u_arr)))
-    far = r_arr + u_arr - math.log(2.0) + np.log1p(np.exp(-2.0 * np.minimum(r_arr, u_arr)))
+        far = r_arr + u_arr - math.log(2.0) + np.log1p(np.exp(-2.0 * np.minimum(r_arr, u_arr)))
     s = np.where(np.isinf(s), far, s)
     s = np.where(u_arr == 0.0, r_arr, s)
     return s if (np.ndim(r) or np.ndim(u)) else float(s)

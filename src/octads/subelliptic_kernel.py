@@ -124,14 +124,17 @@ def usable(v: float) -> bool:
 
 def _adaptive(what: str, t, r, eta, eval_at) -> KernelResult:
     """The point rule (see POINT_N_U) at (t, r, eta), checked by KernelPoint.  eval_at(n_u,
-    u_max) returns (value, m_used), the value a float or a 1x1 grid; a value that is not
-    usable raises KernelRangeError at once."""
+    u_max) returns (value, m_used); an unusable value raises KernelRangeError at once, and a
+    series or quadrature error of eval_at is raised again with the route and the point first."""
     KernelPoint(t, r, eta)
     u_max = default_u_max(t, r)
     prev = math.inf  # the first value agrees with nothing
     for k in range(5):
-        value, m_used = eval_at(POINT_N_U << k, u_max)
-        value = np.asarray(value).item()
+        try:
+            value, m_used = eval_at(POINT_N_U << k, u_max)
+        except (SeriesConvergenceError, QuadratureConvergenceError) as exc:
+            raise type(exc)(f"{what} at (t={t}, r={r}, eta={eta}): {exc}") from exc
+        value = float(value)
         if not usable(value):
             raise KernelRangeError(
                 f"{what} is {value} at (t={t}, r={r}, eta={eta})",
@@ -144,7 +147,7 @@ def _adaptive(what: str, t, r, eta, eval_at) -> KernelResult:
 
 
 # ---------------------------------------------------------------------------
-# the grid evaluator of both representations
+# the point evaluator of both representations
 
 
 def _integrand(which, t, r, u):
@@ -153,35 +156,36 @@ def _integrand(which, t, r, u):
     factor(m) = (c_m, f_m) (see _series_matrix).  Rep 1: n = 15, g = sinh^6 u and the
     continued fiber series.  Rep 2: n = 9, g = REP2_CONSTANT exp(3u - 33 t) / cosh^3 r and
     (w_m, (exp(m u - m(m+6) t) + exp(-(m+6) u - m(m+6) t)) / 2), each exponent in one exp:
-    exp(m u) alone overflows at small t.  Any other name raises ValueError.
+    exp(m u) alone overflows at small t.  Any other name raises ValueError.  Past u = 710
+    cosh u overflows, and past r or u = 3e307 log g: the series or the residual reports it.
     """
-    if which == "rep1":
-        with np.errstate(over="ignore"):  # past u = 710 _series_matrix reports the overflow
-            cosh_u = np.cosh(u)
-        return 15, 6.0 * _log_sinh(u), _fiber_coeff(t, cosh_u)
-    if which != "rep2":
+    if which not in ("rep1", "rep2"):
         raise ValueError(f"unknown representation {which!r}")
 
     def factor(m):
         d = fiber_eigenvalue(m) * t
         return fiber_mode_multiplicity(m), 0.5 * (np.exp(m * u - d) + np.exp(-(m + 6) * u - d))
-    log_cosh_r = np.logaddexp(r, -r) - math.log(2.0)
-    return 9, math.log(REP2_CONSTANT) - REP2_RATE_SHIFT * t + 3.0 * u - 3.0 * log_cosh_r, factor
+    with np.errstate(over="ignore", invalid="ignore"):
+        if which == "rep1":
+            return 15, 6.0 * _log_sinh(u), _fiber_coeff(t, np.cosh(u))
+        log_cosh_r = np.logaddexp(r, -r) - math.log(2.0)
+        return 9, math.log(REP2_CONSTANT) - REP2_RATE_SHIFT * t + 3.0 * u - 3.0 * log_cosh_r, factor
 
 
-def _grid(which, t, rs, etas, n_u, u_max):
-    """Values of representation `which` on an (r, eta) grid at a fixed u-cutoff.
+def _grid(which, t, r, eta, n_u, u_max):
+    """The value of representation `which` at (r, eta), on n_u u-nodes up to u_max.
 
     Mode m's coefficient is c_m times the u-integral of q_n exp(log_g) f_m (see
-    _integrand); q_n and g are one exp of a sum of logs per (r, u) node.  The degree
-    adapts row by row (see _series_matrix).  Returns (values[n_r, n_eta], m_used).
+    _integrand); q_n and g are one exp of a sum of logs per u node, NaN where both leave
+    double range, which _series_matrix reports.  Returns (value, m_used), the value a numpy
+    float, whose .size perfbench's tracer reads.
     """
-    rs = np.asarray(rs, dtype=float)[:, None]
     u, w = gl_nodes(n_u, 0.0, u_max)
-    n, log_g, factor = _integrand(which, t, rs, u)
-    wq = (w * np.exp(_log_kernel(n, t, composed_distance(rs, u)) + log_g)).astype(np.longdouble)
-    out, m_used, _ = _series_matrix(factor, rs.size, etas, wq)
-    return out, m_used
+    n, log_g, factor = _integrand(which, t, r, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wq = (w * np.exp(_log_kernel(n, t, composed_distance(r, u)) + log_g)).astype(np.longdouble)
+    out, m_used, _ = _series_matrix(factor, 1, eta, wq[None])
+    return out[0], m_used
 
 
 # the names that points and the benchmark's tracer call
@@ -191,7 +195,7 @@ _rep2_grid = functools.partial(_grid, "rep2")
 
 def heat_kernel_rep1(t: float, r: float, eta: float) -> KernelResult:
     """First integral representation; the reference evaluation path."""
-    return _adaptive("representation 1", t, r, eta, functools.partial(_rep1_grid, t, [r], [eta]))
+    return _adaptive("representation 1", t, r, eta, functools.partial(_rep1_grid, t, r, eta))
 
 
 def _rep2_direct_2d(t, r, eta, n_u, u_max):
@@ -230,13 +234,16 @@ def _rep2_direct_2d(t, r, eta, n_u, u_max):
         raise QuadratureConvergenceError(
             f"imaginary residue {imag / imag_scale:.1e} of the angular integral exceeds 1e-10")
     q9 = hyperbolic_heat_kernel_composed(9, t, r, u)
-    total = float(np.dot(wu, fold.real * q9)) * (REP2_CONSTANT / math.cosh(r) ** 3)
-    return total, m
+    try:  # cosh^3 r overflows past r = 236.5, where the factor is below the least double
+        sech3 = REP2_CONSTANT / math.cosh(r) ** 3
+    except OverflowError:
+        sech3 = 0.0
+    return float(np.dot(wu, fold.real * q9)) * sech3, m
 
 
 def heat_kernel_rep2(t: float, r: float, eta: float) -> KernelResult:
     """Second integral representation, summed over explicit fiber modes."""
-    return _adaptive("representation 2", t, r, eta, functools.partial(_rep2_grid, t, [r], [eta]))
+    return _adaptive("representation 2", t, r, eta, functools.partial(_rep2_grid, t, r, eta))
 
 
 def _rep2_direct(t: float, r: float, eta: float) -> KernelResult:
@@ -259,22 +266,22 @@ def _mode_residual(which, t, r, eta):
     d/dt A_m, the drift (coth r + tanh r) d/dr A_m and d^2/dr^2 A_m are then four weight rows
     times c_m f_m (see _integrand), on 2 POINT_N_U nodes up to default_u_max(t, r) + 1.  The
     drift row has no coth, since coth r d/dr x = x, so L_m A_m holds on the axis r = 0 too.
-    The value row, summed by _grid's rule, sets the degree and gives p; the other rows reuse
-    its (c_m, f_m) up to that degree.
+    The value row, summed by _grid's rule, sets the degree and gives p; the other rows take
+    c_m f_m from a fresh factor up to that degree.
     """
     u, w = gl_nodes(2 * POINT_N_U, 0.0, default_u_max(t, r) + 1.0)
     n, log_g, factor = _integrand(which, t, r, u)
     tanh_r = math.tanh(r)
     s = composed_distance(r, u)
-    # w g d^j/dx^j q_n = (-2 pi)^j e^(j(n+j-1)t) w g q_{n+2j}, one exp each
-    q0, q1, q2 = ((-1) ** j * w * np.exp(_log_kernel(n + 2 * j, t, s) + log_g
-                                          + j * (math.log(2.0 * math.pi) + (n + j - 1) * t))
-                  for j in range(3))
     # math's cosh r and sinh r (numpy's differ in the last bit) overflow past r = 710, cosh^2 r
-    # past r = 355 and x past r + u = 710; there every q_n is 0 (q_n <= e^(-4 s)), and a point
-    # whose rows leave double range is refused below
+    # past r = 355, x past r + u = 710 and log g past 3e307; there every q_n is 0
+    # (q_n <= e^(-4 s)), and a point whose rows leave double range is refused below
     cosh_r, sinh_r = (math.cosh(r), math.sinh(r)) if r < 710.0 else (math.inf, math.inf)
     with np.errstate(over="ignore", invalid="ignore"):
+        # w g d^j/dx^j q_n = (-2 pi)^j e^(j(n+j-1)t) w g q_{n+2j}, one exp each
+        q0, q1, q2 = ((-1) ** j * w * np.exp(_log_kernel(n + 2 * j, t, s) + log_g
+                                              + j * (math.log(2.0 * math.pi) + (n + j - 1) * t))
+                      for j in range(3))
         # d/dt log g, d/dr log g, (coth r + tanh r) d/dr log g and (d^2/dr^2 g) / g: rep 1's
         # sinh^6 u has none, rep 2's exp(-33 t) / cosh^3 r gives these
         g_t, g_r, g_d, g_rr = ((0.0, 0.0, 0.0, 0.0) if which == "rep1" else
@@ -288,18 +295,14 @@ def _mode_residual(which, t, r, eta):
     if not np.isfinite(rows).all():
         raise SeriesConvergenceError(
             f"the residual's u-integrands leave double range at (t={t}, r={r}, eta={eta})")
-    factors = []
-
-    def recorded(m):
-        factors.append(factor(m))
-        return factors[-1]
-    value, m_used, _ = _series_matrix(recorded, 1, [eta], rows[:1].astype(np.longdouble))
-    a = np.array([c_m * (rows @ f_m) for c_m, f_m in factors])
+    value, m_used, _ = _series_matrix(factor, 1, eta, rows[:1].astype(np.longdouble))
+    factor = _integrand(which, t, r, u)[2]  # a fresh one: rep 1's steps its recurrence
+    a = np.array([c_m * (rows @ f_m) for c_m, f_m in map(factor, range(m_used + 1))])
     decay = fiber_eigenvalue(np.arange(m_used + 1))
     dt = a[:, 1] - decay * a[:, 0]
     generator = a[:, 3] + 7.0 * a[:, 2] - tanh_r ** 2 * decay * a[:, 0]
     h = jacobi_sequence(m_used, [math.cos(eta), 1.0])
-    return float(value[0, 0]), h[:, 0] / h[:, 1], dt, generator
+    return float(value[0]), h[:, 0] / h[:, 1], dt, generator
 
 
 def heat_residual(which: str, t: float, r: float,

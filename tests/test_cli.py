@@ -253,10 +253,18 @@ class TestOtherCommands:
         assert lines[0] == "function,mc_mean,stderr,analytic,z,status"
         assert len(lines) == 4
 
-    def test_mc_check_single_path_exits_2(self, tmp_path):
-        # one path has no standard error; it used to pass with every z set to 0
-        code, _ = run_cli(["mc-check", "--n-paths", "1", "--t", "0.5"], tmp_path)
-        assert code == 2
+    def test_mc_check_single_path_exits_2(self, tmp_path, monkeypatch, capsys):
+        # one path has no standard error; it used to pass with every z set to 0, and then was
+        # refused only after every path had run
+        def simulate(*args, **kwargs):
+            raise AssertionError("paths simulated before n_paths was checked")
+
+        monkeypatch.setattr(octads.acceptance, "simulate_paths", simulate)
+        code, payload = run_cli(["mc-check", "--n-paths", "1", "--t", "1,5", "--dt", "0.0001"],
+                                tmp_path)
+        assert code == 2 and payload == b""
+        assert capsys.readouterr().err == (
+            "error: 1 path(s) cannot estimate a standard error; need 2\n")
 
     def test_mc_check_zero_stderr_fails(self, tmp_path, monkeypatch):
         monkeypatch.setattr(octads.acceptance, "estimate_expectation",
@@ -403,6 +411,7 @@ class TestRefusedInput:
     @pytest.mark.parametrize("point, error", [
         # numpy's "overflow encountered in multiply" warning came first, in a fresh process
         pytest.param(["--rep", "1", "--t", "0.05", "--r", "1", "--eta", "3.141592653589793"],
+                     r"representation 1 at \(t=0\.05, r=1\.0, eta=3\.141592653589793\): "
                      r"degree-\d+ polynomial overflowed ", id="rep1"),
         # "overflow encountered in exp" and "invalid value encountered in matmul" came first,
         # then "mode series not converged by degree 256"; rep 2's mode factor, one exp per
@@ -412,7 +421,15 @@ class TestRefusedInput:
                      r"representation 2 did not stabilize ", id="rep2"),
         # numpy's "overflow encountered in cosh" warning and its source line came first
         pytest.param(["--rep", "1", "--t", "1", "--r", "705", "--eta", "1"],
+                     r"representation 1 at \(t=1\.0, r=705\.0, eta=1\.0\): "
                      r"degree-1 polynomial overflowed ", id="rep1-cosh-u"),
+        # composed_distance, log g and the weight sums wrote 10 RuntimeWarning lines first
+        pytest.param(["--rep", "1", "--t", "1", "--r", "3e307", "--eta", "1"],
+                     r"representation 1 at \(t=1\.0, r=3e\+307, eta=1\.0\): "
+                     r"degree-0 polynomial overflowed ", id="rep1-huge-r"),
+        pytest.param(["--rep", "2", "--t", "1", "--r", "1e308", "--eta", "1"],
+                     r"representation 2 at \(t=1\.0, r=1e\+308, eta=1\.0\): "
+                     r"degree-0 polynomial overflowed ", id="rep2-huge-r"),
     ])
     def test_polynomial_overflow_prints_one_error_line(self, point, error):
         env = dict(os.environ)
@@ -423,6 +440,15 @@ class TestRefusedInput:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert re.fullmatch(rf"error: {error}[^\n]*\n", proc.stderr)
+
+    def test_direct_route_past_the_cosh_overflow_fails_its_row(self, tmp_path, capsys):
+        # cosh^3 r overflowed past r = 236.5: a 34-line OverflowError traceback with exit
+        # code 1; both routes now refuse the value 0 and the row fails
+        code, out = run_cli(["rep2-paths", "--t", "20", "--r", "240", "--eta", "1"], tmp_path)
+        assert code == 1
+        assert out.decode().splitlines()[1].endswith(",0.000000000000e+00,0.000000000000e+00,"
+                                                     "inf,fail")
+        assert capsys.readouterr().err.startswith("max relative difference = inf ")
 
     @pytest.mark.parametrize("args", [
         # a ZeroDivisionError traceback each, after a mass of 0.0

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -140,10 +141,10 @@ class TestRepresentations:
         real = subelliptic_kernel._rep1_grid
         calls = []
 
-        def grid(t, rs, etas, n_u, u_max):
+        def grid(t, r, eta, n_u, u_max):
             calls.append((n_u, u_max))
-            values, m_used = real(t, rs, etas, n_u, u_max)
-            return values * (1.0 + 1.0 / n_u), m_used
+            value, m_used = real(t, r, eta, n_u, u_max)
+            return value * (1.0 + 1.0 / n_u), m_used
 
         monkeypatch.setattr(subelliptic_kernel, "_rep1_grid", grid)
         monkeypatch.setattr(subelliptic_kernel, "POINT_N_U", 16)
@@ -162,6 +163,47 @@ class TestRepresentations:
     def test_direct_2d_failure_is_a_convergence_error(self, point, match):
         with pytest.raises(QuadratureConvergenceError, match=match):
             _rep2_direct(*point)
+
+    @pytest.mark.parametrize("point", [(20.0, 240.0, 1.0), (100.0, 720.0, 1.0)])
+    def test_direct_route_past_the_cosh_overflow_is_a_refusal(self, point):
+        # REP2_CONSTANT / cosh^3 r raised a bare OverflowError: cosh^3 r overflows past
+        # r = 236.5 and math.cosh past 710.  The factor is below the least double there, so
+        # the route refuses its value 0, as rep 2's mode series does
+        for route in (_rep2_direct, heat_kernel_rep2):
+            with pytest.raises(KernelRangeError, match=r"is 0\.0 at \(t=") as info:
+                route(*point)
+            assert info.value.result.value == 0.0
+
+    @pytest.mark.parametrize("r", [3e307, 1e308, 1.7e308])
+    @pytest.mark.parametrize("route, error", [
+        (heat_kernel_rep1, SeriesConvergenceError), (heat_kernel_rep2, SeriesConvergenceError),
+        (_rep2_direct, QuadratureConvergenceError),
+        (functools.partial(heat_residual, "rep1"), SeriesConvergenceError),
+        (functools.partial(heat_residual, "rep2"), SeriesConvergenceError),
+    ], ids=["rep1", "rep2", "direct", "residual-rep1", "residual-rep2"])
+    def test_huge_distance_raises_without_a_warning(self, route, error, r):
+        # composed_distance's far branch, log g and the weight sums warned of overflow and
+        # invalid values before the error: rep 1 from r = 3e307, rep 2 from 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=re.escape(f"(t=1.0, r={r}, eta=1.0)")):
+                route(1.0, r, 1.0)
+
+    @pytest.mark.parametrize("route, point, error, message", [
+        (heat_kernel_rep2, (1.0, 300.0, 1.0), SeriesConvergenceError,
+         r"representation 2 at \(t=1\.0, r=300\.0, eta=1\.0\): degree-3 polynomial overflowed "),
+        (heat_kernel_rep1, (0.05, 1.0, PI), SeriesConvergenceError,
+         rf"representation 1 at \(t=0\.05, r=1\.0, eta={PI}\): degree-\d+ polynomial overflowed "),
+        (_rep2_direct, (0.05, 0.0, 2.0 * PI / 3.0), QuadratureConvergenceError,
+         r"representation 2's direct 2-d route at \(t=0\.05, r=0\.0, eta=2\.09\d*\): "
+         r"imaginary residue "),
+    ], ids=["rep2", "rep1", "direct"])
+    def test_point_errors_name_the_route_and_the_point(self, route, point, error, message):
+        # the series and quadrature errors of a point route named neither; rep 2's spoke of
+        # "the requested t and u", though a point has no u
+        with pytest.raises(error) as info:
+            route(*point)
+        assert re.match(message, str(info.value)), str(info.value)
 
     def test_direct_2d_builds_one_angular_rule(self, monkeypatch):
         # the angular rule doubled with the u rule, 64 to 1024 nodes; the series is a
@@ -184,7 +226,7 @@ class TestRepresentations:
         # FloatingPointError, and without raise a QuadratureConvergenceError at the degree cap.
         # Its mode factor, one exp per exponent, stays finite at every point's cutoff, and
         # overflows at degree 58 at twice it
-        lambda: _rep2_grid(0.05, [1.0], [PI], 96, 2.0 * default_u_max(0.05, 1.0)),
+        lambda: _rep2_grid(0.05, 1.0, PI, 96, 2.0 * default_u_max(0.05, 1.0)),
         # cosh u overflowed past u = 710, a bare FloatingPointError and without raise a
         # RuntimeWarning before the error
         lambda: heat_kernel_rep1(1.0, 705.0, 1.0),
@@ -221,64 +263,29 @@ class TestRepresentations:
 class TestGridEvaluators:
     """Points go through _rep1_grid/_rep2_grid."""
 
-    T = 2.34
     N_U = 192
-
-    @pytest.mark.parametrize("grid", [_rep1_grid, _rep2_grid], ids=["_rep1_grid", "_rep2_grid"])
-    def test_rows_match_single_rows(self, grid):
-        # r up to the radial cutoff of the mass integral at T
-        r_max = 14.0 * self.T + 10.0 * math.sqrt(self.T) + 2.0
-        rs = np.linspace(0.0, r_max, 23)
-        etas = np.array([0.0, 1.0, PI])
-        u_max = default_u_max(self.T, 6.0 * self.T)
-        values, _ = grid(self.T, rs, etas, self.N_U, u_max)
-        assert np.all(values[rs < 40.0] > 0)
-        # the last rows are subnormal (~1e-318), where 1e-13 relative is below one ulp
-        floor = 1e-13 * np.finfo(float).tiny
-        for r, row in zip(rs, values):
-            alone, _ = grid(self.T, [r], etas, self.N_U, u_max)
-            np.testing.assert_allclose(row, alone[0], rtol=1e-13, atol=floor)
-
-    @pytest.mark.parametrize("grid", [_rep1_grid, _rep2_grid], ids=["_rep1_grid", "_rep2_grid"])
-    def test_rows_stop_on_their_own(self, grid):
-        # the measure weight sinh^7 cosh^7 is ~e^280 at r = 20, where the kernel
-        # is ~1e-230 times its r = 0 value; a stopping rule that measured the
-        # r = 20 terms of rep 2 against the whole grid would end that row at degree 4
-        # instead of 10 (1.4e-4 off).  The u-sums are BLAS products, whose summation order
-        # depends on the row count, so a row may differ from its own call by an ulp or two;
-        # test_fiber_kernel checks the loop's rows bit for bit.
-        t = 0.25
-        rs = [0.0, 20.0]
-        u_max = default_u_max(t, 6.0 * t)
-        both, _ = grid(t, rs, [0.5], self.N_U, u_max)
-        for r, row in zip(rs, both):
-            alone, _ = grid(t, [r], [0.5], self.N_U, u_max)
-            assert alone[0, 0] > 0
-            assert row[0] == pytest.approx(alone[0, 0], rel=1e-15, abs=0.0)
-
 
     @pytest.mark.parametrize("which", ["rep1", "rep2"])
     def test_log_form_matches_the_float_product(self, which):
         # the integrand as a product of floats, each factor formed apart: q15 sinh^6 u times
         # the continued fiber series, or q9 times w_m exp(-(m(m+6) + 33) t) cosh((m+3) u), then
-        # REP2_CONSTANT / cosh^3 r
-        rs = np.array(GRID_R)[:, None]
-        for t in GRID_T:
+        # REP2_CONSTANT / cosh^3 r; at each of criterion 01's points
+        for t, r, eta in itertools.product(GRID_T, GRID_R, GRID_ETA):
             u_max = default_u_max(t, max(GRID_R))
             u, w = gl_nodes(self.N_U, 0.0, u_max)
             if which == "rep1":
-                wq = hyperbolic_heat_kernel_composed(15, t, rs, u) * (w * np.sinh(u) ** 6)
+                wq = hyperbolic_heat_kernel_composed(15, t, r, u) * (w * np.sinh(u) ** 6)
                 factor, scale = _fiber_coeff(t, np.cosh(u)), 1.0
             else:
-                wq = w * hyperbolic_heat_kernel_composed(9, t, rs, u)
+                wq = w * hyperbolic_heat_kernel_composed(9, t, r, u)
                 def factor(m):
                     b, rate = m + 3, m * (m + 6) + 33
                     return (fiber_mode_multiplicity(m),
                             0.5 * (np.exp(b * u - rate * t) + np.exp(-b * u - rate * t)))
-                scale = REP2_CONSTANT / np.cosh(rs) ** 3
-            product, _, _ = _series_matrix(factor, rs.size, GRID_ETA, wq)
-            values, _ = subelliptic_kernel._grid(which, t, GRID_R, GRID_ETA, self.N_U, u_max)
-            np.testing.assert_allclose(values, product * scale, rtol=1e-14, atol=0.0)
+                scale = REP2_CONSTANT / math.cosh(r) ** 3
+            product, _, _ = _series_matrix(factor, 1, eta, wq[None])
+            value, _ = subelliptic_kernel._grid(which, t, r, eta, self.N_U, u_max)
+            assert value == pytest.approx(product[0] * scale, rel=1e-14, abs=0.0), (t, r, eta)
 
 
 class TestHeatResidual:
