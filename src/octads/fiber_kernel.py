@@ -90,8 +90,7 @@ def _series_matrix(factor, n_rows: int, eta, wq=None):
         bound = abs(a)
         if not np.isfinite(bound.max()):
             raise SeriesConvergenceError(
-                f"degree-{m} polynomial overflowed in the series coefficients; "
-                "the requested t and u are outside the supported range")
+                f"degree-{m} polynomial overflowed in the series coefficients")
         coeffs.append(np.zeros(n_rows))
         coeffs[m][live] = a
         sums += a * (p[0] / p[1])
@@ -149,7 +148,10 @@ def fiber_heat_kernel(t: float, eta: float, u: float,
         raise ValueError("u must lie in [0, pi]")
     with np.errstate(over="ignore"):  # past u = 710 _series_matrix reports the overflow
         x = np.cosh(u) if continued else np.cos(u)
-    out, m_used, coeffs = _series_matrix(_fiber_coeff(t, [x]), 1, eta)
+    try:
+        out, m_used, coeffs = _series_matrix(_fiber_coeff(t, [x]), 1, eta)
+    except SeriesConvergenceError as exc:
+        raise SeriesConvergenceError(f"fiber kernel at (t={t}, eta={eta}, u={u}): {exc}") from exc
     a, h = coeffs[:, 0], jacobi_sequence(m_used, [math.cos(eta), 1.0])
     bound = abs(a[-1]) + (m_used + 1) * np.finfo(float).eps * np.abs(a * h[:, 0] / h[:, 1]).sum()
     if not bound < abs(out[0]):

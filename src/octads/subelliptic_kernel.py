@@ -42,6 +42,7 @@ from .fiber_kernel import (
     _s5_rule,
     _series_matrix,
 )
+# hyperbolic_heat_kernel_composed is called by no route; the benchmark's tracer wraps it here
 from .hyperbolic_kernel import (_log_kernel, _log_sinh, composed_distance,
                                 hyperbolic_heat_kernel_composed)
 from .special_fn import gl_nodes, jacobi_sequence
@@ -233,12 +234,10 @@ def _rep2_direct_2d(t, r, eta, n_u, u_max):
     if imag > 1e-10 * imag_scale:
         raise QuadratureConvergenceError(
             f"imaginary residue {imag / imag_scale:.1e} of the angular integral exceeds 1e-10")
-    q9 = hyperbolic_heat_kernel_composed(9, t, r, u)
-    try:  # cosh^3 r overflows past r = 236.5, where the factor is below the least double
-        sech3 = REP2_CONSTANT / math.cosh(r) ** 3
-    except OverflowError:
-        sech3 = 0.0
-    return float(np.dot(wu, fold.real * q9)) * sech3, m
+    # w q9 REP2_CONSTANT / cosh^3 r as one exp of a sum of logs, as in _grid, without _integrand
+    log_c = math.log(REP2_CONSTANT) - 3.0 * (r - math.log(2.0) + math.log1p(math.exp(-2.0 * r)))
+    wq = wu * np.exp(_log_kernel(9, t, composed_distance(r, u)) + log_c)
+    return float(np.dot(wq, fold.real)), m
 
 
 def heat_kernel_rep2(t: float, r: float, eta: float) -> KernelResult:
@@ -256,9 +255,16 @@ def _rep2_direct(t: float, r: float, eta: float) -> KernelResult:
 # the heat residual, and measure integrals
 
 
-def _mode_residual(which, t, r, eta):
-    """p = sum_m h_m(eta) A_m at (t, r, eta), the profiles h_m, and d/dt A_m and L_m A_m, the
-    generator on mode m, in double, all without finite differences.
+def heat_residual(which: str, t: float, r: float,
+                  eta: float) -> tuple[float, float, float, float]:
+    """|d/dt p - L p| at (t, r, eta), with the scales of its bound and its floor.
+
+    Returns (residual, |d/dt p|, p, floor) so callers can apply the bound rel |d/dt p| + abs p,
+    whose floor scales with the kernel itself.  p = sum_m h_m(eta) A_m, and the residual is
+    sum_m h_m R_m with R_m = d/dt A_m - L_m A_m, L_m the generator on mode m, all in double and
+    without finite differences.  floor = eps sum_m |h_m| (|d/dt A_m| + |L_m A_m|) is the
+    rounding of those sums, eps of their dtype: a residual that does not exceed its floor is
+    not resolved.  A series error is raised with the representation and the point first.
 
     With x = cosh r cosh u the lowering operator gives d/dx q_n = -2 pi e^(nt) q_{n+2}, so
     d^2/dx^2 q_n = (2 pi)^2 e^((2n+2)t) q_{n+4} and d/dt q_n = (x^2 - 1) d^2/dx^2 q_n +
@@ -269,6 +275,7 @@ def _mode_residual(which, t, r, eta):
     The value row, summed by _grid's rule, sets the degree and gives p; the other rows take
     c_m f_m from a fresh factor up to that degree.
     """
+    KernelPoint(t, r, eta)
     u, w = gl_nodes(2 * POINT_N_U, 0.0, default_u_max(t, r) + 1.0)
     n, log_g, factor = _integrand(which, t, r, u)
     tanh_r = math.tanh(r)
@@ -292,33 +299,22 @@ def _mode_residual(which, t, r, eta):
                          (x_r ** 2 + np.sinh(u) ** 2) * q2 + n * x * q1 + g_t * q0,
                          (x + tanh_r * x_r) * q1 + g_d * q0,
                          x_r ** 2 * q2 + (x + 2.0 * g_r * x_r) * q1 + g_rr * q0])
+    what = f"representation {which[-1]}'s heat residual at (t={t}, r={r}, eta={eta})"
     if not np.isfinite(rows).all():
-        raise SeriesConvergenceError(
-            f"the residual's u-integrands leave double range at (t={t}, r={r}, eta={eta})")
-    value, m_used, _ = _series_matrix(factor, 1, eta, rows[:1].astype(np.longdouble))
+        raise SeriesConvergenceError(f"{what}: its u-integrands leave double range")
+    try:
+        value, m_used, _ = _series_matrix(factor, 1, eta, rows[:1].astype(np.longdouble))
+    except SeriesConvergenceError as exc:
+        raise SeriesConvergenceError(f"{what}: {exc}") from exc
     factor = _integrand(which, t, r, u)[2]  # a fresh one: rep 1's steps its recurrence
     a = np.array([c_m * (rows @ f_m) for c_m, f_m in map(factor, range(m_used + 1))])
     decay = fiber_eigenvalue(np.arange(m_used + 1))
     dt = a[:, 1] - decay * a[:, 0]
     generator = a[:, 3] + 7.0 * a[:, 2] - tanh_r ** 2 * decay * a[:, 0]
     h = jacobi_sequence(m_used, [math.cos(eta), 1.0])
-    return float(value[0]), h[:, 0] / h[:, 1], dt, generator
-
-
-def heat_residual(which: str, t: float, r: float,
-                  eta: float) -> tuple[float, float, float, float]:
-    """|d/dt p - L p| at (t, r, eta), with the scales of its bound and its floor.
-
-    Returns (residual, |d/dt p|, p, floor) so callers can apply the bound rel |d/dt p| + abs p,
-    whose floor scales with the kernel itself.  The residual is sum_m h_m R_m with
-    R_m = d/dt A_m - L_m A_m (see _mode_residual), and floor = eps sum_m |h_m|
-    (|d/dt A_m| + |L_m A_m|) is the rounding of those sums, eps of their dtype: a residual
-    that does not exceed its floor is not resolved.
-    """
-    KernelPoint(t, r, eta)
-    p, h, dt, generator = _mode_residual(which, t, r, eta)
+    h = h[:, 0] / h[:, 1]
     floor = np.finfo(dt.dtype).eps * float(np.abs(h) @ (np.abs(dt) + np.abs(generator)))
-    return abs(float(h @ (dt - generator))), abs(float(h @ dt)), p, floor
+    return abs(float(h @ (dt - generator))), abs(float(h @ dt)), float(value[0]), floor
 
 
 # Level L of a measure integral puts _LEVEL_NODES * 1.5^L Gauss-Legendre nodes on s (more at

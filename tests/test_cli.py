@@ -408,38 +408,49 @@ class TestRefusedInput:
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("point, error", [
+    @pytest.mark.parametrize("args, error", [
         # numpy's "overflow encountered in multiply" warning came first, in a fresh process
-        pytest.param(["--rep", "1", "--t", "0.05", "--r", "1", "--eta", "3.141592653589793"],
+        pytest.param(["eval", "--rep", "1", "--t", "0.05", "--r", "1",
+                      "--eta", "3.141592653589793"],
                      r"representation 1 at \(t=0\.05, r=1\.0, eta=3\.141592653589793\): "
                      r"degree-\d+ polynomial overflowed ", id="rep1"),
         # "overflow encountered in exp" and "invalid value encountered in matmul" came first,
         # then "mode series not converged by degree 256"; rep 2's mode factor, one exp per
         # exponent, stays finite at every point's cutoff, and the point does not stabilize
         # (at eta = pi a level is negative: KernelRangeError, exit code 1)
-        pytest.param(["--rep", "2", "--t", "0.05", "--r", "1", "--eta", "2.356194490192345"],
+        pytest.param(["eval", "--rep", "2", "--t", "0.05", "--r", "1",
+                      "--eta", "2.356194490192345"],
                      r"representation 2 did not stabilize ", id="rep2"),
         # numpy's "overflow encountered in cosh" warning and its source line came first
-        pytest.param(["--rep", "1", "--t", "1", "--r", "705", "--eta", "1"],
+        pytest.param(["eval", "--rep", "1", "--t", "1", "--r", "705", "--eta", "1"],
                      r"representation 1 at \(t=1\.0, r=705\.0, eta=1\.0\): "
                      r"degree-1 polynomial overflowed ", id="rep1-cosh-u"),
         # composed_distance, log g and the weight sums wrote 10 RuntimeWarning lines first
-        pytest.param(["--rep", "1", "--t", "1", "--r", "3e307", "--eta", "1"],
+        pytest.param(["eval", "--rep", "1", "--t", "1", "--r", "3e307", "--eta", "1"],
                      r"representation 1 at \(t=1\.0, r=3e\+307, eta=1\.0\): "
                      r"degree-0 polynomial overflowed ", id="rep1-huge-r"),
-        pytest.param(["--rep", "2", "--t", "1", "--r", "1e308", "--eta", "1"],
+        pytest.param(["eval", "--rep", "2", "--t", "1", "--r", "1e308", "--eta", "1"],
                      r"representation 2 at \(t=1\.0, r=1e\+308, eta=1\.0\): "
                      r"degree-0 polynomial overflowed ", id="rep2-huge-r"),
+        # the residual's and the fiber kernel's series errors named no point
+        pytest.param(["residual", "--which", "rep1", "--t", "0.05", "--r", "0", "--eta", "0"],
+                     r"representation 1's heat residual at \(t=0\.05, r=0\.0, eta=0\.0\): "
+                     r"degree-90 polynomial overflowed ", id="residual-rep1"),
+        pytest.param(["fiber", "--t", "1", "--eta", "1", "--u", "711", "--continued"],
+                     r"fiber kernel at \(t=1\.0, eta=1\.0, u=711\.0\): "
+                     r"degree-1 polynomial overflowed ", id="fiber-continued"),
     ])
-    def test_polynomial_overflow_prints_one_error_line(self, point, error):
+    def test_polynomial_overflow_prints_one_error_line(self, args, error):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                           env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "octads", "eval"] + point,
+        proc = subprocess.run([sys.executable, "-m", "octads"] + args,
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert re.fullmatch(rf"error: {error}[^\n]*\n", proc.stderr)
+        # the overflow text spoke of "the requested t and u", though a point has no u
+        assert "the requested t and u" not in proc.stderr
 
     def test_direct_route_past_the_cosh_overflow_fails_its_row(self, tmp_path, capsys):
         # cosh^3 r overflowed past r = 236.5: a 34-line OverflowError traceback with exit

@@ -166,9 +166,9 @@ class TestRepresentations:
 
     @pytest.mark.parametrize("point", [(20.0, 240.0, 1.0), (100.0, 720.0, 1.0)])
     def test_direct_route_past_the_cosh_overflow_is_a_refusal(self, point):
-        # REP2_CONSTANT / cosh^3 r raised a bare OverflowError: cosh^3 r overflows past
-        # r = 236.5 and math.cosh past 710.  The factor is below the least double there, so
-        # the route refuses its value 0, as rep 2's mode series does
+        # REP2_CONSTANT / cosh^3 r raised a bare OverflowError past r = 236.5.  The direct
+        # route forms its weight as one exp of a sum of logs and no cosh^3 r; the weight is
+        # below the least double there, and the route refuses its value 0, as rep 2 does
         for route in (_rep2_direct, heat_kernel_rep2):
             with pytest.raises(KernelRangeError, match=r"is 0\.0 at \(t=") as info:
                 route(*point)
@@ -197,10 +197,13 @@ class TestRepresentations:
         (_rep2_direct, (0.05, 0.0, 2.0 * PI / 3.0), QuadratureConvergenceError,
          r"representation 2's direct 2-d route at \(t=0\.05, r=0\.0, eta=2\.09\d*\): "
          r"imaginary residue "),
-    ], ids=["rep2", "rep1", "direct"])
+        (functools.partial(heat_residual, "rep1"), (0.05, 0.0, 0.0), SeriesConvergenceError,
+         r"representation 1's heat residual at \(t=0\.05, r=0\.0, eta=0\.0\): degree-90 "
+         r"polynomial overflowed in the series coefficients$"),
+    ], ids=["rep2", "rep1", "direct", "residual-rep1"])
     def test_point_errors_name_the_route_and_the_point(self, route, point, error, message):
-        # the series and quadrature errors of a point route named neither; rep 2's spoke of
-        # "the requested t and u", though a point has no u
+        # the series and quadrature errors of a point route named neither, nor did the
+        # residual's; the overflow spoke of "the requested t and u", though a point has no u
         with pytest.raises(error) as info:
             route(*point)
         assert re.match(message, str(info.value)), str(info.value)
