@@ -258,6 +258,8 @@ def mc_oracle(t=(0.5, 1.0), n_paths=100_000, dt=1e-4, seed=0):
     must be at least two paths; that is checked before any path is simulated.
     """
     times = sorted(t)
+    if not times:
+        raise ValueError("the time list t is empty; the oracle needs at least one time")
     cfg = SdeConfig(n_paths=n_paths, dt=dt, seed=seed, t_end=times[-1])
     if n_paths < 2:
         raise ValueError(f"{n_paths} path(s) cannot estimate a standard error; need 2")

@@ -43,22 +43,26 @@ A sign is one random bit, where a normal is a ziggurat draw.
 
 The chain runs in float32.  The start state and the noise buffer are float32, and the step
 functions keep them so, since their constants are Python floats, which numpy casts to the
-array's type; each snapshot becomes float64 when the chunks are joined.  One 8192-path chunk
-takes 15-25 ns per path-step in float32 against 43-65 ns in float64, where numpy's cos is
-not vectorized, 2-4 ns of either being the sign noise (numpy 2.4.6, 2 shared vCPUs).  Over
-500 steps rounding moves a path by about 3e-6 relative in r and 1.4e-5 in eta, and at 100000
-paths the means of the test functions by under 0.005 standard errors.  Near the poles float32
-arccos has no value between 0 and 3.5e-4, nor between pi - 3.5e-4 and pi, where 1 - |cos eta|
-is under one ulp; eta reflects at _EPS = 1e-3 from each pole, where its values lie 6.3e-5 apart.
+array's type; each snapshot becomes float64 when the chunks are joined.  Each step function
+writes into arrays of its own, leaving its inputs as they were, and runs the cutoff, the shift
+and each reflection only when some path needs it: for every other path they are the identity.
+One 8192-path chunk takes 12-20 ns per path-step in float32 against 29-37 ns in float64, where
+numpy's cos is not vectorized, about 1 ns of either being the sign noise (numpy 2.4.6, 2 shared
+vCPUs).  Over 500 steps rounding moves a path by about 3e-6 relative in r and 1.4e-5 in eta,
+and at 100000 paths the means of the test functions by under 0.005 standard errors.  Near the
+poles float32 arccos has no value between 0 and 3.5e-4, nor between pi - 3.5e-4 and pi, where
+1 - |cos eta| is under one ulp; eta reflects at _EPS = 1e-3 from each pole, where its values
+lie 6.3e-5 apart.
 
 The paths run in chunks of 8192.  Each chunk owns one counter-based (Philox)
 random stream keyed by (seed, chunk index), and each step takes 256 raw 64-bit
 words from it, 128 per noise row: column j of row i is bit j % 64 of word
 128 i + j // 64, unpacked in little-endian byte and bit order on every
 platform, and path start + j reads column j.  The words are always drawn at
-full width, so a path's noise depends only on (seed, path index) and not on
-how many paths run, but a chunk of c paths unpacks only the first ceil(c / 8)
-bytes of each row, into one reused (2, c) buffer of at most 64 KiB.
+full width, _BLOCK steps' words in one call, so a path's noise depends only on
+(seed, path index) and not on how many paths run, but a chunk of c paths maps
+only the first ceil(c / 8) bytes of each row, each through a table of its eight
+signs, into one reused (_BLOCK, 2, 8 ceil(c / 8)) float32 buffer of at most 512 KiB.
 With more than one chunk and usable CPU, the chunks run in a pool of min(chunks, usable CPUs)
 processes, joined in path-index order; the output is bitwise identical for any worker count and
 start method.  The pool forks on Linux, so workers inherit the imported package and need no
@@ -79,6 +83,10 @@ from numpy.random import Philox, SeedSequence
 _CHUNK = 8192
 _R_SHIFT = 20.0  # above this r the drift flow of r is the shift r + 14 tau
 _EPS = 1e-3  # paths start at r = eta = _EPS; eta reflects at _EPS, pi - _EPS; r has no boundary
+_BLOCK = 8  # steps of noise drawn and unpacked at a time
+# _SIGNS[b] is byte b as eight signs, its bits in little order: +1 where set, -1 where not
+_SIGNS = 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                             bitorder="little").astype(np.float32) - 1.0
 
 
 @dataclass(frozen=True)
@@ -89,9 +97,10 @@ class SdeConfig:
     t_end: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.n_paths, (int, np.integer)) or self.n_paths < 1:
+        integer = lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+        if not integer(self.n_paths) or self.n_paths < 1:
             raise ValueError(f"n_paths must be a positive integer, got {self.n_paths!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 < self.dt <= 1e-3:
             raise ValueError(f"dt must lie in (0, 1e-3], got {self.dt}")
@@ -111,26 +120,38 @@ class SampleSet:
 
 def _drift_flow(r, eta, tau):
     """Exact flow of the drift vector field over time tau."""
-    s = np.sinh(np.minimum(r, _R_SHIFT)) ** 2
-    g = math.expm1(28.0 * tau) * (s + 0.5)  # sinh^2 of the new r is s + g, up to the cutoff
-    r_new = np.where(r > _R_SHIFT, r + 14.0 * tau, np.arcsinh(np.sqrt(s + g)))
+    s, g, r_new, eta_new = (np.empty_like(r) for _ in range(4))
+    shifted = r.max() > _R_SHIFT  # else the cutoff and the shift are the identity
+    np.sinh(np.minimum(r, _R_SHIFT, out=s) if shifted else r, out=s)
+    np.square(s, out=s)
+    np.multiply(np.add(s, 0.5, out=g), math.expm1(28.0 * tau), out=g)  # sinh^2 r' = s + g
+    np.arcsinh(np.sqrt(np.add(s, g, out=r_new), out=r_new), out=r_new)
+    if shifted:
+        np.copyto(r_new, r + 14.0 * tau, where=r > _R_SHIFT)
     # cos eta scales by e^(6 tau) (cosh r / cosh r')^(6/7), and (cosh r' / cosh r)^2 = 1 + g/(1 + s)
-    decay = np.exp(6.0 * tau - (3.0 / 7.0) * np.log1p(g / (1.0 + s)))
-    eta_new = np.arccos(np.clip(np.cos(eta) * decay, -1.0, 1.0))
-    return r_new, eta_new
+    decay = np.log1p(np.divide(g, np.add(s, 1.0, out=s), out=s), out=s)
+    np.exp(np.subtract(6.0 * tau, np.multiply(decay, 3.0 / 7.0, out=s), out=s), out=s)
+    np.multiply(np.cos(eta, out=eta_new), decay, out=eta_new)
+    np.minimum(np.maximum(eta_new, -1.0, out=eta_new), 1.0, out=eta_new)
+    return r_new, np.arccos(eta_new, out=eta_new)
 
 
 def _kick(r, eta, xi_r, xi_eta, dt):
     """The noise of one step, unfolded: the drift flow after it is even in r and in eta."""
     root = math.sqrt(2.0 * dt)
-    return r + root * xi_r, eta + root * np.tanh(r) * xi_eta
+    r_new, eta_new = np.empty_like(r), np.empty_like(eta)
+    np.add(r, np.multiply(xi_r, root, out=r_new), out=r_new)
+    np.multiply(np.multiply(np.tanh(r, out=eta_new), root, out=eta_new), xi_eta, out=eta_new)
+    return r_new, np.add(eta, eta_new, out=eta_new)
 
 
 def _drift(r, eta, tau):
     """The drift flow over tau, then eta's reflections at _EPS and pi - _EPS."""
-    r, eta = _drift_flow(r, eta, tau)  # new arrays, eta reflected in place
-    np.copyto(eta, 2.0 * _EPS - eta, where=eta < _EPS)
-    np.copyto(eta, 2.0 * (math.pi - _EPS) - eta, where=eta > math.pi - _EPS)
+    r, eta = _drift_flow(r, eta, tau)  # new arrays, eta reflected in place where it must be
+    if eta.min() < _EPS:
+        np.copyto(eta, 2.0 * _EPS - eta, where=eta < _EPS)
+    if eta.max() > math.pi - _EPS:
+        np.copyto(eta, 2.0 * (math.pi - _EPS) - eta, where=eta > math.pi - _EPS)
     return r, eta
 
 
@@ -147,28 +168,23 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _signs(bits: Philox, out: np.ndarray):
-    """One step of sign noise into out, (2, c): 256 words of the stream, whatever c is, and
-    out[i, j] = +1 where bit j % 64 of word 128 i + j // 64 is set, -1 where not."""
-    c = out.shape[1]
-    rows = bits.random_raw(2 * _CHUNK // 64).astype("<u8", copy=False).view(np.uint8)
-    ones = np.unpackbits(rows.reshape(2, _CHUNK // 8)[:, :(c + 7) // 8], axis=1, count=c,
-                         bitorder="little")
-    np.multiply(ones, 2.0, out=out, dtype=out.dtype)  # in out's dtype: casting float64 is 2x slower
-    np.subtract(out, 1.0, out=out)
-
-
 def _simulate_chunk(cfg: SdeConfig, start: int, stop: int, steps_wanted: list[int]):
     """Paths start..stop-1 run to the last wanted step; their (r, eta) at each wanted step."""
     bits = Philox(SeedSequence(entropy=(cfg.seed, start // _CHUNK)))
     c = stop - start
-    noise = np.empty((2, c), np.float32)  # one step of the chunk's noise, refilled in place
-    xi_r, xi_eta = noise
+    width = (c + 7) // 8  # the bytes of each noise row that the chunk reads
+    noise = np.empty((_BLOCK, 2, width, 8), np.float32)  # _BLOCK steps of noise, refilled in place
     r, eta = _drift_flow(np.full(c, _EPS, np.float32), np.full(c, _EPS, np.float32),
                          0.5 * cfg.dt)  # opening half drift
     out = []
     for step in range(1, steps_wanted[-1] + 1):
-        _signs(bits, noise)
+        j = (step - 1) % _BLOCK
+        if j == 0:  # the next steps' words, 256 a step, in the stream's order
+            k = min(_BLOCK, steps_wanted[-1] + 1 - step)
+            words = bits.random_raw(256 * k).astype("<u8", copy=False).view(np.uint8)
+            np.take(_SIGNS, words.reshape(k, 2, _CHUNK // 8)[:, :, :width], axis=0,
+                    out=noise[:k], mode="clip")  # every byte is in range; "raise" buffers
+        xi_r, xi_eta = noise[j].reshape(2, 8 * width)[:, :c]
         if step == steps_wanted[len(out)]:  # the closing half drift, on a copy of the chain
             out.append(_drift(*_kick(r, eta, xi_r, xi_eta, cfg.dt), 0.5 * cfg.dt))
         r, eta = strang_step(r, eta, xi_r, xi_eta, cfg.dt)

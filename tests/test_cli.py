@@ -368,6 +368,11 @@ class TestRefusedInput:
         assert code == 2 and payload == b""
         assert capsys.readouterr().err.startswith(f"error: time {times.split(',')[0]} ")
 
+    def test_mc_oracle_refuses_no_times(self):
+        # it raised a bare IndexError from the last of the sorted times
+        with pytest.raises(ValueError, match="time list t is empty"):
+            octads.acceptance.mc_oracle(t=())
+
     def test_mc_check_negative_seed_names_the_seed(self, tmp_path, capsys):
         # numpy refused it with "expected non-negative integer", which names no option
         code, payload = run_cli(["mc-check", "--seed", "-1", "--n-paths", "10", "--t", "0.05"],

@@ -45,6 +45,30 @@ def _fused_chain(noise, h, dtype=np.float64):
     return r.astype(np.float64), eta.astype(np.float64)
 
 
+def _allocating_drift_flow(r, eta, tau):
+    """_drift_flow as one array per ufunc, with the cutoff and the shift applied to every path."""
+    s = np.sinh(np.minimum(r, mc_oracle._R_SHIFT)) ** 2
+    g = math.expm1(28.0 * tau) * (s + 0.5)
+    r_new = np.where(r > mc_oracle._R_SHIFT, r + 14.0 * tau, np.arcsinh(np.sqrt(s + g)))
+    decay = np.exp(6.0 * tau - (3.0 / 7.0) * np.log1p(g / (1.0 + s)))
+    return r_new, np.arccos(np.clip(np.cos(eta) * decay, -1.0, 1.0))
+
+
+def _allocating_kick(r, eta, xi_r, xi_eta, dt):
+    """_kick as one array per ufunc."""
+    root = math.sqrt(2.0 * dt)
+    return r + root * xi_r, eta + root * np.tanh(r) * xi_eta
+
+
+def _allocating_drift(r, eta, tau):
+    """_drift with both reflections applied whether or not a path needs them."""
+    r, eta = _allocating_drift_flow(r, eta, tau)
+    eps = mc_oracle._EPS
+    np.copyto(eta, 2.0 * eps - eta, where=eta < eps)
+    np.copyto(eta, 2.0 * (math.pi - eps) - eta, where=eta > math.pi - eps)
+    return r, eta
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -62,14 +86,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="t_end"):
             SdeConfig(t_end=t_end, dt=dt)
 
-    def test_path_count_must_be_an_integer(self):
+    @pytest.mark.parametrize("n_paths", [2.5, True])
+    def test_path_count_must_be_an_integer(self, n_paths):
+        # True, an int subclass, simulated one path
         with pytest.raises(ValueError, match="n_paths"):
-            SdeConfig(n_paths=2.5)
+            SdeConfig(n_paths=n_paths)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, False])
     def test_seed_must_be_a_non_negative_integer(self, seed):
-        # -1 failed in simulate_paths with numpy's "expected non-negative integer", and 1.5
-        # with a TypeError
+        # -1 failed in simulate_paths with numpy's "expected non-negative integer", 1.5 with a
+        # TypeError, and True and False ran as seeds 1 and 0
         with pytest.raises(ValueError, match="seed"):
             SdeConfig(seed=seed)
 
@@ -155,6 +181,51 @@ class TestDriftFlow:
         r = np.linspace(-0.05, 0.05, 10001).astype(dtype)
         r_new, _ = mc_oracle._drift_flow(r, np.full_like(r, 1.0), dt / 2.0)
         assert r_new.dtype == dtype and np.all(r_new >= mc_oracle._EPS)
+
+
+class TestAllocatingReference:
+    # the step functions skip the cutoff, the shift and the reflections where no path needs
+    # them, and write into arrays of their own; the allocating forms above apply them to every
+    # path, and must give the same bits
+    _EPS = mc_oracle._EPS
+    _ETAS = {"inner": (0.1, 3.0), "low": (0.0, 2.0 * _EPS),
+             "high": (math.pi - 2.0 * _EPS, math.pi), "both": (0.0, math.pi)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("r_max", [mc_oracle._R_SHIFT - 0.1, 40.0])
+    @pytest.mark.parametrize("etas", ["inner", "low", "high", "both"])
+    def test_same_bits_and_inputs_untouched(self, dtype, r_max, etas):
+        rng = np.random.default_rng(44)
+        n, tau = 4096, 5e-5
+        r = (r_max * 10.0 ** rng.uniform(-6.0, 0.0, n)).astype(dtype)  # reflections need r small
+        eta = rng.uniform(*self._ETAS[etas], n).astype(dtype)
+        if etas == "both":  # within 2 _EPS of each pole, and between
+            eta[:n // 4] = rng.uniform(0.0, 2.0 * self._EPS, n // 4)
+            eta[-n // 4:] = rng.uniform(math.pi - 2.0 * self._EPS, math.pi, n // 4)
+        xi = (2.0 * rng.integers(0, 2, (2, n)) - 1.0).astype(dtype)
+        inputs = [a.copy() for a in (r, eta, *xi)]
+        pairs = [(mc_oracle._drift_flow(r, eta, tau), _allocating_drift_flow(r, eta, tau)),
+                 (mc_oracle._kick(r, eta, *xi, tau), _allocating_kick(r, eta, *xi, tau)),
+                 (mc_oracle._drift(r, eta, tau), _allocating_drift(r, eta, tau)),
+                 (strang_step(r, eta, *xi, tau),
+                  _allocating_drift(*_allocating_kick(r, eta, *xi, tau), tau))]
+        for got, want in pairs:
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
+        for before, after in zip(inputs, (r, eta, *xi)):
+            assert np.array_equal(before, after)
+
+    def test_simulate_paths_is_the_fused_chain_bit_for_bit(self):
+        # three noise blocks and a snapshot inside the second, for a chunk narrower than a row
+        n, dt, steps, seed = 300, 1e-3, 2 * mc_oracle._BLOCK + 3, 17
+        snapshot = mc_oracle._BLOCK + 3
+        bits = Philox(SeedSequence(entropy=(seed, 0)))
+        noise = [_replayed_signs(bits)[:, :n] for _ in range(steps)]
+        sets = simulate_paths(SdeConfig(n_paths=n, dt=dt, seed=seed, t_end=steps * dt),
+                              snapshot_times=(snapshot * dt,))
+        for got, k in zip(sets, (snapshot, steps)):
+            want = _fused_chain(noise[:k], dt, dtype=np.float32)
+            assert np.array_equal(got.r, want[0]) and np.array_equal(got.eta, want[1]), k
 
 
 class TestSimulation:
