@@ -232,6 +232,9 @@ def mass_moment(t=GRID_T, moment=True):
     """Criterion 07: the mass is constant in t to 1e-5, and E[cosh r cos eta] = exp(8t) to
     1e-4 relative (if `moment`).  Each moment is integrated right after its mass, at the same
     t, so the two share one density."""
+    t = tuple(t)
+    if not t:
+        raise ValueError("the time list t is empty; the check needs at least one time")
     found = []
     for tt in t:
         m = total_mass(tt)

@@ -46,6 +46,8 @@ def fiber_mode_multiplicity(m: int) -> int:
     These are the weights with which the modes enter the expansion of a point
     mass at the pole: 1, 8, 35, 112, 294, 672, ...
     """
+    if m < 0:
+        raise ValueError("degree must be nonnegative")
     num = (m + 3) * math.comb(m + 5, 5)
     assert num % 3 == 0
     return num // 3

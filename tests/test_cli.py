@@ -373,6 +373,15 @@ class TestRefusedInput:
         with pytest.raises(ValueError, match="time list t is empty"):
             octads.acceptance.mc_oracle(t=())
 
+    def test_mass_moment_refuses_no_times(self, monkeypatch):
+        # it raised a bare IndexError from the first time, after the loop over none
+        def mass(*args, **kwargs):
+            raise AssertionError("an integral ran before the times were checked")
+
+        monkeypatch.setattr(octads.acceptance, "total_mass", mass)
+        with pytest.raises(ValueError, match="time list t is empty"):
+            octads.acceptance.mass_moment(t=())
+
     def test_mc_check_negative_seed_names_the_seed(self, tmp_path, capsys):
         # numpy refused it with "expected non-negative integer", which names no option
         code, payload = run_cli(["mc-check", "--seed", "-1", "--n-paths", "10", "--t", "0.05"],

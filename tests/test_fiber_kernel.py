@@ -48,6 +48,12 @@ class TestSpectralCoeff:
     def test_mode_multiplicities(self):
         assert [fiber_mode_multiplicity(m) for m in range(6)] == [1, 8, 35, 112, 294, 672]
 
+    @pytest.mark.parametrize("m", [-1, -5, -6])
+    def test_multiplicity_refuses_a_negative_degree(self, m):
+        # -5..-1 returned 0, where jacobi_norm_sq and fiber_mode_profile refuse the degree
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            fiber_mode_multiplicity(m)
+
     def test_multiplicity_equals_point_mass_weight(self):
         # dimension of the degree-m eigenspace = P_m(1)^2 / N_m relative to m=0
         w0 = jacobi_end_value(0) ** 2 / jacobi_norm_sq(0)

@@ -79,10 +79,10 @@ class TestConfig:
             SdeConfig(t_end=-1.0)
 
     @pytest.mark.parametrize("t_end, dt", [(math.nan, 1e-4), (math.inf, 1e-4), (4e-5, 1e-4),
-                                           (1.0, 5e-324)])
+                                           (1.0, 5e-324), (True, 1e-3), (np.True_, 1e-3)])
     def test_t_end_must_be_finite_and_a_step(self, t_end, dt):
         # NaN failed in simulate_paths converting NaN to an integer, inf and 1 / 5e-324
-        # overflowed, and 4e-5 rounds to no step at all
+        # overflowed, 4e-5 rounds to no step at all, and True, an int subclass, ran to t = 1
         with pytest.raises(ValueError, match="t_end"):
             SdeConfig(t_end=t_end, dt=dt)
 
@@ -182,21 +182,47 @@ class TestDriftFlow:
         r_new, _ = mc_oracle._drift_flow(r, np.full_like(r, 1.0), dt / 2.0)
         assert r_new.dtype == dtype and np.all(r_new >= mc_oracle._EPS)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_cos_eta_in_range_without_a_clamp(self, dtype):
+        # the flow scales cos eta by a factor of at most 1 (AM-GM); at the poles cos eta is +-1,
+        # so a factor above 1 would leave [-1, 1] and make arccos NaN.  r crosses _R_SHIFT
+        r = np.concatenate([[0.0], np.geomspace(1e-9, 60.0, 3000)]).astype(dtype)
+        for tau in np.geomspace(1e-14, 5e-4, 200):
+            for pole in (0.0, math.pi):
+                with np.errstate(invalid="raise"):
+                    _, eta = mc_oracle._drift_flow(r, np.full_like(r, pole), float(tau))
+                assert eta.dtype == dtype and np.all((eta >= 0.0) & (eta <= math.pi)), (tau, pole)
+
+    def test_cos_is_at_most_one_near_the_poles(self):
+        # the other factor of the flow's product: numpy's cos where it is nearest +-1
+        near_zero = np.geomspace(1e-30, 1e-2, 200001)
+        pi32 = np.float32(math.pi).view(np.int32)
+        half_width = int(1e-2 / np.spacing(np.float32(math.pi)))  # every float32 within 1e-2 of pi
+        for x in (np.concatenate([[0.0], near_zero, -near_zero]).astype(np.float32),
+                  np.concatenate([[0.0], near_zero, -near_zero]),
+                  np.arange(pi32 - half_width, pi32 + half_width + 1, dtype=np.int32)
+                  .view(np.float32),
+                  math.pi + np.linspace(-1e-2, 1e-2, 200001)):
+            assert np.all(np.abs(np.cos(x)) <= 1.0), x.dtype
+
 
 class TestAllocatingReference:
     # the step functions skip the cutoff, the shift and the reflections where no path needs
     # them, and write into arrays of their own; the allocating forms above apply them to every
-    # path, and must give the same bits
+    # path, and must give the same bits.  The reference clips cos eta to [-1, 1] and the flow
+    # does not, so at the poles, exactly 0 and pi, the comparison also pins the flow's range
     _EPS = mc_oracle._EPS
     _ETAS = {"inner": (0.1, 3.0), "low": (0.0, 2.0 * _EPS),
-             "high": (math.pi - 2.0 * _EPS, math.pi), "both": (0.0, math.pi)}
+             "high": (math.pi - 2.0 * _EPS, math.pi), "both": (0.0, math.pi),
+             "zero": (0.0, 0.0), "pi": (math.pi, math.pi)}
 
+    @pytest.mark.parametrize("tau", [5e-10, 5e-5, 5e-4])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("r_max", [mc_oracle._R_SHIFT - 0.1, 40.0])
-    @pytest.mark.parametrize("etas", ["inner", "low", "high", "both"])
-    def test_same_bits_and_inputs_untouched(self, dtype, r_max, etas):
+    @pytest.mark.parametrize("etas", list(_ETAS))
+    def test_same_bits_and_inputs_untouched(self, dtype, r_max, etas, tau):
         rng = np.random.default_rng(44)
-        n, tau = 4096, 5e-5
+        n = 4096
         r = (r_max * 10.0 ** rng.uniform(-6.0, 0.0, n)).astype(dtype)  # reflections need r small
         eta = rng.uniform(*self._ETAS[etas], n).astype(dtype)
         if etas == "both":  # within 2 _EPS of each pole, and between
@@ -444,10 +470,19 @@ def samples_at_half():
 
 class TestExpectations:
     def test_constant_function(self):
+        # the scalar raised "1 sample(s) cannot estimate a standard error": it was the sample
         samples = simulate_paths(SdeConfig(n_paths=100, dt=5e-4, seed=6, t_end=0.01))[-1]
-        mean, err = estimate_expectation(lambda r, eta: np.ones_like(r), samples)
-        assert mean == 1.0
-        assert err == 0.0
+        for f in (lambda r, eta: np.ones_like(r), lambda r, eta: 1.0):
+            mean, err = estimate_expectation(f, samples)
+            assert mean == 1.0
+            assert err == 0.0
+
+    def test_values_that_do_not_broadcast_are_refused(self):
+        # three values over 1000 samples gave (2.0, 0.577), the mean of the three
+        samples = mc_oracle.SampleSet(time=0.01, r=np.linspace(0.1, 1.0, 1000),
+                                      eta=np.linspace(0.1, 3.0, 1000))
+        with pytest.raises(ValueError, match="broadcast"):
+            estimate_expectation(lambda r, eta: np.array([1.0, 2.0, 3.0]), samples)
 
     def test_one_sample_has_no_standard_error(self):
         # it returned (0.997, 0.0): a standard error of 0 that bounds nothing
