@@ -123,6 +123,8 @@ def _fiber_coeff(t, x):
 
 
 def _check_fiber_args(t: float, eta: float):
+    if isinstance(t, (bool, np.bool_)):
+        raise ValueError(f"time must be a number, got {t!r}")
     if not 0.0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t}")
     if not 0.0 <= eta <= math.pi:

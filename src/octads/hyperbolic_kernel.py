@@ -100,7 +100,7 @@ def _check_dimension(n: int) -> int:
 def _log_kernel(n: int, t: float, s) -> np.ndarray:
     """log of the kernel of hyperbolic_heat_kernel at the distances s, as a 1-d array."""
     k = _check_dimension(n)
-    if not TIME_FLOOR <= t < math.inf:
+    if isinstance(t, (bool, np.bool_)) or not TIME_FLOOR <= t < math.inf:
         raise ValueError(f"time must be finite and at least {TIME_FLOOR}, got {t}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all(s_arr >= 0):

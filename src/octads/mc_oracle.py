@@ -64,6 +64,9 @@ full width, _BLOCK steps' words in one call, so a path's noise depends only on
 (seed, path index) and not on how many paths run, but a chunk of c paths maps
 only the first ceil(c / 8) bytes of each row, each through a table of its eight
 signs, into one reused (_BLOCK, 2, 8 ceil(c / 8)) float32 buffer of at most 512 KiB.
+numpy.random (6 MiB resident) is imported by the first chunk a process runs, not with the
+module, so a process that never simulates does not load it; a pool worker whose parent has
+not loaded it loads it once itself.
 With more than one chunk and usable CPU, the chunks run in a pool of min(chunks, usable CPUs)
 processes, joined in path-index order; the output is bitwise identical for any worker count and
 start method.  The pool forks on Linux, so workers inherit the imported package and need no
@@ -79,7 +82,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox, SeedSequence
 
 _CHUNK = 8192
 _R_SHIFT = 20.0  # above this r the drift flow of r is the shift r + 14 tau
@@ -178,6 +180,8 @@ def _usable_cpus() -> int:
 
 def _simulate_chunk(cfg: SdeConfig, start: int, stop: int, steps_wanted: list[int]):
     """Paths start..stop-1 run to the last wanted step; their (r, eta) at each wanted step."""
+    from numpy.random import Philox, SeedSequence  # 6 MiB that only a simulating process pays
+
     bits = Philox(SeedSequence(entropy=(cfg.seed, start // _CHUNK)))
     c = stop - start
     width = (c + 7) // 8  # the bytes of each noise row that the chunk reads
@@ -256,9 +260,12 @@ def estimate_expectation(f, samples: SampleSet):
     """Sample mean and standard error of f(r, eta) over the samples; f must accept arrays.
 
     f's values broadcast to the samples' shape, so a constant has standard error 0; a shape
-    that does not broadcast raises ValueError, as do fewer than two samples.
+    that does not broadcast raises ValueError, as do fewer than two samples and values that
+    are not finite.
     """
     vals = np.broadcast_to(np.asarray(f(samples.r, samples.eta), dtype=float), samples.r.shape)
     if vals.size < 2:
         raise ValueError(f"{vals.size} sample(s) cannot estimate a standard error; need 2")
+    if not np.isfinite(vals).all():
+        raise ValueError(f"f is not finite on the samples at t = {samples.time}")
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))

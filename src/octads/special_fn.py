@@ -40,12 +40,16 @@ def jacobi_sequence(m_max: int, x) -> np.ndarray:
 
 def jacobi_poly(m: int, x):
     """Degree-m (5/2, 5/2) Jacobi polynomial; scalar in, scalar out, or arrays."""
+    if m < 0:
+        raise ValueError("degree must be nonnegative")
     p = jacobi_sequence(m, x)[m]
     return p if np.ndim(x) else float(p[0])
 
 
 def jacobi_end_value(m: int) -> float:
     """Value at x = 1 of degree m: Gamma(m + 7/2) / (m! Gamma(7/2))."""
+    if m < 0:
+        raise ValueError("degree must be nonnegative")
     return math.exp(math.lgamma(m + 3.5) - math.lgamma(m + 1.0) - math.lgamma(3.5))
 
 

@@ -69,6 +69,8 @@ MIN_TIME = 0.05
 
 
 def _check_time(t: float) -> None:
+    if isinstance(t, (bool, np.bool_)):
+        raise ValueError(f"time must be a number, got {t!r}")
     if not MIN_TIME <= t < math.inf:
         raise ValueError(f"time {t} is below the supported minimum {MIN_TIME} or not finite")
 
@@ -374,7 +376,8 @@ def _density_levels(t: float, which: str, levels):
     w_eta = profiles[:, :-1] / profiles[:, -1:] * (w_eta * np.sin(etas) ** 6)
     cut = lambda a, k: np.split(a, np.cumsum([p[k].size for p in parts])[:-1], axis=-1)
     out = []
-    for r, c, etas, h in zip(cut(r, 2), cut(coeffs * w_sy, 2), cut(etas, 4), cut(w_eta, 4)):
+    coeffs *= w_sy  # in place: the mode factors are the largest array of a build
+    for r, c, etas, h in zip(cut(r, 2), cut(coeffs, 2), cut(etas, 4), cut(w_eta, 4)):
         m = max(np.flatnonzero(c.any(axis=1)), default=0)  # its degree; 0 if all underflowed
         rows, cols = c[:m + 1].T, h[:m + 1]
         out.append((r[:, None], etas[None, :], rows, cols, rows @ cols.sum(1), rows.sum(0) @ cols))
@@ -383,22 +386,39 @@ def _density_levels(t: float, which: str, levels):
     return tuple(out)
 
 
+def _last_key_cache(build):
+    """build(t, which), kept for the last key only.  The old value is dropped before a new one
+    is built, where functools.lru_cache(maxsize=1) holds both until the build returns."""
+    held = {}
+
+    def cached(t, which):
+        value = held.get((t, which))
+        if value is None:
+            held.clear()
+            value = held[t, which] = build(t, which)
+        return value
+
+    cached.cache_clear = held.clear
+    return cached
+
+
 # Levels 0 and 1, read by every integral, are cached together and level 2 alone: at most
 # _MEASURE_LEVELS levels.  Changing SERIES_TOL or SERIES_M_CAP needs cache_clear() on both.
-_first_levels = functools.lru_cache(maxsize=1)(lambda t, which: _density_levels(t, which, (0, 1)))
-_last_level = functools.lru_cache(maxsize=1)(lambda t, which: _density_levels(t, which, (2,)))
+_first_levels = _last_key_cache(lambda t, which: _density_levels(t, which, (0, 1)))
+_last_level = _last_key_cache(lambda t, which: _density_levels(t, which, (2,)))
 
 
 def weighted_integral(f, t: float, which: str = "rep1", f_growth: float = 0.0) -> float:
     """Integral of f(r, eta) against p_t and the reference measure.
 
     f is called once per level with r as a column and eta as a row, both read-only, and returns
-    a finite scalar, column, row or full grid that broadcasts to their grid, else ValueError.  A
-    column is summed with the level's radial weight, a scalar or a row with its angular one, a
-    grid through cols and rows.  f is bounded by C exp(a r) with a <= f_growth in [0, 1], 1 the
-    growth of cosh r cos eta; each level reaches the cutoff 16 t + 10 sqrt(t) + 2 it needs.
-    Levels refine s, y and eta until two agree to 1e-6; a level sum that is not finite, or 0
-    where f is not, and no agreement raise QuadratureConvergenceError.  No call affects another.
+    a finite real scalar, column, row or full grid that broadcasts to their grid, else
+    ValueError.  A column is summed with the level's radial weight, a scalar or a row with its
+    angular one, a grid through cols and rows.  f is bounded by C exp(a r) with a <= f_growth
+    in [0, 1], 1 the growth of cosh r cos eta; each level reaches the cutoff 16 t + 10 sqrt(t)
+    + 2 it needs.  Levels refine s, y and eta until two agree to 1e-6; a level sum that is not
+    finite, or 0 where f is not, and no agreement raise QuadratureConvergenceError.  No call
+    affects another.
     """
     _check_time(t)
     if not 0.0 <= f_growth <= _MAX_GROWTH:
@@ -407,7 +427,10 @@ def weighted_integral(f, t: float, which: str = "rep1", f_growth: float = 0.0) -
     for level in range(_MEASURE_LEVELS):
         r, etas, rows, cols, radial, angular = (
             _first_levels(t, which)[level] if level < 2 else _last_level(t, which)[0])
-        values = np.asarray(f(r, etas), dtype=float)
+        values = np.asarray(f(r, etas))
+        if np.iscomplexobj(values):
+            raise ValueError(f"integrand is complex on the level-{level} nodes at t = {t}")
+        values = values.astype(float, copy=False)
         v, grid = np.atleast_2d(values), (r.size, etas.size)
         if v.ndim > 2 or any(a not in (1, b) for a, b in zip(v.shape, grid)):
             raise ValueError(f"integrand of shape {values.shape} does not broadcast to {grid}")

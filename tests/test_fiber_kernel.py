@@ -63,6 +63,12 @@ class TestSpectralCoeff:
 
 
 class TestFiberHeatKernel:
+    @pytest.mark.parametrize("t", [True, np.True_])
+    def test_bool_time_is_refused(self, t):
+        # True ran the kernel at t = 1
+        with pytest.raises(ValueError, match="time must be a number"):
+            fiber_heat_kernel(t, 0.3, 0.5)
+
     def test_large_time_limit(self):
         v = fiber_heat_kernel(50.0, 0.8, 2.0)
         assert v.value == pytest.approx(16.0 / (5.0 * math.pi), rel=1e-12, abs=0)

@@ -291,9 +291,10 @@ class TestKernelValues:
                           hyperbolic_heat_kernel(15, 1.0, s))
 
     def test_time_floor(self):
-        # below the floor, dimension 15 gave NaN from t = 1e-43 down, dimension 9 from 1e-70
+        # below the floor, dimension 15 gave NaN from t = 1e-43 down, dimension 9 from 1e-70;
+        # True ran as t = 1
         for n in (9, 15):
-            for t in (1e-200, 0.5 * TIME_FLOOR):
+            for t in (1e-200, 0.5 * TIME_FLOOR, True, np.True_):
                 with pytest.raises(ValueError, match="at least"):
                     hyperbolic_heat_kernel(n, t, np.array([0.0, 2.0]))
         s = np.array([0.0, 1e-3, 1.0, SMALL_S_SWITCH, 30.0, 1e4, math.inf])

@@ -441,8 +441,9 @@ class TestProcessPool:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
     def test_unguarded_script_runs_on_linux(self, tmp_path, monkeypatch):
-        # forked workers inherit the imported script instead of re-running it
-        proc = self._run_unguarded(tmp_path)
+        # forked workers inherit the imported script instead of re-running it; numpy.random,
+        # which the parent has not loaded, each worker imports itself
+        proc = self._run_unguarded(tmp_path, "assert 'numpy.random' not in sys.modules")
         assert proc.returncode == 0
         assert proc.stderr == ""
         monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: 1)
@@ -460,6 +461,23 @@ class TestProcessPool:
                 if line.strip() and "resource_tracker" not in line][-1]
         assert last.startswith("RuntimeError: ")
         assert 'if __name__ == "__main__":' in last
+
+
+def test_only_a_simulation_loads_numpy_random():
+    # numpy.random, 6 MiB resident, was imported with the package by every process
+    script = "; ".join([
+        "import sys, numpy as np, octads, octads.cli",
+        "octads.weighted_integral(lambda r, eta: np.cosh(r) * np.cos(eta), 0.25, f_growth=1.0)",
+        "octads.heat_kernel_rep1(0.5, 1.0, 0.3)", "octads.heat_kernel_rep2(0.5, 1.0, 0.3)",
+        "print('numpy.random' in sys.modules)",
+        "octads.simulate_paths(octads.SdeConfig(n_paths=64, dt=5e-4, t_end=0.001))",
+        "print('numpy.random' in sys.modules)"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 @pytest.fixture(scope="module")
@@ -483,6 +501,14 @@ class TestExpectations:
                                       eta=np.linspace(0.1, 3.0, 1000))
         with pytest.raises(ValueError, match="broadcast"):
             estimate_expectation(lambda r, eta: np.array([1.0, 2.0, 3.0]), samples)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_values_that_are_not_finite_are_refused(self, bad):
+        # one such value made the result (nan, nan)
+        samples = mc_oracle.SampleSet(time=0.01, r=np.linspace(0.1, 1.0, 1000),
+                                      eta=np.linspace(0.1, 3.0, 1000))
+        with pytest.raises(ValueError, match="not finite on the samples at t = 0.01"):
+            estimate_expectation(lambda r, eta: np.where(r > 0.5, bad, r), samples)
 
     def test_one_sample_has_no_standard_error(self):
         # it returned (0.997, 0.0): a standard error of 0 that bounds nothing

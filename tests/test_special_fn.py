@@ -49,6 +49,14 @@ class TestJacobi:
             )
             assert sp.expand(rodrigues - polys[m]) == 0, m
 
+    @pytest.mark.parametrize("m", [-1, -2, -7])
+    def test_negative_degree_is_refused(self, m):
+        # jacobi_poly raised a bare IndexError and jacobi_end_value "math domain error"
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            jacobi_poly(m, 0.3)
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            jacobi_end_value(m)
+
     def test_sequence_matches_single(self):
         xs = np.array([-1.2, 0.1, 0.9, 3.7])
         seq = jacobi_sequence(12, xs)

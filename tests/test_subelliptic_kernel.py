@@ -112,6 +112,14 @@ class TestRepresentations:
             total_mass(0.02)
         assert heat_kernel_rep2(MIN_TIME, 0.5, 0.3).value > 0
 
+    @pytest.mark.parametrize("t", [True, np.True_])
+    def test_bool_time_is_refused(self, t):
+        # True ran every route at t = 1, and the mass integral returned the mass at t = 1
+        for call in (heat_kernel_rep1, heat_kernel_rep2, functools.partial(heat_residual, "rep1"),
+                     lambda t, r, eta: weighted_integral(lambda r, eta: 1.0, t)):
+            with pytest.raises(ValueError, match="time must be a number"):
+                call(t, 0.5, 0.3)
+
     def test_underflow_raises(self):
         # at t = 16 the kernel underflows to exactly 0.0 on every route
         for rep in (heat_kernel_rep1, heat_kernel_rep2, _rep2_direct):
@@ -541,6 +549,15 @@ class TestDensityCache:
                 self.cold(lambda r, eta: np.full_like(r, bad), 2.34)
         assert [layer for layer, _ in calls] == ["hyperbolic", "fiber"]
 
+    @pytest.mark.parametrize("f", [lambda r, eta: np.exp(1j * eta), lambda r, eta: 1.0 + 0j],
+                             ids=["row", "scalar"])
+    def test_complex_integrand_raises(self, f):
+        # the values were cast to their real part, with a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="complex on the level-0 nodes at t = 1.2"):
+                weighted_integral(f, 1.2)
+
     @pytest.mark.parametrize("shape", ["rows", "two_rows", "grid_and_axis"])
     def test_value_that_does_not_broadcast_raises(self, shape):
         # an (n_rows,) vector broadcasts as a row only if n_rows = n_eta, which it never is
@@ -582,6 +599,49 @@ class TestDensityCache:
             assert len(alive()) <= _MEASURE_LEVELS, (t, which)
         assert len(built) == 2 + 3 + 2 + 3 + 2
         assert alive() == [(4.0, "rep2", 2), (0.7, "rep1", 0), (0.7, "rep1", 1)]
+
+    def test_old_levels_are_dropped_before_a_build(self, monkeypatch):
+        # functools.lru_cache(maxsize=1) held a key's levels until the next key's were built
+        refs, built = {}, []  # per level tuple, weakrefs to the arrays of its last build
+        real = subelliptic_kernel._density_levels
+
+        def recorded(t, which, levels):
+            assert all(ref() is None for ref in refs.get(levels, ())), (t, which, levels)
+            built.append(levels)
+            arrays = real(t, which, levels)
+            refs[levels] = [weakref.ref(a) for level in arrays for a in level]
+            return arrays
+
+        monkeypatch.setattr(subelliptic_kernel, "_density_levels", recorded)
+        _clear_density_cache()
+        moment = lambda r, eta: np.cosh(r) * np.cos(eta)
+        for t, which in ((4.0, "rep1"), (4.0, "rep2"), (0.5, "rep1"), (4.0, "rep1")):
+            try:  # the moment at t = 4 reaches level 2 and raises
+                weighted_integral(moment, t, which=which, f_growth=1.0)
+            except QuadratureConvergenceError:
+                pass
+        assert built.count((0, 1)) == 4 and built.count((2,)) >= 3
+
+    def test_cache_clear_empties_both_caches(self, monkeypatch):
+        built = []
+        real = subelliptic_kernel._density_levels
+
+        def recorded(t, which, levels):
+            arrays = real(t, which, levels)
+            built.append([weakref.ref(a) for level in arrays for a in level])
+            return arrays
+
+        monkeypatch.setattr(subelliptic_kernel, "_density_levels", recorded)
+        _clear_density_cache()
+        moment = lambda r, eta: np.cosh(r) * np.cos(eta)
+        with pytest.raises(QuadratureConvergenceError):  # reaches level 2
+            weighted_integral(moment, 4.0, f_growth=1.0)
+        assert len(built) == 2 and all(ref() is not None for refs in built for ref in refs)
+        _clear_density_cache()
+        assert all(ref() is None for refs in built for ref in refs)
+        with pytest.raises(QuadratureConvergenceError):  # the same key is built again
+            weighted_integral(moment, 4.0, f_growth=1.0)
+        assert len(built) == 4
 
     def test_threads_share_the_cache(self):
         jobs = [(t, g) for t in (0.5, 0.7) for g in (0.0, 0.5, 1.0)] * 2
