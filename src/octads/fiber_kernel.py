@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_fn import gl_nodes, jacobi_next, jacobi_norm_sq, jacobi_sequence
+from .special_fn import _check_degree, gl_nodes, jacobi_next, jacobi_norm_sq, jacobi_sequence
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -46,8 +46,7 @@ def fiber_mode_multiplicity(m: int) -> int:
     These are the weights with which the modes enter the expansion of a point
     mass at the pole: 1, 8, 35, 112, 294, 672, ...
     """
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
+    m = _check_degree(m)
     num = (m + 3) * math.comb(m + 5, 5)
     assert num % 3 == 0
     return num // 3
@@ -70,42 +69,36 @@ def _series_matrix(factor, n_rows: int, eta, wq=None):
     passes long double, since its sums near eta = pi cancel to 1e-7 of their
     terms; summed in double, point values at t <= 0.2 moved by up to 2.8e-9
     relative, above POINT_TOL, and 4 of 504 points flipped to or from a refusal.
-    Returns (sums[n_rows], m_used, coeffs), where coeffs[m] holds every row's
-    a_m, 0 once the row has stopped.
+    Every row's a_m is formed at every degree and set to 0 once the row has
+    stopped, so a stopped row adds zeros and keeps its sum.  Returns
+    (sums[n_rows], m_used, coeffs), where coeffs[m] holds every row's a_m.
     """
     # the profile's arguments: eta and the pole, cos 0 = 1
     x = np.cos(np.array([eta, 0.0], dtype=float if wq is None else wq.dtype))
-    out = np.empty(n_rows)
     coeffs = []
-    # the rows still summing, their sums and whether their last term was small; live selects
-    # the rows whose coefficients are formed, a slice until the first row stops
-    rows, live = np.arange(n_rows), slice(None)
     sums = np.zeros(n_rows, x.dtype)
-    was_small = np.zeros(n_rows, dtype=bool)
+    stopped, was_small = np.zeros((2, n_rows), dtype=bool)  # was_small: the last |a_m| was small
     p = p2 = None
     for m in range(SERIES_M_CAP + 1):
         p, p2 = (np.ones_like(x) if m == 0 else jacobi_next(m, x, p, p2)), p
-        # an overflow in a_m is reported by the isfinite check below, under any errstate
+        # silent under any errstate: a stopped row's product, zeroed below, and an overflow
+        # in a_m, which the isfinite check reports
         with np.errstate(over="ignore", invalid="ignore"):
             c_m, f_m = factor(m)
-            a = c_m * (f_m[live] if wq is None else wq[live] @ f_m)
+            a = c_m * (f_m if wq is None else wq @ f_m)
+        a[stopped] = 0.0
         bound = abs(a)
         if not np.isfinite(bound.max()):
             raise SeriesConvergenceError(
                 f"degree-{m} polynomial overflowed in the series coefficients")
-        coeffs.append(np.zeros(n_rows))
-        coeffs[m][live] = a
+        coeffs.append(a)
         sums += a * (p[0] / p[1])
         small = bound <= SERIES_TOL * np.maximum(abs(sums), 1e-300)
-        done = small & was_small
+        if m >= 4:
+            stopped |= small & was_small
+            if stopped.all():
+                return sums.astype(float), m, np.array(coeffs, dtype=float)
         was_small = small
-        if m >= 4 and done.any():
-            out[rows[done]] = sums[done]
-            keep = ~done
-            rows, sums, was_small = rows[keep], sums[keep], small[keep]
-            live = rows
-            if rows.size == 0:
-                return out, m, np.array(coeffs)
     raise SeriesConvergenceError(f"series not converged at degree cap {SERIES_M_CAP}")
 
 
@@ -177,8 +170,7 @@ def fiber_mode_profile(m: int, eta: float) -> float:
     The sin^5 phi average of (cos eta + i sin eta cos phi)^m by _s5_rule(m); the
     imaginary residue vanishes by symmetry and is asserted small.
     """
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
+    m = _check_degree(m)
     x, w = _s5_rule(m)
     val = np.sum(w * (np.cos(eta) + 1j * np.sin(eta) * x) ** m)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):

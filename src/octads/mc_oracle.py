@@ -64,9 +64,9 @@ full width, _BLOCK steps' words in one call, so a path's noise depends only on
 (seed, path index) and not on how many paths run, but a chunk of c paths maps
 only the first ceil(c / 8) bytes of each row, each through a table of its eight
 signs, into one reused (_BLOCK, 2, 8 ceil(c / 8)) float32 buffer of at most 512 KiB.
-numpy.random (6 MiB resident) is imported by the first chunk a process runs, not with the
-module, so a process that never simulates does not load it; a pool worker whose parent has
-not loaded it loads it once itself.
+numpy.random (6 MiB resident) is imported by the first chunk a process runs, or by the caller
+just before its pool forks, not with the module, so a process that never simulates does not
+load it and a forked worker inherits it.
 With more than one chunk and usable CPU, the chunks run in a pool of min(chunks, usable CPUs)
 processes, joined in path-index order; the output is bitwise identical for any worker count and
 start method.  The pool forks on Linux, so workers inherit the imported package and need no
@@ -227,6 +227,7 @@ def simulate_paths(cfg: SdeConfig, snapshot_times: tuple = ()) -> list[SampleSet
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
         from multiprocessing import get_context
+        from numpy.random import Philox, SeedSequence  # noqa: F401 (forked workers share it)
 
         starts, stops = zip(*chunks)
         try:
@@ -261,9 +262,12 @@ def estimate_expectation(f, samples: SampleSet):
 
     f's values broadcast to the samples' shape, so a constant has standard error 0; a shape
     that does not broadcast raises ValueError, as do fewer than two samples and values that
-    are not finite.
+    are complex or not finite.
     """
-    vals = np.broadcast_to(np.asarray(f(samples.r, samples.eta), dtype=float), samples.r.shape)
+    vals = np.asarray(f(samples.r, samples.eta))
+    if np.iscomplexobj(vals):
+        raise ValueError(f"f is complex on the samples at t = {samples.time}")
+    vals = np.broadcast_to(vals.astype(float, copy=False), samples.r.shape)
     if vals.size < 2:
         raise ValueError(f"{vals.size} sample(s) cannot estimate a standard error; need 2")
     if not np.isfinite(vals).all():

@@ -12,6 +12,13 @@ from functools import lru_cache
 import numpy as np
 
 
+def _check_degree(m) -> int:
+    """m as a Python int, since numpy's integers wrap; a bool, non-integer or m < 0 raises."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
+        raise ValueError(f"degree must be a nonnegative integer, got {m!r}")
+    return int(m)
+
+
 def jacobi_next(n: int, x, p1, p2, alpha: float = 2.5, beta: float = 2.5):
     """Degree n of the Jacobi family from degrees n-1 (p1) and n-2 (p2).
 
@@ -40,16 +47,14 @@ def jacobi_sequence(m_max: int, x) -> np.ndarray:
 
 def jacobi_poly(m: int, x):
     """Degree-m (5/2, 5/2) Jacobi polynomial; scalar in, scalar out, or arrays."""
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
+    m = _check_degree(m)
     p = jacobi_sequence(m, x)[m]
     return p if np.ndim(x) else float(p[0])
 
 
 def jacobi_end_value(m: int) -> float:
     """Value at x = 1 of degree m: Gamma(m + 7/2) / (m! Gamma(7/2))."""
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
+    m = _check_degree(m)
     return math.exp(math.lgamma(m + 3.5) - math.lgamma(m + 1.0) - math.lgamma(3.5))
 
 
@@ -59,8 +64,7 @@ def jacobi_norm_sq(m: int) -> float:
     Equals the integral over [0, pi] of [P_m(cos eta)]^2 sin^6(eta), via the
     closed-form constant 2^6/(2m+6) * Gamma(m+7/2)^2 / (Gamma(m+6) m!).
     """
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
+    m = _check_degree(m)
     lg = (
         6.0 * math.log(2.0)
         - math.log(2.0 * m + 6.0)
@@ -78,8 +82,7 @@ def hyp2f1_terminating(m: int, x: float) -> float:
     factorial is formed and nothing overflows.  For x >= 1 every term is
     nonnegative, which is the regime the kernel evaluation uses (argument cosh u).
     """
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
+    m = _check_degree(m)
     z = (1.0 - x) / 2.0
     term = total = 1.0
     for k in range(m + 3):

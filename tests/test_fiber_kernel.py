@@ -48,11 +48,16 @@ class TestSpectralCoeff:
     def test_mode_multiplicities(self):
         assert [fiber_mode_multiplicity(m) for m in range(6)] == [1, 8, 35, 112, 294, 672]
 
-    @pytest.mark.parametrize("m", [-1, -5, -6])
+    @pytest.mark.parametrize("m", [-1, -5, -6, 2.5, True, np.True_])
     def test_multiplicity_refuses_a_negative_degree(self, m):
-        # -5..-1 returned 0, where jacobi_norm_sq and fiber_mode_profile refuse the degree
-        with pytest.raises(ValueError, match="degree must be nonnegative"):
+        # -5..-1 returned 0, True 1 and 2.5 a bare TypeError; fiber_mode_profile took True as 1
+        with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
             fiber_mode_multiplicity(m)
+        with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+            fiber_mode_profile(m, 1.0)
+
+    def test_multiplicity_of_a_numpy_degree_does_not_wrap(self):
+        assert fiber_mode_multiplicity(np.uint8(254)) == fiber_mode_multiplicity(254)
 
     def test_multiplicity_equals_point_mass_weight(self):
         # dimension of the degree-m eigenspace = P_m(1)^2 / N_m relative to m=0
@@ -149,17 +154,38 @@ class TestFiberHeatKernel:
 
     def test_rows_stop_on_their_own(self):
         # the continued series at u = 8 runs to a higher degree than at u = 0; each row of
-        # one call must give the bits of its own call, as the density's per-node rows do
+        # one call must give the bits of its own call, as the density's per-node rows do, and
+        # so must each weight row of a u-integral
         x = np.cosh([0.0, 8.0])
+        wq = np.array([[1.0, 0.0], [0.5, 0.5]], dtype=np.longdouble)
         for eta in (0.0, 1.0, math.pi):
-            both, m_both, coeffs = fiber_kernel._series_matrix(
-                fiber_kernel._fiber_coeff(0.5, x), 2, eta)
-            for row, xi in zip(both, x):
-                alone, m_alone, _ = fiber_kernel._series_matrix(
-                    fiber_kernel._fiber_coeff(0.5, [xi]), 1, eta)
-                assert row == alone[0]
-                assert m_alone <= m_both
-            assert coeffs[-1, 0] == 0.0 and coeffs[-1, 1] != 0.0
+            for rows, alone_args in ((None, lambda i: (x[i:i + 1], None)),
+                                     (wq, lambda i: (x, wq[i:i + 1]))):
+                both, m_both, coeffs = fiber_kernel._series_matrix(
+                    fiber_kernel._fiber_coeff(0.5, x), 2, eta, rows)
+                for i, row in enumerate(both):
+                    xi, wqi = alone_args(i)
+                    alone, m_alone, _ = fiber_kernel._series_matrix(
+                        fiber_kernel._fiber_coeff(0.5, xi), 1, eta, wqi)
+                    assert row == alone[0]
+                    assert m_alone <= m_both
+                assert coeffs[-1, 0] == 0.0 and coeffs[-1, 1] != 0.0
+
+    def test_a_stopped_row_adds_zeros(self):
+        # row 0 stops at degree 5 and its product overflows to inf from degree 8 on, while row
+        # 1 sums on: the stopped row must neither raise nor warn nor add to its sum, and its
+        # coefficients stay 0
+        def factor(m):
+            head = [1.0, 0.5, 0.25, 0.125, 0.0, 0.0, 0.0, 0.0]
+            return 1e10, np.array([1e-10 * head[m] if m < 8 else 1e300, 1e-10 * 0.5 ** m])
+        sums, m_used, coeffs = fiber_kernel._series_matrix(factor, 2, 1.0)
+        assert m_used > 8
+        assert (coeffs[6:, 0] == 0.0).all() and (coeffs[1:, 1] != 0.0).all()
+        row0, m0, _ = fiber_kernel._series_matrix(lambda m: (1e10, factor(m)[1][:1] if m < 8
+                                                             else np.zeros(1)), 1, 1.0)
+        row1, _, _ = fiber_kernel._series_matrix(lambda m: (1e10, factor(m)[1][1:]), 1, 1.0)
+        assert m0 == 5
+        assert sums[0] == row0[0] and sums[1] == row1[0]
 
     def test_diagnostics(self):
         v = fiber_heat_kernel(0.5, 0.3, 1.0)

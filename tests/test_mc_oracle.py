@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -432,7 +433,8 @@ class TestProcessPool:
             "mc_oracle._usable_cpus = lambda: 2",
             "s = mc_oracle.simulate_paths(mc_oracle.SdeConfig(",
             "    n_paths=mc_oracle._CHUNK + 1, dt=5e-4, t_end=0.001))[-1]",
-            "print(hashlib.sha1(s.r.tobytes() + s.eta.tobytes()).hexdigest())", ""]))
+            "print(hashlib.sha1(s.r.tobytes() + s.eta.tobytes()).hexdigest())",
+            "print('numpy.random' in sys.modules)", ""]))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                           env.get("PYTHONPATH")]))
@@ -442,13 +444,15 @@ class TestProcessPool:
     @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
     def test_unguarded_script_runs_on_linux(self, tmp_path, monkeypatch):
         # forked workers inherit the imported script instead of re-running it; numpy.random,
-        # which the parent has not loaded, each worker imports itself
+        # which the script has not loaded, the caller imports before the fork, where each
+        # worker imported it itself
         proc = self._run_unguarded(tmp_path, "assert 'numpy.random' not in sys.modules")
         assert proc.returncode == 0
         assert proc.stderr == ""
         monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: 1)
         s = simulate_paths(SdeConfig(n_paths=mc_oracle._CHUNK + 1, dt=5e-4, t_end=0.001))[-1]
-        assert proc.stdout.strip() == hashlib.sha1(s.r.tobytes() + s.eta.tobytes()).hexdigest()
+        digest = hashlib.sha1(s.r.tobytes() + s.eta.tobytes()).hexdigest()
+        assert proc.stdout.split() == [digest, "True"]
 
     def test_unguarded_script_names_the_main_guard(self, tmp_path):
         # each spawned worker re-ran the script and died, and the caller got a bare
@@ -509,6 +513,16 @@ class TestExpectations:
                                       eta=np.linspace(0.1, 3.0, 1000))
         with pytest.raises(ValueError, match="not finite on the samples at t = 0.01"):
             estimate_expectation(lambda r, eta: np.where(r > 0.5, bad, r), samples)
+
+    def test_complex_values_are_refused(self):
+        # exp(i eta) printed a ComplexWarning and gave the mean of cos eta
+        samples = mc_oracle.SampleSet(time=0.01, r=np.linspace(0.1, 1.0, 100),
+                                      eta=np.linspace(0.1, 3.0, 100))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (lambda r, eta: np.exp(1j * eta), lambda r, eta: 1.0 + 0j):
+                with pytest.raises(ValueError, match="complex on the samples at t = 0.01"):
+                    estimate_expectation(f, samples)
 
     def test_one_sample_has_no_standard_error(self):
         # it returned (0.997, 0.0): a standard error of 0 that bounds nothing

@@ -49,13 +49,23 @@ class TestJacobi:
             )
             assert sp.expand(rodrigues - polys[m]) == 0, m
 
-    @pytest.mark.parametrize("m", [-1, -2, -7])
+    @pytest.mark.parametrize("m", [-1, -2, -7, 2.5, True, np.True_])
     def test_negative_degree_is_refused(self, m):
-        # jacobi_poly raised a bare IndexError and jacobi_end_value "math domain error"
-        with pytest.raises(ValueError, match="degree must be nonnegative"):
-            jacobi_poly(m, 0.3)
-        with pytest.raises(ValueError, match="degree must be nonnegative"):
-            jacobi_end_value(m)
+        # jacobi_poly raised a bare IndexError or TypeError and jacobi_end_value "math domain
+        # error"; 2.5 and True gave values: jacobi_norm_sq(2.5) 1.796, jacobi_norm_sq(True)
+        # 1.503, hyp2f1_terminating(True, 1.2) 6.069
+        for f, args in ((jacobi_poly, (0.3,)), (jacobi_end_value, ()), (jacobi_norm_sq, ()),
+                        (hyp2f1_terminating, (1.2,))):
+            with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+                f(m, *args)
+
+    def test_numpy_integer_degrees_pass(self):
+        assert jacobi_poly(np.int64(4), 0.3) == jacobi_poly(4, 0.3)
+        assert jacobi_end_value(np.int64(4)) == jacobi_end_value(4)
+        assert jacobi_norm_sq(np.uint8(4)) == jacobi_norm_sq(4)
+        assert hyp2f1_terminating(np.int32(4), 1.2) == hyp2f1_terminating(4, 1.2)
+        # uint8 arithmetic wrapped: 18.95 became 0.9745, with overflow warnings
+        assert hyp2f1_terminating(np.uint8(254), 1.0001) == hyp2f1_terminating(254, 1.0001)
 
     def test_sequence_matches_single(self):
         xs = np.array([-1.2, 0.1, 0.9, 3.7])
