@@ -120,6 +120,8 @@ def _check_fiber_args(t: float, eta: float):
         raise ValueError(f"time must be a number, got {t!r}")
     if not 0.0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t}")
+    if isinstance(eta, (bool, np.bool_)):
+        raise ValueError(f"eta must be a number, got {eta!r}")
     if not 0.0 <= eta <= math.pi:
         raise ValueError("eta must lie in [0, pi]")
 
@@ -138,6 +140,8 @@ def fiber_heat_kernel(t: float, eta: float, u: float,
     SeriesConvergenceError.
     """
     _check_fiber_args(t, eta)
+    if isinstance(u, (bool, np.bool_)):
+        raise ValueError(f"u must be a number, got {u!r}")
     if continued:
         if not u >= 0.0:
             raise ValueError("continued coordinate must be nonnegative")

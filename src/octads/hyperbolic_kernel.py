@@ -46,7 +46,11 @@ def _series_factor(k: int, t: float, w: np.ndarray) -> np.ndarray:
     for _ in range(k):
         n = p.size - 1
         p = np.convolve(p[:n], _DF_SERIES[:n])[:n] / (4.0 * t) - np.arange(1, n + 1) * p[1:]
-    return np.polynomial.polynomial.polyval(w, p)
+    out = np.full_like(w, p[-1])  # Horner's rule, in polyval's order, without numpy.polynomial
+    for c in p[-2::-1]:
+        out *= w
+        out += c
+    return out
 
 
 def _log_sinh(s):
@@ -102,6 +106,8 @@ def _log_kernel(n: int, t: float, s) -> np.ndarray:
     k = _check_dimension(n)
     if isinstance(t, (bool, np.bool_)) or not TIME_FLOOR <= t < math.inf:
         raise ValueError(f"time must be finite and at least {TIME_FLOOR}, got {t}")
+    if isinstance(s, (bool, np.bool_)):
+        raise ValueError(f"distance s must be a number, got {s!r}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all(s_arr >= 0):
         raise ValueError("distance must be nonnegative and not NaN")

@@ -212,6 +212,8 @@ def simulate_paths(cfg: SdeConfig, snapshot_times: tuple = ()) -> list[SampleSet
     n_steps = round(cfg.t_end / cfg.dt)
     wanted = {n_steps}
     for s in snapshot_times:
+        if isinstance(s, (bool, np.bool_)):
+            raise ValueError(f"snapshot time must be a number, got {s!r}")
         steps = s / cfg.dt
         k = round(steps) if math.isfinite(steps) else 0
         if not 1 <= k <= n_steps:

@@ -99,6 +99,9 @@ class KernelPoint:
 
     def __post_init__(self):
         _check_time(self.t)
+        for name, v in (("base distance r", self.r), ("fiber angle eta", self.eta)):
+            if isinstance(v, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {v!r}")
         if not 0.0 <= self.r < math.inf:
             raise ValueError(f"base distance must be nonnegative and finite, got {self.r}")
         if not 0.0 <= self.eta <= math.pi:
@@ -347,7 +350,8 @@ def _density_levels(t: float, which: str, levels):
     (r, etas, rows, cols, radial, angular), read-only: r on the (s, y) nodes as a column, eta
     as a row, rows[i, m] node i's weight times c_m, cols[m, j] P_m(cos eta_j) / P_m(1) times
     eta_j's weight, so that an integral is MEASURE_CONSTANT sum f (rows @ cols) on the grid,
-    and the contractions radial = rows @ cols.sum(1) and angular = rows.sum(0) @ cols.
+    and the contractions radial = rows @ cols.sum(1) and angular = rows.sum(0) @ cols.  _level
+    builds and holds the levels that weighted_integral reads.
     """
     s_max = (14.0 + 2.0 * _MAX_GROWTH) * t + 10.0 * math.sqrt(t) + 2.0
     if s_max > 709.0:
@@ -386,26 +390,22 @@ def _density_levels(t: float, which: str, levels):
     return tuple(out)
 
 
-def _last_key_cache(build):
-    """build(t, which), kept for the last key only.  The old value is dropped before a new one
-    is built, where functools.lru_cache(maxsize=1) holds both until the build returns."""
-    held = {}
-
-    def cached(t, which):
-        value = held.get((t, which))
-        if value is None:
-            held.clear()
-            value = held[t, which] = build(t, which)
-        return value
-
-    cached.cache_clear = held.clear
-    return cached
+# The one store of levels: (t, which) of the last key read -> its levels, held read-only.
+# No module constant is in the key: changing SERIES_TOL or SERIES_M_CAP needs _levels.clear().
+_levels = {}
 
 
-# Levels 0 and 1, read by every integral, are cached together and level 2 alone: at most
-# _MEASURE_LEVELS levels.  Changing SERIES_TOL or SERIES_M_CAP needs cache_clear() on both.
-_first_levels = _last_key_cache(lambda t, which: _density_levels(t, which, (0, 1)))
-_last_level = _last_key_cache(lambda t, which: _density_levels(t, which, (2,)))
+def _level(t: float, which: str, level: int):
+    """Level `level` of _density_levels(t, which) from _levels.  The first read of a key drops
+    the old key's levels before it builds levels 0 and 1 in one pass; level 2 is built on its
+    first read and held with them, so at most _MEASURE_LEVELS levels, of one key, are held."""
+    held = _levels.get((t, which))
+    if held is None:
+        _levels.clear()
+        held = _levels[t, which] = list(_density_levels(t, which, (0, 1)))
+    if level >= len(held):
+        held[level:] = _density_levels(t, which, (level,))
+    return held[level]
 
 
 def weighted_integral(f, t: float, which: str = "rep1", f_growth: float = 0.0) -> float:
@@ -416,17 +416,18 @@ def weighted_integral(f, t: float, which: str = "rep1", f_growth: float = 0.0) -
     ValueError.  A column is summed with the level's radial weight, a scalar or a row with its
     angular one, a grid through cols and rows.  f is bounded by C exp(a r) with a <= f_growth
     in [0, 1], 1 the growth of cosh r cos eta; each level reaches the cutoff 16 t + 10 sqrt(t)
-    + 2 it needs.  Levels refine s, y and eta until two agree to 1e-6; a level sum that is not
-    finite, or 0 where f is not, and no agreement raise QuadratureConvergenceError.  No call
-    affects another.
+    + 2 it needs.  Levels, read through _level, refine s, y and eta until two agree to 1e-6; a
+    level sum that is not finite, or 0 where f is not, and no agreement raise
+    QuadratureConvergenceError.  No call affects another's value.
     """
     _check_time(t)
+    if isinstance(f_growth, (bool, np.bool_)):
+        raise ValueError(f"f_growth must be a number, got {f_growth!r}")
     if not 0.0 <= f_growth <= _MAX_GROWTH:
         raise ValueError(f"f_growth {f_growth} is outside [0, {_MAX_GROWTH:g}]")
     sums = []
     for level in range(_MEASURE_LEVELS):
-        r, etas, rows, cols, radial, angular = (
-            _first_levels(t, which)[level] if level < 2 else _last_level(t, which)[0])
+        r, etas, rows, cols, radial, angular = _level(t, which, level)
         values = np.asarray(f(r, etas))
         if np.iscomplexobj(values):
             raise ValueError(f"integrand is complex on the level-{level} nodes at t = {t}")

@@ -74,6 +74,15 @@ class TestFiberHeatKernel:
         with pytest.raises(ValueError, match="time must be a number"):
             fiber_heat_kernel(t, 0.3, 0.5)
 
+    @pytest.mark.parametrize("continued", [False, True], ids=["angle", "continued"])
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    @pytest.mark.parametrize("arg", ["eta", "u"])
+    def test_bool_angle_is_refused(self, arg, flag, continued):
+        # True ran the kernel at 1: fiber_heat_kernel(1.0, True, 0.5) returned 1.0221
+        args = {"eta": 0.3, "u": 0.5, arg: flag}
+        with pytest.raises(ValueError, match=f"{arg} must be a number"):
+            fiber_heat_kernel(1.0, args["eta"], args["u"], continued=continued)
+
     def test_large_time_limit(self):
         v = fiber_heat_kernel(50.0, 0.8, 2.0)
         assert v.value == pytest.approx(16.0 / (5.0 * math.pi), rel=1e-12, abs=0)

@@ -12,7 +12,9 @@ from octads.hyperbolic_kernel import (
     composed_distance,
     hyperbolic_heat_kernel,
     hyperbolic_heat_kernel_composed,
+    _DF_SERIES,
     _FAR,
+    _SERIES_LENGTH,
     _log_kernel,
     _log_lowering_factor,
     _series_factor,
@@ -105,6 +107,19 @@ class TestTaylorBranch:
             series = _series_factor(k, t, 2.0 * np.sinh(0.5 * s) ** 2)
             taylor_mode = np.exp(_taylor_mode_factor(k, t, s))
             assert np.all(np.abs(series - taylor_mode) <= 1e-11 * np.abs(series)), (k, t)
+
+    @pytest.mark.parametrize("k", range(MAX_DIMENSION // 2 + 1))
+    def test_series_sum_is_polyval(self, k):
+        # the in-place Horner loop makes polyval's operations in its order, and keeps its bits
+        polyval = pytest.importorskip("numpy.polynomial.polynomial").polyval
+        p = np.zeros(_SERIES_LENGTH + k)  # the coefficients, as _series_factor forms them
+        p[0] = 1.0
+        for _ in range(k):
+            n = p.size - 1
+            p = np.convolve(p[:n], _DF_SERIES[:n])[:n] / (4.0 * 0.7) - np.arange(1, n + 1) * p[1:]
+        s = np.concatenate([np.linspace(0.0, SMALL_S_SWITCH, 257), [0.05, 1e-8]])
+        w = 2.0 * np.sinh(0.5 * s) ** 2
+        assert _same_bits(_series_factor(k, 0.7, w), polyval(w, p))
 
     def test_no_overflow_at_large_distance(self):
         # sinh(s)**7 alone overflows beyond s = 102.9, and sinh(s) beyond 710.5
@@ -289,6 +304,12 @@ class TestKernelValues:
         s = np.array([0.0, 0.5, 2.0, 150.0])
         assert _same_bits(hyperbolic_heat_kernel(np.int64(15), 1.0, s),
                           hyperbolic_heat_kernel(15, 1.0, s))
+
+    @pytest.mark.parametrize("s", [True, np.True_])
+    def test_bool_distance_is_refused(self, s):
+        # True ran as s = 1
+        with pytest.raises(ValueError, match="distance s must be a number"):
+            hyperbolic_heat_kernel(15, 1.0, s)
 
     def test_time_floor(self):
         # below the floor, dimension 15 gave NaN from t = 1e-43 down, dimension 9 from 1e-70;

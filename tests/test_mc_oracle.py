@@ -107,6 +107,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="snapshot time"):
             simulate_paths(cfg, snapshot_times=snapshots)
 
+    @pytest.mark.parametrize("snapshot", [True, np.True_])
+    def test_bool_snapshot_is_refused(self, snapshot):
+        # (True,) took a snapshot at t = 1.0
+        cfg = SdeConfig(n_paths=4, t_end=1.0, dt=1e-3)
+        with pytest.raises(ValueError, match="snapshot time must be a number"):
+            simulate_paths(cfg, snapshot_times=(snapshot,))
+
 
 _FLOW_RS = [1e-3, 0.1, 1.0, 10.0, mc_oracle._R_SHIFT - 0.1, mc_oracle._R_SHIFT + 0.1, 100.0,
             354.0, 356.0, 700.0, 1e4]  # straddling the shift cutoff and the overflow of sinh^2 r
@@ -469,11 +476,13 @@ class TestProcessPool:
 
 def test_only_a_simulation_loads_numpy_random():
     # numpy.random, 6 MiB resident, was imported with the package by every process
+    # and numpy.polynomial, 0.75 MiB, by the first kernel evaluation; no route loads it now
     script = "; ".join([
         "import sys, numpy as np, octads, octads.cli",
         "octads.weighted_integral(lambda r, eta: np.cosh(r) * np.cos(eta), 0.25, f_growth=1.0)",
         "octads.heat_kernel_rep1(0.5, 1.0, 0.3)", "octads.heat_kernel_rep2(0.5, 1.0, 0.3)",
-        "print('numpy.random' in sys.modules)",
+        "octads.heat_residual('rep1', 1.0, 0.5, 1.0)",
+        "print('numpy.random' in sys.modules, 'numpy.polynomial' in sys.modules)",
         "octads.simulate_paths(octads.SdeConfig(n_paths=64, dt=5e-4, t_end=0.001))",
         "print('numpy.random' in sys.modules)"])
     env = dict(os.environ)
@@ -481,7 +490,7 @@ def test_only_a_simulation_loads_numpy_random():
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "False", "True"]
 
 
 @pytest.fixture(scope="module")

@@ -120,6 +120,23 @@ class TestRepresentations:
             with pytest.raises(ValueError, match="time must be a number"):
                 call(t, 0.5, 0.3)
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    @pytest.mark.parametrize("arg, name", [(1, "base distance r"), (2, "fiber angle eta")])
+    def test_bool_distance_and_angle_are_refused(self, arg, name, flag):
+        # True ran every route at 1: heat_kernel_rep1(1.0, 0.5, True) returned 2.548e-26
+        point = [1.0, 0.5, 0.3]
+        point[arg] = flag
+        for call in (heat_kernel_rep1, heat_kernel_rep2, _rep2_direct,
+                     functools.partial(heat_residual, "rep1")):
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                call(*point)
+
+    @pytest.mark.parametrize("growth", [True, np.True_])
+    def test_bool_growth_is_refused(self, growth):
+        # True was read as f_growth = 1
+        with pytest.raises(ValueError, match="f_growth must be a number"):
+            weighted_integral(lambda r, eta: np.cosh(r), 1.0, f_growth=growth)
+
     def test_underflow_raises(self):
         # at t = 16 the kernel underflows to exactly 0.0 on every route
         for rep in (heat_kernel_rep1, heat_kernel_rep2, _rep2_direct):
@@ -440,20 +457,15 @@ class TestMeasureIntegrals:
         assert a == pytest.approx(b, rel=1e-7, abs=0)
 
 
-def _clear_density_cache():
-    subelliptic_kernel._first_levels.cache_clear()
-    subelliptic_kernel._last_level.cache_clear()
-
-
 class TestDensityCache:
     """weighted_integral builds levels 0 and 1 of a (t, which) in one pass and level 2 alone,
-    each once, through its two caches, and every integrand reads the same levels."""
+    each once, through the one store _level reads, and every integrand reads the same levels."""
 
     T = 0.5
 
     @staticmethod
     def cold(f, t, **kwargs):
-        _clear_density_cache()
+        subelliptic_kernel._levels.clear()
         return weighted_integral(f, t, **kwargs)
 
     @staticmethod
@@ -535,8 +547,8 @@ class TestDensityCache:
         with pytest.raises(ValueError, match="read-only"):
             weighted_integral(writer, self.T, f_growth=0.5)
         assert weighted_integral(f, self.T, f_growth=0.5) == want
-        levels = (subelliptic_kernel._first_levels(self.T, "rep1")
-                  + subelliptic_kernel._last_level(self.T, "rep1"))
+        levels = [subelliptic_kernel._level(self.T, "rep1", level)
+                  for level in range(_MEASURE_LEVELS)]
         assert len(levels) == _MEASURE_LEVELS
         assert not any(a.flags.writeable for level in levels for a in level)
 
@@ -588,7 +600,7 @@ class TestDensityCache:
             return [key for key, refs in built if any(ref() is not None for ref in refs)]
 
         monkeypatch.setattr(subelliptic_kernel, "_density_levels", recorded)
-        _clear_density_cache()
+        subelliptic_kernel._levels.clear()
         moment = lambda r, eta: np.cosh(r) * np.cos(eta)
         for t, which in ((0.5, "rep1"), (4.0, "rep1"), (0.5, "rep2"), (4.0, "rep2"),
                          (0.7, "rep1")):
@@ -598,7 +610,26 @@ class TestDensityCache:
                 pass
             assert len(alive()) <= _MEASURE_LEVELS, (t, which)
         assert len(built) == 2 + 3 + 2 + 3 + 2
-        assert alive() == [(4.0, "rep2", 2), (0.7, "rep1", 0), (0.7, "rep1", 1)]
+        # a second cache held (4.0, "rep2")'s level 2 until another key's level 2 was built
+        assert alive() == [(0.7, "rep1", 0), (0.7, "rep1", 1)]
+
+    def test_a_new_key_drops_every_array_of_the_old(self, monkeypatch):
+        built = []  # (t, levels) and weakrefs to the arrays of every build
+        real = subelliptic_kernel._density_levels
+
+        def recorded(t, which, levels):
+            arrays = real(t, which, levels)
+            built.append(((t, levels), [weakref.ref(a) for level in arrays for a in level]))
+            return arrays
+
+        monkeypatch.setattr(subelliptic_kernel, "_density_levels", recorded)
+        subelliptic_kernel._levels.clear()
+        ones = lambda r, eta: np.ones_like(r)
+        weighted_integral(ones, 0.05)  # levels 0 and 1 disagree at t = 0.05: it reads level 2
+        weighted_integral(ones, 1.0)
+        assert [key for key, _ in built] == [(0.05, (0, 1)), (0.05, (2,)), (1.0, (0, 1))]
+        assert all(ref() is None for key, refs in built[:2] for ref in refs)
+        assert all(ref() is not None for ref in built[2][1])
 
     def test_old_levels_are_dropped_before_a_build(self, monkeypatch):
         # functools.lru_cache(maxsize=1) held a key's levels until the next key's were built
@@ -613,7 +644,7 @@ class TestDensityCache:
             return arrays
 
         monkeypatch.setattr(subelliptic_kernel, "_density_levels", recorded)
-        _clear_density_cache()
+        subelliptic_kernel._levels.clear()
         moment = lambda r, eta: np.cosh(r) * np.cos(eta)
         for t, which in ((4.0, "rep1"), (4.0, "rep2"), (0.5, "rep1"), (4.0, "rep1")):
             try:  # the moment at t = 4 reaches level 2 and raises
@@ -622,7 +653,7 @@ class TestDensityCache:
                 pass
         assert built.count((0, 1)) == 4 and built.count((2,)) >= 3
 
-    def test_cache_clear_empties_both_caches(self, monkeypatch):
+    def test_clear_empties_the_store(self, monkeypatch):
         built = []
         real = subelliptic_kernel._density_levels
 
@@ -632,12 +663,12 @@ class TestDensityCache:
             return arrays
 
         monkeypatch.setattr(subelliptic_kernel, "_density_levels", recorded)
-        _clear_density_cache()
+        subelliptic_kernel._levels.clear()
         moment = lambda r, eta: np.cosh(r) * np.cos(eta)
         with pytest.raises(QuadratureConvergenceError):  # reaches level 2
             weighted_integral(moment, 4.0, f_growth=1.0)
         assert len(built) == 2 and all(ref() is not None for refs in built for ref in refs)
-        _clear_density_cache()
+        subelliptic_kernel._levels.clear()
         assert all(ref() is None for refs in built for ref in refs)
         with pytest.raises(QuadratureConvergenceError):  # the same key is built again
             weighted_integral(moment, 4.0, f_growth=1.0)
@@ -647,7 +678,7 @@ class TestDensityCache:
         jobs = [(t, g) for t in (0.5, 0.7) for g in (0.0, 0.5, 1.0)] * 2
         f = lambda g: (lambda r, eta: np.cosh(g * r))
         want = {job: self.cold(f(job[1]), job[0], f_growth=job[1]) for job in set(jobs)}
-        _clear_density_cache()
+        subelliptic_kernel._levels.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch often, so that threads miss the same level at once
         try:
@@ -685,13 +716,13 @@ class TestLevelContractions:
     def test_contraction_matches_the_dense_sum(self, monkeypatch, t, which, shape):
         f = self.INTEGRANDS[shape]
         for level in (0, 1):
-            arrays = subelliptic_kernel._first_levels(t, which)[level]
+            arrays = subelliptic_kernel._level(t, which, level)
             r, etas, rows, cols = arrays[:4]
             terms = (np.broadcast_to(f(r, etas), (r.size, etas.size)).astype(np.longdouble)
                      * (rows.astype(np.longdouble) @ cols.astype(np.longdouble)))
             want, scale = MEASURE_CONSTANT * terms.sum(), MEASURE_CONSTANT * abs(terms).sum()
             # levels 0 and 1 are this one, so the integral returns its sum at the second level
-            monkeypatch.setattr(subelliptic_kernel, "_first_levels", lambda *args: [arrays] * 2)
+            monkeypatch.setattr(subelliptic_kernel, "_level", lambda *args: arrays)
             got = weighted_integral(f, t, which=which, f_growth=1.0)
             monkeypatch.undo()
             # measured worst: 4.0e-16 (scalar), 2.0e-16 (column), 1.4e-16 (row) and
@@ -812,13 +843,13 @@ class TestLargeTime:
     def test_zero_or_nonfinite_level_raises(self, monkeypatch, bad):
         # a level whose weight underflowed to 0 summed to a silent 0.0; every contraction of the
         # factors (scalar, column, row and grid) reads a spoiled level as one
-        real = subelliptic_kernel._first_levels
+        real = subelliptic_kernel._level
 
         def spoiled(*args):
-            return [(r, etas, *(np.full_like(a, bad) for a in (rows, cols, radial, angular)))
-                    for r, etas, rows, cols, radial, angular in real(*args)]
+            r, etas, rows, cols, radial, angular = real(*args)
+            return (r, etas, *(np.full_like(a, bad) for a in (rows, cols, radial, angular)))
 
-        monkeypatch.setattr(subelliptic_kernel, "_first_levels", spoiled)
+        monkeypatch.setattr(subelliptic_kernel, "_level", spoiled)
         for f in TestLevelContractions.INTEGRANDS.values():
             with pytest.raises(QuadratureConvergenceError, match="level-0 sum"):
                 weighted_integral(f, 1.2, f_growth=1.0)
@@ -830,13 +861,14 @@ class TestLargeTime:
         # contraction of them sums to 0, which the integral refuses
         monkeypatch.setattr(subelliptic_kernel, "_log_kernel",
                             lambda n, t, s: np.full(np.shape(s), -np.inf))
-        _clear_density_cache()
+        subelliptic_kernel._levels.clear()
         try:
             for f in TestLevelContractions.INTEGRANDS.values():
                 with pytest.raises(QuadratureConvergenceError, match="level-0 sum is 0.0"):
                     weighted_integral(f, 1.2, f_growth=1.0)
-            for _, _, rows, cols, radial, angular in subelliptic_kernel._first_levels(1.2, "rep1"):
+            for level in (0, 1):
+                _, _, rows, cols, radial, angular = subelliptic_kernel._level(1.2, "rep1", level)
                 assert rows.shape[1] == cols.shape[0] == 1
                 assert not (rows.any() or radial.any() or angular.any())
         finally:
-            _clear_density_cache()
+            subelliptic_kernel._levels.clear()
