@@ -20,11 +20,12 @@ import numpy as np
 from . import octonion as oct
 from .fiber_kernel import (SeriesConvergenceError, _check_fiber_args, _fiber_coeff,
                            _series_matrix, fiber_heat_kernel, fiber_mode_profile)
-from .hyperbolic_kernel import _log_kernel, _log_sinh, hyperbolic_heat_kernel
+from .hyperbolic_kernel import (TIME_FLOOR, _TIME_CEILING, _log_kernel, _log_sinh,
+                                hyperbolic_heat_kernel)
 from .mc_oracle import MC_TEST_FUNCTIONS, SdeConfig, estimate_expectation, simulate_paths
-from .special_fn import (gl_nodes, hyp2f1_terminating, jacobi_end_value, jacobi_norm_sq,
-                         jacobi_sequence)
-from .subelliptic_kernel import (KernelRangeError, _check_time, _rep2_direct, heat_kernel_rep1,
+from .special_fn import (_MAX, _real, gl_nodes, hyp2f1_terminating, jacobi_end_value,
+                         jacobi_norm_sq, jacobi_sequence)
+from .subelliptic_kernel import (MIN_TIME, KernelRangeError, _rep2_direct, heat_kernel_rep1,
                                  heat_kernel_rep2, heat_residual, total_mass, usable,
                                  weighted_integral)
 
@@ -103,20 +104,23 @@ def heat_equation_residual(t=(1.0,), r=(0.5, 1.0),
     """Criterion 03: |dp/dt - L p| <= 1e-4 |dp/dt| + 1e-8 p on the grid t x r x eta.
 
     The floor scales with p, 1e-15 to 1e-50 here, so that no fixed floor decides the check.
-    A row whose p is not usable (not positive, or subnormal from t near 14.5) fails.  A row
-    whose residual cannot be resolved, its rounding floor (see heat_residual) above its
-    bound, raises SeriesConvergenceError.
+    A row whose p is not usable (subnormal from t near 14.5), which heat_residual refuses with
+    KernelRangeError, fails with NaN fields.  A row whose residual cannot be resolved, its
+    rounding floor (see heat_residual) above its bound, raises SeriesConvergenceError.
     """
     rows = []
     for tt, rr, ee in itertools.product(t, r, eta):
         for rep in ("rep1", "rep2") if which == "both" else (which,):
-            res, scale, p, floor = heat_residual(rep, tt, rr, ee)
+            try:
+                res, scale, p, floor = heat_residual(rep, tt, rr, ee)
+            except KernelRangeError:
+                res = scale = p = floor = math.nan
             bound = 1e-4 * scale + 1e-8 * p
             if floor > bound:
                 raise SeriesConvergenceError(
                     f"the {rep} heat residual at (t={tt}, r={rr}, eta={ee}) has rounding floor "
                     f"{floor:.1e}, above its bound {bound:.1e}")
-            rows.append(_row(res <= bound and usable(p), t=tt, r=rr, eta=ee, which=rep,
+            rows.append(_row(res <= bound, t=tt, r=rr, eta=ee, which=rep,
                              residual=res, dt_scale=scale, bound=bound))
     return rows
 
@@ -204,6 +208,7 @@ def hyperbolic_suite(t=GRID_T, s=_HYPERBOLIC_S):
     at its worst distance in `s` to 1e-5; then dimension 3 against its closed form in logs (the
     reference underflows), to 1e-12 + 4 eps |log ref|, over twice the logs' measured rounding.
     """
+    t = [_real("t", tt, TIME_FLOOR, _TIME_CEILING) for tt in t]
     rows = []
     for n, tt in itertools.product((9, 15), t):
         omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
@@ -267,7 +272,7 @@ def mc_oracle(t=(0.5, 1.0), n_paths=100_000, dt=1e-4, seed=0):
     if n_paths < 2:
         raise ValueError(f"{n_paths} path(s) cannot estimate a standard error; need 2")
     for tt in times:
-        _check_time(tt)
+        tt = _real("t", tt, MIN_TIME, _MAX)
         if not math.isclose(tt, round(tt / dt) * dt, rel_tol=1e-9):
             raise ValueError(f"time {tt} is not a whole number of steps dt = {dt}")
     by_step = {round(s.time / dt): s

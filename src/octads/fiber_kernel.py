@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_fn import _check_degree, gl_nodes, jacobi_next, jacobi_norm_sq, jacobi_sequence
+from .special_fn import (_MAX, _TINY, _integer, _real, gl_nodes, jacobi_next, jacobi_norm_sq,
+                         jacobi_sequence)
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -46,7 +47,7 @@ def fiber_mode_multiplicity(m: int) -> int:
     These are the weights with which the modes enter the expansion of a point
     mass at the pole: 1, 8, 35, 112, 294, 672, ...
     """
-    m = _check_degree(m)
+    m = _integer("degree", m, 0)
     num = (m + 3) * math.comb(m + 5, 5)
     assert num % 3 == 0
     return num // 3
@@ -116,14 +117,7 @@ def _fiber_coeff(t, x):
 
 
 def _check_fiber_args(t: float, eta: float):
-    if isinstance(t, (bool, np.bool_)):
-        raise ValueError(f"time must be a number, got {t!r}")
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"time must be positive and finite, got {t}")
-    if isinstance(eta, (bool, np.bool_)):
-        raise ValueError(f"eta must be a number, got {eta!r}")
-    if not 0.0 <= eta <= math.pi:
-        raise ValueError("eta must lie in [0, pi]")
+    return _real("t", t, _TINY, _MAX), _real("eta", eta, 0.0, math.pi)
 
 
 def fiber_heat_kernel(t: float, eta: float, u: float,
@@ -139,14 +133,8 @@ def fiber_heat_kernel(t: float, eta: float, u: float,
     value not above it, as at small t and eta near pi, raises
     SeriesConvergenceError.
     """
-    _check_fiber_args(t, eta)
-    if isinstance(u, (bool, np.bool_)):
-        raise ValueError(f"u must be a number, got {u!r}")
-    if continued:
-        if not u >= 0.0:
-            raise ValueError("continued coordinate must be nonnegative")
-    elif not 0.0 <= u <= math.pi:
-        raise ValueError("u must lie in [0, pi]")
+    t, eta = _check_fiber_args(t, eta)
+    u = _real("u", u, 0.0, _MAX if continued else math.pi)
     with np.errstate(over="ignore"):  # past u = 710 _series_matrix reports the overflow
         x = np.cosh(u) if continued else np.cos(u)
     try:
@@ -174,7 +162,7 @@ def fiber_mode_profile(m: int, eta: float) -> float:
     The sin^5 phi average of (cos eta + i sin eta cos phi)^m by _s5_rule(m); the
     imaginary residue vanishes by symmetry and is asserted small.
     """
-    m = _check_degree(m)
+    m, eta = _integer("degree", m, 0), _real("eta", eta, 0.0, math.pi)
     x, w = _s5_rule(m)
     val = np.sum(w * (np.cos(eta) + 1j * np.sin(eta) * x) ** m)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):

@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .special_fn import _integer, _real, _reals
+
 # Below the switch P_k is a power series of _SERIES_LENGTH terms in
 # w = cosh s - 1 <= 0.89; arccosh(1 + w)^2 has radius 2 in w, so the dropped tail is below
 # 2e-14 relative for every k <= 7, 2e-13 at k = 8 and 2e-12 at k = 9, for 0.05 <= t <= 40.
@@ -30,8 +32,9 @@ _FAR = 1e4
 
 MAX_DIMENSION = 19
 # At dimension 19 the factor P_k grows like (1/4t)^9 and overflows below t = 2.5e-31
-# (dimension 15: 4.5e-41, dimension 9: 2e-70); the floor lies a factor 4 above it.
-TIME_FLOOR = 1e-30
+# (dimension 15: 4.5e-41, dimension 9: 2e-70); the floor lies a factor 4 above it.  The
+# ceiling keeps 4 pi t, and s^2 / 4t at s = inf, in range.
+TIME_FLOOR, _TIME_CEILING = 1e-30, 1e300
 
 
 # F' for F = arccosh(1 + w)^2 in powers of w, F'_n = -n F'_{n-1}/(2n+1) from F'_0 = 2, with
@@ -93,27 +96,19 @@ def _log_lowering_factor(k: int, t: float, s: np.ndarray) -> np.ndarray:
 
 
 def _check_dimension(n: int) -> int:
-    # bool is an int subclass, and a float dimension would reach np.zeros as a length
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1 or n % 2 == 0:
-        raise ValueError(f"dimension must be a positive odd integer, got {n!r}")
-    if n > MAX_DIMENSION:
-        raise ValueError(f"dimensions above {MAX_DIMENSION} are not supported")
-    return (int(n) - 1) // 2
+    n = _integer("dimension n", n, 1)
+    if n % 2 == 0 or n > MAX_DIMENSION:
+        raise ValueError(f"dimension n must be an odd integer in [1, {MAX_DIMENSION}], got {n}")
+    return (n - 1) // 2
 
 
 def _log_kernel(n: int, t: float, s) -> np.ndarray:
-    """log of the kernel of hyperbolic_heat_kernel at the distances s, as a 1-d array."""
+    """log of hyperbolic_heat_kernel at the checked t and distances s, as a 1-d array."""
     k = _check_dimension(n)
-    if isinstance(t, (bool, np.bool_)) or not TIME_FLOOR <= t < math.inf:
-        raise ValueError(f"time must be finite and at least {TIME_FLOOR}, got {t}")
-    if isinstance(s, (bool, np.bool_)):
-        raise ValueError(f"distance s must be a number, got {s!r}")
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if not np.all(s_arr >= 0):
-        raise ValueError("distance must be nonnegative and not NaN")
+    s_arr = np.atleast_1d(s)
     log_pref = -k * k * t - k * math.log(2.0 * math.pi) - 0.5 * math.log(4.0 * math.pi * t)
-    # past s = 1.3e154 (sooner at small t) the exponent is -inf, and exp gives the exact 0
-    with np.errstate(over="ignore"):
+    # past s = 1.3e154 (sooner at small t) or t = 4.5e307 the exponent is -inf: exp gives 0
+    with np.errstate(over="ignore", divide="ignore"):
         return log_pref + _log_lowering_factor(k, t, s_arr) - s_arr * s_arr / (4.0 * t)
 
 
@@ -121,9 +116,11 @@ def hyperbolic_heat_kernel(n: int, t: float, s) -> float | np.ndarray:
     """Heat kernel of n-dimensional hyperbolic space at distance s, n odd.
 
     Normalized against the Riemannian volume: integrating the result times
-    the sphere area Omega_{n-1} sinh^{n-1}(s) over s gives 1.
+    the sphere area Omega_{n-1} sinh^{n-1}(s) over s gives 1.  t in [TIME_FLOOR, 1e300] and s
+    in [0, inf], else ValueError; where the closed form underflows, as at s = inf, it is 0.0.
     """
-    val = np.exp(_log_kernel(n, t, s))
+    t = _real("t", t, TIME_FLOOR, _TIME_CEILING)
+    val = np.exp(_log_kernel(n, t, _reals("s", s, 0.0, math.inf)))
     return val if np.ndim(s) else float(val[0])
 
 
@@ -134,10 +131,7 @@ def composed_distance(r, u) -> np.ndarray | float:
     double precision, which is r + u - log 2 + log1p(exp(-2 min(r, u))).  At
     (0, inf) the product is NaN, and hypot gives the right s = inf.
     """
-    r_arr = np.asarray(r, dtype=float)
-    u_arr = np.asarray(u, dtype=float)
-    if not (np.all(r_arr >= 0) and np.all(u_arr >= 0)):
-        raise ValueError("distances must be nonnegative and not NaN")
+    r_arr, u_arr = _reals("r", r, 0.0, math.inf), _reals("u", u, 0.0, math.inf)
     with np.errstate(over="ignore", invalid="ignore"):  # far is inf past r + u = 1.8e308
         s = np.arcsinh(np.hypot(np.sinh(r_arr) * np.cosh(u_arr), np.sinh(u_arr)))
         far = r_arr + u_arr - math.log(2.0) + np.log1p(np.exp(-2.0 * np.minimum(r_arr, u_arr)))

@@ -83,6 +83,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .special_fn import _MAX, _TINY, _integer, _real
+
 _CHUNK = 8192
 _R_SHIFT = 20.0  # above this r the drift flow of r is the shift r + 14 tau
 _EPS = 1e-3  # paths start at r = eta = _EPS; eta reflects at _EPS, pi - _EPS; r has no boundary
@@ -100,16 +102,11 @@ class SdeConfig:
     t_end: float = 1.0
 
     def __post_init__(self):
-        integer = lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-        if not integer(self.n_paths) or self.n_paths < 1:
-            raise ValueError(f"n_paths must be a positive integer, got {self.n_paths!r}")
-        if not integer(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if isinstance(self.t_end, (bool, np.bool_)):
-            raise ValueError(f"t_end must be a number, got {self.t_end!r}")
-        if not 0.0 < self.dt <= 1e-3:
-            raise ValueError(f"dt must lie in (0, 1e-3], got {self.dt}")
-        if not 0.0 < self.t_end < math.inf or not 0.5 < self.t_end / self.dt < math.inf:
+        """Stores n_paths and seed as ints, dt in (0, 1e-3] and t_end in (0, inf) as floats."""
+        for name, check, *bounds in (("n_paths", _integer, 1), ("seed", _integer, 0),
+                                     ("dt", _real, _TINY, 1e-3), ("t_end", _real, _TINY, _MAX)):
+            object.__setattr__(self, name, check(name, getattr(self, name), *bounds))
+        if not 0.5 < self.t_end / self.dt < math.inf:
             raise ValueError(f"t_end = {self.t_end} must be finite and span at least one, and "
                              f"finitely many, steps dt = {self.dt}")
 
@@ -206,17 +203,14 @@ def _simulate_chunk(cfg: SdeConfig, start: int, stop: int, steps_wanted: list[in
 def simulate_paths(cfg: SdeConfig, snapshot_times: tuple = ()) -> list[SampleSet]:
     """Run all paths to t_end; returns samples at each snapshot and at t_end.
 
-    Snapshot times are rounded to whole steps, and must round to a step in
-    (0, t_end].  Identical configuration gives bitwise identical output.
+    Snapshot times, in [0, t_end], are rounded to whole steps, and must round to a
+    step after 0.  Identical configuration gives bitwise identical output.
     """
     n_steps = round(cfg.t_end / cfg.dt)
     wanted = {n_steps}
     for s in snapshot_times:
-        if isinstance(s, (bool, np.bool_)):
-            raise ValueError(f"snapshot time must be a number, got {s!r}")
-        steps = s / cfg.dt
-        k = round(steps) if math.isfinite(steps) else 0
-        if not 1 <= k <= n_steps:
+        k = round(_real("snapshot time", s, 0.0, cfg.t_end) / cfg.dt)
+        if k < 1:
             raise ValueError(f"snapshot time {s} does not round to a step of (0, {cfg.t_end}]")
         wanted.add(k)
     steps_wanted = sorted(wanted)

@@ -146,9 +146,9 @@ class CylCoord:
         if th.shape != (7,):
             raise ValueError("theta must have 7 components")
         object.__setattr__(self, "theta", th.copy())
-        if self.rho >= 1.0:
+        if not self.rho < 1.0:  # NaN fails
             raise ValueError(f"|w| = {self.rho} must be < 1")
-        if self.eta >= np.pi:
+        if not self.eta < np.pi:
             raise ValueError(f"|theta| = {self.eta} must be < pi")
 
     @property

@@ -7,16 +7,46 @@ normalization constants go through lgamma to stay inside double range.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
 
+# The checks of every public entry: a ValueError naming the argument and its range refuses a
+# dtype not integer or float (bool, complex, str, None), NaN and values outside [lo, hi].
+_TINY, _MAX = 5e-324, sys.float_info.max  # open ends, written (0 and inf)
 
-def _check_degree(m) -> int:
-    """m as a Python int, since numpy's integers wrap; a bool, non-integer or m < 0 raises."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {m!r}")
-    return int(m)
+
+def _interval(lo, hi) -> str:
+    left = "(0" if lo == _TINY else f"[{lo:.6g}"
+    return left + (", inf)" if hi == _MAX else f", {hi:.6g}]")
+
+
+def _integer(name: str, v, lo: int) -> int:
+    """v as a Python int, since numpy's integers wrap; anything but an integer >= lo raises."""
+    a = np.asarray(v)
+    if a.dtype.kind not in "iu" or a.ndim or a < lo:
+        raise ValueError(f"{name} must be an integer in [{lo}, inf), got {v!r}")
+    return int(a)
+
+
+def _reals(name: str, v, lo: float, hi: float) -> np.ndarray:
+    """v as a float64 array of real numbers in [lo, hi], compared in float64."""
+    a = np.asarray(v)
+    if a.dtype.kind in "iuf":
+        with np.errstate(over="ignore"):  # a long double past double range becomes inf
+            a = a.astype(float)
+        if ((a >= lo) & (a <= hi)).all():  # NaN fails
+            return a
+    raise ValueError(f"{name} must be a real number in {_interval(lo, hi)}, got {v!r}")
+
+
+def _real(name: str, v, lo: float, hi: float) -> float:
+    """v as a Python float in [lo, hi], checked as _reals checks; a 1-d or larger array raises."""
+    a = np.asarray(v)
+    if a.dtype.kind in "iuf" and a.ndim == 0 and lo <= float(a) <= hi:  # NaN fails
+        return float(a)
+    raise ValueError(f"{name} must be a real number in {_interval(lo, hi)}, got {v!r}")
 
 
 def jacobi_next(n: int, x, p1, p2, alpha: float = 2.5, beta: float = 2.5):
@@ -47,14 +77,14 @@ def jacobi_sequence(m_max: int, x) -> np.ndarray:
 
 def jacobi_poly(m: int, x):
     """Degree-m (5/2, 5/2) Jacobi polynomial; scalar in, scalar out, or arrays."""
-    m = _check_degree(m)
+    m = _integer("degree", m, 0)
     p = jacobi_sequence(m, x)[m]
     return p if np.ndim(x) else float(p[0])
 
 
 def jacobi_end_value(m: int) -> float:
     """Value at x = 1 of degree m: Gamma(m + 7/2) / (m! Gamma(7/2))."""
-    m = _check_degree(m)
+    m = _integer("degree", m, 0)
     return math.exp(math.lgamma(m + 3.5) - math.lgamma(m + 1.0) - math.lgamma(3.5))
 
 
@@ -64,7 +94,7 @@ def jacobi_norm_sq(m: int) -> float:
     Equals the integral over [0, pi] of [P_m(cos eta)]^2 sin^6(eta), via the
     closed-form constant 2^6/(2m+6) * Gamma(m+7/2)^2 / (Gamma(m+6) m!).
     """
-    m = _check_degree(m)
+    m = _integer("degree", m, 0)
     lg = (
         6.0 * math.log(2.0)
         - math.log(2.0 * m + 6.0)
@@ -82,7 +112,7 @@ def hyp2f1_terminating(m: int, x: float) -> float:
     factorial is formed and nothing overflows.  For x >= 1 every term is
     nonnegative, which is the regime the kernel evaluation uses (argument cosh u).
     """
-    m = _check_degree(m)
+    m = _integer("degree", m, 0)
     z = (1.0 - x) / 2.0
     term = total = 1.0
     for k in range(m + 3):

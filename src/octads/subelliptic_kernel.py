@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .fiber_kernel import (
 # hyperbolic_heat_kernel_composed is called by no route; the benchmark's tracer wraps it here
 from .hyperbolic_kernel import (_log_kernel, _log_sinh, composed_distance,
                                 hyperbolic_heat_kernel_composed)
-from .special_fn import gl_nodes, jacobi_sequence
+from .special_fn import _MAX, _real, gl_nodes, jacobi_sequence
 
 MEASURE_CONSTANT = math.pi ** 7 / 90.0
 
@@ -68,13 +68,6 @@ REP2_RATE_SHIFT = 33
 MIN_TIME = 0.05
 
 
-def _check_time(t: float) -> None:
-    if isinstance(t, (bool, np.bool_)):
-        raise ValueError(f"time must be a number, got {t!r}")
-    if not MIN_TIME <= t < math.inf:
-        raise ValueError(f"time {t} is below the supported minimum {MIN_TIME} or not finite")
-
-
 class QuadratureConvergenceError(RuntimeError):
     """Node doubling failed to stabilize the integral to tolerance."""
 
@@ -93,19 +86,14 @@ class KernelRangeError(ArithmeticError):
 
 @dataclass(frozen=True)
 class KernelPoint:
+    """A point, stored as floats: t in [MIN_TIME, inf), r in [0, inf) and eta in [0, pi]."""
     t: float
     r: float
     eta: float
 
     def __post_init__(self):
-        _check_time(self.t)
-        for name, v in (("base distance r", self.r), ("fiber angle eta", self.eta)):
-            if isinstance(v, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, got {v!r}")
-        if not 0.0 <= self.r < math.inf:
-            raise ValueError(f"base distance must be nonnegative and finite, got {self.r}")
-        if not 0.0 <= self.eta <= math.pi:
-            raise ValueError("fiber angle must lie in [0, pi]")
+        for name, lo, hi in (("t", MIN_TIME, _MAX), ("r", 0.0, _MAX), ("eta", 0.0, math.pi)):
+            object.__setattr__(self, name, _real(name, getattr(self, name), lo, hi))
 
 
 @dataclass(frozen=True)
@@ -128,16 +116,16 @@ def usable(v: float) -> bool:
     return math.isfinite(v) and v >= np.finfo(float).tiny
 
 
-def _adaptive(what: str, t, r, eta, eval_at) -> KernelResult:
-    """The point rule (see POINT_N_U) at (t, r, eta), checked by KernelPoint.  eval_at(n_u,
-    u_max) returns (value, m_used); an unusable value raises KernelRangeError at once, and a
-    series or quadrature error of eval_at is raised again with the route and the point first."""
-    KernelPoint(t, r, eta)
+def _adaptive(what: str, t, r, eta, grid) -> KernelResult:
+    """The point rule (see POINT_N_U) at KernelPoint(t, r, eta).  grid(t, r, eta, n_u, u_max)
+    returns (value, m_used); an unusable value raises KernelRangeError at once, and a series or
+    quadrature error of grid is raised again with the route and the point first."""
+    t, r, eta = astuple(KernelPoint(t, r, eta))
     u_max = default_u_max(t, r)
     prev = math.inf  # the first value agrees with nothing
     for k in range(5):
         try:
-            value, m_used = eval_at(POINT_N_U << k, u_max)
+            value, m_used = grid(t, r, eta, POINT_N_U << k, u_max)
         except (SeriesConvergenceError, QuadratureConvergenceError) as exc:
             raise type(exc)(f"{what} at (t={t}, r={r}, eta={eta}): {exc}") from exc
         value = float(value)
@@ -201,7 +189,7 @@ _rep2_grid = functools.partial(_grid, "rep2")
 
 def heat_kernel_rep1(t: float, r: float, eta: float) -> KernelResult:
     """First integral representation; the reference evaluation path."""
-    return _adaptive("representation 1", t, r, eta, functools.partial(_rep1_grid, t, r, eta))
+    return _adaptive("representation 1", t, r, eta, _rep1_grid)
 
 
 def _rep2_direct_2d(t, r, eta, n_u, u_max):
@@ -247,13 +235,12 @@ def _rep2_direct_2d(t, r, eta, n_u, u_max):
 
 def heat_kernel_rep2(t: float, r: float, eta: float) -> KernelResult:
     """Second integral representation, summed over explicit fiber modes."""
-    return _adaptive("representation 2", t, r, eta, functools.partial(_rep2_grid, t, r, eta))
+    return _adaptive("representation 2", t, r, eta, _rep2_grid)
 
 
 def _rep2_direct(t: float, r: float, eta: float) -> KernelResult:
     """Representation 2 by _rep2_direct_2d under the point rule: criterion 02's reference."""
-    return _adaptive("representation 2's direct 2-d route", t, r, eta,
-                     functools.partial(_rep2_direct_2d, t, r, eta))
+    return _adaptive("representation 2's direct 2-d route", t, r, eta, _rep2_direct_2d)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +256,8 @@ def heat_residual(which: str, t: float, r: float,
     sum_m h_m R_m with R_m = d/dt A_m - L_m A_m, L_m the generator on mode m, all in double and
     without finite differences.  floor = eps sum_m |h_m| (|d/dt A_m| + |L_m A_m|) is the
     rounding of those sums, eps of their dtype: a residual that does not exceed its floor is
-    not resolved.  A series error is raised with the representation and the point first.
+    not resolved.  A series error is raised with the representation and the point first, and
+    a p that is not usable (subnormal from t near 14.5) raises KernelRangeError, as points do.
 
     With x = cosh r cosh u the lowering operator gives d/dx q_n = -2 pi e^(nt) q_{n+2}, so
     d^2/dx^2 q_n = (2 pi)^2 e^((2n+2)t) q_{n+4} and d/dt q_n = (x^2 - 1) d^2/dx^2 q_n +
@@ -280,8 +268,9 @@ def heat_residual(which: str, t: float, r: float,
     The value row, summed by _grid's rule, sets the degree and gives p; the other rows take
     c_m f_m from a fresh factor up to that degree.
     """
-    KernelPoint(t, r, eta)
-    u, w = gl_nodes(2 * POINT_N_U, 0.0, default_u_max(t, r) + 1.0)
+    t, r, eta = astuple(KernelPoint(t, r, eta))
+    u_max = default_u_max(t, r) + 1.0
+    u, w = gl_nodes(2 * POINT_N_U, 0.0, u_max)
     n, log_g, factor = _integrand(which, t, r, u)
     tanh_r = math.tanh(r)
     s = composed_distance(r, u)
@@ -311,6 +300,9 @@ def heat_residual(which: str, t: float, r: float,
         value, m_used, _ = _series_matrix(factor, 1, eta, rows[:1].astype(np.longdouble))
     except SeriesConvergenceError as exc:
         raise SeriesConvergenceError(f"{what}: {exc}") from exc
+    p = float(value[0])
+    if not usable(p):
+        raise KernelRangeError(f"{what}: p is {p}", KernelResult(p, math.nan, m_used, u_max))
     factor = _integrand(which, t, r, u)[2]  # a fresh one: rep 1's steps its recurrence
     a = np.array([c_m * (rows @ f_m) for c_m, f_m in map(factor, range(m_used + 1))])
     decay = fiber_eigenvalue(np.arange(m_used + 1))
@@ -319,7 +311,7 @@ def heat_residual(which: str, t: float, r: float,
     h = jacobi_sequence(m_used, [math.cos(eta), 1.0])
     h = h[:, 0] / h[:, 1]
     floor = np.finfo(dt.dtype).eps * float(np.abs(h) @ (np.abs(dt) + np.abs(generator)))
-    return abs(float(h @ (dt - generator))), abs(float(h @ dt)), float(value[0]), floor
+    return abs(float(h @ (dt - generator))), abs(float(h @ dt)), p, float(floor)
 
 
 # Level L of a measure integral puts _LEVEL_NODES * 1.5^L Gauss-Legendre nodes on s (more at
@@ -420,11 +412,7 @@ def weighted_integral(f, t: float, which: str = "rep1", f_growth: float = 0.0) -
     level sum that is not finite, or 0 where f is not, and no agreement raise
     QuadratureConvergenceError.  No call affects another's value.
     """
-    _check_time(t)
-    if isinstance(f_growth, (bool, np.bool_)):
-        raise ValueError(f"f_growth must be a number, got {f_growth!r}")
-    if not 0.0 <= f_growth <= _MAX_GROWTH:
-        raise ValueError(f"f_growth {f_growth} is outside [0, {_MAX_GROWTH:g}]")
+    t, f_growth = _real("t", t, MIN_TIME, _MAX), _real("f_growth", f_growth, 0.0, _MAX_GROWTH)
     sums = []
     for level in range(_MEASURE_LEVELS):
         r, etas, rows, cols, radial, angular = _level(t, which, level)

@@ -366,7 +366,8 @@ class TestRefusedInput:
         monkeypatch.setattr(octads.acceptance, "simulate_paths", simulate)
         code, payload = run_cli(["mc-check", "--t", times, "--n-paths", "50"], tmp_path)
         assert code == 2 and payload == b""
-        assert capsys.readouterr().err.startswith(f"error: time {times.split(',')[0]} ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: t") and times.split(",")[0] in err
 
     def test_mc_oracle_refuses_no_times(self):
         # it raised a bare IndexError from the last of the sorted times

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,12 +49,12 @@ class TestSpectralCoeff:
     def test_mode_multiplicities(self):
         assert [fiber_mode_multiplicity(m) for m in range(6)] == [1, 8, 35, 112, 294, 672]
 
-    @pytest.mark.parametrize("m", [-1, -5, -6, 2.5, True, np.True_])
+    @pytest.mark.parametrize("m", [-1, -5, -6, 2.5, True, np.True_, 2j, "2", None, np.array([2])])
     def test_multiplicity_refuses_a_negative_degree(self, m):
         # -5..-1 returned 0, True 1 and 2.5 a bare TypeError; fiber_mode_profile took True as 1
-        with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+        with pytest.raises(ValueError, match=re.escape("degree must be an integer in [0, inf)")):
             fiber_mode_multiplicity(m)
-        with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+        with pytest.raises(ValueError, match=re.escape("degree must be an integer in [0, inf)")):
             fiber_mode_profile(m, 1.0)
 
     def test_multiplicity_of_a_numpy_degree_does_not_wrap(self):
@@ -68,20 +69,23 @@ class TestSpectralCoeff:
 
 
 class TestFiberHeatKernel:
-    @pytest.mark.parametrize("t", [True, np.True_])
+    @pytest.mark.parametrize("t", [True, np.True_, 1j, "1", None, np.array([1.0])])
     def test_bool_time_is_refused(self, t):
-        # True ran the kernel at t = 1
-        with pytest.raises(ValueError, match="time must be a number"):
+        # True ran the kernel at t = 1; 1j, "1" and None raised a bare TypeError
+        with pytest.raises(ValueError, match=re.escape("t must be a real number in (0, inf)")):
             fiber_heat_kernel(t, 0.3, 0.5)
 
     @pytest.mark.parametrize("continued", [False, True], ids=["angle", "continued"])
-    @pytest.mark.parametrize("flag", [True, np.True_])
+    @pytest.mark.parametrize("flag", [True, np.True_, 1j, "1", None, np.array([0.5]), math.nan])
     @pytest.mark.parametrize("arg", ["eta", "u"])
     def test_bool_angle_is_refused(self, arg, flag, continued):
         # True ran the kernel at 1: fiber_heat_kernel(1.0, True, 0.5) returned 1.0221
         args = {"eta": 0.3, "u": 0.5, arg: flag}
-        with pytest.raises(ValueError, match=f"{arg} must be a number"):
+        with pytest.raises(ValueError, match=f"{arg} must be a real number in "):
             fiber_heat_kernel(1.0, args["eta"], args["u"], continued=continued)
+        if arg == "eta":  # fiber_mode_profile(2, True) gave the value at 1, and NaN gave NaN
+            with pytest.raises(ValueError, match=re.escape("eta must be a real number in [0, ")):
+                fiber_mode_profile(2, flag)
 
     def test_large_time_limit(self):
         v = fiber_heat_kernel(50.0, 0.8, 2.0)

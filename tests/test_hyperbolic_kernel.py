@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -299,24 +300,25 @@ class TestKernelValues:
     def test_dimension_must_be_an_integer(self):
         # 15.0 reached np.zeros as a series length, and True ran as dimension 1
         for n in (15.0, True, np.float64(9.0)):
-            with pytest.raises(ValueError, match="odd integer"):
+            with pytest.raises(ValueError, match="dimension n must be an integer in "):
                 hyperbolic_heat_kernel(n, 1.0, 0.5)
         s = np.array([0.0, 0.5, 2.0, 150.0])
         assert _same_bits(hyperbolic_heat_kernel(np.int64(15), 1.0, s),
                           hyperbolic_heat_kernel(15, 1.0, s))
 
-    @pytest.mark.parametrize("s", [True, np.True_])
+    @pytest.mark.parametrize("s", [True, np.True_, 1j, "1", None, np.array([True, False])])
     def test_bool_distance_is_refused(self, s):
-        # True ran as s = 1
-        with pytest.raises(ValueError, match="distance s must be a number"):
+        # True ran as s = 1, and the bool array as s = 1 and 0; "1" returned the value at s = 1
+        with pytest.raises(ValueError, match=re.escape("s must be a real number in [0, inf]")):
             hyperbolic_heat_kernel(15, 1.0, s)
 
     def test_time_floor(self):
         # below the floor, dimension 15 gave NaN from t = 1e-43 down, dimension 9 from 1e-70;
         # True ran as t = 1
         for n in (9, 15):
-            for t in (1e-200, 0.5 * TIME_FLOOR, True, np.True_):
-                with pytest.raises(ValueError, match="at least"):
+            for t in (1e-200, 0.5 * TIME_FLOOR, True, np.True_, 1j, "1", None, np.array([1.0])):
+                with pytest.raises(ValueError, match=re.escape("t must be a real number in [1e-30, "
+                                                               "1e+300]")):
                     hyperbolic_heat_kernel(n, t, np.array([0.0, 2.0]))
         s = np.array([0.0, 1e-3, 1.0, SMALL_S_SWITCH, 30.0, 1e4, math.inf])
         with np.errstate(over="raise", invalid="raise"):
@@ -331,11 +333,13 @@ class TestComposedArgument:
 
     def test_negative_distance_refused(self):
         # at u = 0 the distance is r itself, and a negative r passed through
+        # "1" as r returned 1.0, and 1j and None raised a bare TypeError
         for r, u in [(-1.0, 0.0), (-1.0, 0.5), (0.5, -1.0), (math.nan, 0.0),
-                     (np.array([0.0, -1.0]), 0.0)]:
-            with pytest.raises(ValueError, match="nonnegative"):
+                     (np.array([0.0, -1.0]), 0.0), ("1", 0.5), (1j, 0.5), (0.5, None),
+                     (0.5, np.array([True]))]:
+            with pytest.raises(ValueError, match=r"^[ru] must be a real number in \[0, inf\]"):
                 composed_distance(r, u)
-            with pytest.raises(ValueError, match="nonnegative"):
+            with pytest.raises(ValueError, match=r"^[ru] must be a real number in \[0, inf\]"):
                 hyperbolic_heat_kernel_composed(15, 1.0, r, u)
 
     def test_far_and_infinite_arguments(self):

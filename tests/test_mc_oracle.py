@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -80,20 +81,23 @@ class TestConfig:
             SdeConfig(t_end=-1.0)
 
     @pytest.mark.parametrize("t_end, dt", [(math.nan, 1e-4), (math.inf, 1e-4), (4e-5, 1e-4),
-                                           (1.0, 5e-324), (True, 1e-3), (np.True_, 1e-3)])
+                                           (1.0, 5e-324), (True, 1e-3), (np.True_, 1e-3),
+                                           (np.complex128(1), 1e-3), ("1", 1e-3), (None, 1e-3),
+                                           (np.array([1.0]), 1e-3)])
     def test_t_end_must_be_finite_and_a_step(self, t_end, dt):
         # NaN failed in simulate_paths converting NaN to an integer, inf and 1 / 5e-324
-        # overflowed, 4e-5 rounds to no step at all, and True, an int subclass, ran to t = 1
+        # overflowed, 4e-5 rounds to no step at all, True, an int subclass, ran to t = 1, and
+        # np.complex128(1) and np.array([1.0]) were accepted
         with pytest.raises(ValueError, match="t_end"):
             SdeConfig(t_end=t_end, dt=dt)
 
-    @pytest.mark.parametrize("n_paths", [2.5, True])
+    @pytest.mark.parametrize("n_paths", [2.5, True, 4j, "4", None, np.array([4])])
     def test_path_count_must_be_an_integer(self, n_paths):
         # True, an int subclass, simulated one path
         with pytest.raises(ValueError, match="n_paths"):
             SdeConfig(n_paths=n_paths)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, True, False])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, False, 1j, "1", None, np.array([1])])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         # -1 failed in simulate_paths with numpy's "expected non-negative integer", 1.5 with a
         # TypeError, and True and False ran as seeds 1 and 0
@@ -107,11 +111,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="snapshot time"):
             simulate_paths(cfg, snapshot_times=snapshots)
 
-    @pytest.mark.parametrize("snapshot", [True, np.True_])
+    @pytest.mark.parametrize("snapshot", [True, np.True_, 1j, "1", None, np.array([0.5])])
     def test_bool_snapshot_is_refused(self, snapshot):
         # (True,) took a snapshot at t = 1.0
         cfg = SdeConfig(n_paths=4, t_end=1.0, dt=1e-3)
-        with pytest.raises(ValueError, match="snapshot time must be a number"):
+        with pytest.raises(ValueError, match=re.escape("snapshot time must be a real number in "
+                                                       "[0, 1]")):
             simulate_paths(cfg, snapshot_times=(snapshot,))
 
 

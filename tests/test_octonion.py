@@ -155,5 +155,10 @@ class TestCoordinates:
             CylCoord(w=1.5 * Octonion.one(), theta=np.zeros(7))
         with pytest.raises(ValueError):
             CylCoord(w=Octonion.zero(), theta=np.full(7, 1.5))
+        # a NaN w or theta was accepted
+        with pytest.raises(ValueError, match="must be < 1"):
+            CylCoord(w=math.nan * Octonion.one(), theta=np.zeros(7))
+        with pytest.raises(ValueError, match="must be < pi"):
+            CylCoord(w=Octonion.zero(), theta=np.full(7, math.nan))
         with pytest.raises(ValueError):
             AdSPoint(x=Octonion.one(), y=Octonion.one())

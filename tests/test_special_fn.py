@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,14 +50,14 @@ class TestJacobi:
             )
             assert sp.expand(rodrigues - polys[m]) == 0, m
 
-    @pytest.mark.parametrize("m", [-1, -2, -7, 2.5, True, np.True_])
+    @pytest.mark.parametrize("m", [-1, -2, -7, 2.5, True, np.True_, 2j, "2", None, np.array([2])])
     def test_negative_degree_is_refused(self, m):
         # jacobi_poly raised a bare IndexError or TypeError and jacobi_end_value "math domain
         # error"; 2.5 and True gave values: jacobi_norm_sq(2.5) 1.796, jacobi_norm_sq(True)
         # 1.503, hyp2f1_terminating(True, 1.2) 6.069
         for f, args in ((jacobi_poly, (0.3,)), (jacobi_end_value, ()), (jacobi_norm_sq, ()),
                         (hyp2f1_terminating, (1.2,))):
-            with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+            with pytest.raises(ValueError, match=re.escape("degree must be an integer in [0, ")):
                 f(m, *args)
 
     def test_numpy_integer_degrees_pass(self):

@@ -38,6 +38,7 @@ from octads.subelliptic_kernel import (
 )
 
 PI = math.pi
+_BELOW_MIN_TIME = re.escape("t must be a real number in [0.05, inf)")
 
 
 class TestRepresentations:
@@ -106,21 +107,21 @@ class TestRepresentations:
     def test_min_time_enforced(self):
         # below MIN_TIME rep 2 used to return an unchecked value (79.3 here)
         for rep in (heat_kernel_rep1, heat_kernel_rep2):
-            with pytest.raises(ValueError, match="below the supported minimum"):
+            with pytest.raises(ValueError, match=_BELOW_MIN_TIME):
                 rep(0.02, 0.5, 0.3)
-        with pytest.raises(ValueError, match="below the supported minimum"):
+        with pytest.raises(ValueError, match=_BELOW_MIN_TIME):
             total_mass(0.02)
         assert heat_kernel_rep2(MIN_TIME, 0.5, 0.3).value > 0
 
-    @pytest.mark.parametrize("t", [True, np.True_])
+    @pytest.mark.parametrize("t", [True, np.True_, 1j, "1", None, np.array([1.0])])
     def test_bool_time_is_refused(self, t):
         # True ran every route at t = 1, and the mass integral returned the mass at t = 1
         for call in (heat_kernel_rep1, heat_kernel_rep2, functools.partial(heat_residual, "rep1"),
                      lambda t, r, eta: weighted_integral(lambda r, eta: 1.0, t)):
-            with pytest.raises(ValueError, match="time must be a number"):
+            with pytest.raises(ValueError, match=_BELOW_MIN_TIME):
                 call(t, 0.5, 0.3)
 
-    @pytest.mark.parametrize("flag", [True, np.True_])
+    @pytest.mark.parametrize("flag", [True, np.True_, 1j, "1", None, np.array([0.5])])
     @pytest.mark.parametrize("arg, name", [(1, "base distance r"), (2, "fiber angle eta")])
     def test_bool_distance_and_angle_are_refused(self, arg, name, flag):
         # True ran every route at 1: heat_kernel_rep1(1.0, 0.5, True) returned 2.548e-26
@@ -128,14 +129,35 @@ class TestRepresentations:
         point[arg] = flag
         for call in (heat_kernel_rep1, heat_kernel_rep2, _rep2_direct,
                      functools.partial(heat_residual, "rep1")):
-            with pytest.raises(ValueError, match=f"{name} must be a number"):
+            with pytest.raises(ValueError, match=f"^{name.split()[-1]} must be a real number in "):
                 call(*point)
 
-    @pytest.mark.parametrize("growth", [True, np.True_])
+    @pytest.mark.parametrize("growth", [True, np.True_, 1j, "1", None, np.array([0.5])])
     def test_bool_growth_is_refused(self, growth):
         # True was read as f_growth = 1
-        with pytest.raises(ValueError, match="f_growth must be a number"):
+        with pytest.raises(ValueError, match=re.escape("f_growth must be a real number in [0, 1]")):
             weighted_integral(lambda r, eta: np.cosh(r), 1.0, f_growth=growth)
+
+    @pytest.mark.parametrize("cast", [np.float32, np.int64, np.array], ids=["float32", "int64",
+                                                                            "0-d"])
+    def test_numpy_arguments_give_the_bits_of_floats(self, cast):
+        # float32 arithmetic moved rep 1 by 1.1e-6 (t), rep 2 by 5.1e-6 (t) and 1.2e-7 (r), the
+        # residual's p, and the hyperbolic kernel by 1.1e-6 (t); a 0-d t failed the level store
+        calls = (lambda t, r, eta: heat_kernel_rep1(t, r, eta).value,
+                 lambda t, r, eta: heat_kernel_rep2(t, r, eta).value,
+                 functools.partial(heat_residual, "rep1"),
+                 lambda t, r, eta: hyperbolic_heat_kernel(15, t, r),
+                 lambda t, r, eta: weighted_integral(lambda r, eta: np.cosh(r / 2.0)
+                                                     * np.cos(eta) ** 2, t, f_growth=r / 2.0))
+        point = (2.0, 1.0, 0.0)  # exact in float32 and int64
+        for call in calls:
+            want = call(*point)
+            for i in range(3):
+                args = list(point)
+                args[i] = cast(args[i])
+                got = call(*args)
+                assert type(got) is type(want) and np.array_equal(got, want), (call, i)
+        assert {type(v) for v in heat_residual("rep1", *point)} == {float}
 
     def test_underflow_raises(self):
         # at t = 16 the kernel underflows to exactly 0.0 on every route
