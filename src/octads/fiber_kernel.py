@@ -37,7 +37,8 @@ class FiberKernelValue:
 
 
 def fiber_eigenvalue(m: int) -> int:
-    """Eigenvalue m(m+6) of degree m."""
+    """Eigenvalue m(m+6) of degree m, an integer >= 0."""
+    m = _integer("degree", m, 0)
     return m * (m + 6)
 
 

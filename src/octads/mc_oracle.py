@@ -83,7 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_fn import _MAX, _TINY, _integer, _real
+from .special_fn import _MAX, _TINY, _integer, _real, _values
 
 _CHUNK = 8192
 _R_SHIFT = 20.0  # above this r the drift flow of r is the shift r + 14 tau
@@ -256,16 +256,11 @@ MC_TEST_FUNCTIONS = (
 def estimate_expectation(f, samples: SampleSet):
     """Sample mean and standard error of f(r, eta) over the samples; f must accept arrays.
 
-    f's values broadcast to the samples' shape, so a constant has standard error 0; a shape
-    that does not broadcast raises ValueError, as do fewer than two samples and values that
-    are complex or not finite.
+    f's values (bool passes) broadcast to the samples' shape, so a constant has standard error 0;
+    other dtypes, NaN, +-inf, other shapes and fewer than two samples raise ValueError.
     """
-    vals = np.asarray(f(samples.r, samples.eta))
-    if np.iscomplexobj(vals):
-        raise ValueError(f"f is complex on the samples at t = {samples.time}")
-    vals = np.broadcast_to(vals.astype(float, copy=False), samples.r.shape)
+    vals = _values("f", f(samples.r, samples.eta), f"on the samples at t = {samples.time}")
+    vals = np.broadcast_to(vals, samples.r.shape)
     if vals.size < 2:
         raise ValueError(f"{vals.size} sample(s) cannot estimate a standard error; need 2")
-    if not np.isfinite(vals).all():
-        raise ValueError(f"f is not finite on the samples at t = {samples.time}")
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))

@@ -14,11 +14,11 @@ import numpy as np
 
 # The checks of every public entry: a ValueError naming the argument and its range refuses a
 # dtype not integer or float (bool, complex, str, None), NaN and values outside [lo, hi].
-_TINY, _MAX = 5e-324, sys.float_info.max  # open ends, written (0 and inf)
+_TINY, _MAX = 5e-324, sys.float_info.max  # open ends, written (0 and inf), and -_MAX (-inf
 
 
 def _interval(lo, hi) -> str:
-    left = "(0" if lo == _TINY else f"[{lo:.6g}"
+    left = "(0" if lo == _TINY else "(-inf" if lo == -_MAX else f"[{lo:.6g}"
     return left + (", inf)" if hi == _MAX else f", {hi:.6g}]")
 
 
@@ -49,6 +49,16 @@ def _real(name: str, v, lo: float, hi: float) -> float:
     raise ValueError(f"{name} must be a real number in {_interval(lo, hi)}, got {v!r}")
 
 
+def _values(name: str, v, where: str) -> np.ndarray:
+    """f's values as float64, uncopied if so; bool passes: an indicator's mean is a probability."""
+    a = np.asarray(v)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"{name} is {'complex' if a.dtype.kind == 'c' else 'not real'} {where}")
+    if not np.isfinite(a := a.astype(float, copy=False)).all():
+        raise ValueError(f"{name} is not finite {where}")
+    return a
+
+
 def jacobi_next(n: int, x, p1, p2, alpha: float = 2.5, beta: float = 2.5):
     """Degree n of the Jacobi family from degrees n-1 (p1) and n-2 (p2).
 
@@ -76,9 +86,13 @@ def jacobi_sequence(m_max: int, x) -> np.ndarray:
 
 
 def jacobi_poly(m: int, x):
-    """Degree-m (5/2, 5/2) Jacobi polynomial; scalar in, scalar out, or arrays."""
-    m = _integer("degree", m, 0)
-    p = jacobi_sequence(m, x)[m]
+    """Degree-m (5/2, 5/2) Jacobi polynomial at real x; scalar in, scalar out, or arrays.  A
+    value past double range raises ValueError."""
+    m, xs = _integer("degree", m, 0), _reals("x", x, -_MAX, _MAX)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        p = jacobi_sequence(m, xs)[m]
+    if not np.isfinite(p).all():
+        raise ValueError(f"the degree-{m} Jacobi polynomial leaves double range at x = {x!r}")
     return p if np.ndim(x) else float(p[0])
 
 
@@ -109,15 +123,17 @@ def hyp2f1_terminating(m: int, x: float) -> float:
     """The finite sum 2F1(m+3, -m-3, 1/2; (1-x)/2), which has m+4 terms.
 
     Term k+1 is term k times (m+3+k)(k-m-3) z / ((k+1/2)(k+1)), z = (1-x)/2, so no
-    factorial is formed and nothing overflows.  For x >= 1 every term is
-    nonnegative, which is the regime the kernel evaluation uses (argument cosh u).
+    factorial is formed.  For x >= 1 every term is nonnegative, which is the regime the
+    kernel evaluation uses (argument cosh u).  x is real; a sum past double range raises.
     """
-    m = _integer("degree", m, 0)
+    m, x = _integer("degree", m, 0), _real("x", x, -_MAX, _MAX)
     z = (1.0 - x) / 2.0
     term = total = 1.0
     for k in range(m + 3):
         term *= (m + 3 + k) * (k - m - 3) / ((k + 0.5) * (k + 1)) * z
         total += term
+    if not math.isfinite(total):
+        raise ValueError(f"the degree-{m} sum 2F1 leaves double range at x = {x!r}")
     return total
 
 

@@ -45,7 +45,7 @@ from .fiber_kernel import (
 # hyperbolic_heat_kernel_composed is called by no route; the benchmark's tracer wraps it here
 from .hyperbolic_kernel import (_log_kernel, _log_sinh, composed_distance,
                                 hyperbolic_heat_kernel_composed)
-from .special_fn import _MAX, _real, gl_nodes, jacobi_sequence
+from .special_fn import _MAX, _real, _values, gl_nodes, jacobi_sequence
 
 MEASURE_CONSTANT = math.pi ** 7 / 90.0
 
@@ -105,9 +105,11 @@ class KernelResult:
 
 
 def default_u_max(t: float, r: float) -> float:
+    """The u cutoff of a point, for t in [MIN_TIME, inf) and r in [0, inf)."""
     # The hyperbolic factor alone would allow r + 8 sqrt(t) + 2, but the
     # continued fiber series grows fast enough that the product tail decays
     # only like exp(-4u); the wider margin keeps the truncation below 1e-9.
+    t, r = _real("t", t, MIN_TIME, _MAX), _real("r", r, 0.0, _MAX)
     return r + 8.0 * math.sqrt(t) + 5.0
 
 
@@ -305,7 +307,7 @@ def heat_residual(which: str, t: float, r: float,
         raise KernelRangeError(f"{what}: p is {p}", KernelResult(p, math.nan, m_used, u_max))
     factor = _integrand(which, t, r, u)[2]  # a fresh one: rep 1's steps its recurrence
     a = np.array([c_m * (rows @ f_m) for c_m, f_m in map(factor, range(m_used + 1))])
-    decay = fiber_eigenvalue(np.arange(m_used + 1))
+    decay = np.array([fiber_eigenvalue(m) for m in range(m_used + 1)])
     dt = a[:, 1] - decay * a[:, 0]
     generator = a[:, 3] + 7.0 * a[:, 2] - tanh_r ** 2 * decay * a[:, 0]
     h = jacobi_sequence(m_used, [math.cos(eta), 1.0])
@@ -404,7 +406,7 @@ def weighted_integral(f, t: float, which: str = "rep1", f_growth: float = 0.0) -
     """Integral of f(r, eta) against p_t and the reference measure.
 
     f is called once per level with r as a column and eta as a row, both read-only, and returns
-    a finite real scalar, column, row or full grid that broadcasts to their grid, else
+    a finite real (or bool) scalar, column, row or full grid that broadcasts to their grid, else
     ValueError.  A column is summed with the level's radial weight, a scalar or a row with its
     angular one, a grid through cols and rows.  f is bounded by C exp(a r) with a <= f_growth
     in [0, 1], 1 the growth of cosh r cos eta; each level reaches the cutoff 16 t + 10 sqrt(t)
@@ -416,15 +418,10 @@ def weighted_integral(f, t: float, which: str = "rep1", f_growth: float = 0.0) -
     sums = []
     for level in range(_MEASURE_LEVELS):
         r, etas, rows, cols, radial, angular = _level(t, which, level)
-        values = np.asarray(f(r, etas))
-        if np.iscomplexobj(values):
-            raise ValueError(f"integrand is complex on the level-{level} nodes at t = {t}")
-        values = values.astype(float, copy=False)
+        values = _values("f", f(r, etas), f"on the level-{level} nodes at t = {t}")
         v, grid = np.atleast_2d(values), (r.size, etas.size)
         if v.ndim > 2 or any(a not in (1, b) for a, b in zip(v.shape, grid)):
             raise ValueError(f"integrand of shape {values.shape} does not broadcast to {grid}")
-        if not np.isfinite(values).all():
-            raise ValueError(f"integrand not finite on the level-{level} nodes at t = {t}")
         with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite raises
             cur = MEASURE_CONSTANT * float(  # scalar or row (a broadcast skips BLAS), column, grid
                 np.broadcast_to(v[0], angular.shape) @ angular if v.shape[0] == 1 else

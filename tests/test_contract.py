@@ -9,12 +9,16 @@ QuadratureConvergenceError, and any other draw returns what the route promises o
 of them; a TypeError, any other exception or a warning fails it.  A numpy number or a 0-d
 array gives the bits of the Python number of its value.  Kernel values are finite, positive
 and not subnormal, with one named exception: hyperbolic_heat_kernel is its closed form, which
-underflows to 0.0 or a subnormal (at s = inf, say).  The Jacobi functions' second argument x
-is not part of the contract: only their degree is drawn.
+underflows to 0.0 or a subnormal (at s = inf, say).  The values of a caller's f hold to the
+same contract, but bool values pass as 0 and 1: an indicator's mean is a probability.  Last,
+every public callable of octads is held here or named in OUTSIDE.
 """
 
+import ast
 import dataclasses
+import inspect
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -22,13 +26,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import octads
 from octads import (CylCoord, KernelPoint, KernelRangeError, Octonion,
-                    QuadratureConvergenceError, SdeConfig, SeriesConvergenceError,
-                    composed_distance, fiber_heat_kernel, fiber_mode_multiplicity,
-                    fiber_mode_profile, heat_kernel_rep1, heat_kernel_rep2, heat_residual,
-                    hyp2f1_terminating, hyperbolic_heat_kernel, hyperbolic_heat_kernel_composed,
-                    jacobi_norm_sq, jacobi_poly, simulate_paths, total_mass, weighted_integral)
-from octads.subelliptic_kernel import usable
+                    QuadratureConvergenceError, SampleSet, SdeConfig, SeriesConvergenceError,
+                    composed_distance, default_u_max, estimate_expectation, fiber_eigenvalue,
+                    fiber_heat_kernel, fiber_mode_multiplicity, fiber_mode_profile,
+                    heat_kernel_rep1, heat_kernel_rep2, heat_residual, hyp2f1_terminating,
+                    hyperbolic_heat_kernel, hyperbolic_heat_kernel_composed, jacobi_norm_sq,
+                    jacobi_poly, simulate_paths, total_mass, weighted_integral)
+from octads.subelliptic_kernel import MIN_TIME, usable
 
 ERRORS = (ValueError, KernelRangeError, SeriesConvergenceError, QuadratureConvergenceError)
 # values that are no real number (see junk), and +-inf, which only s, r and u take
@@ -50,7 +56,7 @@ def arg(valid, ints=st.nothing(), outside=st.nothing()):
     """A valid float three times in four; else it as float32 (where it fits) or an array of 0
     or 1 dimensions, a valid integer as np.int64, one of JUNK, or a real number outside the
     domain."""
-    return mostly(valid, st.one_of(valid.filter(lambda v: v < 3e38).map(np.float32),
+    return mostly(valid, st.one_of(valid.filter(lambda v: abs(v) < 3e38).map(np.float32),
                                    valid.map(np.array), valid.map(lambda v: np.array([v])),
                                    ints.map(np.int64), st.sampled_from(JUNK), outside))
 
@@ -104,11 +110,11 @@ def junk(v) -> bool:
     return a.dtype.kind not in "iuf" or bool(np.isnan(a).any())
 
 
-def check(route, promise, *args):
-    """route(*args) raises a contract error if an argument is junk, and else keeps its promise
-    or raises one; numpy numbers give the bits of the Python numbers of their values."""
+def check(route, promise, *args, refused=junk):
+    """route(*args) raises a contract error if an argument is refused (junk), and else keeps its
+    promise or raises one; numpy numbers give the bits of the Python numbers of their values."""
     got = outcome(route, *args)
-    if any(map(junk, args)):
+    if any(map(refused, args)):
         assert got is None, (args, got)
     elif got is not None:
         assert promise(got), (args, got)
@@ -203,6 +209,70 @@ def test_degree(route, m):
     check(route, lambda v: type(v) in (int, float) and math.isfinite(v), m)
 
 
+@contract(30)
+@given(m=degree())
+@example(m=-3)  # returned -9, 11.25 and 7
+@example(m=1.5)
+@example(m=True)
+def test_fiber_eigenvalue(m):
+    check(fiber_eigenvalue, lambda v: type(v) is int and v >= 0, m)
+
+
+X = arg(mostly(st.floats(-3.0, 3.0), st.floats(-1e12, 1e12) | st.sampled_from([-1e308, 1e308])),
+        st.integers(-3, 3))
+
+
+@pytest.mark.parametrize("route", [jacobi_poly, hyp2f1_terminating])
+@contract(40)
+@given(m=st.integers(0, 60), x=X)
+@example(m=2, x="1")  # jacobi_poly returned 7.875, hyp2f1_terminating raised a bare TypeError
+@example(m=40, x=1e10)  # jacobi_poly warned of an overflow, hyp2f1_terminating returned inf
+def test_x(route, m, x):
+    check(lambda x: route(m, x), lambda v: type(v) in (float, np.ndarray)
+          and np.shape(v) == np.shape(x) and bool(np.isfinite(v).all()), x)
+
+
+@contract(40)
+@given(t=TIME, r=DISTANCE)
+@example(t=1j, r=0.0)  # raised a bare TypeError
+@example(t=math.nan, r=0.0)  # returned nan
+@example(t=0.01, r=0.0)  # returned 5.8, below the cutoff at MIN_TIME
+def test_default_u_max(t, r):
+    check(default_u_max, lambda v: type(v) is float
+          and default_u_max(MIN_TIME, 0.0) <= v < math.inf, t, r)
+
+
+def refused_value(v) -> bool:
+    """A value of f that is refused: its dtype is not bool, integer or float, or it is not
+    finite."""
+    a = np.asarray(v)
+    return a.dtype.kind not in "biuf" or not np.isfinite(a.astype(float)).all()
+
+
+SAMPLES = SampleSet(time=0.01, r=np.linspace(0.1, 1.0, 5), eta=np.linspace(0.1, 3.0, 5))
+VALUE = mostly(st.floats(-1e3, 1e3).filter(lambda v: v == 0.0 or abs(v) > 1e-100),
+               st.sampled_from([True, False, np.True_, np.array(True), np.array([False]), 3,
+                                np.int64(-2), np.float32(0.5), np.array([2.0]), "1", None,
+                                1j, np.complex128(1.0), math.nan, math.inf, -math.inf,
+                                np.array([math.nan])]))
+
+
+@pytest.mark.parametrize("route", [
+    lambda value: weighted_integral(lambda r, eta: value, 1.2),
+    lambda value: estimate_expectation(lambda r, eta: value, SAMPLES)],
+    ids=["weighted_integral", "estimate_expectation"])
+@contract(40)
+@given(value=VALUE)
+@example(value="1")  # read as the number 1
+@example(value=None)
+@example(value=True)  # an indicator's value passes
+def test_values(route, value):
+    finite = lambda v: type(v) is float and math.isfinite(v)
+    check(route, lambda v: finite(v) if type(v) is float else all(map(finite, v)), value,
+          refused=refused_value)
+    assert refused_value(value) or outcome(route, value) is not None, value
+
+
 @contract(15)
 @given(t=TIME, which=st.sampled_from(["rep1", "rep2", "rep3"]),
        growth=arg(st.floats(0.0, 1.0), st.integers(0, 1), st.floats(1.0001, 5.0)))
@@ -258,3 +328,23 @@ def test_simulate_paths(snapshot):
 def test_cyl_coord(w, theta):
     check(lambda w, theta: CylCoord(w=Octonion(w), theta=theta),
           lambda c: c.rho < 1.0 and c.eta < PI, w, theta)
+
+
+# Public callables outside the contract: the octonion algebra, whose checks CylCoord holds, and
+# the result dataclasses, which only the routes build.
+OUTSIDE = ("AdSPoint", "Octonion", "ads_project", "cyl_to_ads", "fiber_exponential",
+           "oct_inverse", "oct_mul", "pseudo_norm", "FiberKernelValue", "KernelResult",
+           "SampleSet")
+
+
+def test_every_public_callable_is_held():
+    """Each public callable of octads but an exception is named in a test of this module (its
+    body or decorators) or in OUTSIDE, so that a new export cannot skip the contract."""
+    public = {name for name, v in vars(octads).items() if not name.startswith("_")
+              and callable(v) and not (isinstance(v, type) and issubclass(v, BaseException))}
+    tree = ast.parse(inspect.getsource(sys.modules[__name__]))
+    held = {node.id for test in tree.body if isinstance(test, ast.FunctionDef)
+            and test.name.startswith("test_") and test.name != "test_every_public_callable_is_held"
+            for node in ast.walk(test) if isinstance(node, ast.Name)}
+    assert set(OUTSIDE) <= public
+    assert public - held - set(OUTSIDE) == set()
