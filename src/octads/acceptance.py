@@ -168,7 +168,7 @@ def fiber_normalization(t=_FIBER_T, eta=_FIBER_ETA):
     u, w = gl_nodes(_FIBER_NODES, 0.0, math.pi)
     rows = []
     for tt, ee in itertools.product(t, eta):
-        _check_fiber_args(tt, ee)
+        tt, ee = _check_fiber_args(tt, ee)
         vals = _series_matrix(_fiber_coeff(tt, np.cos(u)), u.size, ee)[0]
         integral = float(np.dot(w, vals * np.sin(u) ** 6))
         dev = abs(integral - 1.0)

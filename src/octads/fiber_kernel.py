@@ -67,16 +67,17 @@ def _series_matrix(factor, n_rows: int, eta, wq=None):
     its own sum: across rows the values span hundreds of orders of magnitude,
     so a rule for all rows would cut the small rows short.  A non-finite
     coefficient, and a row still summing at SERIES_M_CAP, raise.
-    The u-integrals, profiles and sums are formed in the dtype of wq: a point
-    passes long double, since its sums near eta = pi cancel to 1e-7 of their
-    terms; summed in double, point values at t <= 0.2 moved by up to 2.8e-9
-    relative, above POINT_TOL, and 4 of 504 points flipped to or from a refusal.
+    Given wq, as by a point or a residual, the u-integrals, profiles and sums are long double,
+    since near eta = pi they cancel to 1e-7 of their terms: in double, of 392 points (t from
+    0.05 to 1, r in {0, 0.5, 1, 2}, eta = k pi/6, both representations) values at t <= 0.2
+    moved by up to 2.8e-9 relative, above POINT_TOL, and 4 flipped to or from a refusal.
     Every row's a_m is formed at every degree and set to 0 once the row has
     stopped, so a stopped row adds zeros and keeps its sum.  Returns
     (sums[n_rows], m_used, coeffs), where coeffs[m] holds every row's a_m.
     """
-    # the profile's arguments: eta and the pole, cos 0 = 1
-    x = np.cos(np.array([eta, 0.0], dtype=float if wq is None else wq.dtype))
+    # the profile's arguments: eta and the pole, cos 0 = 1, in long double given wq (see above)
+    x = np.cos(np.array([eta, 0.0], float if wq is None else np.longdouble))
+    wq = None if wq is None else np.asarray(wq, x.dtype)
     coeffs = []
     sums = np.zeros(n_rows, x.dtype)
     stopped, was_small = np.zeros((2, n_rows), dtype=bool)  # was_small: the last |a_m| was small

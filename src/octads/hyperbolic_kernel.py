@@ -95,16 +95,12 @@ def _log_lowering_factor(k: int, t: float, s: np.ndarray) -> np.ndarray:
 # public kernel evaluations
 
 
-def _check_dimension(n: int) -> int:
+def _log_kernel(n: int, t: float, s) -> np.ndarray:
+    """log of hyperbolic_heat_kernel at the checked t and distances s, as a 1-d array."""
     n = _integer("dimension n", n, 1)
     if n % 2 == 0 or n > MAX_DIMENSION:
         raise ValueError(f"dimension n must be an odd integer in [1, {MAX_DIMENSION}], got {n}")
-    return (n - 1) // 2
-
-
-def _log_kernel(n: int, t: float, s) -> np.ndarray:
-    """log of hyperbolic_heat_kernel at the checked t and distances s, as a 1-d array."""
-    k = _check_dimension(n)
+    k = (n - 1) // 2
     s_arr = np.atleast_1d(s)
     log_pref = -k * k * t - k * math.log(2.0 * math.pi) - 0.5 * math.log(4.0 * math.pi * t)
     # past s = 1.3e154 (sooner at small t) or t = 4.5e307 the exponent is -inf: exp gives 0

@@ -54,7 +54,9 @@ def _values(name: str, v, where: str) -> np.ndarray:
     a = np.asarray(v)
     if a.dtype.kind not in "biuf":
         raise ValueError(f"{name} is {'complex' if a.dtype.kind == 'c' else 'not real'} {where}")
-    if not np.isfinite(a := a.astype(float, copy=False)).all():
+    with np.errstate(over="ignore"):  # a long double past double range becomes inf
+        a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} is not finite {where}")
     return a
 

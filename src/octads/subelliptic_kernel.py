@@ -173,13 +173,13 @@ def _grid(which, t, r, eta, n_u, u_max):
 
     Mode m's coefficient is c_m times the u-integral of q_n exp(log_g) f_m (see
     _integrand); q_n and g are one exp of a sum of logs per u node, NaN where both leave
-    double range, which _series_matrix reports.  Returns (value, m_used), the value a numpy
-    float, whose .size perfbench's tracer reads.
+    double range, and _series_matrix reports that and sums the integrals in long double.
+    Returns (value, m_used), the value a numpy float, whose .size perfbench's tracer reads.
     """
     u, w = gl_nodes(n_u, 0.0, u_max)
     n, log_g, factor = _integrand(which, t, r, u)
     with np.errstate(over="ignore", invalid="ignore"):
-        wq = (w * np.exp(_log_kernel(n, t, composed_distance(r, u)) + log_g)).astype(np.longdouble)
+        wq = w * np.exp(_log_kernel(n, t, composed_distance(r, u)) + log_g)
     out, m_used, _ = _series_matrix(factor, 1, eta, wq[None])
     return out[0], m_used
 
@@ -268,7 +268,7 @@ def heat_residual(which: str, t: float, r: float,
     times c_m f_m (see _integrand), on 2 POINT_N_U nodes up to default_u_max(t, r) + 1.  The
     drift row has no coth, since coth r d/dr x = x, so L_m A_m holds on the axis r = 0 too.
     The value row, summed by _grid's rule, sets the degree and gives p; the other rows take
-    c_m f_m from a fresh factor up to that degree.
+    c_m f_m from the same factor up to that degree, whose recurrence restarts at degree 0.
     """
     t, r, eta = astuple(KernelPoint(t, r, eta))
     u_max = default_u_max(t, r) + 1.0
@@ -299,13 +299,12 @@ def heat_residual(which: str, t: float, r: float,
     if not np.isfinite(rows).all():
         raise SeriesConvergenceError(f"{what}: its u-integrands leave double range")
     try:
-        value, m_used, _ = _series_matrix(factor, 1, eta, rows[:1].astype(np.longdouble))
+        value, m_used, _ = _series_matrix(factor, 1, eta, rows[:1])
     except SeriesConvergenceError as exc:
         raise SeriesConvergenceError(f"{what}: {exc}") from exc
     p = float(value[0])
     if not usable(p):
         raise KernelRangeError(f"{what}: p is {p}", KernelResult(p, math.nan, m_used, u_max))
-    factor = _integrand(which, t, r, u)[2]  # a fresh one: rep 1's steps its recurrence
     a = np.array([c_m * (rows @ f_m) for c_m, f_m in map(factor, range(m_used + 1))])
     decay = np.array([fiber_eigenvalue(m) for m in range(m_used + 1)])
     dt = a[:, 1] - decay * a[:, 0]

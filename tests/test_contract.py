@@ -246,7 +246,8 @@ def refused_value(v) -> bool:
     """A value of f that is refused: its dtype is not bool, integer or float, or it is not
     finite."""
     a = np.asarray(v)
-    return a.dtype.kind not in "biuf" or not np.isfinite(a.astype(float)).all()
+    with np.errstate(over="ignore"):  # a long double past double range is not finite
+        return a.dtype.kind not in "biuf" or not np.isfinite(a.astype(float)).all()
 
 
 SAMPLES = SampleSet(time=0.01, r=np.linspace(0.1, 1.0, 5), eta=np.linspace(0.1, 3.0, 5))
@@ -266,6 +267,7 @@ VALUE = mostly(st.floats(-1e3, 1e3).filter(lambda v: v == 0.0 or abs(v) > 1e-100
 @example(value="1")  # read as the number 1
 @example(value=None)
 @example(value=True)  # an indicator's value passes
+@example(value=np.full(5, np.longdouble("1e400")))  # warned of an overflow, then raised
 def test_values(route, value):
     finite = lambda v: type(v) is float and math.isfinite(v)
     check(route, lambda v: finite(v) if type(v) is float else all(map(finite, v)), value,

@@ -184,6 +184,15 @@ class TestFiberHeatKernel:
                     assert m_alone <= m_both
                 assert coeffs[-1, 0] == 0.0 and coeffs[-1, 1] != 0.0
 
+    def test_mode_factor_restarts_at_degree_0(self):
+        # heat_residual steps one factor twice, over degrees 0..m: the second pass must give
+        # the bits of the first
+        factor = fiber_kernel._fiber_coeff(0.1, np.cosh(np.linspace(0.0, 8.0, 5)))
+        first = [factor(m) for m in range(40)]
+        second = [factor(m) for m in range(40)]
+        for (c1, f1), (c2, f2) in zip(first, second):
+            assert c1 == c2 and f1.tobytes() == f2.tobytes()
+
     def test_a_stopped_row_adds_zeros(self):
         # row 0 stops at degree 5 and its product overflows to inf from degree 8 on, while row
         # 1 sums on: the stopped row must neither raise nor warn nor add to its sum, and its

@@ -14,7 +14,8 @@ from octads import acceptance, fiber_kernel, subelliptic_kernel
 from octads.acceptance import GRID_ETA, GRID_R, GRID_T
 from octads.fiber_kernel import (SeriesConvergenceError, _fiber_coeff, _series_matrix,
                                  fiber_heat_kernel, fiber_mode_multiplicity)
-from octads.hyperbolic_kernel import hyperbolic_heat_kernel, hyperbolic_heat_kernel_composed
+from octads.hyperbolic_kernel import (_log_kernel, composed_distance, hyperbolic_heat_kernel,
+                                      hyperbolic_heat_kernel_composed)
 from octads.mc_oracle import MC_TEST_FUNCTIONS
 from octads.special_fn import gl_nodes
 from octads.subelliptic_kernel import (
@@ -337,12 +338,36 @@ class TestGridEvaluators:
             value, _ = subelliptic_kernel._grid(which, t, r, eta, self.N_U, u_max)
             assert value == pytest.approx(product[0] * scale, rel=1e-14, abs=0.0), (t, r, eta)
 
+    @pytest.mark.parametrize("which", ["rep1", "rep2"])
+    def test_weights_are_summed_in_long_double_whatever_their_dtype(self, which):
+        # near eta = pi the sums cancel: rep 1's float64 weights summed in float64 gave
+        # 1.644336062e-11 here, against 1.644336066e-11 in long double
+        t, r, eta = 0.1, 0.5, 1.8325957145940461
+        u, w = gl_nodes(self.N_U, 0.0, default_u_max(t, r))
+        n, log_g, _ = subelliptic_kernel._integrand(which, t, r, u)
+        wq = (w * np.exp(_log_kernel(n, t, composed_distance(r, u)) + log_g))[None]
+        double, long_double = (
+            _series_matrix(subelliptic_kernel._integrand(which, t, r, u)[2], 1, eta, weights)
+            for weights in (wq, wq.astype(np.longdouble)))
+        assert double[0].tobytes() == long_double[0].tobytes()
+        assert double[1] == long_double[1] and double[2].tobytes() == long_double[2].tobytes()
+
 
 class TestHeatResidual:
     @pytest.mark.parametrize("which", ["rep1", "rep2"])
     def test_residual_small(self, which):
         res, scale, p, _ = heat_residual(which, 1.0, 0.5, PI / 2.0)
         assert res <= 1e-4 * scale + 1e-8 * p
+
+    @pytest.mark.parametrize("which", ["rep1", "rep2"])
+    def test_integrand_is_built_once(self, which, monkeypatch):
+        # the value row and the other rows read one mode factor
+        calls = []
+        integrand = subelliptic_kernel._integrand
+        monkeypatch.setattr(subelliptic_kernel, "_integrand",
+                            lambda *args: calls.append(args) or integrand(*args))
+        heat_residual(which, 1.0, 0.5, PI / 2.0)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("which", ["rep1", "rep2"])
     @pytest.mark.parametrize("dr", [0.0, 1e-7, -1e-7, 1e-6, 3e-6])
