@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 
-from . import octonion as oct
 from .fiber_kernel import (SeriesConvergenceError, _check_fiber_args, _fiber_coeff,
                            _series_matrix, fiber_heat_kernel, fiber_mode_profile)
 from .hyperbolic_kernel import (TIME_FLOOR, _TIME_CEILING, _log_kernel, _log_sinh,
@@ -308,6 +307,8 @@ def octonion_algebra():
     points (base point scaled by 0.25, fiber angles by 0.35) test the quadric and the
     projection back.  The inexact identities hold to 1e-12.
     """
+    from . import octonion as oct  # its only user, so other commands skip it
+
     tolerance = 1e-12
     rng = np.random.default_rng(1234)
     basis, mul = oct.Octonion.basis, oct.oct_mul

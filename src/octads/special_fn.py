@@ -7,6 +7,7 @@ normalization constants go through lgamma to stay inside double range.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from functools import lru_cache
 
@@ -23,11 +24,15 @@ def _interval(lo, hi) -> str:
 
 
 def _integer(name: str, v, lo: int) -> int:
-    """v as a Python int, since numpy's integers wrap; anything but an integer >= lo raises."""
-    a = np.asarray(v)
-    if a.dtype.kind not in "iu" or a.ndim or a < lo:
+    """v as a Python int, since numpy's integers wrap; anything but an integer in [lo, 2**64)
+    raises.  np.bool_ and bool arrays have no integer index; bool, an int subclass, is named."""
+    try:
+        i = operator.index(v)
+    except TypeError:
+        i = None
+    if i is None or isinstance(v, bool) or not lo <= i < 2**64:
         raise ValueError(f"{name} must be an integer in [{lo}, inf), got {v!r}")
-    return int(a)
+    return i
 
 
 def _reals(name: str, v, lo: float, hi: float) -> np.ndarray:

@@ -214,6 +214,8 @@ def test_degree(route, m):
 @example(m=-3)  # returned -9, 11.25 and 7
 @example(m=1.5)
 @example(m=True)
+@example(m=2**64)  # past every numpy integer type
+@example(m=np.uint64(2**64 - 1))
 def test_fiber_eigenvalue(m):
     check(fiber_eigenvalue, lambda v: type(v) is int and v >= 0, m)
 
@@ -342,8 +344,9 @@ OUTSIDE = ("AdSPoint", "Octonion", "ads_project", "cyl_to_ads", "fiber_exponenti
 def test_every_public_callable_is_held():
     """Each public callable of octads but an exception is named in a test of this module (its
     body or decorators) or in OUTSIDE, so that a new export cannot skip the contract."""
-    public = {name for name, v in vars(octads).items() if not name.startswith("_")
-              and callable(v) and not (isinstance(v, type) and issubclass(v, BaseException))}
+    public = {name for name in dir(octads) if not name.startswith("_")  # dir: names load lazily
+              for v in [getattr(octads, name)]
+              if callable(v) and not (isinstance(v, type) and issubclass(v, BaseException))}
     tree = ast.parse(inspect.getsource(sys.modules[__name__]))
     held = {node.id for test in tree.body if isinstance(test, ast.FunctionDef)
             and test.name.startswith("test_") and test.name != "test_every_public_callable_is_held"
